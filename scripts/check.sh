@@ -1,9 +1,10 @@
 #!/bin/sh
 # Static checks plus a sanitizer build-and-test pass:
 #
-#   1. layering grep: nothing in bench/ or src/analysis/ may call
+#   1. greps: nothing in bench/ or src/analysis/ may call
 #      dimemas::replay directly — every replay goes through the
-#      pipeline::ReplayContext / Study API;
+#      pipeline::ReplayContext / Study API; no deprecated analysis shims;
+#      no little-endian byte-shift loops outside common/bytes.hpp;
 #   2. full build under AddressSanitizer + UndefinedBehaviorSanitizer (or
 #      ThreadSanitizer with 'thread', or standalone UBSan with 'undefined'
 #      as the second argument) and the full test suite;
@@ -50,6 +51,17 @@ if grep -rn --include='*.cpp' --include='*.hpp' -F '[[deprecated' \
   exit 1
 fi
 echo "shims OK (no [[deprecated]] under src/analysis/)"
+
+# One byte codec: fixed-width little-endian fields go through
+# common/bytes.hpp. trace/binary_io.cpp keeps its streaming LEB128 reader
+# over mmap (its only fixed-width field is the CRC footer).
+if grep -rnE --include='*.cpp' --include='*.hpp' '\(8 \* i\)' "$ROOT/src" |
+     grep -vE '^[^:]*/src/(common/bytes\.hpp|trace/binary_io\.cpp):'; then
+  echo "error: hand-rolled byte-shift loop outside src/common/bytes.hpp;" \
+       "use bytes::Writer / bytes::Reader (or store_le/load_le)" >&2
+  exit 1
+fi
+echo "codec OK (byte-shift loops only in common/bytes.hpp, trace/binary_io)"
 
 cmake -B "$BUILD" -S "$ROOT" -DOSIM_SANITIZE="$SANITIZE" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -6,6 +6,8 @@
 set -e
 BUILD="$1"
 OUT="$(mktemp -d)"
+# Every cache directory below is explicit; a caller's store stays out.
+unset OSIM_CACHE_DIR
 trap 'rm -rf "$OUT"' EXIT
 
 "$BUILD/tools/osim_trace" --app nas_cg --ranks 4 --iterations 2 \
@@ -233,6 +235,49 @@ PY
 "$BUILD/tools/osim_cache" gc --cache-dir "$CACHE" --max-bytes 1024 \
     > /dev/null
 "$BUILD/tools/osim_cache" verify --cache-dir "$CACHE" > /dev/null
+
+# Every tool that accepts --perf-json writes a record naming itself (the
+# flag used to be accepted and ignored by osim_cache and osim_perf).
+check_perf_record() {
+  python3 - "$1" "$2" <<'PY'
+import json, sys
+record = json.load(open(sys.argv[1]))
+assert record['schema'] == 'osim-perf-record-v1', record
+assert record['tool'] == sys.argv[2], (record['tool'], sys.argv[2])
+assert record['wall_s'] >= 0.0
+PY
+}
+"$BUILD/tools/osim_replay" --trace "$OUT/cg.original.trace" \
+    --perf-json "$OUT/perf_replay.json" > /dev/null
+check_perf_record "$OUT/perf_replay.json" osim_replay
+"$BUILD/tools/osim_lint" --trace "$OUT/cg.original.trace" \
+    --perf-json "$OUT/perf_lint.json" > /dev/null
+check_perf_record "$OUT/perf_lint.json" osim_lint
+for cmd in stats verify; do
+  "$BUILD/tools/osim_cache" $cmd --cache-dir "$CACHE" \
+      --perf-json "$OUT/perf_cache_$cmd.json" > /dev/null
+  check_perf_record "$OUT/perf_cache_$cmd.json" osim_cache
+done
+"$BUILD/tools/osim_cache" gc --cache-dir "$CACHE" --max-bytes 1024 \
+    --perf-json "$OUT/perf_cache_gc.json" > /dev/null
+check_perf_record "$OUT/perf_cache_gc.json" osim_cache
+"$BUILD/tools/osim_perf" --repetitions 1 --ranks 4 --iterations 1 \
+    --sweep-points 1 --out "$OUT/bench_replay.json" \
+    --perf-json "$OUT/perf_perf.json" > /dev/null 2>&1
+check_perf_record "$OUT/perf_perf.json" osim_perf
+# osim_perf times uncached work only: a store directory, given by flag or
+# by environment, is a usage error.
+set +e
+"$BUILD/tools/osim_perf" --cache-dir "$OUT/nostore" > /dev/null 2>&1
+rc=$?
+OSIM_CACHE_DIR="$OUT/nostore" "$BUILD/tools/osim_perf" > /dev/null 2>&1
+env_rc=$?
+set -e
+if [ "$rc" -ne 2 ] || [ "$env_rc" -ne 2 ]; then
+  echo "osim_perf with a store: expected exit 2 (flag, env), got" \
+       "$rc, $env_rc" >&2
+  exit 1
+fi
 
 # Offline transformation from the annotated trace reproduces the
 # tracer-emitted original trace byte for byte.

@@ -1,11 +1,13 @@
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for trace-file
-// integrity footers. Header-only; the table is built at compile time so
-// there is no init-order dependency.
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for the integrity
+// footers of trace files, store objects, the store index and journals.
+// Header-only; the table is built at compile time so there is no
+// init-order dependency.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 namespace osim {
 
@@ -44,5 +46,12 @@ class Crc32 {
  private:
   std::uint32_t crc_ = 0xFFFFFFFFu;
 };
+
+/// CRC-32 of one whole message.
+inline std::uint32_t crc32(std::string_view bytes) {
+  Crc32 crc;
+  crc.update(bytes.data(), bytes.size());
+  return crc.value();
+}
 
 }  // namespace osim

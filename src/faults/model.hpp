@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "trace/record.hpp"
 
 namespace osim::faults {
@@ -102,5 +103,39 @@ struct Counts {
 
   friend bool operator==(const Counts&, const Counts&) = default;
 };
+
+/// The one persisted form of Counts, shared by store objects and journal
+/// records: u8 enabled, the eight u64 counters in declaration order, then
+/// the two f64 totals. Header-only so the journal (osim_supervise) can use
+/// it without linking this library.
+inline void write_counts(bytes::Writer& out, const Counts& c) {
+  out.boolean(c.enabled);
+  out.u64(c.seed);
+  out.u64(c.messages_dropped);
+  out.u64(c.retransmits);
+  out.u64(c.handshake_reissues);
+  out.u64(c.hard_stalls);
+  out.u64(c.degraded_transfers);
+  out.u64(c.perturbed_bursts);
+  out.u64(c.straggled_bursts);
+  out.f64(c.injected_delay_s);
+  out.f64(c.injected_compute_s);
+}
+
+inline Counts read_counts(bytes::Reader& in) {
+  Counts c;
+  c.enabled = in.boolean();
+  c.seed = in.u64();
+  c.messages_dropped = in.u64();
+  c.retransmits = in.u64();
+  c.handshake_reissues = in.u64();
+  c.hard_stalls = in.u64();
+  c.degraded_transfers = in.u64();
+  c.perturbed_bursts = in.u64();
+  c.straggled_bursts = in.u64();
+  c.injected_delay_s = in.f64();
+  c.injected_compute_s = in.f64();
+  return c;
+}
 
 }  // namespace osim::faults

@@ -1,6 +1,5 @@
 #include "pipeline/context.hpp"
 
-#include <cstring>
 #include <utility>
 
 #include "common/expect.hpp"
@@ -11,42 +10,7 @@ namespace osim::pipeline {
 
 namespace {
 
-// Two-lane FNV-1a with distinct offset bases; both lanes see the same byte
-// stream, so a collision requires both 64-bit hashes to collide at once.
-class Hasher {
- public:
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      byte(static_cast<unsigned char>(v >> (8 * i)));
-    }
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void boolean(bool v) { byte(v ? 1 : 0); }
-  void str(const std::string& s) {
-    u64(s.size());
-    for (const char c : s) byte(static_cast<unsigned char>(c));
-  }
-
-  Fingerprint value() const { return {lo_, hi_}; }
-
- private:
-  void byte(unsigned char b) {
-    lo_ = (lo_ ^ b) * kPrime;
-    hi_ = (hi_ ^ b) * kPrime2;
-  }
-
-  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  static constexpr std::uint64_t kPrime2 = 0x9e3779b97f4a7c15ULL;
-  std::uint64_t lo_ = 0xcbf29ce484222325ULL;
-  std::uint64_t hi_ = 0x84222325cbf29ce4ULL;
-};
-
-void hash_record(Hasher& h, const trace::Record& record) {
+void hash_record(FingerprintHasher& h, const trace::Record& record) {
   h.u64(record.index());  // discriminate the alternatives
   std::visit(
       [&h](const auto& r) {
@@ -80,7 +44,7 @@ void hash_record(Hasher& h, const trace::Record& record) {
 }
 
 Fingerprint trace_fingerprint(const trace::Trace& t) {
-  Hasher h;
+  FingerprintHasher h;
   h.i64(t.num_ranks);
   h.f64(t.mips);
   h.str(t.app);
@@ -91,7 +55,7 @@ Fingerprint trace_fingerprint(const trace::Trace& t) {
   return h.value();
 }
 
-void hash_platform(Hasher& h, const dimemas::Platform& p) {
+void hash_platform(FingerprintHasher& h, const dimemas::Platform& p) {
   h.i64(p.num_nodes);
   h.f64(p.relative_cpu_speed);
   h.u64(p.per_node_cpu_speed.size());
@@ -107,7 +71,7 @@ void hash_platform(Hasher& h, const dimemas::Platform& p) {
   h.u64(p.eager_threshold_bytes);
 }
 
-void hash_options(Hasher& h, const dimemas::ReplayOptions& o) {
+void hash_options(FingerprintHasher& h, const dimemas::ReplayOptions& o) {
   h.boolean(o.record_timeline);
   h.boolean(o.record_comms);
   h.boolean(o.collect_metrics);
@@ -153,7 +117,7 @@ Fingerprint combined_fingerprint(const Fingerprint& trace_fingerprint,
                                  dimemas::ReplayOptions options) {
   options.validate_input = false;  // a sealed context always replays with
                                    // validation off; hash what replays
-  Hasher h;
+  FingerprintHasher h;
   h.u64(trace_fingerprint.lo);
   h.u64(trace_fingerprint.hi);
   hash_platform(h, platform);

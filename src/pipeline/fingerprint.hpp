@@ -8,9 +8,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
+
+#include "common/bytes.hpp"
 
 namespace osim::pipeline {
 
@@ -22,6 +25,55 @@ struct Fingerprint {
   std::uint64_t hi = 0;
   friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
 };
+
+/// Two-lane FNV-1a with distinct offset bases; both lanes see the same byte
+/// stream, so a collision requires both 64-bit hashes to collide at once.
+/// Every fingerprint in the repository (scenario contexts, lint keys,
+/// report addresses, study journals) is built with this one hasher, over
+/// the little-endian bytes of its fields.
+class FingerprintHasher {
+ public:
+  void byte(unsigned char b) {
+    lo_ = (lo_ ^ b) * kPrime;
+    hi_ = (hi_ ^ b) * kPrime2;
+  }
+  void u64(std::uint64_t v) {
+    bytes::for_each_le_byte(v, [this](unsigned char b) { byte(b); });
+  }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    u64(bits);
+  }
+  void boolean(bool v) { byte(v ? 1 : 0); }
+  /// u64 length, then the bytes.
+  void str(std::string_view s) {
+    u64(s.size());
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+
+  Fingerprint value() const { return {lo_, hi_}; }
+
+ private:
+  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  static constexpr std::uint64_t kPrime2 = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t lo_ = 0xcbf29ce484222325ULL;
+  std::uint64_t hi_ = 0x84222325cbf29ce4ULL;
+};
+
+/// A fingerprint on disk or on the wire: u64 hi, then u64 lo.
+inline void write_fingerprint(bytes::Writer& out, const Fingerprint& fp) {
+  out.u64(fp.hi);
+  out.u64(fp.lo);
+}
+
+inline Fingerprint read_fingerprint(bytes::Reader& in) {
+  Fingerprint fp;
+  fp.hi = in.u64();
+  fp.lo = in.u64();
+  return fp;
+}
 
 struct FingerprintHash {
   std::size_t operator()(const Fingerprint& f) const {

@@ -8,26 +8,14 @@ namespace osim::pipeline {
 Fingerprint lint_fingerprint(const trace::Trace& trace,
                              const lint::LintOptions& options) {
   const Fingerprint trace_fp = fingerprint_of(trace);
-  // Same two-lane FNV-1a construction as the context fingerprints
-  // (pipeline/context.cpp), folded over the lint-specific inputs.
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  constexpr std::uint64_t kPrime2 = 0x9e3779b97f4a7c15ULL;
-  std::uint64_t lo = 0xcbf29ce484222325ULL;
-  std::uint64_t hi = 0x84222325cbf29ce4ULL;
-  const auto mix_u64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      const auto b = static_cast<unsigned char>(v >> (8 * i));
-      lo = (lo ^ b) * kPrime;
-      hi = (hi ^ b) * kPrime2;
-    }
-  };
-  mix_u64(0x4C494E54);  // domain tag "LINT": never collides with replay keys
-  mix_u64(trace_fp.lo);
-  mix_u64(trace_fp.hi);
-  mix_u64(options.eager_threshold_bytes);
-  mix_u64(kLintAnalysisVersion);
-  mix_u64(static_cast<std::uint64_t>(lint::kLintReportVersion));
-  return Fingerprint{lo, hi};
+  FingerprintHasher h;
+  h.u64(0x4C494E54);  // domain tag "LINT": never collides with replay keys
+  h.u64(trace_fp.lo);
+  h.u64(trace_fp.hi);
+  h.u64(options.eager_threshold_bytes);
+  h.u64(kLintAnalysisVersion);
+  h.u64(static_cast<std::uint64_t>(lint::kLintReportVersion));
+  return h.value();
 }
 
 lint::Report lint_with_cache(const trace::Trace& trace,

@@ -16,29 +16,29 @@
 
 namespace osim::serve {
 
-void encode_spec(std::string& out, const ScenarioSpec& spec) {
-  wire::put_string(out, spec.trace_path);
-  wire::put_f64(out, spec.bandwidth);
-  wire::put_f64(out, spec.latency);
-  wire::put_i64(out, spec.buses);
-  wire::put_i64(out, spec.ports);
-  wire::put_i64(out, spec.eager);
-  wire::put_string(out, spec.collectives);
-  wire::put_string(out, spec.fault_spec);
-  wire::put_string(out, spec.progress_spec);
+void encode_spec(bytes::Writer& out, const ScenarioSpec& spec) {
+  out.string32(spec.trace_path);
+  out.f64(spec.bandwidth);
+  out.f64(spec.latency);
+  out.i64(spec.buses);
+  out.i64(spec.ports);
+  out.i64(spec.eager);
+  out.string32(spec.collectives);
+  out.string32(spec.fault_spec);
+  out.string32(spec.progress_spec);
 }
 
-ScenarioSpec decode_spec(wire::Reader& reader) {
+ScenarioSpec decode_spec(bytes::Reader& reader) {
   ScenarioSpec spec;
-  spec.trace_path = reader.get_string();
-  spec.bandwidth = reader.get_f64();
-  spec.latency = reader.get_f64();
-  spec.buses = reader.get_i64();
-  spec.ports = reader.get_i64();
-  spec.eager = reader.get_i64();
-  spec.collectives = reader.get_string();
-  spec.fault_spec = reader.get_string();
-  spec.progress_spec = reader.get_string();
+  spec.trace_path = reader.string32();
+  spec.bandwidth = reader.f64();
+  spec.latency = reader.f64();
+  spec.buses = reader.i64();
+  spec.ports = reader.i64();
+  spec.eager = reader.i64();
+  spec.collectives = reader.string32();
+  spec.fault_spec = reader.string32();
+  spec.progress_spec = reader.string32();
   return spec;
 }
 
@@ -137,17 +137,16 @@ JobOutcome run_job(const ScenarioSpec& spec, store::ScenarioStore* store) {
 
 std::string encode_job_request(const JobRequest& request) {
   std::string out;
-  wire::put_u64(out, request.ticket.hi);
-  wire::put_u64(out, request.ticket.lo);
-  encode_spec(out, request.spec);
+  bytes::Writer w(out);
+  pipeline::write_fingerprint(w, request.ticket);
+  encode_spec(w, request.spec);
   return out;
 }
 
 std::optional<JobRequest> decode_job_request(std::string_view payload) {
-  wire::Reader reader(payload);
+  bytes::Reader reader(payload);
   JobRequest request;
-  request.ticket.hi = reader.get_u64();
-  request.ticket.lo = reader.get_u64();
+  request.ticket = pipeline::read_fingerprint(reader);
   request.spec = decode_spec(reader);
   if (!reader.done()) return std::nullopt;
   return request;
@@ -155,24 +154,22 @@ std::optional<JobRequest> decode_job_request(std::string_view payload) {
 
 std::string encode_job_result(const JobResult& result) {
   std::string out;
-  wire::put_u64(out, result.ticket.hi);
-  wire::put_u64(out, result.ticket.lo);
-  wire::put_u8(out, result.ok ? 1 : 0);
-  wire::put_string(out, result.report_json);
-  wire::put_string(out, result.error);
+  bytes::Writer w(out);
+  pipeline::write_fingerprint(w, result.ticket);
+  w.boolean(result.ok);
+  w.string32(result.report_json);
+  w.string32(result.error);
   return out;
 }
 
 std::optional<JobResult> decode_job_result(std::string_view payload) {
-  wire::Reader reader(payload);
+  bytes::Reader reader(payload);
   JobResult result;
-  result.ticket.hi = reader.get_u64();
-  result.ticket.lo = reader.get_u64();
-  const std::uint8_t ok = reader.get_u8();
-  result.report_json = reader.get_string();
-  result.error = reader.get_string();
-  if (!reader.done() || ok > 1) return std::nullopt;
-  result.ok = ok == 1;
+  result.ticket = pipeline::read_fingerprint(reader);
+  result.ok = reader.boolean();
+  result.report_json = reader.string32();
+  result.error = reader.string32();
+  if (!reader.done()) return std::nullopt;
   return result;
 }
 

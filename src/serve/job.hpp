@@ -22,7 +22,7 @@
 #include "dimemas/platform.hpp"
 #include "dimemas/replay.hpp"
 #include "pipeline/fingerprint.hpp"
-#include "serve/wire.hpp"
+#include "common/bytes.hpp"
 #include "store/store.hpp"
 #include "trace/trace.hpp"
 
@@ -44,12 +44,12 @@ struct ScenarioSpec {
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
 
-/// Wire body of a spec (serve/wire.hpp primitives); shared by the client
+/// Wire body of a spec (common/bytes.hpp fields); shared by the client
 /// RPC messages and the controller->worker job frames.
-void encode_spec(std::string& out, const ScenarioSpec& spec);
-/// Strict decode via a wire::Reader the caller owns (so specs can embed in
-/// larger messages); leaves the reader poisoned on malformed input.
-ScenarioSpec decode_spec(wire::Reader& reader);
+void encode_spec(bytes::Writer& out, const ScenarioSpec& spec);
+/// Strict decode via a bytes::Reader the caller owns (so specs can embed
+/// in larger messages); leaves the reader poisoned on malformed input.
+ScenarioSpec decode_spec(bytes::Reader& reader);
 
 /// The platform `spec` describes for a trace of `num_ranks` ranks —
 /// field-for-field what osim_replay builds from the same flags.

@@ -1,23 +1,22 @@
 #include "serve/protocol.hpp"
 
-#include <cstring>
-
-#include "serve/wire.hpp"
+#include "common/bytes.hpp"
 
 namespace osim::serve {
 
 std::string handshake_bytes() {
   std::string out;
-  out.append(kHandshakeMagic);
-  wire::put_u32(out, kProtocolVersion);
+  bytes::Writer w(out);
+  w.raw(kHandshakeMagic);
+  w.u32(kProtocolVersion);
   return out;
 }
 
-bool check_handshake(std::string_view bytes) {
-  if (bytes.size() != kHandshakeBytes) return false;
-  if (bytes.substr(0, kHandshakeMagic.size()) != kHandshakeMagic) return false;
-  wire::Reader reader(bytes.substr(kHandshakeMagic.size()));
-  return reader.get_u32() == kProtocolVersion && reader.done();
+bool check_handshake(std::string_view peer) {
+  if (peer.size() != kHandshakeBytes) return false;
+  if (!peer.starts_with(kHandshakeMagic)) return false;
+  bytes::Reader reader(peer.substr(kHandshakeMagic.size()));
+  return reader.u32() == kProtocolVersion && reader.done();
 }
 
 const char* rpc_error_code_name(RpcErrorCode code) {
@@ -64,53 +63,38 @@ const char* submit_disposition_name(SubmitDisposition disposition) {
   return "unknown";
 }
 
-namespace {
-
-void put_fingerprint(std::string& out, const pipeline::Fingerprint& fp) {
-  wire::put_u64(out, fp.hi);
-  wire::put_u64(out, fp.lo);
-}
-
-pipeline::Fingerprint get_fingerprint(wire::Reader& reader) {
-  pipeline::Fingerprint fp;
-  fp.hi = reader.get_u64();
-  fp.lo = reader.get_u64();
-  return fp;
-}
-
-}  // namespace
-
 std::string encode_client_message(const ClientMessage& message) {
   std::string out;
+  bytes::Writer w(out);
   if (const auto* m = std::get_if<SubmitScenario>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kSubmitScenario));
-    encode_spec(out, m->spec);
+    w.u8(static_cast<std::uint8_t>(MsgType::kSubmitScenario));
+    encode_spec(w, m->spec);
   } else if (const auto* m = std::get_if<SubmitStudy>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kSubmitStudy));
-    encode_spec(out, m->base);
-    wire::put_u32(out, static_cast<std::uint32_t>(m->bandwidths.size()));
-    for (const double bw : m->bandwidths) wire::put_f64(out, bw);
+    w.u8(static_cast<std::uint8_t>(MsgType::kSubmitStudy));
+    encode_spec(w, m->base);
+    w.u32(static_cast<std::uint32_t>(m->bandwidths.size()));
+    for (const double bw : m->bandwidths) w.f64(bw);
   } else if (const auto* m = std::get_if<PollStatus>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kPollStatus));
-    put_fingerprint(out, m->ticket);
-    wire::put_u8(out, m->wait ? 1 : 0);
+    w.u8(static_cast<std::uint8_t>(MsgType::kPollStatus));
+    pipeline::write_fingerprint(w, m->ticket);
+    w.boolean(m->wait);
   } else if (const auto* m = std::get_if<FetchReport>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kFetchReport));
-    put_fingerprint(out, m->ticket);
+    w.u8(static_cast<std::uint8_t>(MsgType::kFetchReport));
+    pipeline::write_fingerprint(w, m->ticket);
   } else if (const auto* m = std::get_if<Cancel>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kCancel));
-    put_fingerprint(out, m->ticket);
+    w.u8(static_cast<std::uint8_t>(MsgType::kCancel));
+    pipeline::write_fingerprint(w, m->ticket);
   } else if (std::get_if<ServerStats>(&message) != nullptr) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kServerStats));
+    w.u8(static_cast<std::uint8_t>(MsgType::kServerStats));
   } else {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kShutdown));
+    w.u8(static_cast<std::uint8_t>(MsgType::kShutdown));
   }
   return out;
 }
 
 std::optional<ClientMessage> decode_client_message(std::string_view payload) {
-  wire::Reader reader(payload);
-  switch (static_cast<MsgType>(reader.get_u8())) {
+  bytes::Reader reader(payload);
+  switch (static_cast<MsgType>(reader.u8())) {
     case MsgType::kSubmitScenario: {
       SubmitScenario m;
       m.spec = decode_spec(reader);
@@ -120,34 +104,33 @@ std::optional<ClientMessage> decode_client_message(std::string_view payload) {
     case MsgType::kSubmitStudy: {
       SubmitStudy m;
       m.base = decode_spec(reader);
-      const std::uint32_t count = reader.get_u32();
+      const std::uint32_t count = reader.u32();
       // Each bandwidth is 8 bytes; bound the loop by what is actually
       // present so a forged count cannot drive a giant reserve.
       if (!reader.ok() || count > reader.remaining() / 8) return std::nullopt;
       m.bandwidths.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
-        m.bandwidths.push_back(reader.get_f64());
+        m.bandwidths.push_back(reader.f64());
       }
       if (!reader.done()) return std::nullopt;
       return ClientMessage(m);
     }
     case MsgType::kPollStatus: {
       PollStatus m;
-      m.ticket = get_fingerprint(reader);
-      const std::uint8_t wait = reader.get_u8();
-      if (!reader.done() || wait > 1) return std::nullopt;
-      m.wait = wait == 1;
+      m.ticket = pipeline::read_fingerprint(reader);
+      m.wait = reader.boolean();
+      if (!reader.done()) return std::nullopt;
       return ClientMessage(m);
     }
     case MsgType::kFetchReport: {
       FetchReport m;
-      m.ticket = get_fingerprint(reader);
+      m.ticket = pipeline::read_fingerprint(reader);
       if (!reader.done()) return std::nullopt;
       return ClientMessage(m);
     }
     case MsgType::kCancel: {
       Cancel m;
-      m.ticket = get_fingerprint(reader);
+      m.ticket = pipeline::read_fingerprint(reader);
       if (!reader.done()) return std::nullopt;
       return ClientMessage(m);
     }
@@ -166,50 +149,51 @@ std::optional<ClientMessage> decode_client_message(std::string_view payload) {
 
 std::string encode_server_message(const ServerMessage& message) {
   std::string out;
+  bytes::Writer w(out);
   if (const auto* m = std::get_if<Submitted>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kSubmitted));
-    wire::put_u32(out, static_cast<std::uint32_t>(m->tickets.size()));
+    w.u8(static_cast<std::uint8_t>(MsgType::kSubmitted));
+    w.u32(static_cast<std::uint32_t>(m->tickets.size()));
     for (const TicketInfo& t : m->tickets) {
-      put_fingerprint(out, t.ticket);
-      wire::put_u8(out, static_cast<std::uint8_t>(t.disposition));
+      pipeline::write_fingerprint(w, t.ticket);
+      w.u8(static_cast<std::uint8_t>(t.disposition));
     }
   } else if (const auto* m = std::get_if<StatusReply>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kStatus));
-    put_fingerprint(out, m->ticket);
-    wire::put_u8(out, static_cast<std::uint8_t>(m->state));
-    wire::put_u32(out, m->attempts);
-    wire::put_string(out, m->error);
+    w.u8(static_cast<std::uint8_t>(MsgType::kStatus));
+    pipeline::write_fingerprint(w, m->ticket);
+    w.u8(static_cast<std::uint8_t>(m->state));
+    w.u32(m->attempts);
+    w.string32(m->error);
   } else if (const auto* m = std::get_if<ReportReply>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kReport));
-    put_fingerprint(out, m->ticket);
-    wire::put_string(out, m->report_json);
+    w.u8(static_cast<std::uint8_t>(MsgType::kReport));
+    pipeline::write_fingerprint(w, m->ticket);
+    w.string32(m->report_json);
   } else if (const auto* m = std::get_if<StatsReply>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kStats));
-    wire::put_string(out, m->stats_json);
+    w.u8(static_cast<std::uint8_t>(MsgType::kStats));
+    w.string32(m->stats_json);
   } else if (std::get_if<OkReply>(&message) != nullptr) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kOk));
+    w.u8(static_cast<std::uint8_t>(MsgType::kOk));
   } else {
     const auto& m = std::get<ErrorReply>(message);
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kError));
-    wire::put_u8(out, static_cast<std::uint8_t>(m.code));
-    wire::put_string(out, m.message);
+    w.u8(static_cast<std::uint8_t>(MsgType::kError));
+    w.u8(static_cast<std::uint8_t>(m.code));
+    w.string32(m.message);
   }
   return out;
 }
 
 std::optional<ServerMessage> decode_server_message(std::string_view payload) {
-  wire::Reader reader(payload);
-  switch (static_cast<MsgType>(reader.get_u8())) {
+  bytes::Reader reader(payload);
+  switch (static_cast<MsgType>(reader.u8())) {
     case MsgType::kSubmitted: {
       Submitted m;
-      const std::uint32_t count = reader.get_u32();
+      const std::uint32_t count = reader.u32();
       // 17 bytes per ticket (fingerprint + disposition).
       if (!reader.ok() || count > reader.remaining() / 17) return std::nullopt;
       m.tickets.reserve(count);
       for (std::uint32_t i = 0; i < count; ++i) {
         TicketInfo t;
-        t.ticket = get_fingerprint(reader);
-        const std::uint8_t d = reader.get_u8();
+        t.ticket = pipeline::read_fingerprint(reader);
+        const std::uint8_t d = reader.u8();
         if (d > static_cast<std::uint8_t>(SubmitDisposition::kServed)) {
           return std::nullopt;
         }
@@ -221,10 +205,10 @@ std::optional<ServerMessage> decode_server_message(std::string_view payload) {
     }
     case MsgType::kStatus: {
       StatusReply m;
-      m.ticket = get_fingerprint(reader);
-      const std::uint8_t state = reader.get_u8();
-      m.attempts = reader.get_u32();
-      m.error = reader.get_string();
+      m.ticket = pipeline::read_fingerprint(reader);
+      const std::uint8_t state = reader.u8();
+      m.attempts = reader.u32();
+      m.error = reader.string32();
       if (!reader.done() ||
           state > static_cast<std::uint8_t>(JobState::kCancelled)) {
         return std::nullopt;
@@ -234,14 +218,14 @@ std::optional<ServerMessage> decode_server_message(std::string_view payload) {
     }
     case MsgType::kReport: {
       ReportReply m;
-      m.ticket = get_fingerprint(reader);
-      m.report_json = reader.get_string();
+      m.ticket = pipeline::read_fingerprint(reader);
+      m.report_json = reader.string32();
       if (!reader.done()) return std::nullopt;
       return ServerMessage(m);
     }
     case MsgType::kStats: {
       StatsReply m;
-      m.stats_json = reader.get_string();
+      m.stats_json = reader.string32();
       if (!reader.done()) return std::nullopt;
       return ServerMessage(m);
     }
@@ -251,8 +235,8 @@ std::optional<ServerMessage> decode_server_message(std::string_view payload) {
     }
     case MsgType::kError: {
       ErrorReply m;
-      const std::uint8_t code = reader.get_u8();
-      m.message = reader.get_string();
+      const std::uint8_t code = reader.u8();
+      m.message = reader.string32();
       if (!reader.done() || code < 1 ||
           code > static_cast<std::uint8_t>(RpcErrorCode::kShuttingDown)) {
         return std::nullopt;
@@ -266,8 +250,7 @@ std::optional<ServerMessage> decode_server_message(std::string_view payload) {
 }
 
 void append_frame(std::string& out, std::string_view payload) {
-  wire::put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.append(payload.data(), payload.size());
+  bytes::Writer(out).string32(payload);
 }
 
 void FrameReader::feed(std::string_view bytes) {
@@ -285,9 +268,8 @@ std::optional<std::string> FrameReader::next() {
   if (error_) return std::nullopt;
   const std::size_t available = buffer_.size() - consumed_;
   if (available < 4) return std::nullopt;
-  wire::Reader header(
-      std::string_view(buffer_.data() + consumed_, available));
-  const std::uint32_t length = header.get_u32();
+  const std::uint32_t length =
+      bytes::load_le<std::uint32_t>(buffer_.data() + consumed_);
   if (length > kMaxFrameBytes) {
     // Poison before any payload allocation: the declared length is the
     // attack surface, and it is judged from the 4 header bytes alone.

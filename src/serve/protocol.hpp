@@ -6,7 +6,7 @@
 //               version before any frame; a peer with the wrong magic or
 //               version is disconnected, never half-understood.
 //   frames      u32 LE payload length, then the payload: u8 message type +
-//               the message body (serve/wire.hpp primitives). The length
+//               the message body (common/bytes.hpp fields). The length
 //               is capped at kMaxFrameBytes and the cap is enforced on the
 //               header alone — a forged length rejects the connection
 //               before any allocation happens.
@@ -45,7 +45,7 @@ inline constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
 /// Handshake bytes each side sends on connect (magic + u32 version).
 std::string handshake_bytes();
 /// Validates a peer's 12 handshake bytes.
-bool check_handshake(std::string_view bytes);
+bool check_handshake(std::string_view peer);
 inline constexpr std::size_t kHandshakeBytes = 12;
 
 // --- message types ----------------------------------------------------------

@@ -1,25 +1,23 @@
-// Binary format of one scenario-store object.
+// Binary format of the scenario store's objects.
 //
-// An object is the durable residue of one replay: everything a warm sweep
-// needs to answer Study::makespan() — and osim_replay's default output —
-// without re-simulating. Fixed-width little-endian layout:
+// Three object kinds share the store and one envelope. All fields are
+// fixed-width little-endian (common/bytes.hpp):
 //
-//   magic "OSIMSTO1" (8 bytes)
-//   u32 format version (kObjectVersion; any other value is a miss)
+//   magic (8 bytes: "OSIMSTO1", "OSIMLNT1" or "OSIMRPT1")
+//   u32 format version (per kind; any other value is a miss)
 //   u64 fingerprint.hi, u64 fingerprint.lo   (the content address)
 //   u64 payload_bytes (P)
-//   payload (P bytes):
-//     f64 makespan, u64 des_events, f64 fault_wait_s, f64 progress_wait_s
-//     u8 fault_enabled, then the faults::Counts fields
-//     u64 rank_count, per rank the dimemas::RankStats fields
+//   payload (P bytes, per kind — see the encode_* functions below)
 //   u32 CRC-32 (IEEE, common/crc32.hpp) over every byte after the magic
 //
-// Decoding is strict and total: decode_object() never throws on content —
-// a bad magic, version skew, size mismatch, CRC mismatch, truncated or
-// overlong payload all come back as nullopt, which the store treats as a
-// cache miss (salvage-style; see DESIGN.md §3.5). The embedded fingerprint
-// lets readers detect objects that were renamed or cross-copied between
-// keys, which a file-content CRC alone cannot see.
+// Decoding is strict and total: a decode_* function never throws on
+// content. The CRC is checked before anything is interpreted; then a bad
+// magic, version skew, a declared size that differs from the actual size,
+// a truncated, overlong or out-of-range payload all come back as nullopt,
+// which the store treats as a cache miss (salvage-style; see DESIGN.md
+// §3.5). The embedded fingerprint lets readers detect objects that were
+// renamed or cross-copied between keys, which a file-content CRC alone
+// cannot see.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +40,8 @@ inline constexpr std::uint32_t kObjectVersion = 2;
 
 /// Second object kind sharing the store: a cached lint report, keyed by a
 /// trace-derived fingerprint (pipeline/lint_cache.hpp). Same envelope as
-/// replay objects — magic, u32 version, fingerprint, u64 payload size,
-/// payload, trailing CRC-32 — with its own magic so the two kinds can
-/// never be confused for one another.
+/// replay objects, with its own magic so the two kinds can never be
+/// confused for one another.
 inline constexpr std::string_view kLintObjectMagic = "OSIMLNT1";
 inline constexpr std::uint32_t kLintObjectVersion = 1;
 
@@ -78,7 +75,10 @@ struct ScenarioArtifact {
                          const ScenarioArtifact&) = default;
 };
 
-/// Serializes `artifact` under content address `fp`.
+/// Serializes `artifact` under content address `fp`. Payload: f64 makespan,
+/// u64 des_events, f64 fault_wait_s, f64 progress_wait_s, the
+/// faults::Counts codec (faults/model.hpp), u64 rank count, then per rank
+/// the dimemas::RankStats fields (five f64, four u64).
 std::string encode_object(const pipeline::Fingerprint& fp,
                           const ScenarioArtifact& artifact);
 
@@ -101,6 +101,9 @@ dimemas::SimResult to_sim_result(const ScenarioArtifact& artifact);
 /// Serializes a full lint report (every diagnostic, all fields) under
 /// content address `fp`. Storing the diagnostics themselves — not just the
 /// counts — is what makes a warm lint run render byte-identically to cold.
+/// Payload: u64 count, then per diagnostic u8 severity (<= 2), u64-length
+/// strings pass and code, i64 rank, i64 record, u64-length strings message
+/// and evidence.
 std::string encode_lint_object(const pipeline::Fingerprint& fp,
                                const lint::Report& report);
 
@@ -121,7 +124,8 @@ pipeline::Fingerprint report_address(const pipeline::Fingerprint& scenario);
 /// Serializes a run-report JSON document under content address `fp`
 /// (callers pass report_address(scenario_fp)). The JSON bytes are stored
 /// verbatim — what makes a fetched report byte-identical to the batch
-/// osim_replay --report output it was computed by.
+/// osim_replay --report output it was computed by. The payload is the JSON
+/// itself.
 std::string encode_report_object(const pipeline::Fingerprint& fp,
                                  std::string_view report_json);
 

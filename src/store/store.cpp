@@ -15,6 +15,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/bytes.hpp"
 #include "common/crash_point.hpp"
 #include "common/crc32.hpp"
 #include "common/expect.hpp"
@@ -110,94 +111,58 @@ void write_file_atomic(const fs::path& path, const std::string& bytes,
   maybe_crash("store.publish.renamed");
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-bool get_u32(std::string_view in, std::size_t& pos, std::uint32_t& v) {
-  if (in.size() - pos < 4) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in[pos + i]))
-         << (8 * i);
-  }
-  pos += 4;
-  return true;
-}
-
-bool get_u64(std::string_view in, std::size_t& pos, std::uint64_t& v) {
-  if (in.size() - pos < 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in[pos + i]))
-         << (8 * i);
-  }
-  pos += 8;
-  return true;
-}
-
 }  // namespace
 
 // --- index (de)serialization -------------------------------------------------
 //
-// Layout mirrors the object format: magic "OSIMIDX1", u32 version,
-// u64 clock, u64 entry count, entries (hi, lo, bytes, last_access, hits),
-// u32 CRC over every byte after the magic. The index is a rebuildable
-// summary, so a failed decode is repaired, not reported to callers.
+// Layout: magic "OSIMIDX1", u32 version, u64 clock, u64 entry count,
+// entries (hi, lo, bytes, last_access, hits; five u64 = 40 bytes each),
+// u32 CRC over every byte after the magic. Like the object envelope
+// (store/format.hpp), but with a clock where objects carry a fingerprint.
+// The index is a rebuildable summary, so a failed decode is repaired, not
+// reported to callers.
 
 struct IndexCodec {
+  static constexpr std::size_t kHeader = 8 + 4 + 8 + 8;
+  static constexpr std::size_t kEntryBytes = 5 * 8;
+
   static std::string encode(std::uint64_t clock,
                             const std::vector<std::uint64_t>& flat) {
     // flat holds 5 u64 per entry: hi, lo, bytes, last_access, hits.
     std::string out;
-    out.append(kIndexMagic);
-    put_u32(out, kIndexVersion);
-    put_u64(out, clock);
-    put_u64(out, flat.size() / 5);
-    for (const std::uint64_t v : flat) put_u64(out, v);
-    Crc32 crc;
-    crc.update(out.data() + kIndexMagic.size(),
-               out.size() - kIndexMagic.size());
-    put_u32(out, crc.value());
+    out.reserve(kHeader + 8 * flat.size() + 4);
+    bytes::Writer w(out);
+    w.raw(kIndexMagic);
+    w.u32(kIndexVersion);
+    w.u64(clock);
+    w.u64(flat.size() / 5);
+    for (const std::uint64_t v : flat) w.u64(v);
+    w.u32(crc32(std::string_view(out).substr(kIndexMagic.size())));
     return out;
   }
 
-  static bool decode(std::string_view bytes, std::uint64_t& clock,
+  static bool decode(std::string_view index, std::uint64_t& clock,
                      std::vector<std::uint64_t>& flat) {
-    constexpr std::size_t kHeader = 8 + 4 + 8 + 8;
-    if (bytes.size() < kHeader + 4) return false;
-    if (bytes.substr(0, kIndexMagic.size()) != kIndexMagic) return false;
-    std::size_t tail = bytes.size() - 4;
-    std::uint32_t stored_crc = 0;
-    if (!get_u32(bytes, tail, stored_crc)) return false;
-    Crc32 crc;
-    crc.update(bytes.data() + kIndexMagic.size(),
-               bytes.size() - kIndexMagic.size() - 4);
-    if (crc.value() != stored_crc) return false;
-    std::size_t pos = kIndexMagic.size();
-    std::uint32_t version = 0;
-    std::uint64_t count = 0;
-    if (!get_u32(bytes, pos, version) || version != kIndexVersion ||
-        !get_u64(bytes, pos, clock) || !get_u64(bytes, pos, count)) {
+    if (index.size() < kHeader + 4 || !index.starts_with(kIndexMagic)) {
       return false;
     }
-    if (count != (bytes.size() - kHeader - 4) / 40 ||
-        (bytes.size() - kHeader - 4) % 40 != 0) {
+    const std::string_view covered = index.substr(
+        kIndexMagic.size(), index.size() - kIndexMagic.size() - 4);
+    if (bytes::load_le<std::uint32_t>(index.data() + index.size() - 4) !=
+        crc32(covered)) {
+      return false;
+    }
+    bytes::Reader in(covered);
+    if (in.u32() != kIndexVersion) return false;
+    clock = in.u64();
+    const std::uint64_t count = in.u64();
+    if (in.remaining() % kEntryBytes != 0 ||
+        count != in.remaining() / kEntryBytes) {
       return false;
     }
     flat.resize(count * 5);
-    for (std::uint64_t& v : flat) {
-      if (!get_u64(bytes, pos, v)) return false;
-    }
-    return true;
+    for (std::uint64_t& v : flat) v = in.u64();
+    return in.done();
   }
 };
 
@@ -242,20 +207,19 @@ std::string ScenarioStore::object_path(const pipeline::Fingerprint& fp) const {
   return (fs::path(root_) / "objects" / hex.substr(0, 2) / hex).string();
 }
 
-std::optional<ScenarioArtifact> ScenarioStore::load(
-    const pipeline::Fingerprint& fp) {
+template <class Decoded>
+std::optional<Decoded> ScenarioStore::fetch(
+    const pipeline::Fingerprint& fp,
+    std::optional<Decoded> (*decode)(std::string_view)) {
   const std::optional<std::string> bytes = read_file(object_path(fp));
-  if (!bytes.has_value()) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++misses_;
-    return std::nullopt;
-  }
-  const std::optional<DecodedObject> decoded = decode_object(*bytes);
+  std::optional<Decoded> decoded;
+  if (bytes.has_value()) decoded = decode(*bytes);
   if (!decoded.has_value() || !(decoded->fingerprint == fp)) {
-    // Damaged, version-skewed or mis-addressed: a miss, never an error.
+    // Absent, or damaged, version-skewed or mis-addressed: a miss, never
+    // an error.
     std::lock_guard<std::mutex> guard(mutex_);
     ++misses_;
-    ++rejects_;
+    if (bytes.has_value()) ++rejects_;
     return std::nullopt;
   }
   {
@@ -263,26 +227,12 @@ std::optional<ScenarioArtifact> ScenarioStore::load(
     ++hits_;
   }
   // Bump the LRU slot so gc() evicts cold objects first.
-  {
-    FileLock lock(fs::path(root_) / kLockName);
-    Index index = reconciled_index();
-    ++index.clock;
-    for (IndexEntry& entry : index.entries) {
-      if (entry.fp == fp) {
-        entry.last_access = index.clock;
-        ++entry.hits;
-        entry.bytes = bytes->size();
-        break;
-      }
-    }
-    write_index(index);
-  }
-  return decoded->artifact;
+  record_access(fp, bytes->size(), /*hit=*/true);
+  return decoded;
 }
 
-void ScenarioStore::save(const pipeline::Fingerprint& fp,
-                         const ScenarioArtifact& artifact) {
-  const std::string bytes = encode_object(fp, artifact);
+void ScenarioStore::publish(const pipeline::Fingerprint& fp,
+                            const std::string& bytes) {
   const fs::path path(object_path(fp));
   std::error_code ec;
   fs::create_directories(path.parent_path(), ec);
@@ -291,157 +241,63 @@ void ScenarioStore::save(const pipeline::Fingerprint& fp,
                 ec.message());
   }
   write_file_atomic(path, bytes, fs::path(root_) / "tmp");
+  record_access(fp, bytes.size(), /*hit=*/false);
+}
 
+void ScenarioStore::record_access(const pipeline::Fingerprint& fp,
+                                  std::uint64_t bytes, bool hit) {
   FileLock lock(fs::path(root_) / kLockName);
   Index index = reconciled_index();
   ++index.clock;
-  bool found = false;
-  for (IndexEntry& entry : index.entries) {
-    if (entry.fp == fp) {
-      entry.bytes = bytes.size();
-      entry.last_access = index.clock;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    index.entries.push_back(IndexEntry{fp, bytes.size(), index.clock, 0});
+  const auto entry =
+      std::find_if(index.entries.begin(), index.entries.end(),
+                   [&fp](const IndexEntry& e) { return e.fp == fp; });
+  if (entry != index.entries.end()) {
+    entry->bytes = bytes;
+    entry->last_access = index.clock;
+    if (hit) ++entry->hits;
+  } else if (!hit) {
+    index.entries.push_back(IndexEntry{fp, bytes, index.clock, 0});
   }
   write_index(index);
 }
 
+std::optional<ScenarioArtifact> ScenarioStore::load(
+    const pipeline::Fingerprint& fp) {
+  std::optional<DecodedObject> decoded = fetch(fp, &decode_object);
+  if (!decoded.has_value()) return std::nullopt;
+  return std::move(decoded->artifact);
+}
+
+void ScenarioStore::save(const pipeline::Fingerprint& fp,
+                         const ScenarioArtifact& artifact) {
+  publish(fp, encode_object(fp, artifact));
+}
+
 std::optional<lint::Report> ScenarioStore::load_lint(
     const pipeline::Fingerprint& fp) {
-  const std::optional<std::string> bytes = read_file(object_path(fp));
-  if (!bytes.has_value()) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++misses_;
-    return std::nullopt;
-  }
-  std::optional<DecodedLintObject> decoded = decode_lint_object(*bytes);
-  if (!decoded.has_value() || !(decoded->fingerprint == fp)) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++misses_;
-    ++rejects_;
-    return std::nullopt;
-  }
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++hits_;
-  }
-  {
-    FileLock lock(fs::path(root_) / kLockName);
-    Index index = reconciled_index();
-    ++index.clock;
-    for (IndexEntry& entry : index.entries) {
-      if (entry.fp == fp) {
-        entry.last_access = index.clock;
-        ++entry.hits;
-        entry.bytes = bytes->size();
-        break;
-      }
-    }
-    write_index(index);
-  }
+  std::optional<DecodedLintObject> decoded = fetch(fp, &decode_lint_object);
+  if (!decoded.has_value()) return std::nullopt;
   return std::move(decoded->report);
 }
 
 void ScenarioStore::save_lint(const pipeline::Fingerprint& fp,
                               const lint::Report& report) {
-  const std::string bytes = encode_lint_object(fp, report);
-  const fs::path path(object_path(fp));
-  std::error_code ec;
-  fs::create_directories(path.parent_path(), ec);
-  if (ec) {
-    throw Error("store: cannot create " + path.parent_path().string() + ": " +
-                ec.message());
-  }
-  write_file_atomic(path, bytes, fs::path(root_) / "tmp");
-
-  FileLock lock(fs::path(root_) / kLockName);
-  Index index = reconciled_index();
-  ++index.clock;
-  bool found = false;
-  for (IndexEntry& entry : index.entries) {
-    if (entry.fp == fp) {
-      entry.bytes = bytes.size();
-      entry.last_access = index.clock;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    index.entries.push_back(IndexEntry{fp, bytes.size(), index.clock, 0});
-  }
-  write_index(index);
+  publish(fp, encode_lint_object(fp, report));
 }
 
 std::optional<std::string> ScenarioStore::load_report(
     const pipeline::Fingerprint& scenario) {
-  const pipeline::Fingerprint fp = report_address(scenario);
-  const std::optional<std::string> bytes = read_file(object_path(fp));
-  if (!bytes.has_value()) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++misses_;
-    return std::nullopt;
-  }
-  std::optional<DecodedReportObject> decoded = decode_report_object(*bytes);
-  if (!decoded.has_value() || !(decoded->fingerprint == fp)) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++misses_;
-    ++rejects_;
-    return std::nullopt;
-  }
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++hits_;
-  }
-  {
-    FileLock lock(fs::path(root_) / kLockName);
-    Index index = reconciled_index();
-    ++index.clock;
-    for (IndexEntry& entry : index.entries) {
-      if (entry.fp == fp) {
-        entry.last_access = index.clock;
-        ++entry.hits;
-        entry.bytes = bytes->size();
-        break;
-      }
-    }
-    write_index(index);
-  }
+  std::optional<DecodedReportObject> decoded =
+      fetch(report_address(scenario), &decode_report_object);
+  if (!decoded.has_value()) return std::nullopt;
   return std::move(decoded->report_json);
 }
 
 void ScenarioStore::save_report(const pipeline::Fingerprint& scenario,
                                 std::string_view report_json) {
   const pipeline::Fingerprint fp = report_address(scenario);
-  const std::string bytes = encode_report_object(fp, report_json);
-  const fs::path path(object_path(fp));
-  std::error_code ec;
-  fs::create_directories(path.parent_path(), ec);
-  if (ec) {
-    throw Error("store: cannot create " + path.parent_path().string() + ": " +
-                ec.message());
-  }
-  write_file_atomic(path, bytes, fs::path(root_) / "tmp");
-
-  FileLock lock(fs::path(root_) / kLockName);
-  Index index = reconciled_index();
-  ++index.clock;
-  bool found = false;
-  for (IndexEntry& entry : index.entries) {
-    if (entry.fp == fp) {
-      entry.bytes = bytes.size();
-      entry.last_access = index.clock;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    index.entries.push_back(IndexEntry{fp, bytes.size(), index.clock, 0});
-  }
-  write_index(index);
+  publish(fp, encode_report_object(fp, report_json));
 }
 
 std::vector<pipeline::Fingerprint> ScenarioStore::scan_objects() const {

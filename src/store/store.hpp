@@ -159,6 +159,19 @@ class ScenarioStore {
     bool rebuilt = false;
   };
 
+  /// Reads and decodes the object at `fp`, counting a hit (and bumping
+  /// its LRU slot) or a miss; damaged or mis-addressed objects are misses.
+  template <class Decoded>
+  std::optional<Decoded> fetch(
+      const pipeline::Fingerprint& fp,
+      std::optional<Decoded> (*decode)(std::string_view));
+  /// Publishes encoded object bytes at `fp` and records them in the index.
+  void publish(const pipeline::Fingerprint& fp, const std::string& bytes);
+  /// Advances the LRU clock and stamps `fp`'s index entry (adding it on a
+  /// save, counting a hit on a load).
+  void record_access(const pipeline::Fingerprint& fp, std::uint64_t bytes,
+                     bool hit);
+
   Index reconciled_index();  // call with the store lock held
   void write_index(const Index& index);
   std::vector<pipeline::Fingerprint> scan_objects() const;

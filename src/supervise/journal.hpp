@@ -5,7 +5,9 @@
 // of THIS study reached a terminal status" — the piece --resume needs to
 // skip work after a kill -9 without trusting anything volatile.
 //
-// On-disk layout (fixed-width little-endian, like store/format.hpp):
+// On-disk layout (fixed-width little-endian, common/bytes.hpp). The
+// journal does not use the store's object envelope: it is framed per
+// record so that appends never rewrite earlier bytes.
 //
 //   header (32 bytes):
 //     magic "OSIMJRN1" (8)
@@ -13,12 +15,13 @@
 //     u64 study.hi, u64 study.lo       (the study fingerprint)
 //     u32 CRC-32 over the 20 bytes after the magic
 //   records, each:
-//     u32 payload_bytes (P)
+//     u32 payload_bytes (P, 1..kMaxPayloadBytes = 4096)
 //     payload (P bytes):
 //       u8 kind — 0 = scenario terminal status, 1 = study complete
-//       kind 0: u64 fp.hi, u64 fp.lo, u8 status, f64 makespan,
-//               f64 fault_wait_s, f64 progress_wait_s,
-//               f64 partial_blocked_s, faults::Counts
+//       kind 0: u64 fp.hi, u64 fp.lo, u8 status (<= kSkippedResume),
+//               f64 makespan, f64 fault_wait_s, f64 progress_wait_s,
+//               f64 partial_blocked_s, then the faults::Counts codec
+//               (faults/model.hpp, shared with store objects)
 //     u32 CRC-32 over the payload
 //
 // Reading is salvage-style and total: the longest valid prefix wins, and

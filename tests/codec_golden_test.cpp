@@ -1,0 +1,450 @@
+// Byte-level golden for every fixed-width binary format the repository
+// persists or sends: the three store object kinds (OSIMSTO1, OSIMLNT1,
+// OSIMRPT1), the store index (OSIMIDX1), the study journal (OSIMJRN1) and
+// the OSIMRPC1 handshake plus one frame of every message type.
+//
+// tests/golden/codec_store/ is a complete store directory and
+// tests/golden/rpc_frames.hex one hex-encoded frame per line. Both were
+// written by the tree that predates the shared byte codec
+// (common/bytes.hpp); every artifact must decode to the values built below
+// and re-encode to exactly the committed bytes. A format change that moves
+// a single byte fails here, before it can strand a user's cache.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "pipeline/fingerprint.hpp"
+#include "serve/job.hpp"
+#include "serve/protocol.hpp"
+#include "store/format.hpp"
+#include "store/store.hpp"
+#include "supervise/journal.hpp"
+
+namespace osim {
+namespace {
+
+namespace fs = std::filesystem;
+
+const std::string kGoldenDir = OSIM_GOLDEN_DIR;
+const std::string kStoreDir = kGoldenDir + "/codec_store";
+const std::string kFramesFile = kGoldenDir + "/rpc_frames.hex";
+
+// --- pinned values ----------------------------------------------------------
+
+const pipeline::Fingerprint kArtifactKey{0x0123456789abcdefULL,
+                                         0xfedcba9876543210ULL};
+const pipeline::Fingerprint kLintKey{0x1111222233334444ULL,
+                                     0x5555666677778888ULL};
+const pipeline::Fingerprint kReportScenario{0x0f1e2d3c4b5a6978ULL,
+                                            0x8796a5b4c3d2e1f0ULL};
+constexpr const char* kStudyId = "codec-golden study";
+
+store::ScenarioArtifact golden_artifact() {
+  store::ScenarioArtifact a;
+  a.makespan = 1.0 / 3.0;
+  a.des_events = 123456789;
+  a.fault_wait_s = 0.015625;
+  a.progress_wait_s = 2.0 / 7.0;
+  a.fault_counts.enabled = true;
+  a.fault_counts.seed = 0xdeadbeefcafef00dULL;
+  a.fault_counts.messages_dropped = 3;
+  a.fault_counts.retransmits = 5;
+  a.fault_counts.handshake_reissues = 7;
+  a.fault_counts.hard_stalls = 11;
+  a.fault_counts.degraded_transfers = 13;
+  a.fault_counts.perturbed_bursts = 17;
+  a.fault_counts.straggled_bursts = 19;
+  a.fault_counts.injected_delay_s = 0.1;
+  a.fault_counts.injected_compute_s = 1e-9;
+  for (int r = 0; r < 4; ++r) {
+    dimemas::RankStats s;
+    s.compute_s = 0.5 + r;
+    s.send_blocked_s = 0.1 * r;
+    s.recv_blocked_s = 0.2 * r;
+    s.wait_blocked_s = 0.3 * r;
+    s.finish_time = 10.0 + r / 3.0;
+    s.messages_sent = 100u + static_cast<std::uint64_t>(r);
+    s.messages_received = 200u + static_cast<std::uint64_t>(r);
+    s.bytes_sent = (1ULL << 40) + static_cast<std::uint64_t>(r);
+    s.bytes_received = (1ULL << 33) * static_cast<std::uint64_t>(r);
+    a.rank_stats.push_back(s);
+  }
+  return a;
+}
+
+lint::Report golden_lint_report() {
+  lint::Report report;
+  lint::Diagnostic race;
+  race.severity = lint::Severity::kWarning;
+  race.pass = "races";
+  race.code = "wildcard-race";
+  race.rank = 2;
+  race.record = 14;
+  race.message = "wildcard receive may match either of two sends";
+  race.evidence = "recv [3,1,4] send0 [1,5,9] send1 [2,6,5]";
+  report.add(race);
+  lint::Diagnostic whole;
+  whole.severity = lint::Severity::kError;
+  whole.pass = "deadlock";
+  whole.code = "";
+  whole.rank = -1;
+  whole.record = lint::kNoRecord;
+  whole.message = "ranks 0,1 are stuck";
+  whole.evidence = "stuck {0,1}";
+  report.add(whole);
+  lint::Diagnostic advisory;
+  advisory.severity = lint::Severity::kInfo;
+  advisory.pass = "overlap";
+  advisory.code = "zero-window";
+  advisory.rank = 0;
+  advisory.record = 0;
+  advisory.message = "no compute between post and wait";
+  report.add(advisory);
+  return report;
+}
+
+std::string golden_report_json() {
+  return "{\"schema\":\"osim.run_report\",\"version\":1,"
+         "\"app\":\"golden\",\"makespan\":0.3333333333333333}\n";
+}
+
+std::vector<supervise::JournalEntry> golden_journal_entries() {
+  std::vector<supervise::JournalEntry> entries;
+  supervise::JournalEntry ok;
+  ok.fingerprint = kArtifactKey;
+  ok.status = supervise::ScenarioStatus::kOk;
+  ok.makespan = 1.0 / 3.0;
+  ok.fault_wait_s = 0.015625;
+  ok.progress_wait_s = 2.0 / 7.0;
+  ok.fault_counts = golden_artifact().fault_counts;
+  entries.push_back(ok);
+  supervise::JournalEntry timeout;
+  timeout.fingerprint = pipeline::Fingerprint{42, 43};
+  timeout.status = supervise::ScenarioStatus::kTimeout;
+  timeout.makespan = 0.75;
+  timeout.partial_blocked_s = 0.125;
+  entries.push_back(timeout);
+  supervise::JournalEntry skipped = ok;
+  skipped.fingerprint = pipeline::Fingerprint{44, 45};
+  skipped.status = supervise::ScenarioStatus::kSkippedResume;
+  entries.push_back(skipped);
+  return entries;
+}
+
+serve::ScenarioSpec golden_spec() {
+  serve::ScenarioSpec spec;
+  spec.trace_path = "/data/cg.original.trace";
+  spec.bandwidth = 125.5;
+  spec.latency = 4.25;
+  spec.buses = 2;
+  spec.ports = -1;
+  spec.eager = 65536;
+  spec.collectives = "linear";
+  spec.fault_spec = "seed=7;loss=0.02";
+  spec.progress_spec = "thread";
+  return spec;
+}
+
+std::vector<std::pair<std::string, serve::ClientMessage>> golden_client() {
+  using namespace serve;
+  SubmitStudy study;
+  study.base = golden_spec();
+  study.bandwidths = {125.0, 250.0, 1e3};
+  return {
+      {"submit-scenario", ClientMessage(SubmitScenario{golden_spec()})},
+      {"submit-study", ClientMessage(study)},
+      {"poll-status", ClientMessage(PollStatus{kArtifactKey, true})},
+      {"fetch-report", ClientMessage(FetchReport{kReportScenario})},
+      {"cancel", ClientMessage(Cancel{kLintKey})},
+      {"server-stats", ClientMessage(ServerStats{})},
+      {"shutdown", ClientMessage(Shutdown{})},
+  };
+}
+
+std::vector<std::pair<std::string, serve::ServerMessage>> golden_server() {
+  using namespace serve;
+  Submitted submitted;
+  submitted.tickets = {{kArtifactKey, SubmitDisposition::kFresh},
+                       {kLintKey, SubmitDisposition::kShared},
+                       {kReportScenario, SubmitDisposition::kServed}};
+  return {
+      {"submitted", ServerMessage(submitted)},
+      {"status", ServerMessage(StatusReply{kArtifactKey, JobState::kFailed, 2,
+                                           "worker died"})},
+      {"report", ServerMessage(ReportReply{kReportScenario,
+                                           golden_report_json()})},
+      {"stats", ServerMessage(StatsReply{"{\"schema\":\"osim.serve_stats\"}"})},
+      {"ok", ServerMessage(OkReply{})},
+      {"error",
+       ServerMessage(ErrorReply{RpcErrorCode::kBusy, "queue is full"})},
+  };
+}
+
+serve::JobRequest golden_job_request() {
+  return serve::JobRequest{kArtifactKey, golden_spec()};
+}
+
+serve::JobResult golden_job_result() {
+  return serve::JobResult{kReportScenario, true, golden_report_json(), ""};
+}
+
+// --- helpers ----------------------------------------------------------------
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+std::string from_hex(std::string_view hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+std::string framed(std::string_view payload) {
+  std::string out;
+  serve::append_frame(out, payload);
+  return out;
+}
+
+/// Every frame line of rpc_frames.hex as name -> frame bytes.
+std::map<std::string, std::string> read_frames() {
+  std::map<std::string, std::string> frames;
+  std::istringstream in(read_file(kFramesFile));
+  std::string name;
+  std::string hex;
+  while (in >> name >> hex) frames[name] = from_hex(hex);
+  return frames;
+}
+
+/// Opening a store creates tmp/ and a lock file, so every test works on
+/// its own copy of the committed directory.
+std::string copy_of_golden_store(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/osim_codec_golden_" + name;
+  fs::remove_all(dir);
+  fs::copy(kStoreDir, dir, fs::copy_options::recursive);
+  return dir;
+}
+
+std::string journal_path(const std::string& root) {
+  return supervise::StudyJournal::path_for(
+      root, supervise::study_fingerprint(kStudyId));
+}
+
+/// Payload of a single-frame stream, via the real incremental reader.
+std::optional<std::string> unframe(const std::string& frame) {
+  serve::FrameReader reader;
+  reader.feed(frame);
+  std::optional<std::string> payload = reader.next();
+  if (reader.error() || reader.buffered() != 0) return std::nullopt;
+  return payload;
+}
+
+// --- store objects ----------------------------------------------------------
+
+TEST(CodecGolden, ScenarioObjectDecodesAndReencodes) {
+  const std::string root = copy_of_golden_store("scenario");
+  store::ScenarioStore store(root);
+  const std::string bytes = read_file(store.object_path(kArtifactKey));
+  ASSERT_FALSE(bytes.empty());
+  const auto decoded = store::decode_object(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->fingerprint, kArtifactKey);
+  EXPECT_EQ(decoded->artifact, golden_artifact());
+  EXPECT_EQ(store::encode_object(decoded->fingerprint, decoded->artifact),
+            bytes);
+  EXPECT_EQ(store::probe_object(bytes), kArtifactKey);
+  const std::optional<store::ScenarioArtifact> loaded =
+      store.load(kArtifactKey);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, golden_artifact());
+}
+
+TEST(CodecGolden, LintObjectDecodesAndReencodes) {
+  const std::string root = copy_of_golden_store("lint");
+  store::ScenarioStore store(root);
+  const std::string bytes = read_file(store.object_path(kLintKey));
+  ASSERT_FALSE(bytes.empty());
+  const auto decoded = store::decode_lint_object(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->fingerprint, kLintKey);
+  const lint::Report expected = golden_lint_report();
+  ASSERT_EQ(decoded->report.diagnostics().size(),
+            expected.diagnostics().size());
+  for (std::size_t i = 0; i < expected.diagnostics().size(); ++i) {
+    const lint::Diagnostic& got = decoded->report.diagnostics()[i];
+    const lint::Diagnostic& want = expected.diagnostics()[i];
+    EXPECT_EQ(got.severity, want.severity) << i;
+    EXPECT_EQ(got.pass, want.pass) << i;
+    EXPECT_EQ(got.code, want.code) << i;
+    EXPECT_EQ(got.rank, want.rank) << i;
+    EXPECT_EQ(got.record, want.record) << i;
+    EXPECT_EQ(got.message, want.message) << i;
+    EXPECT_EQ(got.evidence, want.evidence) << i;
+  }
+  EXPECT_EQ(store::encode_lint_object(decoded->fingerprint, decoded->report),
+            bytes);
+  EXPECT_EQ(store::probe_object(bytes), kLintKey);
+  const std::optional<lint::Report> loaded = store.load_lint(kLintKey);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->render_json(), expected.render_json());
+}
+
+TEST(CodecGolden, ReportObjectDecodesAndReencodes) {
+  const std::string root = copy_of_golden_store("report");
+  store::ScenarioStore store(root);
+  const pipeline::Fingerprint address = store::report_address(kReportScenario);
+  const std::string bytes = read_file(store.object_path(address));
+  ASSERT_FALSE(bytes.empty());
+  const auto decoded = store::decode_report_object(bytes);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->fingerprint, address);
+  EXPECT_EQ(decoded->report_json, golden_report_json());
+  EXPECT_EQ(store::encode_report_object(address, decoded->report_json), bytes);
+  EXPECT_EQ(store::probe_object(bytes), address);
+  EXPECT_EQ(store.load_report(kReportScenario), golden_report_json());
+}
+
+TEST(CodecGolden, StoreVerifiesClean) {
+  const std::string root = copy_of_golden_store("verify");
+  store::ScenarioStore store(root);
+  const store::VerifyReport report = store.verify();
+  EXPECT_TRUE(report.clean()) << report.render_text();
+  EXPECT_EQ(report.objects_checked, 3u);
+  EXPECT_EQ(report.objects_ok, 3u);
+}
+
+// --- index ------------------------------------------------------------------
+
+TEST(CodecGolden, IndexDecodesAndReencodes) {
+  const std::string root = copy_of_golden_store("index");
+  const std::string golden_index = read_file(kStoreDir + "/index.osim");
+  ASSERT_FALSE(golden_index.empty());
+  store::ScenarioStore store(root);
+  // stats() reconciles the index with the object tree and writes it back;
+  // with every object present that is a pure decode + re-encode.
+  const store::StoreStats stats = store.stats();
+  EXPECT_FALSE(stats.index_rebuilt);
+  EXPECT_EQ(stats.objects, 3u);
+  EXPECT_EQ(stats.clock, 4u);  // three saves + one load
+  EXPECT_EQ(stats.total_hits, 1u);
+  std::uint64_t bytes = 0;
+  for (const pipeline::Fingerprint& fp :
+       {kArtifactKey, kLintKey, store::report_address(kReportScenario)}) {
+    bytes += fs::file_size(store.object_path(fp));
+  }
+  EXPECT_EQ(stats.bytes, bytes);
+  EXPECT_EQ(read_file(root + "/index.osim"), golden_index);
+}
+
+// --- journal ----------------------------------------------------------------
+
+TEST(CodecGolden, JournalDecodesAndReencodes) {
+  const std::string root = copy_of_golden_store("journal");
+  const std::string golden = read_file(journal_path(kStoreDir));
+  ASSERT_FALSE(golden.empty());
+  {
+    supervise::StudyJournal journal(root,
+                                    supervise::study_fingerprint(kStudyId));
+    EXPECT_EQ(journal.recovered(), golden_journal_entries());
+    EXPECT_TRUE(journal.recovered_complete());
+  }
+  EXPECT_EQ(read_file(journal_path(root)), golden);  // nothing truncated
+
+  const std::vector<supervise::JournalInfo> infos =
+      supervise::list_journals(root);
+  ASSERT_EQ(infos.size(), 1u);
+  EXPECT_TRUE(infos[0].valid);
+  EXPECT_TRUE(infos[0].complete);
+  EXPECT_EQ(infos[0].entries, 3u);
+  EXPECT_EQ(infos[0].ok, 1u);
+
+  // Re-encode: the same appends into a fresh root give the same bytes.
+  const std::string fresh =
+      ::testing::TempDir() + "/osim_codec_golden_journal_fresh";
+  fs::remove_all(fresh);
+  {
+    supervise::StudyJournal journal(fresh,
+                                    supervise::study_fingerprint(kStudyId));
+    for (const supervise::JournalEntry& entry : golden_journal_entries()) {
+      journal.append(entry);
+    }
+    journal.append_complete();
+  }
+  EXPECT_EQ(read_file(journal_path(fresh)), golden);
+}
+
+// --- RPC --------------------------------------------------------------------
+
+TEST(CodecGolden, HandshakeMatches) {
+  const std::map<std::string, std::string> frames = read_frames();
+  ASSERT_EQ(frames.count("handshake"), 1u);
+  EXPECT_TRUE(serve::check_handshake(frames.at("handshake")));
+  EXPECT_EQ(serve::handshake_bytes(), frames.at("handshake"));
+}
+
+TEST(CodecGolden, ClientFramesDecodeAndReencode) {
+  const std::map<std::string, std::string> frames = read_frames();
+  for (const auto& [name, message] : golden_client()) {
+    ASSERT_EQ(frames.count(name), 1u) << name;
+    const std::string& frame = frames.at(name);
+    const std::optional<std::string> payload = unframe(frame);
+    ASSERT_TRUE(payload.has_value()) << name;
+    const auto decoded = serve::decode_client_message(*payload);
+    ASSERT_TRUE(decoded.has_value()) << name;
+    EXPECT_TRUE(*decoded == message) << name;
+    EXPECT_EQ(framed(serve::encode_client_message(*decoded)), frame) << name;
+  }
+}
+
+TEST(CodecGolden, ServerFramesDecodeAndReencode) {
+  const std::map<std::string, std::string> frames = read_frames();
+  for (const auto& [name, message] : golden_server()) {
+    ASSERT_EQ(frames.count(name), 1u) << name;
+    const std::string& frame = frames.at(name);
+    const std::optional<std::string> payload = unframe(frame);
+    ASSERT_TRUE(payload.has_value()) << name;
+    const auto decoded = serve::decode_server_message(*payload);
+    ASSERT_TRUE(decoded.has_value()) << name;
+    EXPECT_TRUE(*decoded == message) << name;
+    EXPECT_EQ(framed(serve::encode_server_message(*decoded)), frame) << name;
+  }
+}
+
+TEST(CodecGolden, JobFramesDecodeAndReencode) {
+  const std::map<std::string, std::string> frames = read_frames();
+  ASSERT_EQ(frames.count("job-request"), 1u);
+  ASSERT_EQ(frames.count("job-result"), 1u);
+
+  const std::optional<std::string> request_payload =
+      unframe(frames.at("job-request"));
+  ASSERT_TRUE(request_payload.has_value());
+  const auto request = serve::decode_job_request(*request_payload);
+  ASSERT_TRUE(request.has_value());
+  EXPECT_TRUE(*request == golden_job_request());
+  EXPECT_EQ(framed(serve::encode_job_request(*request)),
+            frames.at("job-request"));
+
+  const std::optional<std::string> result_payload =
+      unframe(frames.at("job-result"));
+  ASSERT_TRUE(result_payload.has_value());
+  const auto result = serve::decode_job_result(*result_payload);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(*result == golden_job_result());
+  EXPECT_EQ(framed(serve::encode_job_result(*result)),
+            frames.at("job-result"));
+}
+
+}  // namespace
+}  // namespace osim

@@ -12,6 +12,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/stat.h>
@@ -30,6 +31,8 @@
 #include "trace/annotated.hpp"
 #include "trace/io.hpp"
 #include "trace/trace.hpp"
+
+#include "object_bytes.hpp"
 
 namespace osim {
 namespace {
@@ -324,7 +327,7 @@ TEST_P(RandomTraces, CpuSpeedScalesComputeBoundRuns) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTraces,
                          ::testing::Range<std::uint64_t>(1, 33));
 
-// --- random annotated traces -----------------------------------------------------
+// --- random annotated traces -------------------------------------------------
 
 /// Random annotated trace: pairwise exchanges with random per-element
 /// production/consumption times (valid by construction).
@@ -505,21 +508,6 @@ TEST_P(RandomStoreObjects, EncodeDecodeRoundTrips) {
   EXPECT_EQ(decoded->artifact, artifact);
 }
 
-TEST_P(RandomStoreObjects, BitFlipsAlwaysRejectedNeverCrash) {
-  Rng rng(GetParam() * 29 + 7);
-  const store::ScenarioArtifact artifact = random_artifact(rng);
-  const std::string original =
-      store::encode_object(random_fingerprint(rng), artifact);
-  for (int round = 0; round < 64; ++round) {
-    const std::string bytes = flip_bits(original, rng);
-    std::optional<store::DecodedObject> decoded;
-    ASSERT_NO_THROW(decoded = store::decode_object(bytes)) << "round " << round;
-    if (bytes != original) {
-      EXPECT_FALSE(decoded.has_value()) << "round " << round;
-    }
-  }
-}
-
 TEST_P(RandomStoreObjects, PublishedObjectCorruptionDegradesToMiss) {
   namespace fs = std::filesystem;
   Rng rng(GetParam() * 41 + 11);
@@ -611,7 +599,7 @@ lint::Report random_lint_report(Rng& rng) {
   return report;
 }
 
-TEST_P(RandomStoreObjects, LintObjectsRoundTripAndRejectDamage) {
+TEST_P(RandomStoreObjects, LintObjectsRoundTripAndProbe) {
   Rng rng(GetParam() * 61 + 31);
   const lint::Report report = random_lint_report(rng);
   const pipeline::Fingerprint fp = random_fingerprint(rng);
@@ -623,22 +611,187 @@ TEST_P(RandomStoreObjects, LintObjectsRoundTripAndRejectDamage) {
   EXPECT_EQ(decoded->report.render_json(), report.render_json());
   // probe_object dispatches on the kind magic for both object families.
   EXPECT_TRUE(store::probe_object(original).has_value());
-
-  for (int round = 0; round < 48; ++round) {
-    const std::string bytes = flip_bits(original, rng);
-    std::optional<store::DecodedLintObject> damaged;
-    ASSERT_NO_THROW(damaged = store::decode_lint_object(bytes))
-        << "round " << round;
-    if (bytes != original) {
-      EXPECT_FALSE(damaged.has_value()) << "round " << round;
-      EXPECT_FALSE(store::probe_object(bytes).has_value())
-          << "round " << round;
-    }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomStoreObjects,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+// --- the object envelope -----------------------------------------------------
+//
+// The three store object kinds share one envelope (store/format.hpp):
+// magic, u32 version, fingerprint, u64 payload size, payload, CRC-32 over
+// everything after the magic. This one fuzzer holds every kind to the
+// envelope's decode contract; the per-payload round trips live above and
+// in store_test.
+
+struct ObjectKind {
+  const char* name;
+  std::string_view magic;
+  std::uint32_t version;
+  /// A random valid object of this kind.
+  std::string (*random_object)(Rng&);
+  /// The kind's strict decoder, reduced to the embedded fingerprint.
+  std::optional<pipeline::Fingerprint> (*decode)(std::string_view);
+};
+
+template <class Decoded>
+std::optional<pipeline::Fingerprint> address_of(
+    const std::optional<Decoded>& decoded) {
+  if (!decoded.has_value()) return std::nullopt;
+  return decoded->fingerprint;
+}
+
+const ObjectKind kObjectKinds[] = {
+    {"scenario", store::kObjectMagic, store::kObjectVersion,
+     [](Rng& rng) {
+       const pipeline::Fingerprint fp = random_fingerprint(rng);
+       return store::encode_object(fp, random_artifact(rng));
+     },
+     [](std::string_view b) { return address_of(store::decode_object(b)); }},
+    {"lint", store::kLintObjectMagic, store::kLintObjectVersion,
+     [](Rng& rng) {
+       const pipeline::Fingerprint fp = random_fingerprint(rng);
+       return store::encode_lint_object(fp, random_lint_report(rng));
+     },
+     [](std::string_view b) {
+       return address_of(store::decode_lint_object(b));
+     }},
+    {"report", store::kReportObjectMagic, store::kReportObjectVersion,
+     [](Rng& rng) {
+       const pipeline::Fingerprint fp = random_fingerprint(rng);
+       std::string json = "{\"k\":[";
+       for (std::uint64_t i = rng.below(200); i > 0; --i) {
+         json += std::to_string(rng.below(100000)) + ",";
+       }
+       json += "0]}";
+       return store::encode_report_object(fp, json);
+     },
+     [](std::string_view b) {
+       return address_of(store::decode_report_object(b));
+     }},
+};
+
+using object_bytes::kPayloadSizeAt;
+using object_bytes::kVersionAt;
+using object_bytes::with_field;
+
+class ObjectEnvelope
+    : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {
+ protected:
+  const ObjectKind& kind() const {
+    return kObjectKinds[std::get<0>(GetParam())];
+  }
+  Rng rng() const { return Rng(std::get<1>(GetParam()) * 29 + 7); }
+};
+
+TEST_P(ObjectEnvelope, RoundTripsAndProbes) {
+  Rng r = rng();
+  const std::string object = kind().random_object(r);
+  const std::optional<pipeline::Fingerprint> fp = kind().decode(object);
+  ASSERT_TRUE(fp.has_value());
+  EXPECT_EQ(store::probe_object(object), fp);
+}
+
+TEST_P(ObjectEnvelope, BitFlipsAlwaysRejectedNeverCrash) {
+  // One flipped bit in every byte, then random 1..3-bit damage. The CRC is
+  // checked before anything is interpreted, so a flipped length or count
+  // byte is rejected before it can drive an allocation.
+  Rng r = rng();
+  const std::string original = kind().random_object(r);
+  for (std::size_t offset = 0; offset < original.size(); ++offset) {
+    std::string damaged = original;
+    damaged[offset] = static_cast<char>(
+        damaged[offset] ^ static_cast<char>(1u << (offset % 8)));
+    EXPECT_FALSE(kind().decode(damaged).has_value()) << "offset " << offset;
+  }
+  for (int round = 0; round < 64; ++round) {
+    const std::string damaged = flip_bits(original, r);
+    std::optional<pipeline::Fingerprint> decoded;
+    ASSERT_NO_THROW(decoded = kind().decode(damaged)) << "round " << round;
+    if (damaged == original) continue;
+    EXPECT_FALSE(decoded.has_value()) << "round " << round;
+    EXPECT_FALSE(store::probe_object(damaged).has_value())
+        << "round " << round;
+  }
+}
+
+TEST_P(ObjectEnvelope, EveryTruncationIsRejected) {
+  Rng r = rng();
+  const std::string original = kind().random_object(r);
+  for (std::size_t n = 0; n < original.size(); ++n) {
+    EXPECT_FALSE(kind().decode(original.substr(0, n)).has_value())
+        << "prefix " << n;
+  }
+}
+
+TEST_P(ObjectEnvelope, TrailingBytesAreRejected) {
+  Rng r = rng();
+  const std::string original = kind().random_object(r);
+  std::string extended = original;
+  for (std::uint64_t n = 1 + r.below(3); n > 0; --n) {
+    extended.push_back(static_cast<char>(r.below(256)));
+    EXPECT_FALSE(kind().decode(extended).has_value()) << extended.size();
+  }
+  // Even with a re-sealed CRC the declared payload size no longer matches.
+  std::string resealed = original;
+  resealed.insert(resealed.size() - 4, "x");
+  resealed = with_field<std::uint32_t>(std::move(resealed), kVersionAt,
+                                       kind().version);
+  EXPECT_FALSE(kind().decode(resealed).has_value());
+}
+
+TEST_P(ObjectEnvelope, VersionSkewWithValidCrcIsAMiss) {
+  Rng r = rng();
+  const std::string original = kind().random_object(r);
+  for (const std::uint32_t version :
+       {kind().version - 1, kind().version + 1, 0xffffffffu}) {
+    EXPECT_FALSE(
+        kind().decode(with_field(original, kVersionAt, version)).has_value())
+        << "version " << version;
+  }
+  // The helper itself re-seals correctly: the unchanged version decodes.
+  EXPECT_TRUE(kind()
+                  .decode(with_field(original, kVersionAt, kind().version))
+                  .has_value());
+}
+
+TEST_P(ObjectEnvelope, DeclaredSizeMismatchWithValidCrcIsAMiss) {
+  Rng r = rng();
+  const std::string original = kind().random_object(r);
+  const std::uint64_t size = original.size() - 8 - 4 - 16 - 8 - 4;
+  for (const std::uint64_t declared :
+       {size - 1, size + 1, std::uint64_t{1} << 62}) {
+    EXPECT_FALSE(
+        kind()
+            .decode(with_field(original, kPayloadSizeAt, declared))
+            .has_value())
+        << "declared " << declared;
+  }
+}
+
+TEST_P(ObjectEnvelope, ForeignMagicIsAMiss) {
+  Rng r = rng();
+  const std::string original = kind().random_object(r);
+  for (const ObjectKind& other : kObjectKinds) {
+    if (other.magic == kind().magic) continue;
+    std::string relabeled = original;
+    relabeled.replace(0, 8, other.magic);
+    EXPECT_FALSE(kind().decode(relabeled).has_value()) << other.name;
+  }
+  std::string unknown = original;
+  unknown[0] = 'X';
+  EXPECT_FALSE(kind().decode(unknown).has_value());
+  EXPECT_FALSE(store::probe_object(unknown).has_value());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsAndSeeds, ObjectEnvelope,
+    ::testing::Combine(::testing::Range(0, 3),
+                       ::testing::Range<std::uint64_t>(1, 13)),
+    [](const ::testing::TestParamInfo<std::tuple<int, std::uint64_t>>& info) {
+      return std::string(kObjectKinds[std::get<0>(info.param)].name) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 // --- trace-file ingestion edge cases ---------------------------------------
 // MappedFile cannot mmap everything it is handed: zero-length files have no

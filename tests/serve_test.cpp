@@ -16,12 +16,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/exit_codes.hpp"
 #include "serve/client.hpp"
 #include "serve/controller.hpp"
 #include "serve/job.hpp"
 #include "serve/protocol.hpp"
-#include "serve/wire.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/trace.hpp"
 
@@ -88,28 +88,29 @@ std::vector<ServerMessage> server_corpus() {
   };
 }
 
-// --- wire primitives --------------------------------------------------------
+// --- byte codec as the RPC uses it ---------------------------------------
 
 TEST(Wire, StringLengthIsCheckedBeforeAllocation) {
   // A string header declaring 4 GiB backed by 3 bytes must fail cleanly
   // (and, per the Reader contract, without allocating the declared size).
-  std::string bytes;
-  wire::put_u32(bytes, 0xffffffffu);
-  bytes += "abc";
-  wire::Reader reader(bytes);
-  const std::string s = reader.get_string();
+  std::string data;
+  bytes::Writer(data).u32(0xffffffffu);
+  data += "abc";
+  bytes::Reader reader(data);
+  const std::string s = reader.string32();
   EXPECT_TRUE(s.empty());
   EXPECT_FALSE(reader.ok());
 }
 
 TEST(Wire, DoneRequiresFullConsumption) {
-  std::string bytes;
-  wire::put_u32(bytes, 7);
-  wire::put_u8(bytes, 1);
-  wire::Reader reader(bytes);
-  EXPECT_EQ(reader.get_u32(), 7u);
+  std::string data;
+  bytes::Writer writer(data);
+  writer.u32(7);
+  writer.u8(1);
+  bytes::Reader reader(data);
+  EXPECT_EQ(reader.u32(), 7u);
   EXPECT_FALSE(reader.done());  // one byte left
-  EXPECT_EQ(reader.get_u8(), 1u);
+  EXPECT_EQ(reader.u8(), 1u);
   EXPECT_TRUE(reader.done());
 }
 
@@ -175,6 +176,20 @@ TEST(Protocol, DecodeRejectsUnknownType) {
   payload.push_back(static_cast<char>(200));
   EXPECT_FALSE(decode_client_message(payload).has_value());
   EXPECT_FALSE(decode_server_message(payload).has_value());
+}
+
+TEST(Protocol, BoolByteAboveOneIsRejected) {
+  std::string poll =
+      encode_client_message(ClientMessage(PollStatus{fp(1, 2), true}));
+  ASSERT_EQ(poll.back(), 1);
+  poll.back() = 2;
+  EXPECT_FALSE(decode_client_message(poll).has_value());
+
+  std::string result = encode_job_result(JobResult{fp(3, 4), true, "{}", ""});
+  constexpr std::size_t kOkAt = 16;
+  ASSERT_EQ(result[kOkAt], 1);
+  result[kOkAt] = 2;
+  EXPECT_FALSE(decode_job_result(result).has_value());
 }
 
 TEST(Protocol, FrameReaderReassemblesSplitFrames) {
@@ -251,7 +266,7 @@ TEST(Fuzz, OversizedLengthPoisonsWithoutAllocation) {
   for (const std::uint32_t declared :
        {kMaxFrameBytes + 1, 0x7fffffffu, 0xffffffffu}) {
     std::string header;
-    wire::put_u32(header, declared);
+    bytes::Writer(header).u32(declared);
     FrameReader reader;
     reader.feed(header);
     EXPECT_FALSE(reader.next().has_value());

@@ -4,16 +4,19 @@
 // entirely from the disk tier with bit-identical makespans.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <new>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/crc32.hpp"
+#include "common/bytes.hpp"
 #include "pipeline/context.hpp"
 #include "pipeline/fingerprint.hpp"
 #include "pipeline/report.hpp"
@@ -21,6 +24,31 @@
 #include "store/format.hpp"
 #include "store/store.hpp"
 #include "trace/trace.hpp"
+
+#include "object_bytes.hpp"
+
+// Largest single heap allocation made while the probe is armed, so a test
+// can prove a forged count is rejected before it drives an allocation.
+namespace alloc_probe {
+std::atomic<bool> armed{false};
+std::atomic<std::size_t> largest{0};
+}  // namespace alloc_probe
+
+// The replacement pair is malloc/free on both sides; GCC cannot see that
+// through the replaceable operators and warns at every inlined delete.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  if (alloc_probe::armed.load(std::memory_order_relaxed) &&
+      size > alloc_probe::largest.load(std::memory_order_relaxed)) {
+    alloc_probe::largest.store(size, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace osim::store {
 namespace {
@@ -71,18 +99,13 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// Recomputes the trailing CRC-32 (over everything after the 8-byte magic)
-// so tests can prove a check fires on its own, not via the CRC.
-std::string with_recomputed_crc(std::string bytes) {
-  Crc32 crc;
-  crc.update(bytes.data() + 8, bytes.size() - 12);
-  const std::uint32_t v = crc.value();
-  for (int i = 0; i < 4; ++i) {
-    bytes[bytes.size() - 4 + static_cast<std::size_t>(i)] =
-        static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  return bytes;
-}
+using object_bytes::kPayloadAt;
+using object_bytes::kPayloadSizeAt;
+using object_bytes::with_field;
+
+// Payload offsets behind the 36-byte envelope header.
+constexpr std::size_t kFaultsEnabledAt = kPayloadAt + 4 * 8;
+constexpr std::size_t kRankCountAt = kFaultsEnabledAt + 1 + 8 * 8 + 2 * 8;
 
 // Ring exchange (as in pipeline_test.cpp): communication-bound enough that
 // bandwidth changes move the makespan, so sweeps produce distinct keys.
@@ -144,37 +167,106 @@ TEST(StoreFormat, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->artifact, artifact);
 }
 
-TEST(StoreFormat, RejectsWrongMagic) {
-  std::string bytes = encode_object(fp(1, 2), sample_artifact(0));
-  bytes[0] = 'X';
-  EXPECT_FALSE(decode_object(bytes).has_value());
+// Payload bounds, each under a valid envelope so only the bound can
+// reject the object.
+
+TEST(StoreFormat, FaultsEnabledByteAboveOneIsAMiss) {
+  ScenarioArtifact artifact = sample_artifact(1);
+  const std::string good = encode_object(fp(1, 2), artifact);
+  EXPECT_TRUE(decode_object(
+                  with_field<std::uint8_t>(good, kFaultsEnabledAt, 1))
+                  .has_value());
+  EXPECT_FALSE(decode_object(
+                   with_field<std::uint8_t>(good, kFaultsEnabledAt, 2))
+                   .has_value());
 }
 
-TEST(StoreFormat, RejectsVersionSkewIndependentlyOfCrc) {
-  std::string bytes = encode_object(fp(1, 2), sample_artifact(0));
-  bytes[8] = static_cast<char>(kObjectVersion + 1);  // version u32, LE
-  // Recompute the CRC so only the version check can reject it.
-  bytes = with_recomputed_crc(std::move(bytes));
-  EXPECT_FALSE(decode_object(bytes).has_value());
+TEST(StoreFormat, RankCountAboveBoundIsAMiss) {
+  ScenarioArtifact artifact = sample_artifact(2);
+  artifact.rank_stats.clear();
+  const std::string good = encode_object(fp(1, 2), artifact);
+  ASSERT_EQ(good.size(), kRankCountAt + 8 + 4);
+  // Above kMaxRanks (2^20) the count is rejected before any allocation
+  // (2^20 + 1 rank slots would be about 75 MB).
+  const std::string forged =
+      with_field<std::uint64_t>(good, kRankCountAt, (1u << 20) + 1);
+  alloc_probe::largest = 0;
+  alloc_probe::armed = true;
+  const bool decoded = decode_object(forged).has_value();
+  alloc_probe::armed = false;
+  EXPECT_FALSE(decoded);
+  EXPECT_LT(alloc_probe::largest.load(), std::size_t{1} << 20);
+  EXPECT_FALSE(
+      decode_object(with_field<std::uint64_t>(good, kRankCountAt, 1))
+          .has_value());  // short payload
 }
 
-TEST(StoreFormat, RejectsCorruptPayload) {
-  const std::string good = encode_object(fp(1, 2), sample_artifact(5));
-  for (const std::size_t offset : {std::size_t{9}, good.size() / 2,
-                                   good.size() - 5}) {
-    std::string bad = good;
-    bad[offset] = static_cast<char>(bad[offset] ^ 0x10);
-    EXPECT_FALSE(decode_object(bad).has_value()) << "offset " << offset;
-  }
+// A payload byte appended under a matching declared size and a valid CRC
+// passes the envelope; the payload decoder must still reject it.
+std::string with_trailing_payload_byte(std::string object) {
+  object.insert(object.size() - 4, 1, '\0');
+  const std::uint64_t size = bytes::load_le<std::uint64_t>(
+      object.data() + kPayloadSizeAt);
+  return with_field<std::uint64_t>(std::move(object), kPayloadSizeAt,
+                                   size + 1);
 }
 
-TEST(StoreFormat, RejectsTruncationAndTrailingBytes) {
-  const std::string good = encode_object(fp(7, 8), sample_artifact(1));
-  for (std::size_t n = 0; n < good.size(); ++n) {
-    EXPECT_FALSE(decode_object(good.substr(0, n)).has_value())
-        << "prefix " << n;
-  }
-  EXPECT_FALSE(decode_object(good + '\0').has_value());
+TEST(StoreFormat, TrailingPayloadBytesAreAMiss) {
+  const std::string good = encode_object(fp(1, 2), sample_artifact(3));
+  EXPECT_FALSE(decode_object(with_trailing_payload_byte(good)).has_value());
+  lint::Report report;
+  report.error("match", 0, 1, "m");
+  const std::string lint = encode_lint_object(fp(1, 2), report);
+  EXPECT_FALSE(
+      decode_lint_object(with_trailing_payload_byte(lint)).has_value());
+}
+
+lint::Report one_diagnostic_report(std::string message) {
+  lint::Report report;
+  lint::Diagnostic d;
+  d.severity = lint::Severity::kError;
+  d.pass = "match";
+  d.message = std::move(message);
+  report.add(std::move(d));
+  return report;
+}
+
+TEST(LintObjectFormat, SeverityAboveErrorIsAMiss) {
+  const std::string good =
+      encode_lint_object(fp(3, 4), one_diagnostic_report("m"));
+  const std::size_t severity_at = kPayloadAt + 8;
+  EXPECT_TRUE(decode_lint_object(
+                  with_field<std::uint8_t>(good, severity_at, 2))
+                  .has_value());
+  EXPECT_FALSE(decode_lint_object(
+                   with_field<std::uint8_t>(good, severity_at, 3))
+                   .has_value());
+}
+
+TEST(LintObjectFormat, DiagnosticCountAboveBoundIsAMiss) {
+  const std::string good =
+      encode_lint_object(fp(3, 4), one_diagnostic_report("m"));
+  // Above kMaxDiagnostics (2^22) the count is rejected outright.
+  EXPECT_FALSE(decode_lint_object(with_field<std::uint64_t>(
+                                      good, kPayloadAt, (1u << 22) + 1))
+                   .has_value());
+  EXPECT_FALSE(
+      decode_lint_object(with_field<std::uint64_t>(good, kPayloadAt, 2))
+          .has_value());  // short payload
+}
+
+TEST(LintObjectFormat, StringLongerThanBoundIsAMiss) {
+  // kMaxStringBytes (2^24) is enforced even when every byte is present.
+  const std::size_t bound = std::size_t{1} << 24;
+  EXPECT_TRUE(decode_lint_object(encode_lint_object(
+                                     fp(5, 6), one_diagnostic_report(
+                                                   std::string(bound, 'a'))))
+                  .has_value());
+  EXPECT_FALSE(decode_lint_object(
+                   encode_lint_object(fp(5, 6), one_diagnostic_report(
+                                                    std::string(bound + 1,
+                                                                'a'))))
+                   .has_value());
 }
 
 // --- report objects (OSIMRPT1, the osim_serve durable tier) ----------------
@@ -199,21 +291,6 @@ TEST(ReportObject, AddressNeverCollidesWithScenario) {
   // And the derivation is deterministic.
   EXPECT_EQ(report_address(scenario), report_address(scenario));
   EXPECT_FALSE(report_address(fp(5, 7)) == report_address(scenario));
-}
-
-TEST(ReportObject, AnyDamageIsAMiss) {
-  const pipeline::Fingerprint addr = report_address(fp(1, 2));
-  const std::string good = encode_report_object(addr, "{\"k\":1}");
-  for (std::size_t offset = 0; offset < good.size(); ++offset) {
-    std::string bad = good;
-    bad[offset] = static_cast<char>(bad[offset] ^ 0x01);
-    EXPECT_FALSE(decode_report_object(bad).has_value()) << "offset " << offset;
-  }
-  for (std::size_t n = 0; n < good.size(); ++n) {
-    EXPECT_FALSE(decode_report_object(good.substr(0, n)).has_value())
-        << "prefix " << n;
-  }
-  EXPECT_FALSE(decode_report_object(good + '\0').has_value());
 }
 
 TEST(ReportObject, StoreRoundTripAndProbe) {
@@ -389,6 +466,33 @@ TEST(ScenarioStore, DamagedIndexIsRebuiltFromObjects) {
   EXPECT_TRUE(stats.index_rebuilt);
   EXPECT_EQ(stats.objects, 1u);
   EXPECT_TRUE(store.load(fp(5, 6)).has_value());  // objects are unaffected
+}
+
+TEST(ScenarioStore, IndexCountMismatchIsRebuilt) {
+  const std::string dir = fresh_dir("index_count");
+  {
+    ScenarioStore store(dir);
+    store.save(fp(1, 2), sample_artifact(1));
+    store.stats();
+  }
+  const std::string index = read_file(dir + "/index.osim");
+  constexpr std::size_t kCountAt = 8 + 4 + 8;
+  // The count must equal (size - header) / 40, checked before the entry
+  // table is sized; a re-sealed mismatch is damage, and damage means
+  // rebuild — even when the forged count is far beyond any allocation.
+  for (const std::uint64_t count : {std::uint64_t{2}, std::uint64_t{1} << 61}) {
+    write_file(dir + "/index.osim",
+               with_field<std::uint64_t>(index, kCountAt, count));
+    ScenarioStore store(dir);
+    StoreStats stats;
+    ASSERT_NO_THROW(stats = store.stats()) << count;
+    EXPECT_TRUE(stats.index_rebuilt) << count;
+    EXPECT_EQ(stats.objects, 1u) << count;
+  }
+  write_file(dir + "/index.osim",
+             with_field<std::uint64_t>(index, kCountAt, 1));
+  ScenarioStore store(dir);
+  EXPECT_FALSE(store.stats().index_rebuilt);
 }
 
 TEST(ScenarioStore, StaleTmpFilesAreSweptOnOpen) {

@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/cancel.hpp"
+#include "common/crc32.hpp"
 #include "common/crash_point.hpp"
 #include "pipeline/fingerprint.hpp"
 #include "store/format.hpp"
@@ -180,6 +182,81 @@ TEST(StudyJournal, CorruptRecordEndsTheValidPrefix) {
   StudyJournal journal(root, study);
   ASSERT_EQ(journal.recovered().size(), 1u);
   EXPECT_EQ(journal.recovered()[0], sample_entry(1));
+}
+
+// Journal records are framed one by one: u32 payload size, payload, u32
+// CRC of the payload, after a 32-byte header. These helpers forge records
+// with a valid CRC so only the bound under test can end the valid prefix.
+
+constexpr std::size_t kJournalHeaderBytes = 32;
+
+std::string sealed_record(std::string_view payload) {
+  std::string record;
+  bytes::Writer w(record);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.raw(payload);
+  w.u32(crc32(payload));
+  return record;
+}
+
+/// The payload a journal writes for `entry`.
+std::string payload_of(const JournalEntry& entry) {
+  const std::string root = fresh_dir("payload");
+  StudyJournal journal(root, study_fingerprint("payload"));
+  journal.append(entry);
+  const std::string file = read_file(journal.path());
+  const std::uint32_t size =
+      bytes::load_le<std::uint32_t>(file.data() + kJournalHeaderBytes);
+  return file.substr(kJournalHeaderBytes + 4, size);
+}
+
+/// Appends a forged record after one genuine entry and reopens.
+std::vector<JournalEntry> recover_with_forged_record(
+    const std::string& name, const std::string& forged_payload) {
+  const std::string root = fresh_dir(name);
+  const pipeline::Fingerprint study = study_fingerprint(name);
+  {
+    StudyJournal journal(root, study);
+    journal.append(sample_entry(1));
+  }
+  const std::string path = StudyJournal::path_for(root, study);
+  write_file(path, read_file(path) + sealed_record(forged_payload));
+  StudyJournal journal(root, study);
+  return journal.recovered();
+}
+
+TEST(StudyJournal, ForgedRecordHelperIsFaithful) {
+  EXPECT_EQ(
+      recover_with_forged_record("faithful", payload_of(sample_entry(2)))
+          .size(),
+      2u);
+}
+
+TEST(StudyJournal, RecordAboveMaxPayloadEndsTheValidPrefix) {
+  // kMaxPayloadBytes (4096) holds even for a record whose CRC is valid.
+  std::string payload(4097, '\0');
+  payload[0] = 1;  // "study complete" kind
+  const std::vector<JournalEntry> recovered =
+      recover_with_forged_record("oversized", payload);
+  ASSERT_EQ(recovered.size(), 1u);
+  EXPECT_EQ(recovered[0], sample_entry(1));
+}
+
+TEST(StudyJournal, StatusAboveSkippedResumeEndsTheValidPrefix) {
+  std::string payload =
+      payload_of(sample_entry(2, ScenarioStatus::kSkippedResume));
+  constexpr std::size_t kStatusAt = 1 + 16;
+  ASSERT_EQ(payload[kStatusAt], 4);
+  payload[kStatusAt] = 5;
+  EXPECT_EQ(recover_with_forged_record("status", payload).size(), 1u);
+}
+
+TEST(StudyJournal, FaultsEnabledByteAboveOneEndsTheValidPrefix) {
+  std::string payload = payload_of(sample_entry(3));
+  constexpr std::size_t kEnabledAt = 1 + 16 + 1 + 4 * 8;
+  ASSERT_EQ(payload[kEnabledAt], 1);
+  payload[kEnabledAt] = 2;
+  EXPECT_EQ(recover_with_forged_record("enabled", payload).size(), 1u);
 }
 
 TEST(StudyJournal, ListAndGc) {

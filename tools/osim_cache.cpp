@@ -47,6 +47,7 @@ int main(int argc, char** argv) try {
     }
   }
 
+  PerfRecorder perf("osim_cache");
   RunOptions run;
   std::int64_t max_bytes = -1;
   std::int64_t max_objects = 0;
@@ -77,13 +78,17 @@ int main(int argc, char** argv) try {
     throw UsageError("no store: pass --cache-dir or set $OSIM_CACHE_DIR");
   }
   store::ScenarioStore cache(dir);
+  const auto finish = [&](int code) {
+    perf.write_if(run.perf_json);
+    return code;
+  };
 
   if (command == "stats") {
     if (json) {
       const std::vector<supervise::JournalInfo> journals =
           supervise::list_journals(dir);
       std::printf("%s\n", serve::cache_stats_json(cache, journals).c_str());
-      return kExitOk;
+      return finish(kExitOk);
     }
     const store::StoreStats stats = cache.stats();
     std::printf("store: %s\n", cache.root().c_str());
@@ -127,7 +132,7 @@ int main(int argc, char** argv) try {
                     state);
       }
     }
-    return kExitOk;
+    return finish(kExitOk);
   }
 
   if (command == "verify") {
@@ -136,10 +141,10 @@ int main(int argc, char** argv) try {
     if (!report.clean()) {
       std::printf("%s: %zu issue(s)\n", cache.root().c_str(),
                   report.issues.size());
-      return kExitError;
+      return finish(kExitError);
     }
     std::printf("%s: OK\n", cache.root().c_str());
-    return kExitOk;
+    return finish(kExitOk);
   }
 
   if (command == "gc") {
@@ -157,7 +162,7 @@ int main(int argc, char** argv) try {
       std::printf("gc: removed %zu finished-study journal(s)\n",
                   journals_removed);
     }
-    return kExitOk;
+    return finish(kExitOk);
   }
 
   throw UsageError("unknown command '" + command +

@@ -19,6 +19,10 @@
 //   osim_perf --repetitions 5 --out BENCH_replay.json
 //   osim_perf --jobs 8 --ranks 32 --iterations 16   # a bigger workload
 //
+// --perf-json writes the harness's own record (wall, CPU, peak RSS and the
+// three medians). A store directory, from --cache-dir or $OSIM_CACHE_DIR,
+// is refused with exit 2: every path here times uncached work.
+//
 // This tool calls dimemas::replay directly on purpose: it times the
 // engine, not the pipeline wrapper (the layering rule in scripts/check.sh
 // covers bench/ and src/analysis/, not tools/).
@@ -44,6 +48,7 @@
 #include "pipeline/context.hpp"
 #include "pipeline/scenario.hpp"
 #include "pipeline/study.hpp"
+#include "store/store.hpp"
 #include "trace/binary_io.hpp"
 
 namespace {
@@ -76,6 +81,7 @@ int main(int argc, char** argv) try {
   std::int64_t chunks = 4;
   std::int64_t sweep_points = 8;
   std::string out_path = "BENCH_replay.json";
+  PerfRecorder perf("osim_perf");
   RunOptions run;
 
   Flags flags(
@@ -93,6 +99,13 @@ int main(int argc, char** argv) try {
   run.register_flags(flags, nullptr, "");
   if (!flags.parse(argc, argv)) return 0;
   if (repetitions < 1) throw UsageError("--repetitions must be >= 1");
+  if (!store::resolve_cache_dir(run.cache_dir).empty()) {
+    // The study path must replay every scenario; a disk tier (which
+    // pipeline::Study would also pick up from $OSIM_CACHE_DIR) would turn
+    // the measurement into a store benchmark.
+    throw UsageError("--cache-dir / $OSIM_CACHE_DIR is not supported: "
+                     "osim_perf times uncached replays");
+  }
 
   // --- workload: trace every bundled app once ----------------------------
   apps::AppConfig config;
@@ -262,6 +275,10 @@ int main(int argc, char** argv) try {
               "study %.3g scenarios/s)\n",
               out_path.c_str(), replay_path.median, ingest_path.median,
               study_path.median);
+  perf.add("replay_events_per_s", replay_path.median);
+  perf.add("ingest_traces_per_s", ingest_path.median);
+  perf.add("study_scenarios_per_s", study_path.median);
+  perf.write_if(run.perf_json);
   return kExitOk;
 } catch (const osim::UsageError& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
