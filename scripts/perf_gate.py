@@ -1,15 +1,24 @@
 #!/usr/bin/env python3
 """CI perf gate: compare osim_perf medians against the committed budget.
 
-    perf_gate.py [--bench BENCH_replay.json] [--budget bench/perf_budget.json]
+    perf_gate.py [--bench BENCH_replay.json]
+                 [--scaled-bench BENCH_replay.256.json]
+                 [--budget bench/perf_budget.json]
 
 Reads the BENCH_replay.json produced by `osim_perf` and the floors in
 bench/perf_budget.json. Every path in the budget must be present in the
 bench record, report the same unit, and have a median at or above its
-floor. Exit 0 when everything passes, 1 on any violation, 2 on malformed
+floor. The budget's "scaling" floors compare two records from the same
+machine: the median of a path in --scaled-bench (osim_perf at more
+ranks) divided by its median in --bench must be at or above min_ratio.
+A replay that grows worse than linearly with ranks loses events/s as
+ranks grow, which a fixed floor at one rank count cannot see.
+
+Exit 0 when everything passes, 1 on any violation, 2 on malformed
 input. Malformed covers everything short of a well-formed record: a
 missing or truncated file, JSON that is not an object, version skew, a
-budget with no floors, or non-numeric medians -- each exits 2 with a
+budget with no floors, non-numeric medians, or a record taken at a rank
+count other than the one its floor names -- each exits 2 with a
 one-line diagnosis, never a traceback, and never a silent pass. The
 floors are intentionally generous (about 8x below a small reference
 machine) -- this gate exists to catch order-of-magnitude regressions
@@ -58,17 +67,83 @@ def as_number(value, what: str) -> float:
     return float(value)
 
 
+def load_bench(path: str) -> dict:
+    """A bench record, checked down to its 'paths' object."""
+    bench = load_object(path, "bench record")
+    check_schema(bench, path, "bench record", "osim-bench-replay-v1")
+    if not isinstance(bench.get("paths"), dict):
+        raise GateInputError(
+            f"bench record {path!r}: missing 'paths' object; "
+            "truncated osim_perf run?")
+    return bench
+
+
+def bench_ranks(bench: dict, path: str) -> float:
+    workload = bench.get("workload")
+    if not isinstance(workload, dict):
+        raise GateInputError(f"bench record {path!r}: missing 'workload'")
+    return as_number(workload.get("ranks"),
+                     f"bench record {path!r} workload ranks")
+
+
+def path_median(bench: dict, path: str, name: str, unit: str) -> float:
+    record = bench["paths"].get(name)
+    if not isinstance(record, dict) or record.get("unit") != unit:
+        raise GateInputError(
+            f"bench record {path!r}: no {name!r} path in {unit!r}")
+    median = as_number(record.get("median"),
+                       f"bench record {path!r} {name!r} median")
+    if median <= 0:
+        raise GateInputError(
+            f"bench record {path!r}: {name!r} median {median} is not "
+            "positive")
+    return median
+
+
+def check_scaling(scaling, base: dict, args: argparse.Namespace) -> list:
+    """Checks the ratio floors; returns the failures."""
+    if not isinstance(scaling, dict) or not scaling:
+        raise GateInputError(
+            f"budget {args.budget!r}: 'scaling' must be a non-empty object")
+    scaled = load_bench(args.scaled_bench)
+    failures = []
+    for name, floor in scaling.items():
+        if not isinstance(floor, dict) or not all(
+                key in floor
+                for key in ("unit", "base_ranks", "ranks", "min_ratio")):
+            raise GateInputError(
+                f"budget scaling floor {name!r}: needs 'unit', "
+                "'base_ranks', 'ranks' and 'min_ratio'")
+        minimum = as_number(floor["min_ratio"],
+                            f"budget scaling floor {name!r} min_ratio")
+        for bench, path, key in ((base, args.bench, "base_ranks"),
+                                 (scaled, args.scaled_bench, "ranks")):
+            want = as_number(floor[key],
+                             f"budget scaling floor {name!r} {key}")
+            got = bench_ranks(bench, path)
+            if got != want:
+                raise GateInputError(
+                    f"bench record {path!r}: taken at {got:g} ranks, but "
+                    f"scaling floor {name!r} needs {key} = {want:g}")
+        ratio = (path_median(scaled, args.scaled_bench, name, floor["unit"])
+                 / path_median(base, args.bench, name, floor["unit"]))
+        label = f"{name}@{floor['ranks']}/{floor['base_ranks']}"
+        verdict = "ok" if ratio >= minimum else "FAIL"
+        print(f"perf_gate: {label:14s} ratio {ratio:6.3f} "
+              f"(floor {minimum:.3f}) {verdict}")
+        if ratio < minimum:
+            failures.append(
+                f"{label}: median ratio {ratio:.3f} below floor "
+                f"{minimum:.3f}; worse than linear scaling with ranks?")
+    return failures
+
+
 def run_gate(args: argparse.Namespace) -> int:
-    bench = load_object(args.bench, "bench record")
+    bench = load_bench(args.bench)
     budget = load_object(args.budget, "budget")
-    check_schema(bench, args.bench, "bench record", "osim-bench-replay-v1")
     check_schema(budget, args.budget, "budget", "osim-perf-budget-v1")
 
-    paths = bench.get("paths")
-    if not isinstance(paths, dict):
-        raise GateInputError(
-            f"bench record {args.bench!r}: missing 'paths' object; "
-            "truncated osim_perf run?")
+    paths = bench["paths"]
     floors = budget.get("floors")
     if not isinstance(floors, dict) or not floors:
         # An empty budget must fail loudly: a gate with nothing to check
@@ -109,6 +184,9 @@ def run_gate(args: argparse.Namespace) -> int:
                 f"{name}: median {median:.1f} {floor['unit']} below floor "
                 f"{minimum:.1f}")
 
+    if "scaling" in budget:
+        failures += check_scaling(budget["scaling"], bench, args)
+
     if failures:
         for failure in failures:
             print(f"perf_gate: FAIL {failure}", file=sys.stderr)
@@ -120,6 +198,9 @@ def run_gate(args: argparse.Namespace) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bench", default="BENCH_replay.json")
+    parser.add_argument("--scaled-bench", default="BENCH_replay.256.json",
+                        help="osim_perf record at the rank count the "
+                        "budget's scaling floors name")
     parser.add_argument("--budget", default="bench/perf_budget.json")
     args = parser.parse_args()
     try:

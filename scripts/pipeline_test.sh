@@ -122,6 +122,21 @@ rc=$?
 set -e
 [ "$rc" -eq 2 ] || { echo "bad value: expected exit 2, got $rc" >&2; exit 1; }
 
+# Out-of-range platform values are usage errors, not aborts in the network
+# model (exit 134) or a silent wrap (--eager -1 = everything eager).
+for bad in "--bandwidth 0" "--bandwidth -5" "--latency -1" "--buses -1" \
+           "--ports 0" "--eager -1"; do
+  set +e
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  "$BUILD/tools/osim_replay" --trace "$OUT/cg.original.trace" $bad \
+      > /dev/null 2> "$OUT/badrange.txt"
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || { echo "$bad: expected exit 2, got $rc" >&2; exit 1; }
+  grep -q -- "${bad% *} must be" "$OUT/badrange.txt" \
+      || { cat "$OUT/badrange.txt" >&2; exit 1; }
+done
+
 # Truncated binary trace: strict read refuses with exit 3...
 head -c 40 "$OUT/pop.original.btrace" > "$OUT/pop.cut.btrace"
 set +e

@@ -5,7 +5,8 @@
 #   2. a resubmit of the same scenario is served without a replay, and a
 #      second client's concurrent submit shares the first's replay;
 #   3. admission control refuses submits with exit 6 when the queue is
-#      full, and bad requests (missing trace) exit 2;
+#      full, and bad requests (missing trace, out-of-range platform
+#      values) exit 2;
 #   4. poll/fetch/cancel/stats round-trip against live tickets;
 #   5. a SIGKILLed worker (via OSIM_CRASH_POINT) is reaped and its job
 #      retried — the client still gets its report;
@@ -98,7 +99,21 @@ set +e
 "$CLIENT" submit --socket "$SOCK" --trace "$OUT/missing.trace" \
     > /dev/null 2>&1
 [ $? -eq 2 ] || { echo "missing trace: expected exit 2" >&2; exit 1; }
+# Out-of-range platform values are refused at submit, before any worker
+# sees them (a worker would abort on them, and the job would be retried).
+for bad in "--bandwidth 0" "--buses -1" "--ports 0" "--eager -1"; do
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  "$CLIENT" submit --socket "$SOCK" --trace "$OUT/cg.original.trace" \
+      $bad > /dev/null 2> "$OUT/badvalue.txt"
+  [ $? -eq 2 ] || { echo "submit $bad: expected exit 2" >&2; exit 1; }
+  grep -q -- "${bad% *} must be" "$OUT/badvalue.txt" \
+      || { cat "$OUT/badvalue.txt" >&2; exit 1; }
+done
 set -e
+"$CLIENT" stats --socket "$SOCK" > "$OUT/stats_bad.json"
+grep -q '"deaths":0' "$OUT/stats_bad.json" \
+    || { echo "a bad request reached a worker" >&2; exit 1; }
+grep -q '"jobs_failed":0' "$OUT/stats_bad.json"
 
 # --- 7a. SIGTERM drains with exit 5 -----------------------------------------
 

@@ -10,12 +10,16 @@
 // (global bucket number, floor(time / width)) maps to one bucket, years
 // are drained in increasing order, and within a year the earliest
 // (time, seq) entry wins, so the pop sequence is identical to the heap's
-// and replay results stay bit-for-bit deterministic.
+// and replay results stay bit-for-bit deterministic. Each bucket is itself
+// a small binary heap on (time, seq), so a bucket that fills up with
+// thousands of simultaneous events (every rank finishing an equal compute
+// burst) still drains in O(log k) per pop rather than O(k).
 //
 // Handlers are InlineFunction (48-byte inline buffer), so scheduling an
 // event never heap-allocates for the closures the replay engine builds.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -35,9 +39,7 @@ class EventQueue {
   /// Schedules `fn` at absolute simulated time `time` (>= now()).
   void schedule(double time, Handler fn) {
     OSIM_CHECK_MSG(time >= now_, "event scheduled in the past");
-    const std::uint64_t year = year_of(time);
-    buckets_[bucket_of(year)].push_back(Entry{time, year, next_seq_++,
-                                              std::move(fn)});
+    insert(Entry{time, year_of(time), next_seq_++, std::move(fn)});
     ++size_;
     if (size_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
       rebuild(buckets_.size() * 2);
@@ -88,6 +90,14 @@ class EventQueue {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;  // FIFO among simultaneous events
   }
+  /// Heap order: the earliest (time, seq) entry sits at the bucket front.
+  static bool later(const Entry& a, const Entry& b) { return earlier(b, a); }
+
+  void insert(Entry entry) {
+    std::vector<Entry>& bucket = buckets_[bucket_of(entry.year)];
+    bucket.push_back(std::move(entry));
+    std::push_heap(bucket.begin(), bucket.end(), later);
+  }
 
   std::uint64_t year_of(double time) const {
     double q = time / width_;
@@ -103,22 +113,19 @@ class EventQueue {
 
   /// Extracts the earliest (time, seq) entry. Years are visited in
   /// increasing order; a year's entries all live in one bucket (tagged with
-  /// their year so entries a whole cycle ahead are skipped). If a full
-  /// cycle of buckets turns up nothing — the next event is far in the
-  /// future — one direct O(n) scan finds the earliest year and jumps there.
+  /// their year so entries a whole cycle ahead are skipped). No entry is
+  /// ever from a year before the cursor, and year_of() is monotone in
+  /// time, so a later year's entries sort after the current year's: the
+  /// current year has an entry in its bucket exactly when the heap top is
+  /// from that year. If a full cycle of buckets turns up nothing — the
+  /// next event is far in the future — the earliest year among the bucket
+  /// tops is where the cursor jumps.
   Entry pop() {
     for (std::size_t walked = 0;; ++walked) {
       std::vector<Entry>& bucket = buckets_[bucket_of(current_year_)];
-      std::size_t best = bucket.size();
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        if (bucket[i].year != current_year_) continue;
-        if (best == bucket.size() || earlier(bucket[i], bucket[best])) {
-          best = i;
-        }
-      }
-      if (best != bucket.size()) {
-        Entry out = std::move(bucket[best]);
-        bucket[best] = std::move(bucket.back());
+      if (!bucket.empty() && bucket.front().year == current_year_) {
+        std::pop_heap(bucket.begin(), bucket.end(), later);
+        Entry out = std::move(bucket.back());
         bucket.pop_back();
         --size_;
         if (size_ * 8 < buckets_.size() && buckets_.size() > kMinBuckets) {
@@ -138,16 +145,17 @@ class EventQueue {
   std::uint64_t earliest_year() const {
     std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
     for (const std::vector<Entry>& bucket : buckets_) {
-      for (const Entry& entry : bucket) {
-        if (entry.year < best) best = entry.year;
+      if (!bucket.empty() && bucket.front().year < best) {
+        best = bucket.front().year;
       }
     }
     return best;
   }
 
-  /// Re-buckets every entry into `nbuckets` buckets, resampling the bucket
-  /// width so entries spread ~2 per bucket across their time span. Pop
-  /// order is unaffected: ordering is by (time, seq), never by layout.
+  /// Re-buckets (and re-heaps) every entry into `nbuckets` buckets,
+  /// resampling the bucket width so entries spread ~2 per bucket across
+  /// their time span. Pop order is unaffected: ordering is by (time, seq),
+  /// never by layout.
   void rebuild(std::size_t nbuckets) {
     std::vector<Entry> all;
     all.reserve(size_);
@@ -181,7 +189,7 @@ class EventQueue {
     current_year_ = year_of(now_);
     for (Entry& entry : all) {
       entry.year = year_of(entry.time);
-      buckets_[bucket_of(entry.year)].push_back(std::move(entry));
+      insert(std::move(entry));
     }
   }
 

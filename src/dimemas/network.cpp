@@ -21,7 +21,9 @@ BusNetwork::BusNetwork(EventQueue& events, const Platform& platform)
       out_in_use_(static_cast<std::size_t>(platform.num_nodes), 0),
       in_in_use_(static_cast<std::size_t>(platform.num_nodes), 0),
       output_ports_(platform.output_ports),
-      input_ports_(platform.input_ports) {
+      input_ports_(platform.input_ports),
+      by_src_(static_cast<std::size_t>(platform.num_nodes)),
+      by_dst_(static_cast<std::size_t>(platform.num_nodes)) {
   OSIM_CHECK(platform.num_nodes > 0);
   OSIM_CHECK(bytes_per_s_ > 0.0);
   OSIM_CHECK(latency_s_ >= 0.0);
@@ -38,7 +40,7 @@ double BusNetwork::serialization_time(std::uint64_t bytes) const {
 }
 
 bool BusNetwork::can_start(const Transfer& transfer) const {
-  if (num_buses_ > 0 && buses_in_use_ >= num_buses_) return false;
+  if (bus_pool_full()) return false;
   if (out_in_use_[static_cast<std::size_t>(transfer.src)] >= output_ports_)
     return false;
   if (in_in_use_[static_cast<std::size_t>(transfer.dst)] >= input_ports_)
@@ -59,9 +61,7 @@ void BusNetwork::set_collector(metrics::ReplayCollector* collector) {
 
 metrics::QueueReason BusNetwork::admission_block(
     const Transfer& transfer) const {
-  if (num_buses_ > 0 && buses_in_use_ >= num_buses_) {
-    return metrics::QueueReason::kBus;
-  }
+  if (bus_pool_full()) return metrics::QueueReason::kBus;
   if (out_in_use_[static_cast<std::size_t>(transfer.src)] >= output_ports_) {
     return metrics::QueueReason::kOutPort;
   }
@@ -84,14 +84,14 @@ void BusNetwork::record_occupancy(const Transfer& transfer) const {
       .set_level(now, in_in_use_[static_cast<std::size_t>(transfer.dst)]);
 }
 
-void BusNetwork::start(Pending pending) {
-  const Transfer transfer = pending.transfer;
+void BusNetwork::start(const Transfer& transfer, ArrivalFn on_arrival,
+                       StartFn on_start) {
   ++out_in_use_[static_cast<std::size_t>(transfer.src)];
   ++in_in_use_[static_cast<std::size_t>(transfer.dst)];
   if (num_buses_ > 0) ++buses_in_use_;
   ++active_;
   record_occupancy(transfer);
-  if (pending.on_start) pending.on_start(events_.now());
+  if (on_start) on_start(events_.now());
   // Ports and buses are held for the serialization time (bytes/bandwidth);
   // the wire latency is pipelined and does not occupy resources, so
   // back-to-back messages pay the latency only once on the critical path.
@@ -107,33 +107,129 @@ void BusNetwork::start(Pending pending) {
                                       effect.bandwidth_scale;
     arrival_latency += effect.extra_latency_s;
   }
-  const double release = events_.now() + serialization;
-  const double arrival = release + arrival_latency;
-  events_.schedule(release, [this, transfer] {
-    --out_in_use_[static_cast<std::size_t>(transfer.src)];
-    --in_in_use_[static_cast<std::size_t>(transfer.dst)];
-    if (num_buses_ > 0) --buses_in_use_;
-    --active_;
-    record_occupancy(transfer);
-    // Freed resources may unblock queued transfers.
-    try_start_pending();
+  const double release_at = events_.now() + serialization;
+  const double arrival = release_at + arrival_latency;
+  events_.schedule(release_at, [this, transfer] { release(transfer); });
+  events_.schedule(arrival, [this, on_arrival = std::move(on_arrival)] {
+    on_arrival(events_.now());
   });
-  events_.schedule(arrival,
-                   [this, on_arrival = std::move(pending.on_arrival)] {
-                     on_arrival(events_.now());
-                   });
 }
 
-void BusNetwork::try_start_pending() {
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (can_start(it->transfer)) {
-      Pending p = std::move(*it);
-      it = pending_.erase(it);
-      start(std::move(p));
-    } else {
-      ++it;
-    }
+// The queue keeps one invariant between calls: every queued transfer is
+// blocked. Only a release can unblock one, and a release that leaves the
+// bus pool with spare capacity frees just the ports of its own transfer, so
+// it only has to look at the transfers queued on those two ports. Walking
+// them in submission order starts exactly the transfers — in exactly the
+// order — a first-fit scan of the whole queue would.
+void BusNetwork::release(const Transfer& transfer) {
+  const bool pool_was_full = bus_pool_full();
+  --out_in_use_[static_cast<std::size_t>(transfer.src)];
+  --in_in_use_[static_cast<std::size_t>(transfer.dst)];
+  if (num_buses_ > 0) --buses_in_use_;
+  --active_;
+  record_occupancy(transfer);
+  if (queued_ == 0) return;
+  if (pool_was_full) {
+    // Any queued transfer may have waited only for a bus.
+    start_queued_first_fit();
+  } else {
+    start_queued_on(transfer.src, transfer.dst);
   }
+}
+
+void BusNetwork::start_queued_on(trace::Rank src, trace::Rank dst) {
+  std::uint32_t from_src = by_src_[static_cast<std::size_t>(src)].head;
+  std::uint32_t to_dst = by_dst_[static_cast<std::size_t>(dst)].head;
+  while (!bus_pool_full()) {
+    // Starting transfers only takes resources, so a port that fills up
+    // stays full for the rest of the walk.
+    if (out_in_use_[static_cast<std::size_t>(src)] >= output_ports_) {
+      from_src = kNil;
+    }
+    if (in_in_use_[static_cast<std::size_t>(dst)] >= input_ports_) {
+      to_dst = kNil;
+    }
+    if (from_src == kNil && to_dst == kNil) return;
+    // Merge the two lists in submission order; a transfer from src to dst
+    // heads both at once.
+    std::uint32_t slot = from_src;
+    if (from_src == kNil ||
+        (to_dst != kNil && slots_[to_dst].seq < slots_[from_src].seq)) {
+      slot = to_dst;
+    }
+    if (slot == from_src) from_src = slots_[slot].links[kBySrc].next;
+    if (slot == to_dst) to_dst = slots_[slot].links[kByDst].next;
+    if (can_start(slots_[slot].transfer)) start_queued(slot);
+  }
+}
+
+void BusNetwork::start_queued_first_fit() {
+  for (std::uint32_t slot = queue_.head; slot != kNil && !bus_pool_full();) {
+    const std::uint32_t next = slots_[slot].links[kAll].next;
+    if (can_start(slots_[slot].transfer)) start_queued(slot);
+    slot = next;
+  }
+}
+
+BusNetwork::List& BusNetwork::list_of(Chain chain, const Transfer& transfer) {
+  switch (chain) {
+    case kBySrc:
+      return by_src_[static_cast<std::size_t>(transfer.src)];
+    case kByDst:
+      return by_dst_[static_cast<std::size_t>(transfer.dst)];
+    default:
+      return queue_;
+  }
+}
+
+void BusNetwork::link_tail(Chain chain, std::uint32_t slot) {
+  List& list = list_of(chain, slots_[slot].transfer);
+  slots_[slot].links[chain] = Link{list.tail, kNil};
+  if (list.tail != kNil) {
+    slots_[list.tail].links[chain].next = slot;
+  } else {
+    list.head = slot;
+  }
+  list.tail = slot;
+}
+
+void BusNetwork::unlink(Chain chain, std::uint32_t slot) {
+  List& list = list_of(chain, slots_[slot].transfer);
+  const Link link = slots_[slot].links[chain];
+  (link.prev != kNil ? slots_[link.prev].links[chain].next : list.head) =
+      link.next;
+  (link.next != kNil ? slots_[link.next].links[chain].prev : list.tail) =
+      link.prev;
+}
+
+void BusNetwork::enqueue(const Transfer& transfer, ArrivalFn on_arrival,
+                         StartFn on_start) {
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Pending& pending = slots_[slot];
+  pending.transfer = transfer;
+  pending.on_arrival = std::move(on_arrival);
+  pending.on_start = std::move(on_start);
+  pending.seq = next_seq_++;
+  for (const Chain chain : {kAll, kBySrc, kByDst}) link_tail(chain, slot);
+  ++queued_;
+}
+
+void BusNetwork::start_queued(std::uint32_t slot) {
+  for (const Chain chain : {kAll, kBySrc, kByDst}) unlink(chain, slot);
+  Pending& pending = slots_[slot];
+  const Transfer transfer = pending.transfer;
+  ArrivalFn on_arrival = std::move(pending.on_arrival);
+  StartFn on_start = std::move(pending.on_start);
+  free_slots_.push_back(slot);
+  --queued_;
+  start(transfer, std::move(on_arrival), std::move(on_start));
 }
 
 void BusNetwork::submit(const Transfer& transfer, ArrivalFn on_arrival,
@@ -142,12 +238,13 @@ void BusNetwork::submit(const Transfer& transfer, ArrivalFn on_arrival,
              transfer.src < static_cast<trace::Rank>(out_in_use_.size()));
   OSIM_CHECK(transfer.dst >= 0 &&
              transfer.dst < static_cast<trace::Rank>(in_in_use_.size()));
-  Pending pending{transfer, std::move(on_arrival), std::move(on_start)};
-  if (pending_.empty() && can_start(transfer)) {
-    start(std::move(pending));
+  // Everything already queued is blocked and a submit frees nothing, so
+  // the new transfer is the only one that can start now (first-fit: it may
+  // overtake blocked transfers ahead of it).
+  if (can_start(transfer)) {
+    start(transfer, std::move(on_arrival), std::move(on_start));
   } else {
-    pending_.push_back(std::move(pending));
-    try_start_pending();  // first-fit: later transfers may still fit
+    enqueue(transfer, std::move(on_arrival), std::move(on_start));
   }
 }
 

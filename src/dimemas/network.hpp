@@ -4,6 +4,8 @@
 // occupies one output port at the source node, one input port at the
 // destination node, and one global bus for `latency + bytes/bandwidth`
 // seconds; messages queue FIFO (first-fit) when resources are exhausted.
+// The queue is indexed by source and destination node, so a release looks
+// only at the transfers the freed ports could unblock.
 //
 // FairShareNetwork is the *detailed reference machine* of our reproduction
 // (DESIGN.md substitutions): concurrent transfers share per-node links and a
@@ -96,7 +98,7 @@ class BusNetwork final : public Network {
 
   void submit(const Transfer& transfer, ArrivalFn on_arrival,
               StartFn on_start = nullptr) override;
-  std::size_t in_flight() const override { return active_ + pending_.size(); }
+  std::size_t in_flight() const override { return active_ + queued_; }
   void set_collector(metrics::ReplayCollector* collector) override;
   metrics::QueueReason admission_block(const Transfer& transfer) const override;
   double fixed_latency_s() const override { return latency_s_; }
@@ -109,15 +111,42 @@ class BusNetwork final : public Network {
  private:
   void record_occupancy(const Transfer& transfer) const;
 
+  // Queued transfers live in a slab of slots, threaded on three intrusive
+  // lists that all run in submission order: every queued transfer, the
+  // ones from each source node, and the ones to each destination node.
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+  enum Chain : std::size_t { kAll, kBySrc, kByDst, kChains };
+  struct Link {
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
+  };
+  struct List {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
   struct Pending {
     Transfer transfer;
     ArrivalFn on_arrival;
     StartFn on_start;
+    std::uint64_t seq = 0;  // submission order, for merging two lists
+    Link links[kChains];
   };
 
+  bool bus_pool_full() const {
+    return num_buses_ > 0 && buses_in_use_ >= num_buses_;
+  }
   bool can_start(const Transfer& transfer) const;
-  void start(Pending pending);
-  void try_start_pending();
+  void start(const Transfer& transfer, ArrivalFn on_arrival,
+             StartFn on_start);
+  void release(const Transfer& transfer);
+  void enqueue(const Transfer& transfer, ArrivalFn on_arrival,
+               StartFn on_start);
+  void start_queued(std::uint32_t slot);
+  void start_queued_on(trace::Rank src, trace::Rank dst);
+  void start_queued_first_fit();
+  List& list_of(Chain chain, const Transfer& transfer);
+  void link_tail(Chain chain, std::uint32_t slot);
+  void unlink(Chain chain, std::uint32_t slot);
 
   const double latency_s_;
   const double overhead_s_;
@@ -129,7 +158,13 @@ class BusNetwork final : public Network {
   const std::int32_t input_ports_;
   std::int32_t buses_in_use_ = 0;
   std::size_t active_ = 0;
-  std::list<Pending> pending_;
+  std::vector<Pending> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  List queue_;
+  std::vector<List> by_src_;
+  std::vector<List> by_dst_;
+  std::size_t queued_ = 0;
+  std::uint64_t next_seq_ = 0;
 };
 
 class FairShareNetwork final : public Network {

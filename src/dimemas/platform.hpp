@@ -71,6 +71,15 @@ struct Platform {
   /// count is per-application (Table I) and set by the caller.
   static Platform marenostrum(std::int32_t num_nodes, std::int32_t buses);
 
+  /// The bus platform osim_replay builds from its network flags
+  /// (--bandwidth MB/s, --latency us, --buses, --ports, --eager bytes); the
+  /// analysis service builds its platforms here too. Throws
+  /// osim::UsageError naming the flag when a value is out of range, the
+  /// same bounds read_platform() enforces on a platform file.
+  static Platform from_flags(std::int32_t num_nodes, double bandwidth_MBps,
+                             double latency_us, std::int64_t buses,
+                             std::int64_t ports, std::int64_t eager_bytes);
+
   /// The detailed reference machine used as "the real run" in our
   /// reproduction (see DESIGN.md substitutions): same links, max-min fair
   /// sharing, finite switch fabric.

@@ -44,18 +44,11 @@ ScenarioSpec decode_spec(bytes::Reader& reader) {
 
 dimemas::Platform platform_for(const ScenarioSpec& spec,
                                std::int32_t num_ranks) {
-  // Field-for-field the platform osim_replay builds from its flags (the
-  // no---platform-file branch); any drift here breaks the byte-identity
-  // contract with the batch tool's report.
-  dimemas::Platform platform;
-  platform.num_nodes = num_ranks;
-  platform.bandwidth_MBps = spec.bandwidth;
-  platform.latency_us = spec.latency;
-  platform.num_buses = static_cast<std::int32_t>(spec.buses);
-  platform.input_ports = static_cast<std::int32_t>(spec.ports);
-  platform.output_ports = static_cast<std::int32_t>(spec.ports);
-  platform.eager_threshold_bytes = static_cast<std::uint64_t>(spec.eager);
-  return platform;
+  // The same builder (and range check) as osim_replay's flag branch, so
+  // the service's reports stay byte-identical to the batch tool's.
+  return dimemas::Platform::from_flags(num_ranks, spec.bandwidth,
+                                       spec.latency, spec.buses, spec.ports,
+                                       spec.eager);
 }
 
 dimemas::ReplayOptions options_for(const ScenarioSpec& spec) {

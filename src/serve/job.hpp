@@ -52,7 +52,8 @@ void encode_spec(bytes::Writer& out, const ScenarioSpec& spec);
 ScenarioSpec decode_spec(bytes::Reader& reader);
 
 /// The platform `spec` describes for a trace of `num_ranks` ranks —
-/// field-for-field what osim_replay builds from the same flags.
+/// field-for-field what osim_replay builds from the same flags. Throws
+/// osim::UsageError on an out-of-range value (Platform::from_flags).
 dimemas::Platform platform_for(const ScenarioSpec& spec,
                                std::int32_t num_ranks);
 

@@ -2,8 +2,15 @@
 // the two network models driven directly (no replay on top).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <list>
+#include <queue>
+#include <random>
+#include <utility>
 #include <vector>
 
+#include "common/expect.hpp"
 #include "dimemas/events.hpp"
 #include "dimemas/fairshare.hpp"
 #include "dimemas/network.hpp"
@@ -101,6 +108,117 @@ TEST(EventQueueDeathTest, PastSchedulingAborts) {
   q.schedule(5.0, [] {});
   q.run_one();
   EXPECT_DEATH(q.schedule(1.0, [] {}), "scheduled in the past");
+}
+
+// The calendar queue against a binary heap on (time, seq): the pop
+// sequence of a random self-extending event program must be identical.
+// Each event's children come from an RNG seeded by (seed, event id), and
+// ids are handed out in scheduling order, so any divergence in pop order
+// changes every later id and shows up in the recorded trace.
+
+class ReferenceHeapQueue {
+ public:
+  void schedule(double time, std::function<void()> fn) {
+    heap_.push(Entry{time, next_seq_++, std::move(fn)});
+  }
+  double now() const { return now_; }
+  void run_until_empty() {
+    while (!heap_.empty()) {
+      Entry entry = heap_.top();
+      heap_.pop();
+      now_ = entry.time;
+      entry.fn();
+    }
+  }
+
+ private:
+  struct Entry {
+    double time;
+    std::uint64_t seq;
+    std::function<void()> fn;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  double now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+};
+
+template <typename Queue>
+class EventProgram {
+ public:
+  EventProgram(Queue& queue, std::uint64_t seed)
+      : queue_(queue), seed_(seed) {}
+
+  /// Runs the program; returns (id, time) for every event in pop order.
+  std::vector<std::pair<int, double>> run() {
+    std::mt19937_64 rng(seed_);
+    // A burst of thousands of events at one timestamp (every rank ending
+    // an equal compute burst), then a scatter of independent ones.
+    for (int i = 0; i < 3000; ++i) add(1.0);
+    std::uniform_real_distribution<double> when(0.0, 2.0);
+    for (int i = 0; i < 500; ++i) add(when(rng));
+    queue_.run_until_empty();
+    return popped_;
+  }
+
+ private:
+  void add(double time) {
+    const int id = next_id_++;
+    queue_.schedule(time, [this, id] { fire(id); });
+  }
+
+  void fire(int id) {
+    popped_.emplace_back(id, queue_.now());
+    if (next_id_ >= kMaxEvents) return;
+    std::mt19937_64 rng(seed_ * 1'000'003u + static_cast<std::uint64_t>(id));
+    switch (rng() % 8) {
+      case 0:  // another burst of simultaneous events, one quantum ahead
+        for (int i = 0; i < 1500; ++i) add(queue_.now() + 1e-3);
+        break;
+      case 1:  // same-instant follow-up
+        add(queue_.now());
+        break;
+      case 2:  // a far-future straggler (forces a jump across the ring)
+        add(queue_.now() + 50.0 + static_cast<double>(rng() % 100));
+        break;
+      case 3:
+      case 4: {  // short random horizon
+        std::uniform_real_distribution<double> delay(0.0, 1e-3);
+        add(queue_.now() + delay(rng));
+        break;
+      }
+      default:  // no children: the queue drains and shrinks
+        break;
+    }
+  }
+
+  static constexpr int kMaxEvents = 60'000;
+  Queue& queue_;
+  std::uint64_t seed_;
+  int next_id_ = 0;
+  std::vector<std::pair<int, double>> popped_;
+};
+
+TEST(EventQueueDifferential, MatchesBinaryHeapOnBurstyPrograms) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    EventQueue calendar;
+    ReferenceHeapQueue heap;
+    const auto got = EventProgram<EventQueue>(calendar, seed).run();
+    const auto want = EventProgram<ReferenceHeapQueue>(heap, seed).run();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    EXPECT_GT(got.size(), 10'000u);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].first, want[i].first)
+          << "seed " << seed << " pop " << i;
+      ASSERT_EQ(got[i].second, want[i].second)
+          << "seed " << seed << " pop " << i;
+    }
+  }
 }
 
 // --- max-min fair allocation ----------------------------------------------
@@ -316,6 +434,234 @@ TEST(BusNetwork, MultiplePortsAllowConcurrency) {
   q.run_until_empty();
   EXPECT_DOUBLE_EQ(arrivals[0], 0.01 + 10e-6);
   EXPECT_DOUBLE_EQ(arrivals[1], 0.01 + 10e-6);
+}
+
+// The port-indexed BusNetwork queue against the first-fit scan it
+// replaced. ReferenceListBusNetwork is that model verbatim — a std::list of
+// queued transfers rescanned front to back on every submit and release —
+// minus the collector and fault hooks, which these streams never wire.
+class ReferenceListBusNetwork final : public Network {
+ public:
+  ReferenceListBusNetwork(EventQueue& events, const Platform& platform)
+      : Network(events),
+        latency_s_(platform.latency_s()),
+        overhead_s_(platform.per_message_overhead_s()),
+        bytes_per_s_(platform.bandwidth_Bps()),
+        num_buses_(platform.num_buses),
+        out_in_use_(static_cast<std::size_t>(platform.num_nodes), 0),
+        in_in_use_(static_cast<std::size_t>(platform.num_nodes), 0),
+        output_ports_(platform.output_ports),
+        input_ports_(platform.input_ports) {}
+
+  void submit(const Transfer& transfer, ArrivalFn on_arrival,
+              StartFn on_start) override {
+    Pending pending{transfer, std::move(on_arrival), std::move(on_start)};
+    if (pending_.empty() && can_start(transfer)) {
+      start(std::move(pending));
+    } else {
+      pending_.push_back(std::move(pending));
+      try_start_pending();  // first-fit: later transfers may still fit
+    }
+  }
+  std::size_t in_flight() const override { return active_ + pending_.size(); }
+  double fixed_latency_s() const override { return latency_s_; }
+
+ private:
+  struct Pending {
+    Transfer transfer;
+    ArrivalFn on_arrival;
+    StartFn on_start;
+  };
+
+  bool can_start(const Transfer& transfer) const {
+    if (num_buses_ > 0 && buses_in_use_ >= num_buses_) return false;
+    if (out_in_use_[static_cast<std::size_t>(transfer.src)] >= output_ports_)
+      return false;
+    if (in_in_use_[static_cast<std::size_t>(transfer.dst)] >= input_ports_)
+      return false;
+    return true;
+  }
+
+  void start(Pending pending) {
+    const Transfer transfer = pending.transfer;
+    ++out_in_use_[static_cast<std::size_t>(transfer.src)];
+    ++in_in_use_[static_cast<std::size_t>(transfer.dst)];
+    if (num_buses_ > 0) ++buses_in_use_;
+    ++active_;
+    if (pending.on_start) pending.on_start(events_.now());
+    const double serialization =
+        overhead_s_ + static_cast<double>(transfer.bytes) / bytes_per_s_;
+    const double release = events_.now() + serialization;
+    const double arrival = release + latency_s_;
+    events_.schedule(release, [this, transfer] {
+      --out_in_use_[static_cast<std::size_t>(transfer.src)];
+      --in_in_use_[static_cast<std::size_t>(transfer.dst)];
+      if (num_buses_ > 0) --buses_in_use_;
+      --active_;
+      try_start_pending();
+    });
+    events_.schedule(arrival,
+                     [this, on_arrival = std::move(pending.on_arrival)] {
+                       on_arrival(events_.now());
+                     });
+  }
+
+  void try_start_pending() {
+    for (auto it = pending_.begin(); it != pending_.end();) {
+      if (can_start(it->transfer)) {
+        Pending p = std::move(*it);
+        it = pending_.erase(it);
+        start(std::move(p));
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  const double latency_s_;
+  const double overhead_s_;
+  const double bytes_per_s_;
+  const std::int32_t num_buses_;
+  std::vector<std::int32_t> out_in_use_;
+  std::vector<std::int32_t> in_in_use_;
+  const std::int32_t output_ports_;
+  const std::int32_t input_ports_;
+  std::int32_t buses_in_use_ = 0;
+  std::size_t active_ = 0;
+  std::list<Pending> pending_;
+};
+
+struct TransferLog {
+  std::vector<int> start_order;  // transfer ids in on_start order
+  std::vector<double> start;     // by id
+  std::vector<double> arrival;   // by id
+};
+
+/// Replays one seeded transfer stream on `net`: waves of submissions at
+/// random (often equal) instants, with two hot fan-in destinations, zero-
+/// byte messages, and arrivals that trigger follow-up sends, so submits
+/// interleave with releases the way a replay's do.
+TransferLog drive_stream(EventQueue& q, Network& net, std::int32_t nodes,
+                         std::uint64_t seed) {
+  constexpr int kTransfers = 600;
+  std::mt19937_64 rng(seed);
+  struct Spec {
+    Transfer transfer;
+    double at = 0.0;
+    bool follow_up = false;  // submitted by the previous transfer's arrival
+  };
+  std::vector<Spec> specs(kTransfers);
+  const auto node = [&] {
+    return static_cast<trace::Rank>(rng() % static_cast<std::uint64_t>(nodes));
+  };
+  const trace::Rank hot[2] = {node(), node()};
+  for (Spec& spec : specs) {
+    spec.transfer.src = node();
+    spec.transfer.dst = rng() % 3 == 0 ? hot[rng() % 2] : node();
+    const std::uint64_t size_class = rng() % 5;
+    spec.transfer.bytes = size_class == 0   ? 0
+                          : size_class == 1 ? 1 + rng() % 64
+                                            : 1'000 + rng() % 200'000;
+    spec.at = static_cast<double>(rng() % 40) * 1e-4;  // many ties
+    spec.follow_up = rng() % 4 == 0;
+  }
+  specs.front().follow_up = false;  // every chain needs a timed head
+  TransferLog log;
+  log.start.assign(kTransfers, -1.0);
+  log.arrival.assign(kTransfers, -1.0);
+  std::function<void(int)> submit = [&](int id) {
+    net.submit(
+        specs[static_cast<std::size_t>(id)].transfer,
+        [&, id](double t) {
+          log.arrival[static_cast<std::size_t>(id)] = t;
+          if (id + 1 < kTransfers &&
+              specs[static_cast<std::size_t>(id) + 1].follow_up) {
+            submit(id + 1);
+          }
+        },
+        [&, id](double t) {
+          log.start_order.push_back(id);
+          log.start[static_cast<std::size_t>(id)] = t;
+        });
+  };
+  for (int id = 0; id < kTransfers; ++id) {
+    if (!specs[static_cast<std::size_t>(id)].follow_up) {
+      q.schedule(specs[static_cast<std::size_t>(id)].at,
+                 [&submit, id] { submit(id); });
+    }
+  }
+  q.run_until_empty();
+  EXPECT_EQ(net.in_flight(), 0u);
+  return log;
+}
+
+TEST(BusNetworkDifferential, MatchesListFirstFitOnRandomStreams) {
+  std::mt19937_64 rng(2024);
+  int cases = 0;
+  for (const std::int32_t buses : {0, 1, 3}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      Platform p = bus_platform(2 + static_cast<std::int32_t>(rng() % 63),
+                                buses);
+      p.output_ports = 1 + static_cast<std::int32_t>(rng() % 2);
+      p.input_ports = 1 + static_cast<std::int32_t>(rng() % 2);
+      p.per_message_overhead_us = trial % 3 == 0 ? 0.5 : 0.0;
+      const std::uint64_t seed = rng();
+      EventQueue q_indexed;
+      BusNetwork indexed(q_indexed, p);
+      const TransferLog got =
+          drive_stream(q_indexed, indexed, p.num_nodes, seed);
+      EventQueue q_list;
+      ReferenceListBusNetwork list(q_list, p);
+      const TransferLog want = drive_stream(q_list, list, p.num_nodes, seed);
+      SCOPED_TRACE(testing::Message()
+                   << "nodes=" << p.num_nodes << " buses=" << buses
+                   << " ports=" << p.output_ports << "/" << p.input_ports
+                   << " seed=" << seed);
+      ASSERT_EQ(got.start_order, want.start_order);
+      for (std::size_t i = 0; i < got.start.size(); ++i) {
+        // Bit-exact: EXPECT_EQ on doubles, not EXPECT_DOUBLE_EQ.
+        ASSERT_EQ(got.start[i], want.start[i]) << "transfer " << i;
+        ASSERT_EQ(got.arrival[i], want.arrival[i]) << "transfer " << i;
+        ASSERT_GE(got.arrival[i], 0.0) << "transfer " << i;
+      }
+      EXPECT_EQ(q_indexed.events_processed(), q_list.events_processed());
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 120);
+}
+
+// --- Platform::from_flags --------------------------------------------------
+
+TEST(Platform, FromFlagsBuildsTheFlagPlatform) {
+  const Platform p = Platform::from_flags(16, 250.0, 4.0, 6, 2, 1024);
+  EXPECT_EQ(p.num_nodes, 16);
+  EXPECT_EQ(p.model, NetworkModelKind::kBus);
+  EXPECT_EQ(p.bandwidth_MBps, 250.0);
+  EXPECT_EQ(p.latency_us, 4.0);
+  EXPECT_EQ(p.num_buses, 6);
+  EXPECT_EQ(p.input_ports, 2);
+  EXPECT_EQ(p.output_ports, 2);
+  EXPECT_EQ(p.eager_threshold_bytes, 1024u);
+}
+
+TEST(Platform, FromFlagsRejectsOutOfRangeValues) {
+  const auto build = [](double bw, double lat, std::int64_t buses,
+                        std::int64_t ports, std::int64_t eager) {
+    return Platform::from_flags(4, bw, lat, buses, ports, eager);
+  };
+  EXPECT_THROW(build(0.0, 4.0, 0, 1, 0), UsageError);
+  EXPECT_THROW(build(-1.0, 4.0, 0, 1, 0), UsageError);
+  EXPECT_THROW(build(std::nan(""), 4.0, 0, 1, 0), UsageError);
+  EXPECT_THROW(build(HUGE_VAL, 4.0, 0, 1, 0), UsageError);
+  EXPECT_THROW(build(250.0, -0.5, 0, 1, 0), UsageError);
+  EXPECT_THROW(build(250.0, 4.0, -1, 1, 0), UsageError);
+  EXPECT_THROW(build(250.0, 4.0, std::int64_t{1} << 32, 1, 0), UsageError);
+  EXPECT_THROW(build(250.0, 4.0, 0, 0, 0), UsageError);
+  EXPECT_THROW(build(250.0, 4.0, 0, std::int64_t{1} << 31, 0), UsageError);
+  EXPECT_THROW(build(250.0, 4.0, 0, 1, -1), UsageError);
+  // The boundary values themselves are accepted.
+  EXPECT_NO_THROW(build(1e-9, 0.0, 0, 1, 0));
 }
 
 // --- FairShareNetwork -------------------------------------------------------

@@ -98,4 +98,42 @@ inline std::vector<std::string> identity_lines(pipeline::Study& study) {
   return lines;
 }
 
+/// Lines at the rank count where the replay used to go quadratic: the
+/// overlap_real traces of pop and specfem3d at 1024 ranks (3 iterations, 4
+/// chunks) on osim_replay's default platform at 250 MB/s, plus pop with
+/// its Table I bus count, which drives the bus-pool path of BusNetwork.
+/// Marked " ranks=" so they never mix with the 8-rank lines above.
+inline std::vector<std::string> scale_lines(pipeline::Study& study) {
+  constexpr std::int32_t kRanks = 1024;
+  std::vector<std::string> lines;
+  for (const char* name : {"pop", "specfem3d"}) {
+    const apps::MiniApp& app = *apps::find_app(name);
+    apps::AppConfig config;
+    config.ranks = kRanks;
+    config.iterations = 3;
+    const tracer::TracedRun traced = apps::trace_app(app, config, {});
+    overlap::OverlapOptions overlap_options;
+    overlap_options.chunks = 4;
+    std::vector<std::int32_t> bus_counts = {0};
+    if (app.name() == "pop") bus_counts.push_back(app.paper_buses());
+    for (const std::int32_t buses : bus_counts) {
+      dimemas::Platform platform;
+      platform.num_nodes = kRanks;
+      platform.bandwidth_MBps = 250.0;
+      platform.latency_us = 4.0;
+      platform.num_buses = buses;
+      const pipeline::ReplayContext context = pipeline::make_context(
+          traced.annotated, pipeline::TraceVariant::kOverlapMeasured,
+          overlap_options, platform);
+      const dimemas::SimResult result = study.run(context);
+      lines.push_back(strprintf(
+          "%s overlap_real ranks=%d buses=%d fp=%s makespan=%a events=%llu",
+          name, kRanks, buses,
+          pipeline::to_hex(context.fingerprint()).c_str(), result.makespan,
+          static_cast<unsigned long long>(result.des_events)));
+    }
+  }
+  return lines;
+}
+
 }  // namespace osim::identity

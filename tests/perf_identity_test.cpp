@@ -27,7 +27,9 @@
 namespace osim {
 namespace {
 
-std::vector<std::string> golden_lines() {
+/// The golden's 8-rank identity lines, or (scale = true) its 1024-rank
+/// scale lines, which identity::scale_lines marks with " ranks=".
+std::vector<std::string> golden_lines(bool scale = false) {
   const std::string path = std::string(OSIM_GOLDEN_DIR) +
                            "/perf_identity.golden";
   std::ifstream in(path);
@@ -35,13 +37,17 @@ std::vector<std::string> golden_lines() {
   std::vector<std::string> lines;
   std::string line;
   while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(line);
+    if (line.empty()) continue;
+    if ((line.find(" ranks=") != std::string::npos) == scale) {
+      lines.push_back(line);
+    }
   }
   return lines;
 }
 
-void expect_matches_golden(const std::vector<std::string>& lines) {
-  const std::vector<std::string> golden = golden_lines();
+void expect_matches_golden(const std::vector<std::string>& lines,
+                           bool scale = false) {
+  const std::vector<std::string> golden = golden_lines(scale);
   ASSERT_EQ(lines.size(), golden.size());
   for (std::size_t i = 0; i < lines.size(); ++i) {
     EXPECT_EQ(lines[i], golden[i]) << "line " << i;
@@ -51,6 +57,14 @@ void expect_matches_golden(const std::vector<std::string>& lines) {
 TEST(PerfIdentity, SerialMatchesSeedGolden) {
   pipeline::Study study;
   expect_matches_golden(identity::identity_lines(study));
+}
+
+// The 1024-rank lines were generated before BusNetwork indexed its queue
+// by port and the calendar buckets became heaps: both are pure speedups,
+// so the replays at the scale where they matter stay bit-identical.
+TEST(PerfIdentity, ScaleLinesMatchGolden) {
+  pipeline::Study study;
+  expect_matches_golden(identity::scale_lines(study), /*scale=*/true);
 }
 
 TEST(PerfIdentity, ParallelJobsMatchSeedGolden) {

@@ -515,6 +515,41 @@ TEST(Service, MalformedSubmitsAreBadRequests) {
   EXPECT_EQ(service.shutdown(), kExitOk);
 }
 
+TEST(Service, OutOfRangePlatformValuesAreBadRequests) {
+  const std::string dir = fresh_dir("badrange");
+  const std::string trace_path = write_ring_trace(dir, 2, 1);
+
+  // platform_for applies osim_replay's range check...
+  ScenarioSpec zero_bandwidth = sample_spec(trace_path, 0.0);
+  EXPECT_THROW(platform_for(zero_bandwidth, 2), UsageError);
+
+  // ...so spec_fingerprint refuses at submit, before any job exists (a
+  // worker would abort on these values and the job would be retried).
+  TestService service(thread_mode_options(dir));
+  ClientConnection connection = service.connect();
+  std::vector<ScenarioSpec> bad(5, sample_spec(trace_path, 250.0));
+  bad[0].bandwidth = 0.0;
+  bad[1].latency = -1.0;
+  bad[2].buses = -1;
+  bad[3].ports = 0;
+  bad[4].eager = -1;
+  for (const ScenarioSpec& spec : bad) {
+    const ServerMessage reply =
+        connection.call(ClientMessage(SubmitScenario{spec}));
+    const auto* error = std::get_if<ErrorReply>(&reply);
+    ASSERT_NE(error, nullptr);
+    EXPECT_EQ(error->code, RpcErrorCode::kBadRequest);
+    EXPECT_NE(error->message.find("must be"), std::string::npos)
+        << error->message;
+  }
+  const std::string stats = fetch_stats(connection);
+  EXPECT_NE(stats.find("\"bad_requests\":5"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"jobs\":{\"queued\":0,\"running\":0,\"done\":0"),
+            std::string::npos)
+      << stats;
+  EXPECT_EQ(service.shutdown(), kExitOk);
+}
+
 TEST(Service, AdmissionControlRefusesWithBusy) {
   const std::string dir = fresh_dir("busy");
   const std::string trace_path = write_ring_trace(dir, 2, 1);

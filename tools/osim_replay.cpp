@@ -144,13 +144,8 @@ int main(int argc, char** argv) try {
                             platform.num_nodes, t.num_ranks));
     }
   } else {
-    platform.num_nodes = t.num_ranks;
-    platform.bandwidth_MBps = bandwidth;
-    platform.latency_us = latency;
-    platform.num_buses = static_cast<std::int32_t>(buses);
-    platform.input_ports = static_cast<std::int32_t>(ports);
-    platform.output_ports = static_cast<std::int32_t>(ports);
-    platform.eager_threshold_bytes = static_cast<std::uint64_t>(eager);
+    platform = dimemas::Platform::from_flags(t.num_ranks, bandwidth, latency,
+                                             buses, ports, eager);
   }
 
   dimemas::ReplayOptions options;
