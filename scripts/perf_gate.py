@@ -11,8 +11,9 @@ bench record, report the same unit, and have a median at or above its
 floor. The budget's "scaling" floors compare two records from the same
 machine: the median of a path in --scaled-bench (osim_perf at more
 ranks) divided by its median in --bench must be at or above min_ratio.
-A replay that grows worse than linearly with ranks loses events/s as
-ranks grow, which a fixed floor at one rank count cannot see.
+A replay or lint pass that grows worse than linearly with ranks loses
+events/s or records/s as ranks grow, which a fixed floor at one rank
+count cannot see.
 
 Exit 0 when everything passes, 1 on any violation, 2 on malformed
 input. Malformed covers everything short of a well-formed record: a

@@ -1,16 +1,11 @@
 // Lint pass 3: deadlock detection.
 //
-// Runs an *untimed* abstract interpretation of the trace — no clocks, no
-// network model — in which every blocking condition is reduced to its pure
-// dependency: a blocking receive needs a matching send issued, a
-// rendezvous send (synchronous, or larger than the eager threshold) needs
-// its matching receive posted, a wait needs its requests' partners, and a
-// collective needs every rank to arrive. Records are executed to a fixed
-// point under round-robin scheduling; because completion in this model is
-// monotone (once satisfiable, always satisfiable), any rank still blocked
-// at the fixed point can never progress in a real replay either.
+// A view of the lint abstract machine (lint/hb.hpp): the untimed, clocked
+// interpretation that also feeds the race and overlap passes runs every
+// record to a fixed point, and the ranks still blocked there — its stuck
+// set — can never progress in a real replay either.
 //
-// Stuck ranks are then connected into a cross-rank wait-for graph and its
+// Stuck ranks are connected into a cross-rank wait-for graph and its
 // strongly connected components are reported: cyclic components as
 // deadlock cycles with the full blame chain (who waits on whom, at which
 // record), acyclic stuck ranks as starvation (waiting on a peer that
@@ -20,15 +15,16 @@
 #include <cstdint>
 
 #include "lint/diagnostics.hpp"
+#include "lint/hb.hpp"
 #include "trace/trace.hpp"
 
 namespace osim::lint {
 
-/// Default rendezvous cutoff, mirroring dimemas::Platform's default eager
-/// threshold: sends at or below this size are assumed buffered and never
-/// block; larger (or synchronous) sends block until the receive is posted.
-inline constexpr std::uint64_t kDefaultEagerThresholdBytes = 16 * 1024;
+/// Reports the stuck set of `hb`, the machine's run over `trace`.
+void check_deadlock(const trace::Trace& trace, const HbAnalysis& hb,
+                    Report& report);
 
+/// Runs the machine and reports its stuck set.
 void check_deadlock(const trace::Trace& trace, Report& report,
                     std::uint64_t eager_threshold_bytes =
                         kDefaultEagerThresholdBytes);

@@ -77,7 +77,7 @@ void check_overlap_hazards(const trace::Trace& trace, const HbAnalysis& hb,
           const std::uint64_t window = cum - p.cum_instructions;
           if (window == 0) {
             ++num_zero;
-            const VectorClock& post = hb.post(r, p.record);
+            const VectorClock post = hb.post(r, p.record);
             report.add(Diagnostic{
                 Severity::kInfo, kPass, "zero-window", r,
                 static_cast<std::ptrdiff_t>(p.record),

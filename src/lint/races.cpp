@@ -60,13 +60,13 @@ void check_wildcard_races(const trace::Trace& trace, const HbAnalysis& hb,
     if (recv == nullptr || recv->src != trace::kAnyRank) continue;
     const RecvEnvelope recv_env{recv->src, match.dst, recv->tag,
                                 recv->bytes};
-    const VectorClock& matched_post = hb.post(match.src, match.send_record);
-    const VectorClock& recv_done = hb.completion(match.dst,
-                                                 match.recv_record);
+    const VectorClock matched_post = hb.post(match.src, match.send_record);
+    const VectorClock recv_done =
+        hb.completion(match.dst, match.recv_record);
     for (const SendSite& other : sends) {
       if (other.src == match.src) continue;  // non-overtaking: no race
       if (!envelope_matches(recv_env, other.env)) continue;
-      const VectorClock& other_post = hb.post(other.src, other.record);
+      const VectorClock other_post = hb.post(other.src, other.record);
       if (!clocks_known(matched_post, other_post)) continue;
       if (!hb_concurrent(other_post, matched_post)) continue;
       // A candidate the receive's completion happens-before can never

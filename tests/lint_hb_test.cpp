@@ -4,17 +4,33 @@
 // determinism, and the store-backed lint cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <random>
+#include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <variant>
+#include <vector>
 
 #include "apps/app.hpp"
+#include "common/expect.hpp"
+#include "common/strings.hpp"
+#include "dimemas/matching.hpp"
+#include "dimemas/platform.hpp"
+#include "lint/deadlock.hpp"
 #include "lint/diagnostics.hpp"
 #include "lint/hb.hpp"
 #include "lint/lint.hpp"
 #include "overlap/options.hpp"
 #include "overlap/transform.hpp"
 #include "pipeline/lint_cache.hpp"
+#include "pipeline/scenario.hpp"
 #include "store/store.hpp"
 #include "trace/trace.hpp"
 
@@ -103,6 +119,32 @@ TEST(HbClocks, CollectivesOrderAcrossRanks) {
   ASSERT_TRUE(hb.converged);
   // Work before the barrier on rank 0 orders work after it on rank 1.
   EXPECT_TRUE(lint::hb_before(hb.post(0, 0), hb.completion(1, 1)));
+}
+
+TEST(HbClocks, EpochsOnlyWhereAJoinChangesTheClock) {
+  // Rank 1 receives rank 0's second message first: the receive of the
+  // first message then learns nothing new and must not start an epoch.
+  // Both ranks' barrier completions share the barrier's one snapshot.
+  TraceBuilder b(2, 1000.0);
+  b.send(0, 1, 5, 64).send(0, 1, 6, 64);
+  b.global(0, CollectiveKind::kBarrier, 0, 0, 0);
+  b.recv(1, 0, 6, 64).recv(1, 0, 5, 64);
+  b.global(1, CollectiveKind::kBarrier, 0, 0, 0);
+  const lint::HbAnalysis hb =
+      lint::analyze_happens_before(std::move(b).build());
+  ASSERT_TRUE(hb.converged);
+  EXPECT_EQ(hb.executed, (std::vector<std::size_t>{3, 3}));
+  ASSERT_EQ(hb.snapshots.size(), 3u);  // zero, rank 1's first join, barrier
+  ASSERT_EQ(hb.epochs[0].size(), 1u);
+  ASSERT_EQ(hb.epochs[1].size(), 2u);
+  EXPECT_EQ(hb.epochs[1][0].record, 0u);
+  EXPECT_EQ(hb.epochs[0][0].record, 2u);
+  EXPECT_EQ(hb.epochs[1][1].record, 2u);
+  EXPECT_EQ(hb.epochs[0][0].snapshot, hb.epochs[1][1].snapshot);
+  EXPECT_EQ(hb.completion(1, 0), (lint::VectorClock{2, 1}));
+  EXPECT_EQ(hb.completion(1, 1), (lint::VectorClock{2, 2}));
+  EXPECT_EQ(hb.completion(0, 2), (lint::VectorClock{3, 3}));
+  EXPECT_EQ(hb.completion(1, 2), hb.completion(0, 2));
 }
 
 TEST(HbClocks, DeadlockLeavesUnexecutedRecordsUnclocked) {
@@ -428,6 +470,1020 @@ TEST(LintGolden, NasCgZeroWindowCountsArePinned) {
   EXPECT_TRUE(real.clean()) << real.render_text();
   EXPECT_EQ(count_code(real, "zero-window"), 16u);
   EXPECT_EQ(count_code(real, "postponed-wait"), 12u);
+}
+
+// --- differential test against the dense-clock machines ---------------------
+
+// The two abstract machines the single epoch-based machine replaced,
+// verbatim: dense_hb::ClockedMachine stamped two dense vector clocks on
+// every record, dense_deadlock::AbstractMachine ran the same fixpoint
+// without clocks and reported the stuck set. Only the analysis struct the
+// clocked machine fills is redeclared here, in its old dense shape, and
+// the clock-order helper behind hb_before is left out.
+namespace dense_hb {
+
+using lint::HbMatch;
+using lint::VectorClock;
+
+struct HbAnalysis {
+  std::int32_t num_ranks = 0;
+  bool converged = false;
+  std::vector<std::vector<VectorClock>> post_clocks;
+  std::vector<std::vector<VectorClock>> completion_clocks;
+  std::vector<HbMatch> matches;
+};
+
+using dimemas::RecvEnvelope;
+using dimemas::SendEnvelope;
+using dimemas::envelope_matches;
+using trace::GlobalOp;
+using trace::kAnyRank;
+using trace::Rank;
+using trace::Record;
+using trace::Recv;
+using trace::ReqId;
+using trace::Send;
+using trace::Wait;
+
+void join_into(VectorClock& dst, const VectorClock& src) {
+  for (std::size_t i = 0; i < dst.size() && i < src.size(); ++i) {
+    dst[i] = std::max(dst[i], src[i]);
+  }
+}
+
+struct PendingRecv;
+
+struct PendingSend {
+  SendEnvelope env;
+  bool rendezvous = false;
+  bool matched = false;
+  std::size_t record = 0;
+  VectorClock post;
+  const PendingRecv* partner = nullptr;
+};
+
+struct PendingRecv {
+  RecvEnvelope env;
+  bool matched = false;
+  std::size_t record = 0;
+  VectorClock post;
+  const PendingSend* partner = nullptr;
+};
+
+struct ReqEntry {
+  PendingSend* send = nullptr;  // isend: complete when eager or matched
+  PendingRecv* recv = nullptr;  // irecv: complete when matched
+  bool complete() const {
+    if (send != nullptr) return !send->rendezvous || send->matched;
+    if (recv != nullptr) return recv->matched;
+    return true;
+  }
+};
+
+enum class BlockKind { kNone, kSend, kRecv, kWait, kCollective };
+
+struct RankMachine {
+  std::size_t pc = 0;
+  bool finished = false;
+  VectorClock clock;
+  BlockKind block = BlockKind::kNone;
+  std::size_t block_record = 0;
+  PendingSend* blocked_send = nullptr;
+  PendingRecv* blocked_recv = nullptr;
+  std::vector<ReqId> wait_pending;      // kWait: not-yet-complete requests
+  std::vector<ReqId> wait_all;          // kWait: the full request list
+  std::int64_t coll_ordinal = 0;        // kCollective: my arrival ordinal
+  std::int64_t colls_arrived = 0;       // collectives this rank reached
+  std::map<ReqId, ReqEntry> requests;
+};
+
+/// The deadlock pass's abstract machine (see deadlock.cpp) with a vector
+/// clock threaded through every state transition. Matching order, blocking
+/// conditions and the fixed-point schedule are identical, so the two passes
+/// agree on which trace executions exist.
+class ClockedMachine {
+ public:
+  ClockedMachine(const trace::Trace& trace, std::uint64_t eager_threshold)
+      : trace_(trace), eager_threshold_(eager_threshold) {
+    const std::size_t n = trace.ranks.size();
+    machines_.resize(n);
+    unmatched_sends_.resize(n);
+    unmatched_recvs_.resize(n);
+    coll_arrivals_.resize(n);
+    analysis_.num_ranks = trace.num_ranks;
+    analysis_.post_clocks.resize(n);
+    analysis_.completion_clocks.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      machines_[r].clock.assign(n, 0);
+      analysis_.post_clocks[r].resize(trace.ranks[r].size());
+      analysis_.completion_clocks[r].resize(trace.ranks[r].size());
+    }
+  }
+
+  HbAnalysis run() {
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      for (Rank r = 0; r < trace_.num_ranks; ++r) {
+        if (advance(r)) progress = true;
+      }
+    }
+    analysis_.converged =
+        std::all_of(machines_.begin(), machines_.end(),
+                    [](const RankMachine& m) { return m.finished; });
+    for (const PendingSend& send : sends_pool_) {
+      if (!send.matched || send.partner == nullptr) continue;
+      analysis_.matches.push_back(HbMatch{send.env.src, send.record,
+                                          send.env.dst,
+                                          send.partner->record});
+    }
+    return std::move(analysis_);
+  }
+
+ private:
+  RankMachine& machine(Rank r) {
+    return machines_[static_cast<std::size_t>(r)];
+  }
+  const std::vector<Record>& stream(Rank r) const {
+    return trace_.ranks[static_cast<std::size_t>(r)];
+  }
+
+  bool in_range(Rank r) const { return r >= 0 && r < trace_.num_ranks; }
+
+  bool block_resolved(const RankMachine& m) const {
+    switch (m.block) {
+      case BlockKind::kNone:
+        return true;
+      case BlockKind::kSend:
+        return m.blocked_send->matched;
+      case BlockKind::kRecv:
+        return m.blocked_recv->matched;
+      case BlockKind::kWait:
+        return std::all_of(m.wait_pending.begin(), m.wait_pending.end(),
+                           [&](ReqId req) {
+                             const auto it = m.requests.find(req);
+                             return it == m.requests.end() ||
+                                    it->second.complete();
+                           });
+      case BlockKind::kCollective:
+        return std::all_of(machines_.begin(), machines_.end(),
+                           [&](const RankMachine& other) {
+                             return other.colls_arrived > m.coll_ordinal;
+                           });
+    }
+    OSIM_UNREACHABLE("bad block kind");
+  }
+
+  /// Applies the completion joins of the resolved blocking record and
+  /// timestamps it.
+  void resolve_block(Rank r, RankMachine& m) {
+    switch (m.block) {
+      case BlockKind::kSend:
+        if (m.blocked_send->partner != nullptr) {
+          join_into(m.clock, m.blocked_send->partner->post);
+        }
+        break;
+      case BlockKind::kRecv:
+        if (m.blocked_recv->partner != nullptr) {
+          join_into(m.clock, m.blocked_recv->partner->post);
+        }
+        break;
+      case BlockKind::kWait:
+        for (const ReqId req : m.wait_all) {
+          const auto it = m.requests.find(req);
+          if (it == m.requests.end()) continue;
+          const ReqEntry& entry = it->second;
+          if (entry.recv != nullptr && entry.recv->partner != nullptr) {
+            join_into(m.clock, entry.recv->partner->post);
+          } else if (entry.send != nullptr && entry.send->rendezvous &&
+                     entry.send->partner != nullptr) {
+            join_into(m.clock, entry.send->partner->post);
+          }
+          // Eager isend: completes locally, no synchronization edge.
+        }
+        break;
+      case BlockKind::kCollective: {
+        const std::size_t k = static_cast<std::size_t>(m.coll_ordinal);
+        for (const std::vector<VectorClock>& arrivals : coll_arrivals_) {
+          if (k < arrivals.size()) join_into(m.clock, arrivals[k]);
+        }
+        break;
+      }
+      case BlockKind::kNone:
+        break;
+    }
+    analysis_.completion_clocks[static_cast<std::size_t>(r)][m.block_record] =
+        m.clock;
+    m.block = BlockKind::kNone;
+  }
+
+  bool advance(Rank r) {
+    RankMachine& m = machine(r);
+    bool progressed = false;
+    while (!m.finished) {
+      if (m.block != BlockKind::kNone) {
+        if (!block_resolved(m)) return progressed;
+        resolve_block(r, m);
+        progressed = true;
+      }
+      const auto& recs = stream(r);
+      if (m.pc >= recs.size()) {
+        m.finished = true;
+        progressed = true;
+        break;
+      }
+      const std::size_t i = m.pc++;
+      progressed = true;
+      execute(r, m, i, recs[i]);
+    }
+    return progressed;
+  }
+
+  void execute(Rank r, RankMachine& m, std::size_t i, const Record& rec) {
+    const std::size_t idx = static_cast<std::size_t>(r);
+    ++m.clock[idx];  // program-order tick: every record gets a unique clock
+    analysis_.post_clocks[idx][i] = m.clock;
+    // Until a blocking condition says otherwise, the record completes at
+    // its post clock.
+    analysis_.completion_clocks[idx][i] = m.clock;
+
+    if (const auto* send = std::get_if<Send>(&rec)) {
+      if (!in_range(send->dest) || send->dest == r) return;  // match pass
+      sends_pool_.push_back(PendingSend{
+          SendEnvelope{r, send->dest, send->tag, send->bytes},
+          send->synchronous || send->bytes > eager_threshold_, false, i,
+          m.clock, nullptr});
+      PendingSend* ps = &sends_pool_.back();
+      match_send(ps);
+      if (send->immediate) {
+        if (send->request != trace::kNoRequest) {
+          m.requests[send->request] = ReqEntry{ps, nullptr};
+        }
+        return;
+      }
+      if (ps->rendezvous) {
+        m.block = BlockKind::kSend;
+        m.block_record = i;
+        m.blocked_send = ps;  // resolved (maybe immediately) in advance()
+      }
+    } else if (const auto* recv = std::get_if<Recv>(&rec)) {
+      if ((recv->src != kAnyRank && !in_range(recv->src)) ||
+          recv->src == r) {
+        return;  // reported by the match pass
+      }
+      recvs_pool_.push_back(PendingRecv{
+          RecvEnvelope{recv->src, r, recv->tag, recv->bytes}, false, i,
+          m.clock, nullptr});
+      PendingRecv* pr = &recvs_pool_.back();
+      match_recv(pr);
+      if (recv->immediate) {
+        if (recv->request != trace::kNoRequest) {
+          m.requests[recv->request] = ReqEntry{nullptr, pr};
+        }
+        return;
+      }
+      m.block = BlockKind::kRecv;
+      m.block_record = i;
+      m.blocked_recv = pr;
+    } else if (const auto* wait = std::get_if<Wait>(&rec)) {
+      std::vector<ReqId> pending;
+      for (const ReqId req : wait->requests) {
+        const auto it = m.requests.find(req);
+        // Unknown requests are the requests pass's finding; treat them as
+        // complete so one defect does not cascade.
+        if (it != m.requests.end() && !it->second.complete()) {
+          pending.push_back(req);
+        }
+      }
+      m.block = BlockKind::kWait;
+      m.block_record = i;
+      m.wait_pending = std::move(pending);
+      m.wait_all = wait->requests;
+    } else if (std::get_if<GlobalOp>(&rec) != nullptr) {
+      coll_arrivals_[idx].push_back(m.clock);
+      m.coll_ordinal = m.colls_arrived++;
+      m.block = BlockKind::kCollective;
+      m.block_record = i;
+    }
+    // CpuBurst: no dependency.
+  }
+
+  void match_send(PendingSend* send) {
+    auto& recvs = unmatched_recvs_[static_cast<std::size_t>(send->env.dst)];
+    for (auto it = recvs.begin(); it != recvs.end(); ++it) {
+      if (envelope_matches((*it)->env, send->env)) {
+        (*it)->matched = true;
+        (*it)->partner = send;
+        send->matched = true;
+        send->partner = *it;
+        recvs.erase(it);
+        return;
+      }
+    }
+    unmatched_sends_[static_cast<std::size_t>(send->env.dst)].push_back(send);
+  }
+
+  void match_recv(PendingRecv* recv) {
+    auto& sends = unmatched_sends_[static_cast<std::size_t>(recv->env.dst)];
+    for (auto it = sends.begin(); it != sends.end(); ++it) {
+      if (envelope_matches(recv->env, (*it)->env)) {
+        (*it)->matched = true;
+        (*it)->partner = recv;
+        recv->matched = true;
+        recv->partner = *it;
+        sends.erase(it);
+        return;
+      }
+    }
+    unmatched_recvs_[static_cast<std::size_t>(recv->env.dst)].push_back(recv);
+  }
+
+  const trace::Trace& trace_;
+  const std::uint64_t eager_threshold_;
+  std::vector<RankMachine> machines_;
+  // Stable-address pools; inbox deques and partner pointers point into them.
+  std::deque<PendingSend> sends_pool_;
+  std::deque<PendingRecv> recvs_pool_;
+  std::vector<std::deque<PendingSend*>> unmatched_sends_;
+  std::vector<std::deque<PendingRecv*>> unmatched_recvs_;
+  std::vector<std::vector<VectorClock>> coll_arrivals_;  // per rank, ordinal
+  HbAnalysis analysis_;
+};
+
+HbAnalysis analyze(const Trace& trace) {
+  return ClockedMachine(trace, lint::kDefaultEagerThresholdBytes).run();
+}
+
+}  // namespace dense_hb
+
+namespace dense_deadlock {
+
+using lint::kNoRecord;
+using lint::Report;
+
+using dimemas::RecvEnvelope;
+using dimemas::SendEnvelope;
+using dimemas::envelope_matches;
+using trace::CpuBurst;
+using trace::GlobalOp;
+using trace::kAnyRank;
+using trace::Rank;
+using trace::Record;
+using trace::Recv;
+using trace::ReqId;
+using trace::Send;
+using trace::Wait;
+
+constexpr const char* kPass = "deadlock";
+
+struct PendingSend {
+  SendEnvelope env;
+  bool rendezvous = false;
+  bool matched = false;
+};
+
+struct PendingRecv {
+  RecvEnvelope env;
+  bool matched = false;
+};
+
+/// What an immediate request resolves to in the untimed model.
+struct ReqEntry {
+  const PendingSend* send = nullptr;  // isend: complete when eager or matched
+  const PendingRecv* recv = nullptr;  // irecv: complete when matched
+  bool complete() const {
+    if (send != nullptr) return !send->rendezvous || send->matched;
+    if (recv != nullptr) return recv->matched;
+    return true;
+  }
+};
+
+enum class BlockKind { kNone, kSend, kRecv, kWait, kCollective };
+
+struct RankMachine {
+  std::size_t pc = 0;
+  bool finished = false;
+  BlockKind block = BlockKind::kNone;
+  std::size_t block_record = 0;
+  const PendingSend* blocked_send = nullptr;
+  const PendingRecv* blocked_recv = nullptr;
+  std::vector<ReqId> wait_pending;      // kWait: not-yet-complete requests
+  std::int64_t coll_ordinal = 0;        // kCollective: my arrival ordinal
+  std::int64_t colls_arrived = 0;       // collectives this rank reached
+  std::map<ReqId, ReqEntry> requests;
+};
+
+class AbstractMachine {
+ public:
+  AbstractMachine(const trace::Trace& trace, std::uint64_t eager_threshold)
+      : trace_(trace), eager_threshold_(eager_threshold) {
+    machines_.resize(trace.ranks.size());
+    unmatched_sends_.resize(trace.ranks.size());
+    unmatched_recvs_.resize(trace.ranks.size());
+  }
+
+  void run_to_fixpoint() {
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      for (Rank r = 0; r < trace_.num_ranks; ++r) {
+        if (advance(r)) progress = true;
+      }
+    }
+  }
+
+  void report_stuck(Report& report) const;
+
+ private:
+  RankMachine& machine(Rank r) {
+    return machines_[static_cast<std::size_t>(r)];
+  }
+  const std::vector<Record>& stream(Rank r) const {
+    return trace_.ranks[static_cast<std::size_t>(r)];
+  }
+
+  bool in_range(Rank r) const { return r >= 0 && r < trace_.num_ranks; }
+
+  bool block_resolved(const RankMachine& m) const {
+    switch (m.block) {
+      case BlockKind::kNone:
+        return true;
+      case BlockKind::kSend:
+        return m.blocked_send->matched;
+      case BlockKind::kRecv:
+        return m.blocked_recv->matched;
+      case BlockKind::kWait:
+        return std::all_of(m.wait_pending.begin(), m.wait_pending.end(),
+                           [&](ReqId req) {
+                             const auto it = m.requests.find(req);
+                             return it == m.requests.end() ||
+                                    it->second.complete();
+                           });
+      case BlockKind::kCollective:
+        return std::all_of(machines_.begin(), machines_.end(),
+                           [&](const RankMachine& other) {
+                             return other.colls_arrived > m.coll_ordinal;
+                           });
+    }
+    OSIM_UNREACHABLE("bad block kind");
+  }
+
+  /// Executes as many records of rank `r` as possible; true on progress.
+  bool advance(Rank r) {
+    RankMachine& m = machine(r);
+    bool progressed = false;
+    while (!m.finished) {
+      if (m.block != BlockKind::kNone) {
+        if (!block_resolved(m)) return progressed;
+        m.block = BlockKind::kNone;
+        progressed = true;
+      }
+      const auto& recs = stream(r);
+      if (m.pc >= recs.size()) {
+        m.finished = true;
+        progressed = true;
+        break;
+      }
+      const std::size_t i = m.pc++;
+      progressed = true;
+      execute(r, m, i, recs[i]);
+    }
+    return progressed;
+  }
+
+  void execute(Rank r, RankMachine& m, std::size_t i, const Record& rec) {
+    if (const auto* send = std::get_if<Send>(&rec)) {
+      if (!in_range(send->dest) || send->dest == r) return;  // match pass
+      sends_pool_.push_back(PendingSend{
+          SendEnvelope{r, send->dest, send->tag, send->bytes},
+          send->synchronous || send->bytes > eager_threshold_, false});
+      PendingSend* ps = &sends_pool_.back();
+      match_send(ps);
+      if (send->immediate) {
+        if (send->request != trace::kNoRequest) {
+          m.requests[send->request] = ReqEntry{ps, nullptr};
+        }
+        return;
+      }
+      if (ps->rendezvous && !ps->matched) {
+        m.block = BlockKind::kSend;
+        m.block_record = i;
+        m.blocked_send = ps;
+      }
+    } else if (const auto* recv = std::get_if<Recv>(&rec)) {
+      if ((recv->src != kAnyRank && !in_range(recv->src)) ||
+          recv->src == r) {
+        return;  // reported by the match pass
+      }
+      recvs_pool_.push_back(PendingRecv{
+          RecvEnvelope{recv->src, r, recv->tag, recv->bytes}, false});
+      PendingRecv* pr = &recvs_pool_.back();
+      match_recv(pr);
+      if (recv->immediate) {
+        if (recv->request != trace::kNoRequest) {
+          m.requests[recv->request] = ReqEntry{nullptr, pr};
+        }
+        return;
+      }
+      if (!pr->matched) {
+        m.block = BlockKind::kRecv;
+        m.block_record = i;
+        m.blocked_recv = pr;
+      }
+    } else if (const auto* wait = std::get_if<Wait>(&rec)) {
+      std::vector<ReqId> pending;
+      for (const ReqId req : wait->requests) {
+        const auto it = m.requests.find(req);
+        // Unknown requests are the requests pass's finding; treat them as
+        // complete so one defect does not cascade into phantom deadlocks.
+        if (it != m.requests.end() && !it->second.complete()) {
+          pending.push_back(req);
+        }
+      }
+      if (!pending.empty()) {
+        m.block = BlockKind::kWait;
+        m.block_record = i;
+        m.wait_pending = std::move(pending);
+      }
+    } else if (std::get_if<GlobalOp>(&rec) != nullptr) {
+      m.coll_ordinal = m.colls_arrived++;
+      m.block = BlockKind::kCollective;
+      m.block_record = i;
+    }
+    // CpuBurst: no dependency.
+  }
+
+  void match_send(PendingSend* send) {
+    auto& recvs = unmatched_recvs_[static_cast<std::size_t>(send->env.dst)];
+    for (auto it = recvs.begin(); it != recvs.end(); ++it) {
+      if (envelope_matches((*it)->env, send->env)) {
+        (*it)->matched = true;
+        send->matched = true;
+        recvs.erase(it);
+        return;
+      }
+    }
+    unmatched_sends_[static_cast<std::size_t>(send->env.dst)].push_back(send);
+  }
+
+  void match_recv(PendingRecv* recv) {
+    auto& sends = unmatched_sends_[static_cast<std::size_t>(recv->env.dst)];
+    for (auto it = sends.begin(); it != sends.end(); ++it) {
+      if (envelope_matches(recv->env, (*it)->env)) {
+        (*it)->matched = true;
+        recv->matched = true;
+        sends.erase(it);
+        return;
+      }
+    }
+    unmatched_recvs_[static_cast<std::size_t>(recv->env.dst)].push_back(recv);
+  }
+
+  /// Ranks this stuck rank is waiting on (blame edges), and a short
+  /// description of what it needs from them.
+  std::vector<Rank> blame_targets(Rank r, const RankMachine& m,
+                                  std::string* what) const;
+
+  const trace::Trace& trace_;
+  const std::uint64_t eager_threshold_;
+  std::vector<RankMachine> machines_;
+  // Stable-address pools; inbox deques point into them.
+  std::deque<PendingSend> sends_pool_;
+  std::deque<PendingRecv> recvs_pool_;
+  std::vector<std::deque<PendingSend*>> unmatched_sends_;
+  std::vector<std::deque<PendingRecv*>> unmatched_recvs_;
+};
+
+std::vector<Rank> AbstractMachine::blame_targets(Rank r, const RankMachine& m,
+                                                 std::string* what) const {
+  std::set<Rank> targets;
+  switch (m.block) {
+    case BlockKind::kSend:
+      targets.insert(m.blocked_send->env.dst);
+      *what = strprintf("a matching recv on rank %d",
+                        m.blocked_send->env.dst);
+      break;
+    case BlockKind::kRecv:
+      if (m.blocked_recv->env.src != kAnyRank) {
+        targets.insert(m.blocked_recv->env.src);
+        *what = strprintf("a matching send from rank %d",
+                          m.blocked_recv->env.src);
+      } else {
+        for (Rank o = 0; o < trace_.num_ranks; ++o) {
+          if (o != r && !machines_[static_cast<std::size_t>(o)].finished) {
+            targets.insert(o);
+          }
+        }
+        *what = "a matching send from ANY_SOURCE";
+      }
+      break;
+    case BlockKind::kWait:
+      for (const ReqId req : m.wait_pending) {
+        const auto it = m.requests.find(req);
+        if (it == m.requests.end() || it->second.complete()) continue;
+        if (it->second.send != nullptr) {
+          targets.insert(it->second.send->env.dst);
+        } else if (it->second.recv != nullptr) {
+          if (it->second.recv->env.src != kAnyRank) {
+            targets.insert(it->second.recv->env.src);
+          } else {
+            for (Rank o = 0; o < trace_.num_ranks; ++o) {
+              if (o != r &&
+                  !machines_[static_cast<std::size_t>(o)].finished) {
+                targets.insert(o);
+              }
+            }
+          }
+        }
+      }
+      *what = strprintf("%zu incomplete request(s)", m.wait_pending.size());
+      break;
+    case BlockKind::kCollective:
+      for (Rank o = 0; o < trace_.num_ranks; ++o) {
+        if (o != r && machines_[static_cast<std::size_t>(o)].colls_arrived <=
+                          m.coll_ordinal) {
+          targets.insert(o);
+        }
+      }
+      *what = strprintf("collective #%lld arrival",
+                        static_cast<long long>(m.coll_ordinal));
+      break;
+    case BlockKind::kNone:
+      break;
+  }
+  return std::vector<Rank>(targets.begin(), targets.end());
+}
+
+void AbstractMachine::report_stuck(Report& report) const {
+  std::vector<Rank> stuck;
+  for (Rank r = 0; r < trace_.num_ranks; ++r) {
+    if (!machines_[static_cast<std::size_t>(r)].finished) stuck.push_back(r);
+  }
+  if (stuck.empty()) return;
+
+  // Blame edges restricted to stuck ranks (a finished rank cannot be part
+  // of a cycle), plus per-rank description for the chain text.
+  std::map<Rank, std::vector<Rank>> edges;
+  std::map<Rank, std::string> needs;
+  const std::set<Rank> stuck_set(stuck.begin(), stuck.end());
+  for (const Rank r : stuck) {
+    const RankMachine& m = machines_[static_cast<std::size_t>(r)];
+    std::string what;
+    std::vector<Rank> targets = blame_targets(r, m, &what);
+    needs[r] = what;
+    std::vector<Rank>& out = edges[r];
+    for (const Rank t : targets) {
+      if (stuck_set.count(t) > 0) out.push_back(t);
+    }
+  }
+
+  // Strongly connected components (iterative Tarjan) over stuck ranks.
+  std::map<Rank, int> index, lowlink, component;
+  std::vector<Rank> scc_stack;
+  std::set<Rank> on_stack;
+  int next_index = 0, next_component = 0;
+  struct Frame {
+    Rank rank;
+    std::size_t edge = 0;
+  };
+  for (const Rank root : stuck) {
+    if (index.count(root) > 0) continue;
+    std::vector<Frame> call_stack{{root}};
+    index[root] = lowlink[root] = next_index++;
+    scc_stack.push_back(root);
+    on_stack.insert(root);
+    while (!call_stack.empty()) {
+      Frame& frame = call_stack.back();
+      const std::vector<Rank>& out = edges[frame.rank];
+      if (frame.edge < out.size()) {
+        const Rank next = out[frame.edge++];
+        if (index.count(next) == 0) {
+          index[next] = lowlink[next] = next_index++;
+          scc_stack.push_back(next);
+          on_stack.insert(next);
+          call_stack.push_back(Frame{next});
+        } else if (on_stack.count(next) > 0) {
+          lowlink[frame.rank] = std::min(lowlink[frame.rank], index[next]);
+        }
+      } else {
+        if (lowlink[frame.rank] == index[frame.rank]) {
+          while (true) {
+            const Rank popped = scc_stack.back();
+            scc_stack.pop_back();
+            on_stack.erase(popped);
+            component[popped] = next_component;
+            if (popped == frame.rank) break;
+          }
+          ++next_component;
+        }
+        const Rank done = frame.rank;
+        call_stack.pop_back();
+        if (!call_stack.empty()) {
+          lowlink[call_stack.back().rank] =
+              std::min(lowlink[call_stack.back().rank], lowlink[done]);
+        }
+      }
+    }
+  }
+
+  std::map<int, std::vector<Rank>> members;
+  for (const Rank r : stuck) members[component[r]].push_back(r);
+
+  std::set<Rank> in_cycle;
+  for (const auto& [comp, ranks] : members) {
+    if (ranks.size() < 2) continue;  // no self-edges, so singletons: acyclic
+    for (const Rank r : ranks) in_cycle.insert(r);
+    std::vector<std::string> chain;
+    for (const Rank r : ranks) {
+      const RankMachine& m = machines_[static_cast<std::size_t>(r)];
+      std::vector<std::string> waits;
+      for (const Rank t : edges[r]) {
+        waits.push_back(strprintf("%d", t));
+      }
+      chain.push_back(strprintf(
+          "rank %d blocked at record %zu [%s] needs %s (waits on rank %s)",
+          r, m.block_record,
+          trace::to_string(stream(r)[m.block_record]).c_str(),
+          needs.at(r).c_str(), join(waits, ", rank ").c_str()));
+    }
+    std::vector<std::string> rank_names;
+    for (const Rank r : ranks) rank_names.push_back(strprintf("%d", r));
+    report.error(kPass, -1, kNoRecord,
+                 strprintf("deadlock cycle among ranks %s: %s",
+                           join(rank_names, ", ").c_str(),
+                           join(chain, "; ").c_str()));
+  }
+
+  for (const Rank r : stuck) {
+    if (in_cycle.count(r) > 0) continue;
+    const RankMachine& m = machines_[static_cast<std::size_t>(r)];
+    report.error(
+        kPass, r, static_cast<std::ptrdiff_t>(m.block_record),
+        strprintf("rank starves: blocked at [%s] needing %s that no rank "
+                  "ever provides",
+                  trace::to_string(stream(r)[m.block_record]).c_str(),
+                  needs.at(r).c_str()));
+  }
+}
+
+
+Report check(const Trace& trace) {
+  Report report;
+  AbstractMachine machine(trace, lint::kDefaultEagerThresholdBytes);
+  machine.run_to_fixpoint();
+  machine.report_stuck(report);
+  return report;
+}
+
+}  // namespace dense_deadlock
+
+/// Faults random_trace() can inject; kNone traces mostly converge.
+enum class Fault { kNone, kMissingCollective, kCycle, kStarvation,
+                   kTruncated };
+
+/// A seeded random trace for the differential test. Point-to-point pairs
+/// are emitted in one global order, so without a fault most traces run to
+/// completion; wildcard sources and tags can still steal a message meant
+/// for another pair and strand a receive. The mix: 2-48 ranks, eager and
+/// rendezvous sizes, synchronous sends, blocking and immediate operations
+/// (immediates waited later in random batches, a few never), waits on
+/// unknown requests, compute, and collectives. `fault` adds a collective
+/// one rank skips, a send-send cycle of rendezvous messages, a receive
+/// nobody sends to, or cuts a few rank streams short the way salvage
+/// recovery of a damaged binary trace does.
+Trace random_trace(std::mt19937_64& rng, Fault fault) {
+  const auto n = static_cast<trace::Rank>(2 + rng() % 47);
+  const auto pick = [&rng](std::uint64_t k) { return rng() % k; };
+  const auto chance = [&pick](std::uint64_t pct) { return pick(100) < pct; };
+  const auto any_rank = [&] { return static_cast<trace::Rank>(pick(n)); };
+  const auto size = [&] {
+    return chance(50) ? 1 + pick(lint::kDefaultEagerThresholdBytes)
+                      : lint::kDefaultEagerThresholdBytes + 1 + pick(1 << 17);
+  };
+  Trace t = Trace::make(n, 1000.0);
+  const auto stream = [&t](trace::Rank r) -> std::vector<trace::Record>& {
+    return t.ranks[static_cast<std::size_t>(r)];
+  };
+  std::vector<std::vector<trace::ReqId>> open(static_cast<std::size_t>(n));
+  trace::ReqId next_request = 0;
+  std::int64_t sequence = 0;
+  const auto collective = [&](trace::Rank skip) {
+    for (trace::Rank r = 0; r < n; ++r) {
+      if (r == skip) continue;
+      stream(r).push_back(trace::GlobalOp{CollectiveKind::kAllreduce, 0,
+                                          64, sequence});
+    }
+    ++sequence;
+  };
+
+  const std::size_t steps = 10 + pick(6 * static_cast<std::uint64_t>(n));
+  const std::size_t fault_step = pick(steps);
+  const trace::Tag tags = 1 + static_cast<trace::Tag>(pick(3));
+  for (std::size_t step = 0; step < steps; ++step) {
+    if (step == fault_step) {
+      const trace::Rank a = any_rank();
+      const trace::Rank b = (a + 1 + static_cast<trace::Rank>(pick(n - 1))) % n;
+      const std::uint64_t big = 2 * lint::kDefaultEagerThresholdBytes;
+      switch (fault) {
+        case Fault::kMissingCollective:
+          collective(any_rank());
+          break;
+        case Fault::kCycle:
+          stream(a).push_back(trace::Send{b, 77, big});
+          stream(b).push_back(trace::Send{a, 77, big});
+          stream(a).push_back(trace::Recv{b, 77, big});
+          stream(b).push_back(trace::Recv{a, 77, big});
+          break;
+        case Fault::kStarvation:
+          stream(a).push_back(trace::Recv{b, 99, 8});
+          break;
+        case Fault::kNone:
+        case Fault::kTruncated:
+          break;
+      }
+    }
+    const std::uint64_t kind = pick(100);
+    if (kind < 55) {
+      const trace::Rank src = any_rank();
+      const trace::Rank dst =
+          (src + 1 + static_cast<trace::Rank>(pick(n - 1))) % n;
+      const trace::Tag tag = static_cast<trace::Tag>(pick(tags));
+      const std::uint64_t bytes = size();
+      trace::Send send{dst, tag, bytes};
+      send.synchronous = chance(10);
+      if (chance(40)) {
+        send.immediate = true;
+        send.request = next_request++;
+        open[static_cast<std::size_t>(src)].push_back(send.request);
+      }
+      stream(src).push_back(send);
+      trace::Recv recv{chance(25) ? trace::kAnyRank : src,
+                       chance(10) ? trace::kAnyTag : tag, bytes};
+      if (chance(40)) {
+        recv.immediate = true;
+        recv.request = next_request++;
+        open[static_cast<std::size_t>(dst)].push_back(recv.request);
+      }
+      stream(dst).push_back(recv);
+    } else if (kind < 75) {
+      stream(any_rank()).push_back(trace::CpuBurst{1 + pick(1000)});
+    } else if (kind < 96) {
+      const trace::Rank r = any_rank();
+      std::vector<trace::ReqId>& pending = open[static_cast<std::size_t>(r)];
+      trace::Wait wait;
+      while (!pending.empty() && (wait.requests.empty() || chance(60))) {
+        const std::size_t k = pick(pending.size());
+        wait.requests.push_back(pending[k]);
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(k));
+      }
+      if (wait.requests.empty() || chance(5)) {
+        wait.requests.push_back(1'000'000 + next_request++);  // unknown
+      }
+      stream(r).push_back(std::move(wait));
+    } else {
+      collective(trace::kAnyRank);
+    }
+  }
+  for (trace::Rank r = 0; r < n; ++r) {
+    std::vector<trace::ReqId>& pending = open[static_cast<std::size_t>(r)];
+    if (!pending.empty() && chance(90)) {
+      stream(r).push_back(trace::Wait{pending});
+    }
+  }
+  if (fault == Fault::kTruncated) {
+    for (std::uint64_t cuts = 1 + pick(3); cuts > 0; --cuts) {
+      std::vector<trace::Record>& s = stream(any_rank());
+      s.resize(pick(s.size() + 1));
+    }
+  }
+  return t;
+}
+
+TEST(HbDifferential, MatchesDenseMachinesOnRandomTraces) {
+  std::mt19937_64 rng(15);
+  constexpr Fault kFaults[] = {Fault::kNone, Fault::kMissingCollective,
+                               Fault::kCycle, Fault::kStarvation,
+                               Fault::kTruncated};
+  std::size_t converged = 0, stuck = 0, cycles = 0, wildcard_matches = 0,
+              collectives = 0, records = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    const Fault fault = kFaults[trial % 5];
+    const Trace t = random_trace(rng, fault);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " ranks "
+                                    << t.num_ranks << " fault "
+                                    << static_cast<int>(fault));
+    const lint::HbAnalysis got = lint::analyze_happens_before(t);
+    const dense_hb::HbAnalysis want = dense_hb::analyze(t);
+    ASSERT_EQ(got.converged, want.converged);
+    ASSERT_EQ(got.stuck.empty(), want.converged);
+    for (trace::Rank r = 0; r < t.num_ranks; ++r) {
+      const auto idx = static_cast<std::size_t>(r);
+      for (std::size_t i = 0; i < t.ranks[idx].size(); ++i) {
+        ASSERT_EQ(got.post(r, i), want.post_clocks[idx][i])
+            << "post rank " << r << " record " << i;
+        ASSERT_EQ(got.completion(r, i), want.completion_clocks[idx][i])
+            << "completion rank " << r << " record " << i;
+        if (std::holds_alternative<trace::GlobalOp>(t.ranks[idx][i])) {
+          ++collectives;
+        }
+      }
+      records += t.ranks[idx].size();
+    }
+    ASSERT_EQ(got.matches.size(), want.matches.size());
+    for (std::size_t k = 0; k < got.matches.size(); ++k) {
+      const lint::HbMatch& a = got.matches[k];
+      const lint::HbMatch& b = want.matches[k];
+      ASSERT_EQ(std::tie(a.src, a.send_record, a.dst, a.recv_record),
+                std::tie(b.src, b.send_record, b.dst, b.recv_record))
+          << "match " << k;
+      const auto& recv = std::get<trace::Recv>(
+          t.ranks[static_cast<std::size_t>(a.dst)][a.recv_record]);
+      if (recv.src == kAnyRank) ++wildcard_matches;
+    }
+    lint::Report deadlock;
+    lint::check_deadlock(t, deadlock);
+    ASSERT_EQ(deadlock.render_json(), dense_deadlock::check(t).render_json());
+    if (want.converged) {
+      ++converged;
+    } else {
+      ++stuck;
+    }
+    if (deadlock.render_text().find("deadlock cycle") != std::string::npos) {
+      ++cycles;
+    }
+  }
+  // The generator must actually cover both outcomes and every feature.
+  EXPECT_GE(converged, 15u);
+  EXPECT_GE(stuck, 60u);
+  EXPECT_GE(cycles, 20u);
+  EXPECT_GE(wildcard_matches, 300u);
+  EXPECT_GE(collectives, 5000u);
+  EXPECT_GE(records, 20000u);
+}
+
+// --- golden report bytes on every bundled application -----------------------
+
+/// FNV-1a 64 over the bytes of `text`.
+std::uint64_t fnv1a64(std::string_view text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+/// One line per (app, variant, rank count): the size and FNV-1a 64 of
+/// lint_trace(...).render_json() for the app's original and overlap_real
+/// traces (3 iterations, 4 chunks) at 16 and 64 ranks.
+std::vector<std::string> lint_bytes_lines() {
+  std::vector<std::string> lines;
+  for (const std::int32_t ranks : {16, 64}) {
+    for (const apps::MiniApp* app : apps::registry()) {
+      apps::AppConfig config;
+      config.ranks = ranks;
+      config.iterations = 3;
+      while (!app->supports_ranks(config.ranks)) ++config.ranks;
+      const tracer::TracedRun traced = apps::trace_app(*app, config, {});
+      overlap::OverlapOptions overlap_options;
+      overlap_options.chunks = 4;
+      for (const pipeline::TraceVariant variant :
+           {pipeline::TraceVariant::kOriginal,
+            pipeline::TraceVariant::kOverlapMeasured}) {
+        const pipeline::ReplayContext context = pipeline::make_context(
+            traced.annotated, variant, overlap_options,
+            dimemas::Platform::marenostrum(config.ranks,
+                                           app->paper_buses()));
+        const std::string json =
+            lint::lint_trace(context.trace()).render_json();
+        lines.push_back(strprintf(
+            "%s %s ranks=%d bytes=%zu fnv1a64=%016llx", app->name().c_str(),
+            variant == pipeline::TraceVariant::kOriginal ? "original"
+                                                         : "overlap_real",
+            config.ranks, json.size(),
+            static_cast<unsigned long long>(fnv1a64(json))));
+      }
+    }
+  }
+  return lines;
+}
+
+// tests/golden/lint_bytes.golden was generated with the dense-clock engine
+// (one vector clock per record, separate deadlock machine) that the
+// epoch-based machine replaced; the reports must stay byte-identical.
+TEST(LintGolden, ReportBytesMatchGolden) {
+  const std::string path =
+      std::string(OSIM_GOLDEN_DIR) + "/lint_bytes.golden";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open()) << "missing golden file: " << path;
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) golden.push_back(line);
+  }
+  const std::vector<std::string> lines = lint_bytes_lines();
+  ASSERT_EQ(lines.size(), golden.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i], golden[i]) << "line " << i;
+  }
 }
 
 }  // namespace

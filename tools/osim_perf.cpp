@@ -1,6 +1,6 @@
 // osim_perf — the replay-core benchmark harness.
 //
-// Times the simulator's three hot paths over the bundled mini-apps and
+// Times the simulator's four hot paths over the bundled mini-apps and
 // writes a versioned BENCH_replay.json for tracking and CI gating:
 //
 //   replay  — events/second through dimemas::replay (the DES inner loop:
@@ -9,7 +9,10 @@
 //   ingest  — traces/second through binary trace ingestion (mmap'd
 //             zero-copy parse, CRC footer verification);
 //   study   — scenarios/second through a pipeline::Study bandwidth sweep
-//             at --jobs N (thread pool + fingerprint cache overhead).
+//             at --jobs N (thread pool + fingerprint cache overhead);
+//   lint    — trace records/second through lint::lint_trace over the
+//             overlapped traces, on one thread (the happens-before machine
+//             dominates it).
 //
 // Each path runs --repetitions times; the JSON records every repetition
 // plus the median, and scripts/perf_gate.py compares the medians against
@@ -20,7 +23,7 @@
 //   osim_perf --jobs 8 --ranks 32 --iterations 16   # a bigger workload
 //
 // --perf-json writes the harness's own record (wall, CPU, peak RSS and the
-// three medians). A store directory, from --cache-dir or $OSIM_CACHE_DIR,
+// four medians). A store directory, from --cache-dir or $OSIM_CACHE_DIR,
 // is refused with exit 2: every path here times uncached work.
 //
 // This tool calls dimemas::replay directly on purpose: it times the
@@ -43,6 +46,7 @@
 #include "common/stats.hpp"
 #include "dimemas/progress.hpp"
 #include "dimemas/replay.hpp"
+#include "lint/lint.hpp"
 #include "metrics/json.hpp"
 #include "overlap/options.hpp"
 #include "pipeline/context.hpp"
@@ -85,8 +89,8 @@ int main(int argc, char** argv) try {
   RunOptions run;
 
   Flags flags(
-      "osim_perf: time the replay/ingest/study hot paths over the bundled "
-      "apps and write a versioned BENCH_replay.json");
+      "osim_perf: time the replay/ingest/study/lint hot paths over the "
+      "bundled apps and write a versioned BENCH_replay.json");
   flags.add("repetitions", &repetitions,
             "timed repetitions per path (the JSON records each plus the "
             "median)");
@@ -229,6 +233,31 @@ int main(int argc, char** argv) try {
   std::fprintf(stderr, "[perf] study: %.3g scenarios/s at %d jobs\n",
                study_path.median, jobs);
 
+  // --- path 4: lint (trace records/second, one thread) -------------------
+  PathResult lint_path;
+  lint_path.unit = "records_per_s";
+  for (std::int64_t rep = 0; rep < repetitions; ++rep) {
+    std::size_t records = 0;
+    std::size_t diagnostics = 0;
+    const Clock::time_point start = Clock::now();
+    for (const Workload& w : workloads) {
+      lint::LintOptions lint_options;
+      lint_options.eager_threshold_bytes =
+          w.overlapped.platform().eager_threshold_bytes;
+      diagnostics += lint::lint_trace(w.overlapped.trace(), lint_options)
+                         .diagnostics()
+                         .size();
+      records += w.overlapped.trace().total_records();
+    }
+    OSIM_CHECK(diagnostics > 0);
+    const double wall = seconds_since(start);
+    lint_path.runs.push_back(static_cast<double>(records) / wall);
+    lint_path.work = static_cast<double>(records);
+  }
+  finalize(lint_path);
+  std::fprintf(stderr, "[perf] lint: %.3g records/s (median of %lld)\n",
+               lint_path.median, static_cast<long long>(repetitions));
+
   // --- BENCH_replay.json -------------------------------------------------
   char hostname[256] = "unknown";
   gethostname(hostname, sizeof(hostname) - 1);
@@ -251,9 +280,10 @@ int main(int argc, char** argv) try {
   w.end_object();
   w.key("repetitions").value(repetitions);
   w.key("paths").begin_object();
-  const PathResult* paths[] = {&replay_path, &ingest_path, &study_path};
-  const char* names[] = {"replay", "ingest", "study"};
-  for (int i = 0; i < 3; ++i) {
+  const PathResult* paths[] = {&replay_path, &ingest_path, &study_path,
+                               &lint_path};
+  const char* names[] = {"replay", "ingest", "study", "lint"};
+  for (int i = 0; i < 4; ++i) {
     w.key(names[i]).begin_object();
     w.key("unit").value(paths[i]->unit);
     w.key("median").value(paths[i]->median);
@@ -272,12 +302,13 @@ int main(int argc, char** argv) try {
   std::fputs("\n", f);
   std::fclose(f);
   std::printf("wrote %s (replay %.3g events/s, ingest %.3g traces/s, "
-              "study %.3g scenarios/s)\n",
+              "study %.3g scenarios/s, lint %.3g records/s)\n",
               out_path.c_str(), replay_path.median, ingest_path.median,
-              study_path.median);
+              study_path.median, lint_path.median);
   perf.add("replay_events_per_s", replay_path.median);
   perf.add("ingest_traces_per_s", ingest_path.median);
   perf.add("study_scenarios_per_s", study_path.median);
+  perf.add("lint_records_per_s", lint_path.median);
   perf.write_if(run.perf_json);
   return kExitOk;
 } catch (const osim::UsageError& e) {
