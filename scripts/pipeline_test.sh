@@ -67,6 +67,63 @@ if "$BUILD/tools/osim_lint" --trace "$OUT/broken.trace" \
 fi
 grep -q "unmatched send" "$OUT/broken.txt"
 
+# One structural checker (lint::check_structure) gates osim_replay,
+# osim_inspect and osim_lint alike. A receive buffer larger than its send
+# is the replayer's matching rule, so that trace replays...
+cat > "$OUT/bigrecv.trace" <<TRC
+#OSIM-TRACE v1
+meta app bigrecv
+meta ranks 2
+meta mips 1000
+rank 0
+s 1 7 512
+rank 1
+r 0 7 1024
+TRC
+"$BUILD/tools/osim_replay" --trace "$OUT/bigrecv.trace" > "$OUT/bigrecv.txt"
+grep -q "makespan:" "$OUT/bigrecv.txt"
+
+# ...a collective rooted at a rank the trace does not have is rejected
+# (exit 1) by the replayer and by osim_inspect, naming the record...
+cat > "$OUT/badroot.trace" <<TRC
+#OSIM-TRACE v1
+meta app badroot
+meta ranks 2
+meta mips 1000
+rank 0
+g bcast 9 64 0
+rank 1
+g bcast 9 64 0
+TRC
+set +e
+"$BUILD/tools/osim_replay" --trace "$OUT/badroot.trace" \
+    > /dev/null 2> "$OUT/badroot_replay.txt"
+replay_rc=$?
+"$BUILD/tools/osim_inspect" --trace "$OUT/badroot.trace" --validate-only \
+    > "$OUT/badroot_inspect.txt" 2>&1
+inspect_rc=$?
+set -e
+if [ "$replay_rc" -ne 1 ] || [ "$inspect_rc" -ne 1 ]; then
+  echo "bad collective root: expected exit 1 (replay, inspect), got" \
+       "$replay_rc, $inspect_rc" >&2
+  exit 1
+fi
+grep -q "error \[collectives\] rank 0 record 0: collective root rank 9" \
+    "$OUT/badroot_replay.txt"
+grep -q "error \[collectives\] rank 0 record 0: collective root rank 9" \
+    "$OUT/badroot_inspect.txt"
+
+# ...and osim_inspect reports an unmatched send by its record, not with a
+# one-line summary.
+set +e
+"$BUILD/tools/osim_inspect" --trace "$OUT/broken.trace" --validate-only \
+    > "$OUT/broken_inspect.txt" 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 1 ] || { echo "inspect unmatched send: expected exit 1, got $rc" >&2; exit 1; }
+grep -q "error \[match\] rank 0 record 0: unmatched send" \
+    "$OUT/broken_inspect.txt"
+
 # Platform file round trip through the replay tool.
 cat > "$OUT/platform.cfg" <<CFG
 nodes 4
@@ -220,6 +277,17 @@ fi
 "$BUILD/tools/osim_inspect" --trace "$OUT/cg.original.trace" --fingerprint \
     --platform "$OUT/platform.cfg" --cache-dir "$CACHE" > "$OUT/fp.txt"
 grep -q "(present)" "$OUT/fp.txt"
+
+# --fingerprint does not validate: combining it with a validation mode is
+# a usage error (exit 2), not a silently dropped flag.
+for mode in --validate --validate-only; do
+  set +e
+  "$BUILD/tools/osim_inspect" --trace "$OUT/cg.original.trace" \
+      --fingerprint "$mode" > /dev/null 2>&1
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || { echo "--fingerprint $mode: expected exit 2, got $rc" >&2; exit 1; }
+done
 
 # Warm/cold bench round trip: the second run reports every scenario from
 # the disk tier, with makespans bit-identical to the cold run.

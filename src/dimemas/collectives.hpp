@@ -49,8 +49,8 @@ const char* collective_algo_name(CollectiveAlgo algo);
 bool has_collectives(const trace::Trace& trace);
 
 /// Returns a trace with every GlobalOp replaced by point-to-point records.
-/// The input must pass trace::validate(). Request ids introduced by the
-/// expansion are allocated above the per-rank maximum already in use.
+/// The input must pass lint::check_structure(). Request ids introduced by
+/// the expansion are allocated above the per-rank maximum already in use.
 trace::Trace expand_collectives(
     const trace::Trace& trace,
     CollectiveAlgo algo = CollectiveAlgo::kBinomialTree);

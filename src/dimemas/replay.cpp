@@ -801,7 +801,6 @@ class Replayer {
         OSIM_CHECK_MSG(speed > 0.0, "per-node CPU speed must be positive");
       }
     }
-    if (options_.validate_input) trace::validate(trace_);
     if (options_.auto_expand_collectives && has_collectives(trace_)) {
       expanded_ = expand_collectives(trace_, options_.collective_algo);
       replayed_ = &expanded_;

@@ -50,7 +50,6 @@ struct ReplayOptions {
   bool collect_metrics = false;
   bool auto_expand_collectives = true;
   CollectiveAlgo collective_algo = CollectiveAlgo::kBinomialTree;
-  bool validate_input = true;
   /// Abort with osim::Error if simulated time exceeds this (runaway guard).
   double max_sim_time_s = std::numeric_limits<double>::infinity();
   /// Deterministic fault & perturbation injection (see faults/model.hpp).
@@ -71,8 +70,13 @@ struct ReplayOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// Replays `trace` on `platform`. Throws osim::Error on malformed traces or
-/// deadlock (with a per-rank diagnostic of where each rank is stuck).
+/// Replays `trace` on `platform`. Precondition: `trace` is structurally
+/// valid — lint::check_structure reports no errors. replay() does not
+/// re-check; callers pass a trace that came through a
+/// pipeline::ReplayContext, which checks it once at construction. A
+/// receive buffer at least as large as its send matches (see
+/// dimemas/matching.hpp) and delivers the send's bytes. Throws osim::Error
+/// on deadlock (with a per-rank diagnostic of where each rank is stuck).
 SimResult replay(const trace::Trace& trace, const Platform& platform,
                  const ReplayOptions& options = {});
 

@@ -1,10 +1,11 @@
 // Structured diagnostics for the trace semantic verifier.
 //
 // Every lint pass reports findings as Diagnostic values instead of throwing
-// on the first problem (the contract trace::validate() has): a single run
-// surfaces *all* defects, each anchored to the rank and record index that
-// caused it, so a broken transform or tracer bug can be located without
-// bisecting the trace by hand.
+// on the first problem: a single run surfaces *all* defects, each anchored
+// to the rank and record index that caused it, so a broken transform or
+// tracer bug can be located without bisecting the trace by hand. The same
+// reports are the replayer's structural check (lint::check_structure),
+// whose errors pipeline::ReplayContext renders into its exception.
 //
 // Diagnostics carry an optional machine-stable `code` (a short slug such as
 // "zero-window" or "wildcard-race" that tools may key on) and an optional

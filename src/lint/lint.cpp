@@ -22,8 +22,10 @@ namespace {
 
 /// Shape sanity: all other passes index trace.ranks by rank id, so a trace
 /// whose stream count disagrees with its declared rank count (possible
-/// after salvage recovery of a damaged file) cannot be analyzed at all.
-bool check_structure(const trace::Trace& trace, Report& report) {
+/// after salvage recovery of a damaged file), or that declares no ranks,
+/// cannot be analyzed at all. A non-positive MIPS rate is reported but
+/// does not stop the record passes.
+bool check_shape(const trace::Trace& trace, Report& report) {
   if (trace.num_ranks < 0 ||
       trace.ranks.size() != static_cast<std::size_t>(trace.num_ranks)) {
     report.add(Diagnostic{
@@ -33,6 +35,16 @@ bool check_structure(const trace::Trace& trace, Report& report) {
                   trace.num_ranks, trace.ranks.size()),
         {}});
     return false;
+  }
+  if (trace.num_ranks == 0) {
+    report.add(Diagnostic{Severity::kError, "structure", "no-ranks", -1,
+                          kNoRecord, "trace declares no ranks", {}});
+    return false;
+  }
+  if (!(trace.mips > 0.0)) {
+    report.add(Diagnostic{
+        Severity::kError, "structure", "mips", -1, kNoRecord,
+        strprintf("trace MIPS rate %g is not positive", trace.mips), {}});
   }
   return true;
 }
@@ -60,18 +72,18 @@ void run_tasks(std::vector<std::function<void()>>& tasks, int jobs) {
   for (std::thread& t : pool) t.join();
 }
 
-}  // namespace
-
-Report lint_trace(const trace::Trace& trace, const LintOptions& options) {
+/// The one pass schedule behind check_structure and lint_trace. Slot
+/// layout (canonical merge order): match, requests per rank, collectives,
+/// then with `semantic` deadlock and the happens-before passes (races +
+/// overlap share one slot). Deadlock, races and overlap read one run of
+/// the abstract machine, so they share one task.
+Report run_passes(const trace::Trace& trace, const LintOptions& options,
+                  bool semantic) {
   Report report;
-  if (!check_structure(trace, report)) return report;
+  if (!check_shape(trace, report)) return report;
 
   const std::size_t num_ranks = trace.ranks.size();
-  // Slot layout (canonical merge order): match, requests per rank,
-  // collectives, deadlock, then the happens-before passes (races + overlap
-  // share one slot). Deadlock, races and overlap read one run of the
-  // abstract machine, so they share one task.
-  std::vector<Report> slots(num_ranks + 4);
+  std::vector<Report> slots(num_ranks + (semantic ? 4 : 2));
   std::vector<std::function<void()>> tasks;
   tasks.emplace_back([&] { check_matching(trace, slots[0]); });
   for (std::size_t r = 0; r < num_ranks; ++r) {
@@ -81,17 +93,29 @@ Report lint_trace(const trace::Trace& trace, const LintOptions& options) {
   }
   tasks.emplace_back(
       [&] { check_collectives(trace, slots[num_ranks + 1]); });
-  tasks.emplace_back([&] {
-    const HbAnalysis hb =
-        analyze_happens_before(trace, options.eager_threshold_bytes);
-    check_deadlock(trace, hb, slots[num_ranks + 2]);
-    check_races(trace, hb, slots[num_ranks + 3]);
-    check_overlap_hazards(trace, hb, slots[num_ranks + 3]);
-  });
+  if (semantic) {
+    tasks.emplace_back([&] {
+      const HbAnalysis hb =
+          analyze_happens_before(trace, options.eager_threshold_bytes);
+      check_deadlock(trace, hb, slots[num_ranks + 2]);
+      check_races(trace, hb, slots[num_ranks + 3]);
+      check_overlap_hazards(trace, hb, slots[num_ranks + 3]);
+    });
+  }
 
   run_tasks(tasks, options.jobs);
   for (const Report& slot : slots) report.merge(slot);
   return report;
+}
+
+}  // namespace
+
+Report check_structure(const trace::Trace& trace) {
+  return run_passes(trace, {}, /*semantic=*/false);
+}
+
+Report lint_trace(const trace::Trace& trace, const LintOptions& options) {
+  return run_passes(trace, options, /*semantic=*/true);
 }
 
 Report lint_transform(const trace::Trace& original,

@@ -12,12 +12,15 @@
 // clock evidence); nothing throws on a bad trace.
 //
 // Passes (each also callable individually — see the per-pass headers):
-//   0. structure    — rank-stream shape sanity (inline below); when this
-//                     fails the trace cannot be indexed per rank, so all
-//                     other passes are skipped
+//   0. structure    — shape sanity: a positive rank count matching the
+//                     record streams (when this fails the trace cannot be
+//                     indexed per rank, so all other passes are skipped)
+//                     and a positive MIPS rate
 //   1. match        — point-to-point matching (lint/match.hpp)
 //   2. requests     — request lifecycle (lint/requests.hpp)
 //   3. collectives  — collective consistency (lint/collectives.hpp)
+//   (passes 0-3 are check_structure(), the only structural checker: the
+//   replayer's precondition, enforced by pipeline::ReplayContext)
 //   4. deadlock     — cross-rank wait-for cycles (lint/deadlock.hpp)
 //   5. races        — HB-based race detection (lint/races.hpp)
 //   6. overlap      — overlap-window advisories (lint/overlap_hazards.hpp)
@@ -44,8 +47,13 @@ struct LintOptions {
   int jobs = 1;
 };
 
-/// Runs the single-trace passes (structure, match, requests, collectives,
-/// deadlock, races, overlap).
+/// Runs the structural passes (structure, match, requests, collectives) on
+/// one thread. A trace with no errors here is one the replayer runs: this
+/// is the check pipeline::ReplayContext and osim_inspect apply.
+Report check_structure(const trace::Trace& trace);
+
+/// Runs the single-trace passes: check_structure's, then deadlock, races
+/// and overlap, merged in that order.
 Report lint_trace(const trace::Trace& trace, const LintOptions& options = {});
 
 /// Runs the transform-safety pass on an original / transformed pair. The

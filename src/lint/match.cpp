@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <map>
+#include <numeric>
 #include <tuple>
 #include <variant>
 #include <vector>
@@ -56,7 +57,10 @@ std::string recv_desc(const RecvSite& site) {
 
 /// Kuhn's augmenting-path maximum bipartite matching: recv index assigned
 /// to each send, -1 when unmatched. Used only for destinations with
-/// wildcard receives, where FIFO pairing is not defined.
+/// wildcard receives, where FIFO pairing is not defined. Each augment
+/// visits the receives in index order; visited ones are skipped through a
+/// path-halving "next unvisited index" array, reset per top-level augment,
+/// so a level never rescans the receives deeper levels already visited.
 class BipartiteMatcher {
  public:
   BipartiteMatcher(const std::vector<SendSite>& sends,
@@ -64,8 +68,10 @@ class BipartiteMatcher {
       : sends_(sends), recvs_(recvs) {
     recv_of_send_.assign(sends.size(), -1);
     send_of_recv_.assign(recvs.size(), -1);
+    next_unvisited_.resize(recvs.size() + 1);
     for (std::size_t s = 0; s < sends.size(); ++s) {
-      visited_.assign(recvs.size(), false);
+      std::iota(next_unvisited_.begin(), next_unvisited_.end(),
+                std::size_t{0});
       augment(s);
     }
   }
@@ -78,12 +84,20 @@ class BipartiteMatcher {
   }
 
  private:
+  /// First unvisited receive at or after `r`; recvs_.size() when none.
+  std::size_t unvisited_from(std::size_t r) {
+    while (next_unvisited_[r] != r) {
+      next_unvisited_[r] = next_unvisited_[next_unvisited_[r]];
+      r = next_unvisited_[r];
+    }
+    return r;
+  }
+
   bool augment(std::size_t s) {
-    for (std::size_t r = 0; r < recvs_.size(); ++r) {
-      if (visited_[r] || !envelope_matches(recvs_[r].env, sends_[s].env)) {
-        continue;
-      }
-      visited_[r] = true;
+    for (std::size_t r = unvisited_from(0); r < recvs_.size();
+         r = unvisited_from(r + 1)) {
+      if (!envelope_matches(recvs_[r].env, sends_[s].env)) continue;
+      next_unvisited_[r] = r + 1;  // mark visited
       if (send_of_recv_[r] < 0 ||
           augment(static_cast<std::size_t>(send_of_recv_[r]))) {
         send_of_recv_[r] = static_cast<std::ptrdiff_t>(s);
@@ -98,7 +112,7 @@ class BipartiteMatcher {
   const std::vector<RecvSite>& recvs_;
   std::vector<std::ptrdiff_t> recv_of_send_;
   std::vector<std::ptrdiff_t> send_of_recv_;
-  std::vector<bool> visited_;
+  std::vector<std::size_t> next_unvisited_;
 };
 
 /// Deterministic FIFO pairing for a destination with no wildcard receives:

@@ -33,7 +33,9 @@ struct Pairing {
 };
 
 /// Throws osim::Error if point-to-point traffic cannot be paired (count or
-/// size mismatch), mirroring trace::validate's pairwise checks.
+/// size mismatch per (src, dst, tag)). Chunking splits a send and its
+/// receive alike, so this is stricter than lint::check_structure, which
+/// lets a receive buffer exceed its send.
 Pairing pair_messages(const trace::AnnotatedTrace& trace,
                       const OverlapOptions& options);
 

@@ -35,7 +35,8 @@ namespace osim::overlap {
 trace::Trace lower_original(const trace::AnnotatedTrace& annotated);
 
 /// Produces the overlapped trace under `options`. The result passes
-/// trace::validate() whenever the input annotated trace is well formed.
+/// lint::check_structure() whenever the input annotated trace is well
+/// formed.
 trace::Trace transform(const trace::AnnotatedTrace& annotated,
                        const OverlapOptions& options);
 

@@ -77,7 +77,6 @@ void hash_options(FingerprintHasher& h, const dimemas::ReplayOptions& o) {
   h.boolean(o.collect_metrics);
   h.boolean(o.auto_expand_collectives);
   h.u64(static_cast<std::uint64_t>(o.collective_algo));
-  // validate_input is excluded: a sealed context always replays with it off.
   h.f64(o.max_sim_time_s);
   // Hashed only when enabled so faults-off fingerprints stay bit-identical
   // to pre-fault builds. The canonical spec covers every model field.
@@ -90,18 +89,10 @@ void hash_options(FingerprintHasher& h, const dimemas::ReplayOptions& o) {
 std::shared_ptr<const trace::Trace> validated(
     std::shared_ptr<const trace::Trace> trace) {
   OSIM_CHECK(trace != nullptr);
-  try {
-    trace::validate(*trace);
-  } catch (const Error& e) {
-    // Fail at construction with the full picture: the validator's first
-    // finding plus the lint verifier's structured, record-anchored report.
-    std::string message =
-        std::string("ReplayContext: trace failed validation: ") + e.what();
-    const lint::Report report = lint::lint_trace(*trace);
-    if (!report.clean()) {
-      message += "\n" + report.render_text();
-    }
-    throw Error(message);
+  const lint::Report report = lint::check_structure(*trace);
+  if (report.num_errors() > 0) {
+    throw Error("ReplayContext: trace failed validation:\n" +
+                report.render_text());
   }
   return trace;
 }
@@ -114,9 +105,7 @@ Fingerprint fingerprint_of(const trace::Trace& trace) {
 
 Fingerprint combined_fingerprint(const Fingerprint& trace_fingerprint,
                                  const dimemas::Platform& platform,
-                                 dimemas::ReplayOptions options) {
-  options.validate_input = false;  // a sealed context always replays with
-                                   // validation off; hash what replays
+                                 const dimemas::ReplayOptions& options) {
   FingerprintHasher h;
   h.u64(trace_fingerprint.lo);
   h.u64(trace_fingerprint.hi);
@@ -136,9 +125,9 @@ ReplayContext::ReplayContext(std::shared_ptr<const trace::Trace> trace,
     : trace_(validated(std::move(trace))),
       platform_(std::move(platform)),
       options_(options),
-      trace_fingerprint_(trace_fingerprint(*trace_)) {
-  seal();
-}
+      trace_fingerprint_(trace_fingerprint(*trace_)),
+      fingerprint_(
+          combined_fingerprint(trace_fingerprint_, platform_, options_)) {}
 
 ReplayContext::ReplayContext(std::shared_ptr<const trace::Trace> trace,
                              Fingerprint trace_fingerprint,
@@ -147,14 +136,9 @@ ReplayContext::ReplayContext(std::shared_ptr<const trace::Trace> trace,
     : trace_(std::move(trace)),
       platform_(std::move(platform)),
       options_(options),
-      trace_fingerprint_(trace_fingerprint) {
-  seal();
-}
-
-void ReplayContext::seal() {
-  options_.validate_input = false;  // validated once, at construction
-  fingerprint_ = combined_fingerprint(trace_fingerprint_, platform_, options_);
-}
+      trace_fingerprint_(trace_fingerprint),
+      fingerprint_(
+          combined_fingerprint(trace_fingerprint_, platform_, options_)) {}
 
 ReplayContext ReplayContext::with_platform(dimemas::Platform platform) const {
   return ReplayContext(trace_, trace_fingerprint_, std::move(platform),

@@ -1,11 +1,12 @@
 // ReplayContext — the immutable unit of work of the pipeline layer.
 //
 // A context bundles everything one dimemas::replay call consumes: the trace,
-// the platform and the replay options. The trace is validated exactly once,
-// at construction (failing early, with lint diagnostics, instead of deep
-// inside a bandwidth bisection), and is shared by reference between derived
-// contexts, so sweeping a platform parameter across hundreds of scenarios
-// copies no records.
+// the platform and the replay options. The trace is checked exactly once, at
+// construction, by lint::check_structure (failing early, with record-anchored
+// diagnostics, instead of deep inside a bandwidth bisection) — the
+// precondition dimemas::replay relies on — and is shared by reference
+// between derived contexts, so sweeping a platform parameter across hundreds
+// of scenarios copies no records.
 //
 // Every context carries a 128-bit content fingerprint over its three
 // inputs. Because replay() is a pure, deterministic function of exactly
@@ -28,23 +29,20 @@ namespace osim::pipeline {
 /// that do not depend on a platform — e.g. cached lint reports.
 Fingerprint fingerprint_of(const trace::Trace& trace);
 
-/// The combined (trace, platform, options) fingerprint a sealed
-/// ReplayContext would carry — validate_input is forced off first, exactly
-/// as seal() does, so the result matches ReplayContext::fingerprint() bit
-/// for bit. This is the piece that lets a caller who already knows a
-/// trace's fingerprint (the osim_serve controller deduping requests, a
-/// store maintenance tool) address scenarios without re-validating or even
-/// holding the trace.
+/// The combined (trace, platform, options) fingerprint a ReplayContext
+/// carries, bit for bit. This is the piece that lets a caller who already
+/// knows a trace's fingerprint (the osim_serve controller deduping
+/// requests, a store maintenance tool) address scenarios without
+/// re-validating or even holding the trace.
 Fingerprint combined_fingerprint(const Fingerprint& trace_fingerprint,
                                  const dimemas::Platform& platform,
-                                 dimemas::ReplayOptions options);
+                                 const dimemas::ReplayOptions& options);
 
 class ReplayContext {
  public:
-  /// Validates `trace` up front; throws osim::Error on a corrupt trace,
-  /// with the lint verifier's diagnostics appended so the failure names the
-  /// offending rank/record instead of surfacing mid-search. The stored
-  /// options always have validate_input = false: validation has happened.
+  /// Checks `trace` up front with lint::check_structure; throws osim::Error
+  /// on any error, carrying the rendered diagnostics so the failure names
+  /// the offending rank/record instead of surfacing mid-search.
   ReplayContext(trace::Trace trace, dimemas::Platform platform,
                 dimemas::ReplayOptions options = {});
   ReplayContext(std::shared_ptr<const trace::Trace> trace,
@@ -78,9 +76,6 @@ class ReplayContext {
   ReplayContext(std::shared_ptr<const trace::Trace> trace,
                 Fingerprint trace_fingerprint, dimemas::Platform platform,
                 dimemas::ReplayOptions options);
-
-  /// Forces validate_input off and recomputes the combined fingerprint.
-  void seal();
 
   std::shared_ptr<const trace::Trace> trace_;
   dimemas::Platform platform_;

@@ -1,11 +1,6 @@
 #include "trace/trace.hpp"
 
-#include <map>
-#include <set>
-#include <tuple>
-
 #include "common/expect.hpp"
-#include "common/strings.hpp"
 
 namespace osim::trace {
 
@@ -44,149 +39,6 @@ std::uint64_t Trace::total_p2p_bytes_sent(Rank rank) const {
     if (const auto* send = std::get_if<Send>(&rec)) total += send->bytes;
   }
   return total;
-}
-
-namespace {
-
-[[noreturn]] void fail(Rank rank, std::size_t index, const Record& rec,
-                       const std::string& why) {
-  throw Error(strprintf("trace validation: rank %d record %zu [%s]: %s",
-                        rank, index, to_string(rec).c_str(), why.c_str()));
-}
-
-}  // namespace
-
-void validate(const Trace& trace) {
-  if (trace.num_ranks <= 0) throw Error("trace has no ranks");
-  if (trace.ranks.size() != static_cast<std::size_t>(trace.num_ranks)) {
-    throw Error("trace rank-stream count does not match num_ranks");
-  }
-  if (trace.mips <= 0.0) throw Error("trace MIPS rate must be positive");
-
-  // (src, dest, tag) -> queue of pending byte counts, for pairwise matching.
-  std::map<std::tuple<Rank, Rank, Tag>, std::vector<std::uint64_t>> sends;
-  std::map<std::tuple<Rank, Rank, Tag>, std::vector<std::uint64_t>> recvs;
-  bool has_wildcard = false;
-
-  for (Rank rank = 0; rank < trace.num_ranks; ++rank) {
-    std::set<ReqId> open_requests;
-    std::set<ReqId> used_requests;
-    const auto& stream = trace.ranks[static_cast<std::size_t>(rank)];
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      const Record& rec = stream[i];
-      if (const auto* send = std::get_if<Send>(&rec)) {
-        if (send->dest < 0 || send->dest >= trace.num_ranks)
-          fail(rank, i, rec, "destination rank out of range");
-        if (send->dest == rank) fail(rank, i, rec, "self-send");
-        if (send->immediate) {
-          if (send->request == kNoRequest)
-            fail(rank, i, rec, "immediate send without request id");
-          if (!used_requests.insert(send->request).second)
-            fail(rank, i, rec, "request id reused");
-          open_requests.insert(send->request);
-        }
-        sends[{rank, send->dest, send->tag}].push_back(send->bytes);
-      } else if (const auto* recv = std::get_if<Recv>(&rec)) {
-        if (recv->src != kAnyRank &&
-            (recv->src < 0 || recv->src >= trace.num_ranks))
-          fail(rank, i, rec, "source rank out of range");
-        if (recv->src == rank) fail(rank, i, rec, "self-receive");
-        if (recv->immediate) {
-          if (recv->request == kNoRequest)
-            fail(rank, i, rec, "immediate recv without request id");
-          if (!used_requests.insert(recv->request).second)
-            fail(rank, i, rec, "request id reused");
-          open_requests.insert(recv->request);
-        }
-        if (recv->src == kAnyRank || recv->tag == kAnyTag) {
-          has_wildcard = true;
-        } else {
-          recvs[{recv->src, rank, recv->tag}].push_back(recv->bytes);
-        }
-      } else if (const auto* wait = std::get_if<Wait>(&rec)) {
-        if (wait->requests.empty())
-          fail(rank, i, rec, "wait on empty request list");
-        for (const ReqId req : wait->requests) {
-          if (open_requests.erase(req) == 0)
-            fail(rank, i, rec,
-                 strprintf("wait on unknown or completed request %lld",
-                           static_cast<long long>(req)));
-        }
-      }
-      // CpuBurst and GlobalOp have no per-record structural constraints
-      // beyond types; GlobalOp cross-rank agreement is checked below.
-    }
-    if (!open_requests.empty()) {
-      throw Error(strprintf(
-          "trace validation: rank %d finishes with %zu uncompleted requests",
-          rank, open_requests.size()));
-    }
-  }
-
-  // Pairwise matching of point-to-point traffic (skipped when wildcards are
-  // present — matching is then execution-order dependent).
-  if (!has_wildcard) {
-    for (const auto& [key, send_sizes] : sends) {
-      const auto it = recvs.find(key);
-      const std::size_t nrecv = it == recvs.end() ? 0 : it->second.size();
-      if (nrecv != send_sizes.size()) {
-        throw Error(strprintf(
-            "trace validation: %zu sends but %zu recvs for src=%d dest=%d "
-            "tag=%lld",
-            send_sizes.size(), nrecv, std::get<0>(key), std::get<1>(key),
-            static_cast<long long>(std::get<2>(key))));
-      }
-      for (std::size_t i = 0; i < send_sizes.size(); ++i) {
-        if (send_sizes[i] != it->second[i]) {
-          throw Error(strprintf(
-              "trace validation: size mismatch (%llu vs %llu bytes) on "
-              "message %zu of src=%d dest=%d tag=%lld",
-              static_cast<unsigned long long>(send_sizes[i]),
-              static_cast<unsigned long long>(it->second[i]), i,
-              std::get<0>(key), std::get<1>(key),
-              static_cast<long long>(std::get<2>(key))));
-        }
-      }
-    }
-    for (const auto& [key, recv_sizes] : recvs) {
-      if (sends.find(key) == sends.end()) {
-        throw Error(strprintf(
-            "trace validation: %zu recvs with no matching send for src=%d "
-            "dest=%d tag=%lld",
-            recv_sizes.size(), std::get<0>(key), std::get<1>(key),
-            static_cast<long long>(std::get<2>(key))));
-      }
-    }
-  }
-
-  // Global ops: every rank must see the same sequence of (kind, root, seq).
-  std::vector<std::vector<GlobalOp>> per_rank_ops(
-      static_cast<std::size_t>(trace.num_ranks));
-  for (Rank rank = 0; rank < trace.num_ranks; ++rank) {
-    for (const auto& rec : trace.ranks[static_cast<std::size_t>(rank)]) {
-      if (const auto* op = std::get_if<GlobalOp>(&rec)) {
-        per_rank_ops[static_cast<std::size_t>(rank)].push_back(*op);
-      }
-    }
-  }
-  for (Rank rank = 1; rank < trace.num_ranks; ++rank) {
-    const auto& a = per_rank_ops[0];
-    const auto& b = per_rank_ops[static_cast<std::size_t>(rank)];
-    if (a.size() != b.size()) {
-      throw Error(strprintf(
-          "trace validation: rank 0 has %zu global ops but rank %d has %zu",
-          a.size(), rank, b.size()));
-    }
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (a[i].kind != b[i].kind || a[i].root != b[i].root ||
-          a[i].sequence != b[i].sequence) {
-        throw Error(strprintf(
-            "trace validation: global op %zu disagrees between rank 0 (%s) "
-            "and rank %d (%s)",
-            i, collective_name(a[i].kind), rank, collective_name(b[i].kind)));
-      }
-    }
-  }
 }
 
 TraceBuilder::TraceBuilder(std::int32_t num_ranks, double mips,

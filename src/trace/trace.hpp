@@ -32,12 +32,6 @@ struct Trace {
   std::uint64_t total_p2p_bytes_sent(Rank rank) const;
 };
 
-/// Structural validation: every referenced rank exists, waits reference
-/// requests that were previously issued and not yet completed, request ids
-/// are unique per rank, and sends/recvs match pairwise per (src, dest, tag)
-/// in count and size. Throws osim::Error describing the first problem.
-void validate(const Trace& trace);
-
 /// Fluent builder used by tests and by the overlap transformation to
 /// assemble per-rank record streams.
 class TraceBuilder {

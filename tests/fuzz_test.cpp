@@ -33,67 +33,17 @@
 #include "trace/trace.hpp"
 
 #include "object_bytes.hpp"
+#include "random_trace.hpp"
 
 namespace osim {
 namespace {
 
+using fuzz::random_trace;
 using trace::AnnEvent;
 using trace::AnnotatedTrace;
 using trace::Rank;
 using trace::Trace;
 using trace::TraceBuilder;
-
-// --- random replayable traces ----------------------------------------------
-
-/// Builds a random but deadlock-free trace: a sequence of global "rounds",
-/// each either a collective or a set of pairwise exchanges done with
-/// pre-posted irecvs (always safe under rendezvous).
-Trace random_trace(std::uint64_t seed) {
-  Rng rng(seed);
-  const Rank ranks = static_cast<Rank>(2 + rng.below(7));  // 2..8
-  TraceBuilder b(ranks, 500.0 + rng.uniform() * 4000.0);
-  const int rounds = static_cast<int>(1 + rng.below(12));
-  trace::ReqId next_req = 0;
-  for (int round = 0; round < rounds; ++round) {
-    for (Rank r = 0; r < ranks; ++r) {
-      if (rng.below(3) != 0) {
-        b.compute(r, 1 + rng.below(200'000));
-      }
-    }
-    if (rng.below(3) == 0) {
-      // Collective round.
-      static constexpr trace::CollectiveKind kKinds[] = {
-          trace::CollectiveKind::kBarrier, trace::CollectiveKind::kBcast,
-          trace::CollectiveKind::kReduce, trace::CollectiveKind::kAllreduce,
-          trace::CollectiveKind::kGather, trace::CollectiveKind::kScatter,
-          trace::CollectiveKind::kAllgather,
-          trace::CollectiveKind::kAlltoall};
-      const auto kind = kKinds[rng.below(std::size(kKinds))];
-      const Rank root = static_cast<Rank>(rng.below(
-          static_cast<std::uint64_t>(ranks)));
-      const std::uint64_t bytes = 8u << rng.below(10);
-      for (Rank r = 0; r < ranks; ++r) {
-        b.global(r, kind, root, bytes, round);
-      }
-    } else {
-      // Pairwise-exchange round over a random shift.
-      const Rank shift = static_cast<Rank>(
-          1 + rng.below(static_cast<std::uint64_t>(ranks - 1)));
-      const std::uint64_t bytes = 64u << rng.below(12);  // 64 B .. 128 KB
-      const int tag = round;
-      for (Rank r = 0; r < ranks; ++r) {
-        const Rank to = static_cast<Rank>((r + shift) % ranks);
-        const Rank from = static_cast<Rank>((r - shift + ranks) % ranks);
-        const trace::ReqId req = next_req + r;
-        b.irecv(r, from, tag, bytes, req);
-        b.send(r, to, tag, bytes);
-        b.wait(r, {req});
-      }
-      next_req += ranks;
-    }
-  }
-  return std::move(b).build();
-}
 
 dimemas::Platform random_platform(std::uint64_t seed, Rank ranks) {
   Rng rng(seed);
@@ -118,7 +68,7 @@ class RandomTraces : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomTraces, ValidatesAndReplaysDeterministically) {
   const Trace t = random_trace(GetParam());
-  ASSERT_NO_THROW(trace::validate(t));
+  ASSERT_EQ(lint::check_structure(t).num_errors(), 0u);
   const dimemas::Platform p = random_platform(GetParam() * 31 + 7,
                                               t.num_ranks);
   dimemas::ReplayOptions options;
@@ -421,7 +371,7 @@ TEST_P(RandomAnnotated, TransformAlwaysValidAndConserving) {
     options.pattern = pattern;
     options.chunks = static_cast<int>(1 + GetParam() % 7);
     const Trace out = overlap::transform(t, options);
-    ASSERT_NO_THROW(trace::validate(out));
+    ASSERT_EQ(lint::check_structure(out).num_errors(), 0u);
     const Trace original = overlap::lower_original(t);
     for (Rank r = 0; r < t.num_ranks; ++r) {
       EXPECT_EQ(out.total_instructions(r), original.total_instructions(r));

@@ -10,6 +10,7 @@
 #include "apps/app.hpp"
 #include "common/expect.hpp"
 #include "dimemas/replay.hpp"
+#include "lint/lint.hpp"
 #include "overlap/transform.hpp"
 #include "paraver/paraver.hpp"
 #include "pipeline/context.hpp"
@@ -36,12 +37,12 @@ TEST_P(PipelinePerApp, FullPipelineRuns) {
   const tracer::TracedRun traced = apps::trace_app(app, config);
 
   const trace::Trace original = overlap::lower_original(traced.annotated);
-  EXPECT_NO_THROW(trace::validate(original));
+  EXPECT_EQ(lint::check_structure(original).num_errors(), 0u);
 
   overlap::OverlapOptions options;
   const trace::Trace overlapped =
       overlap::transform(traced.annotated, options);
-  EXPECT_NO_THROW(trace::validate(overlapped));
+  EXPECT_EQ(lint::check_structure(overlapped).num_errors(), 0u);
 
   const dimemas::Platform platform =
       dimemas::Platform::marenostrum(config.ranks, app.paper_buses());
@@ -117,7 +118,7 @@ TEST(Mechanisms, TogglesProduceValidTraces) {
           options.double_buffering = double_buffering;
           const trace::Trace t =
               overlap::transform(traced.annotated, options);
-          EXPECT_NO_THROW(trace::validate(t))
+          EXPECT_EQ(lint::check_structure(t).num_errors(), 0u)
               << advance << postpone << chunking << double_buffering;
           const dimemas::Platform platform = dimemas::Platform::marenostrum(
               config.ranks, app.paper_buses());

@@ -5,12 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "apps/app.hpp"
+#include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "lint/lint.hpp"
+#include "lint/match.hpp"
 #include "overlap/pairing.hpp"
 #include "overlap/transform.hpp"
+#include "pipeline/context.hpp"
 #include "trace/trace.hpp"
 
 namespace osim {
@@ -135,6 +141,89 @@ TEST(LintMatch, InfeasibleWildcardAssignmentIsAnError) {
   EXPECT_EQ(d.pass, "match");
   EXPECT_EQ(d.rank, 1);
   EXPECT_TRUE(message_contains(d, "wildcards present")) << d.message;
+}
+
+/// Seeded point-to-point traffic in which about half of the receives are
+/// wildcards and counts and sizes are drawn independently, so the traffic
+/// cannot all match and the bipartite matcher's visit order decides which
+/// sends and receives are reported unmatched.
+Trace wildcard_heavy_trace(std::uint64_t seed) {
+  Rng rng(seed);
+  const auto ranks = static_cast<trace::Rank>(3 + rng.below(10));
+  const auto other_rank = [&](trace::Rank self) {
+    return static_cast<trace::Rank>(
+        (self + 1 + static_cast<trace::Rank>(rng.below(
+                        static_cast<std::uint64_t>(ranks - 1)))) %
+        ranks);
+  };
+  TraceBuilder b(ranks, 1000.0);
+  for (trace::Rank r = 0; r < ranks; ++r) {
+    const std::uint64_t sends = 1 + rng.below(12);
+    for (std::uint64_t k = 0; k < sends; ++k) {
+      b.send(r, other_rank(r), static_cast<trace::Tag>(rng.below(3)),
+             64u << rng.below(3));
+    }
+  }
+  for (trace::Rank r = 0; r < ranks; ++r) {
+    const std::uint64_t recvs = rng.below(14);
+    for (std::uint64_t k = 0; k < recvs; ++k) {
+      const trace::Rank src =
+          rng.below(2) == 0 ? trace::kAnyRank : other_rank(r);
+      const trace::Tag tag = rng.below(3) == 0
+                                 ? trace::kAnyTag
+                                 : static_cast<trace::Tag>(rng.below(3));
+      b.recv(r, src, tag, 64u << rng.below(3));
+    }
+  }
+  return std::move(b).build();
+}
+
+// tests/golden/match_wildcard.golden holds check_matching's text report
+// for each seeded trace above, generated with the original Kuhn matcher
+// that rescanned visited receives; the bounded matcher must reproduce it
+// byte for byte.
+TEST(LintMatch, WildcardDiagnosticsMatchGolden) {
+  std::string text;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Report report;
+    lint::check_matching(wildcard_heavy_trace(seed), report);
+    text += strprintf("# seed %llu\n", static_cast<unsigned long long>(seed));
+    text += report.render_text();
+  }
+  const std::string path =
+      std::string(OSIM_GOLDEN_DIR) + "/match_wildcard.golden";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.is_open()) << "missing golden file: " << path;
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, golden);
+}
+
+/// Master-worker traffic at scale: every rank but 0 sends to rank 0 in
+/// each round, and rank 0 receives them all through ANY_SOURCE, so the
+/// feasibility matcher sees one destination with ranks x rounds wildcard
+/// receives that all match every send.
+Trace any_source_master_worker(trace::Rank ranks, int rounds) {
+  TraceBuilder b(ranks, 1000.0);
+  for (int round = 0; round < rounds; ++round) {
+    for (trace::Rank r = 1; r < ranks; ++r) {
+      b.compute(r, 1000);
+      b.send(r, 0, 3, 64);
+      b.recv(0, trace::kAnyRank, 3, 64);
+    }
+  }
+  return std::move(b).build();
+}
+
+TEST(LintMatch, AnySourceMasterWorkerAt1024RanksStaysBounded) {
+  // A matcher that rescans visited receives is cubic here (minutes); the
+  // bounded one takes well under a second. ctest's TIMEOUT turns a
+  // regression into a failure.
+  const Trace t = any_source_master_worker(1024, 8);
+  const pipeline::ReplayContext context(
+      t, dimemas::Platform::marenostrum(1024, 0));
+  const Report report = lint::lint_trace(context.trace());
+  EXPECT_EQ(report.num_errors(), 0u);
 }
 
 // --- requests pass ----------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "common/expect.hpp"
+#include "lint/lint.hpp"
 #include "overlap/chunks.hpp"
 #include "overlap/pairing.hpp"
 #include "overlap/transform.hpp"
@@ -223,7 +224,7 @@ TEST(LowerOriginal, ReconstructsBursts) {
   t.ranks[1].final_vclock = 10;
 
   const Trace lowered = lower_original(t);
-  EXPECT_NO_THROW(trace::validate(lowered));
+  EXPECT_EQ(lint::check_structure(lowered).num_errors(), 0u);
   // Rank 0: compute(100) send compute(150) send compute(50).
   ASSERT_EQ(lowered.ranks[0].size(), 5u);
   EXPECT_EQ(std::get<trace::CpuBurst>(lowered.ranks[0][0]).instructions,
@@ -283,7 +284,7 @@ Shape shape_of(const std::vector<Record>& stream) {
 
 TEST(Transform, ChunksSendAndRecv) {
   const Trace out = transform(producer_consumer(), OverlapOptions{});
-  EXPECT_NO_THROW(trace::validate(out));
+  EXPECT_EQ(lint::check_structure(out).num_errors(), 0u);
   const Shape sender = shape_of(out.ranks[0]);
   EXPECT_EQ(sender.isends, 4u);
   EXPECT_EQ(sender.send_bytes, 64u);  // byte total conserved
@@ -398,7 +399,7 @@ TEST(Transform, UnchunkableMessagePassesThrough) {
   AnnotatedTrace t = simple_pair(8, 8);
   t.ranks[0].events[0].chunkable = false;
   const Trace out = transform(t, OverlapOptions{});
-  EXPECT_NO_THROW(trace::validate(out));
+  EXPECT_EQ(lint::check_structure(out).num_errors(), 0u);
   const Shape sender = shape_of(out.ranks[0]);
   EXPECT_EQ(sender.isends, 0u);
   EXPECT_EQ(sender.send_bytes, 64u);
@@ -427,7 +428,7 @@ TEST(Transform, AppIrecvWaitReplaced) {
   t.ranks[1].final_vclock = 500;
 
   const Trace out = transform(t, OverlapOptions{});
-  EXPECT_NO_THROW(trace::validate(out));
+  EXPECT_EQ(lint::check_structure(out).num_errors(), 0u);
   // No record may reference the replaced request 7.
   for (const Record& rec : out.ranks[1]) {
     if (const auto* w = std::get_if<Wait>(&rec)) {
@@ -459,7 +460,7 @@ TEST(Transform, SenderRotationWaitsBeforeReuse) {
   t.ranks[1].final_vclock = 400;
 
   const Trace out = transform(t, OverlapOptions{});
-  EXPECT_NO_THROW(trace::validate(out));
+  EXPECT_EQ(lint::check_structure(out).num_errors(), 0u);
   // Track request lifetimes: the first four isend requests must be waited
   // before the fifth isend appears.
   std::set<trace::ReqId> first_batch;
@@ -497,7 +498,7 @@ TEST(Transform, GlobalOpsPassThrough) {
     t.ranks[r].final_vclock = 20;
   }
   const Trace out = transform(t, OverlapOptions{});
-  EXPECT_NO_THROW(trace::validate(out));
+  EXPECT_EQ(lint::check_structure(out).num_errors(), 0u);
   std::size_t globals = 0;
   for (const auto& stream : out.ranks) {
     for (const Record& rec : stream) {
@@ -531,7 +532,7 @@ TEST_P(ChunkCountSweep, AlwaysValidAndConserving) {
   options.chunks = GetParam();
   const AnnotatedTrace t = producer_consumer();
   const Trace out = transform(t, options);
-  EXPECT_NO_THROW(trace::validate(out));
+  EXPECT_EQ(lint::check_structure(out).num_errors(), 0u);
   const Shape sender = shape_of(out.ranks[0]);
   EXPECT_EQ(sender.send_bytes, 64u);
   EXPECT_EQ(sender.isends,

@@ -219,12 +219,6 @@ TEST(Replay, DeadlockDetectedAndDescribed) {
   }
 }
 
-TEST(Replay, ValidatesInputByDefault) {
-  TraceBuilder b(2, 1000.0);
-  b.send(0, 1, 0, 100);  // no matching recv
-  EXPECT_THROW(replay(std::move(b).build(), test_platform(2)), Error);
-}
-
 TEST(Replay, MaxSimTimeGuard) {
   TraceBuilder b(1, 1000.0);
   b.compute(0, 10'000'000);  // 10 ms

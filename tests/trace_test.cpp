@@ -62,91 +62,6 @@ TEST(Trace, BuilderSkipsZeroBursts) {
   EXPECT_EQ(std::move(b).build().total_records(), 0u);
 }
 
-// --- validation ------------------------------------------------------------------
-
-TEST(Validate, AcceptsWellFormedTrace) {
-  EXPECT_NO_THROW(validate(pingpong()));
-}
-
-TEST(Validate, RejectsSelfSend) {
-  TraceBuilder b(2, 1000.0);
-  b.send(0, 0, 1, 8);
-  EXPECT_THROW(validate(std::move(b).build()), Error);
-}
-
-TEST(Validate, RejectsOutOfRangeDest) {
-  TraceBuilder b(2, 1000.0);
-  b.send(0, 5, 1, 8);
-  EXPECT_THROW(validate(std::move(b).build()), Error);
-}
-
-TEST(Validate, RejectsUnmatchedSend) {
-  TraceBuilder b(2, 1000.0);
-  b.send(0, 1, 1, 8);  // no matching recv
-  EXPECT_THROW(validate(std::move(b).build()), Error);
-}
-
-TEST(Validate, RejectsSizeMismatch) {
-  TraceBuilder b(2, 1000.0);
-  b.send(0, 1, 1, 8);
-  b.recv(1, 0, 1, 16);
-  EXPECT_THROW(validate(std::move(b).build()), Error);
-}
-
-TEST(Validate, RejectsWaitOnUnknownRequest) {
-  TraceBuilder b(2, 1000.0);
-  b.wait(0, {99});
-  EXPECT_THROW(validate(std::move(b).build()), Error);
-}
-
-TEST(Validate, RejectsDoubleWait) {
-  TraceBuilder b(2, 1000.0);
-  b.isend(0, 1, 1, 8, 5).wait(0, {5}).wait(0, {5});
-  b.recv(1, 0, 1, 8);
-  EXPECT_THROW(validate(std::move(b).build()), Error);
-}
-
-TEST(Validate, RejectsDanglingRequest) {
-  TraceBuilder b(2, 1000.0);
-  b.isend(0, 1, 1, 8, 5);  // never waited
-  b.recv(1, 0, 1, 8);
-  EXPECT_THROW(validate(std::move(b).build()), Error);
-}
-
-TEST(Validate, RejectsReusedRequestId) {
-  TraceBuilder b(2, 1000.0);
-  b.isend(0, 1, 1, 8, 5).wait(0, {5}).isend(0, 1, 1, 8, 5).wait(0, {5});
-  b.recv(1, 0, 1, 8).recv(1, 0, 1, 8);
-  EXPECT_THROW(validate(std::move(b).build()), Error);
-}
-
-TEST(Validate, RejectsCollectiveDisagreement) {
-  TraceBuilder b(2, 1000.0);
-  b.global(0, CollectiveKind::kBarrier, 0, 0, 0);
-  b.global(1, CollectiveKind::kAllreduce, 0, 8, 0);
-  EXPECT_THROW(validate(std::move(b).build()), Error);
-}
-
-TEST(Validate, RejectsMissingCollective) {
-  TraceBuilder b(2, 1000.0);
-  b.global(0, CollectiveKind::kBarrier, 0, 0, 0);
-  EXPECT_THROW(validate(std::move(b).build()), Error);
-}
-
-TEST(Validate, AcceptsImmediateOps) {
-  TraceBuilder b(2, 1000.0);
-  b.irecv(0, 1, 3, 8, 1).wait(0, {1});
-  b.isend(1, 0, 3, 8, 1).wait(1, {1});
-  EXPECT_NO_THROW(validate(std::move(b).build()));
-}
-
-TEST(Validate, WildcardSkipsPairwiseCheck) {
-  TraceBuilder b(2, 1000.0);
-  b.recv(0, kAnyRank, kAnyTag, 8);
-  b.send(1, 0, 42, 8);
-  EXPECT_NO_THROW(validate(std::move(b).build()));
-}
-
 // --- serialization round trips -----------------------------------------------------
 
 TEST(Io, RoundTripPreservesEverything) {

@@ -2,10 +2,12 @@
 // volumes, message-size distribution, per-rank structure; optionally
 // validate only.
 //
-// --validate-only runs both the structural validator (trace::validate)
-// and the semantic linter (lint::lint_trace), so a trace that would replay
-// into garbage — unmatched traffic, leaked requests, deadlock, mismatched
-// collectives — is rejected here with per-record diagnostics.
+// --validate-only runs the semantic linter (lint::lint_trace), whose
+// first passes are the replayer's structural check (lint::check_structure),
+// so a trace that would replay into garbage — unmatched traffic, leaked
+// requests, deadlock, mismatched collectives — is rejected here with
+// per-record diagnostics. The plain summary rejects a trace that fails
+// check_structure the same way.
 //
 // --validate additionally reads the file through the salvaging reader
 // first and prints a damage summary (corrupt records, CRC mismatches,
@@ -18,7 +20,8 @@
 // setup), which is the content address of the scenario's object in a
 // persistent store (see osim_cache): use it to correlate store objects
 // with their inputs. With --cache-dir, the object path and its presence
-// are printed too.
+// are printed too. It cannot be combined with --validate or
+// --validate-only (usage error).
 //
 //   osim_inspect --trace /tmp/cg.original.trace
 //   osim_inspect --trace t.trace --validate-only
@@ -42,12 +45,10 @@
 
 namespace {
 
-/// Structural + semantic validation of an in-memory trace; returns the
-/// process exit code.
-int validate_trace(const osim::trace::Trace& t, const std::string& path) {
+/// Prints `report` (or "<path>: valid" when clean); returns the process
+/// exit code.
+int print_report(const osim::lint::Report& report, const std::string& path) {
   using namespace osim;
-  trace::validate(t);
-  const lint::Report report = lint::lint_trace(t);
   if (!report.clean()) {
     std::printf("%s", report.render_text().c_str());
     return report.num_errors() > 0 ? kExitError : kExitOk;
@@ -99,6 +100,11 @@ int main(int argc, char** argv) try {
             "store and whether it is present");
   if (!flags.parse(argc, argv)) return 0;
   if (trace_path.empty()) throw UsageError("--trace is required");
+  if (fingerprint && (validate || validate_only)) {
+    throw UsageError(
+        "--fingerprint cannot be combined with --validate or "
+        "--validate-only");
+  }
 
   if (fingerprint) {
     const trace::Trace t = trace::read_any_file(trace_path);
@@ -142,30 +148,21 @@ int main(int argc, char** argv) try {
         std::printf("%s: unreadable\n", trace_path.c_str());
         return kExitUnreadable;
       }
-      // Validate the salvage so the damage triage is complete, but the
-      // exit code reports the damage even when the salvage lints clean.
-      try {
-        validate_trace(recovered.trace, trace_path);
-      } catch (const Error& e) {
-        std::printf("structural validation of the salvage failed: %s\n",
-                    e.what());
-      }
+      // Lint the salvage so the damage triage is complete, but the exit
+      // code reports the damage even when the salvage lints clean.
+      print_report(lint::lint_trace(recovered.trace), trace_path);
       std::printf("%s: damaged but salvageable\n", trace_path.c_str());
       return kExitSalvaged;
     }
-    return validate_trace(recovered.trace, trace_path);
+    return print_report(lint::lint_trace(recovered.trace), trace_path);
   }
 
   const trace::Trace t = trace::read_any_file(trace_path);
-  trace::validate(t);
-  if (validate_only) {
-    const lint::Report report = lint::lint_trace(t);
-    if (!report.clean()) {
-      std::printf("%s", report.render_text().c_str());
-      return report.num_errors() > 0 ? kExitError : kExitOk;
-    }
-    std::printf("%s: valid\n", trace_path.c_str());
-    return kExitOk;
+  if (validate_only) return print_report(lint::lint_trace(t), trace_path);
+  const lint::Report structure = lint::check_structure(t);
+  if (structure.num_errors() > 0) {
+    std::printf("%s", structure.render_text().c_str());
+    return kExitError;
   }
   std::printf("%s", trace::render(trace::summarize(t)).c_str());
   return kExitOk;
