@@ -4,8 +4,8 @@
 // attributed to advancing the MPI transfer").
 //
 // Tracing is serial; the (app, variant) replays then run concurrently on
-// the --jobs study. Timeline-recording replays are uncached (Study::run),
-// since the cache only stores makespans.
+// the --jobs study. Timeline-recording replays are uncached
+// (pipeline::run_scenario), since the cache only stores makespans.
 #include <cstdio>
 #include <vector>
 
@@ -50,8 +50,8 @@ int main(int argc, char** argv) try {
 
   pipeline::Study study(setup.study_options());
   const std::vector<analysis::CriticalPath> paths =
-      study.map(contexts, [&study](const pipeline::ReplayContext& c) {
-        return analysis::critical_path(study.run(c));
+      study.map(contexts, [](const pipeline::ReplayContext& c) {
+        return analysis::critical_path(pipeline::run_scenario(c));
       });
 
   for (std::size_t i = 0; i < contexts.size(); ++i) {

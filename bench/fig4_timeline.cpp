@@ -40,9 +40,8 @@ int main(int argc, char** argv) try {
                              pipeline::TraceVariant::kOverlapMeasured,
                              setup.overlap_options(), platform, options)};
   pipeline::Study study(setup.study_options());
-  const std::vector<dimemas::SimResult> runs = study.map(
-      contexts,
-      [&study](const pipeline::ReplayContext& c) { return study.run(c); });
+  const std::vector<dimemas::SimResult> runs =
+      study.map(contexts, pipeline::run_scenario);
   const dimemas::SimResult& run_original = runs[0];
   const dimemas::SimResult& run_overlapped = runs[1];
 

@@ -194,6 +194,23 @@ for bad in "--bandwidth 0" "--bandwidth -5" "--latency -1" "--buses -1" \
       || { cat "$OUT/badrange.txt" >&2; exit 1; }
 done
 
+# --jobs runs osim_replay's report lint passes; a negative count is a usage
+# error, as in osim_lint. So is an eager threshold below osim_lint's -1
+# ("not set") sentinel.
+set +e
+"$BUILD/tools/osim_replay" --trace "$OUT/cg.original.trace" --jobs -3 \
+    > /dev/null 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || { echo "replay --jobs -3: expected exit 2, got $rc" >&2; exit 1; }
+set +e
+"$BUILD/tools/osim_lint" --trace "$OUT/cg.original.trace" \
+    --eager-threshold -7 > /dev/null 2> "$OUT/lint_eager.txt"
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || { echo "lint --eager-threshold -7: expected exit 2, got $rc" >&2; exit 1; }
+grep -q -- "--eager-threshold must be" "$OUT/lint_eager.txt"
+
 # Truncated binary trace: strict read refuses with exit 3...
 head -c 40 "$OUT/pop.original.btrace" > "$OUT/pop.cut.btrace"
 set +e
@@ -277,6 +294,32 @@ fi
 "$BUILD/tools/osim_inspect" --trace "$OUT/cg.original.trace" --fingerprint \
     --platform "$OUT/platform.cfg" --cache-dir "$CACHE" > "$OUT/fp.txt"
 grep -q "(present)" "$OUT/fp.txt"
+
+# The scenario flags are one surface (serve::ScenarioSpec), registered and
+# lowered the same way by both tools: osim_inspect addresses the object a
+# replay with every non-default scenario flag stored...
+SPEC="--buses 3 --ports 2 --eager 0 --collectives linear --progress app"
+# shellcheck disable=SC2086  # $SPEC is a list of flags and values
+"$BUILD/tools/osim_replay" --trace "$OUT/cg.original.trace" $SPEC \
+    --faults 'seed=7;loss=0.02' --cache-dir "$OUT/speccache" > /dev/null
+# shellcheck disable=SC2086
+"$BUILD/tools/osim_inspect" --trace "$OUT/cg.original.trace" --fingerprint \
+    $SPEC --faults 'seed=7;loss=0.02' --cache-dir "$OUT/speccache" \
+    > "$OUT/fp_spec.txt"
+grep -q "(present)" "$OUT/fp_spec.txt"
+
+# ...and rejects the out-of-range values osim_replay rejects (exit 2).
+for bad in "--buses -1" "--eager -5" "--bandwidth 0"; do
+  set +e
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  "$BUILD/tools/osim_inspect" --trace "$OUT/cg.original.trace" \
+      --fingerprint $bad > /dev/null 2> "$OUT/fp_bad.txt"
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || { echo "--fingerprint $bad: expected exit 2, got $rc" >&2; exit 1; }
+  grep -q -- "${bad% *} must be" "$OUT/fp_bad.txt" \
+      || { cat "$OUT/fp_bad.txt" >&2; exit 1; }
+done
 
 # --fingerprint does not validate: combining it with a validation mode is
 # a usage error (exit 2), not a silently dropped flag.

@@ -1,7 +1,8 @@
 #!/bin/sh
 # End-to-end contract of the analysis service at the CLI:
 #   1. submit --wait --report fetches a run report byte-identical to what
-#      `osim_replay --report` writes for the same trace and flags;
+#      `osim_replay --report` writes for the same trace and flags, with
+#      default and with non-default scenario flags;
 #   2. a resubmit of the same scenario is served without a replay, and a
 #      second client's concurrent submit shares the first's replay;
 #   3. admission control refuses submits with exit 6 when the queue is
@@ -88,6 +89,25 @@ grep -q '"root":' "$OUT/stats.json"  # store block present
 # osim_cache reads the same store and emits the same stats body.
 "$BUILD/tools/osim_cache" stats --cache-dir "$OUT/cache" --json \
     | grep -q '"schema":"osim.cache_stats"'
+
+# --- 1b. byte-identity holds for a non-default spec too -----------------------
+
+# Every scenario flag travels client -> wire -> worker and is lowered there
+# exactly as osim_replay lowers it. (After the stats check above, which
+# pins the replay count of sections 1 and 2.)
+SPEC="--buses 3 --ports 2 --eager 0 --collectives linear --progress app"
+# shellcheck disable=SC2086  # $SPEC is a list of flags and values
+"$CLIENT" submit --socket "$SOCK" --trace "$OUT/cg.original.trace" $SPEC \
+    --faults 'seed=7;loss=0.02' --wait --report "$OUT/spec_serve.json" \
+    > /dev/null
+# shellcheck disable=SC2086
+"$BUILD/tools/osim_replay" --trace "$OUT/cg.original.trace" $SPEC \
+    --faults 'seed=7;loss=0.02' --report "$OUT/spec_batch.json" > /dev/null
+cmp "$OUT/spec_serve.json" "$OUT/spec_batch.json"
+if cmp -s "$OUT/spec_batch.json" "$OUT/via_batch.json"; then
+  echo "non-default spec rendered the default report" >&2
+  exit 1
+fi
 
 # Unknown tickets are refused (exit 1), bad flags are usage errors (2).
 set +e

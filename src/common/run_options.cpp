@@ -18,7 +18,8 @@ namespace osim {
 void RunOptions::register_flags(Flags& flags, const char* report_flag,
                                 const std::string& report_help) {
   flags.add("jobs", &jobs,
-            "parallel replay jobs (0 = one per hardware thread)");
+            "parallel jobs: a sweep's replays, or the lint passes of one "
+            "trace (0 = one per hardware thread)");
   flags.add("cache-dir", &cache_dir,
             "persistent scenario store directory (default: $OSIM_CACHE_DIR; "
             "warm reruns are served from the disk store — see osim_cache)");

@@ -8,6 +8,7 @@
 #include "common/expect.hpp"
 #include "common/strings.hpp"
 #include "metrics/json.hpp"
+#include "pipeline/lint_cache.hpp"
 
 namespace osim::pipeline {
 
@@ -230,6 +231,20 @@ std::string replay_report_json(const dimemas::SimResult& result,
 
   w.end_object();
   return w.str();
+}
+
+std::string run_report_json(const ReplayContext& context,
+                            const dimemas::SimResult& result,
+                            store::ScenarioStore* store, int lint_jobs) {
+  lint::LintOptions lint_options;
+  lint_options.eager_threshold_bytes =
+      context.platform().eager_threshold_bytes;
+  lint_options.jobs = lint_jobs;
+  const lint::Report lint_report =
+      lint_with_cache(context.trace(), lint_options, store);
+  const std::string& app = context.trace().app;
+  return replay_report_json(result, context.platform(),
+                            app.empty() ? "app" : app, &lint_report);
 }
 
 std::string study_report_json(const Study& study) {

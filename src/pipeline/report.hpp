@@ -12,7 +12,9 @@
 #include "dimemas/platform.hpp"
 #include "dimemas/result.hpp"
 #include "lint/diagnostics.hpp"
+#include "pipeline/context.hpp"
 #include "pipeline/study.hpp"
+#include "store/store.hpp"
 
 namespace osim::pipeline {
 
@@ -32,6 +34,16 @@ std::string replay_report_json(const dimemas::SimResult& result,
                                const dimemas::Platform& platform,
                                const std::string& app,
                                const lint::Report* lint_report);
+
+/// The run report of `result`, the replay of `context`, with the lint block
+/// of the context's trace: the one document `osim_replay --report` writes
+/// and the analysis service delivers. The lint passes use the platform's
+/// eager threshold and `lint_jobs` threads (the bytes do not depend on
+/// it), reading and filling the lint cache in `store` when non-null. The
+/// document is labelled with the trace's app name, or "app" when empty.
+std::string run_report_json(const ReplayContext& context,
+                            const dimemas::SimResult& result,
+                            store::ScenarioStore* store, int lint_jobs = 1);
 
 /// JSON report for a sweep: cache statistics plus one record per evaluated
 /// scenario (requires StudyOptions::record_scenarios for the latter).

@@ -6,6 +6,7 @@
 
 #include "common/expect.hpp"
 #include "dimemas/replay.hpp"
+#include "pipeline/scenario.hpp"
 #include "store/format.hpp"
 
 namespace osim::pipeline {
@@ -227,8 +228,7 @@ double Study::makespan(const ReplayContext& context, std::string_view label) {
     dimemas::ReplayOptions replay_options = context.options();
     replay_options.cancel = &token;
     try {
-      result = dimemas::replay(context.trace(), context.platform(),
-                               replay_options);
+      result = run_scenario(context.with_options(replay_options));
     } catch (const CancelledError& e) {
       const double wall_s =
           std::chrono::duration<double>(Clock::now() - wall_begin).count();
@@ -248,7 +248,7 @@ double Study::makespan(const ReplayContext& context, std::string_view label) {
       return 0.0;
     }
   } else {
-    result = run(context);
+    result = run_scenario(context);
   }
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - wall_begin).count();
@@ -428,11 +428,6 @@ void Study::record_scenario(ScenarioRecord record) {
   if (!options_.record_scenarios) return;
   std::lock_guard<std::mutex> lock(scenario_mutex_);
   scenarios_.push_back(std::move(record));
-}
-
-dimemas::SimResult Study::run(const ReplayContext& context) const {
-  return dimemas::replay(context.trace(), context.platform(),
-                         context.options());
 }
 
 std::size_t Study::cache_hits() const {

@@ -147,11 +147,6 @@ class Study {
   /// ScenarioRecord when StudyOptions::record_scenarios is on.
   double makespan(const ReplayContext& context, std::string_view label = {});
 
-  /// Full simulation result (timelines, comms, per-rank stats). Never
-  /// cached — results with recording enabled are large and typically
-  /// consumed once. Thread-safe.
-  dimemas::SimResult run(const ReplayContext& context) const;
-
   /// Applies `fn` to every item, in parallel across the pool, and returns
   /// the results in item order. `fn`'s result type must be
   /// default-constructible. The first exception (by item index) is

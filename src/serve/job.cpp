@@ -1,20 +1,36 @@
 #include "serve/job.hpp"
 
 #include <filesystem>
-#include <utility>
 
 #include "common/crash_point.hpp"
 #include "common/expect.hpp"
+#include "common/strings.hpp"
+#include "dimemas/platform_io.hpp"
 #include "dimemas/progress.hpp"
 #include "faults/spec.hpp"
-#include "lint/lint.hpp"
 #include "pipeline/context.hpp"
-#include "pipeline/lint_cache.hpp"
 #include "pipeline/report.hpp"
 #include "pipeline/scenario.hpp"
 #include "trace/binary_io.hpp"
 
 namespace osim::serve {
+
+void ScenarioSpec::register_flags(Flags& flags) {
+  flags.add("bandwidth", &bandwidth, "link bandwidth in MB/s");
+  flags.add("latency", &latency, "per-message latency in us");
+  flags.add("buses", &buses, "global buses (0 = unlimited)");
+  flags.add("ports", &ports, "input/output ports per node");
+  flags.add("eager", &eager, "eager protocol threshold in bytes");
+  flags.add("collectives", &collectives,
+            "collective algorithm: binomial-tree | linear | "
+            "recursive-doubling");
+  flags.add("faults", &fault_spec,
+            "fault-injection spec, e.g. 'seed=7;loss=0.02;degrade=0-1,"
+            "bw=0.5' (see faults/spec.hpp for the grammar)");
+  flags.add("progress", &progress_spec,
+            "MPI progress model: 'offload' (default), 'app', or "
+            "'thread[,tax=F]' (see dimemas/progress.hpp for the grammar)");
+}
 
 void encode_spec(bytes::Writer& out, const ScenarioSpec& spec) {
   out.string32(spec.trace_path);
@@ -44,11 +60,21 @@ ScenarioSpec decode_spec(bytes::Reader& reader) {
 
 dimemas::Platform platform_for(const ScenarioSpec& spec,
                                std::int32_t num_ranks) {
-  // The same builder (and range check) as osim_replay's flag branch, so
-  // the service's reports stay byte-identical to the batch tool's.
   return dimemas::Platform::from_flags(num_ranks, spec.bandwidth,
                                        spec.latency, spec.buses, spec.ports,
                                        spec.eager);
+}
+
+dimemas::Platform platform_for(const ScenarioSpec& spec,
+                               std::int32_t num_ranks,
+                               const std::string& platform_path) {
+  if (platform_path.empty()) return platform_for(spec, num_ranks);
+  dimemas::Platform platform = dimemas::read_platform_file(platform_path);
+  if (platform.num_nodes < num_ranks) {
+    throw Error(strprintf("platform has %d nodes but the trace needs %d",
+                          platform.num_nodes, num_ranks));
+  }
+  return platform;
 }
 
 dimemas::ReplayOptions options_for(const ScenarioSpec& spec) {
@@ -96,19 +122,10 @@ JobOutcome run_job_on_trace(const ScenarioSpec& spec,
   JobOutcome outcome;
   try {
     maybe_crash("serve.worker.job");
-    const dimemas::Platform platform = platform_for(spec, trace->num_ranks);
-    const pipeline::ReplayContext context(trace, platform, options_for(spec));
-    const dimemas::SimResult result = pipeline::run_scenario(context);
-    // The replay itself is not storable (collect_metrics contexts carry
-    // metrics the artifact format deliberately omits), but the lint block
-    // is pure trace analysis and caches exactly as in osim_replay.
-    lint::LintOptions lint_options;
-    lint_options.eager_threshold_bytes = platform.eager_threshold_bytes;
-    const lint::Report lint_report =
-        pipeline::lint_with_cache(*trace, lint_options, store);
-    outcome.report_json = pipeline::replay_report_json(
-        result, platform, trace->app.empty() ? "app" : trace->app,
-        &lint_report);
+    const pipeline::ReplayContext context(
+        trace, platform_for(spec, trace->num_ranks), options_for(spec));
+    outcome.report_json = pipeline::run_report_json(
+        context, pipeline::run_scenario(context), store);
     outcome.ok = true;
   } catch (const std::exception& e) {
     outcome.error = e.what();

@@ -1,15 +1,21 @@
-// The unit of work the analysis service schedules: one scenario spec,
-// lowered to exactly the replay that `osim_replay --report` would run.
+// The scenario: one trace file replayed on one platform under one set of
+// replay options, the unit the paper's method sweeps and the unit the
+// store, the service tickets and `osim_inspect --fingerprint` address.
 //
-// Byte-identity is the contract here. A report fetched from the service
-// must be bit-for-bit the document the batch tool writes for the same
-// trace and flags (scripts/serve_test.sh cmp's the two), so ScenarioSpec
-// carries the same fields as osim_replay's flag surface with the same
-// defaults, and run_job() follows the same path: read_any_file →
-// ReplayContext (validates once) → run_scenario → lint_with_cache →
-// replay_report_json. Anything the controller computes (fingerprints,
-// admission sizes) derives from the same spec, so the ticket a client
-// holds is the fingerprint the batch tools print.
+// ScenarioSpec IS the scenario flag surface of the command-line tools:
+// osim_replay, osim_inspect and osim_client register its flags with
+// register_flags(), and every one of them (and the service worker) lowers
+// it through platform_for() and options_for(). There is no second list of
+// defaults, help texts or range checks to keep in step.
+//
+// Byte-identity is the contract of the service. A report fetched from it
+// must be bit-for-bit the document `osim_replay --report` writes for the
+// same trace and flags (scripts/serve_test.sh cmp's the two); both run the
+// same lowering, pipeline::run_scenario and pipeline::run_report_json.
+// The controller's fingerprints derive from the same spec, so a ticket is
+// the combined fingerprint of the report-level scenario (collect_metrics
+// on); `osim_inspect --fingerprint` addresses the summary-level replay
+// that `osim_replay --cache-dir` stores, which is a different scenario.
 #pragma once
 
 #include <cstdint>
@@ -23,13 +29,14 @@
 #include "dimemas/replay.hpp"
 #include "pipeline/fingerprint.hpp"
 #include "common/bytes.hpp"
+#include "common/flags.hpp"
 #include "store/store.hpp"
 #include "trace/trace.hpp"
 
 namespace osim::serve {
 
-/// One scenario, by value: the trace file plus the platform/option flags
-/// of osim_replay, defaults matching that tool's flag defaults exactly.
+/// One scenario, by value: the trace file plus the platform and replay
+/// option flags, with their defaults.
 struct ScenarioSpec {
   std::string trace_path;
   double bandwidth = 250.0;                   // --bandwidth, MB/s
@@ -41,6 +48,11 @@ struct ScenarioSpec {
   std::string fault_spec;                     // --faults ('' = none)
   std::string progress_spec;                  // --progress ('' = offload)
 
+  /// Registers --bandwidth --latency --buses --ports --eager --collectives
+  /// --faults --progress onto this spec's fields. The trace flag stays
+  /// with each tool, whose help text for it differs.
+  void register_flags(Flags& flags);
+
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
 
@@ -51,16 +63,24 @@ void encode_spec(bytes::Writer& out, const ScenarioSpec& spec);
 /// in larger messages); leaves the reader poisoned on malformed input.
 ScenarioSpec decode_spec(bytes::Reader& reader);
 
-/// The platform `spec` describes for a trace of `num_ranks` ranks —
-/// field-for-field what osim_replay builds from the same flags. Throws
+/// The platform `spec` describes for a trace of `num_ranks` ranks. Throws
 /// osim::UsageError on an out-of-range value (Platform::from_flags).
 dimemas::Platform platform_for(const ScenarioSpec& spec,
                                std::int32_t num_ranks);
 
+/// The tools' `--platform` branch: the platform file at `platform_path`
+/// when it is non-empty (osim::Error when it has fewer than `num_ranks`
+/// nodes; the network flags are then not consulted), else
+/// platform_for(spec, num_ranks).
+dimemas::Platform platform_for(const ScenarioSpec& spec,
+                               std::int32_t num_ranks,
+                               const std::string& platform_path);
+
 /// The replay options `spec` describes, with collect_metrics on (the
-/// service always produces the full report). Throws osim::UsageError on an
-/// unknown collectives/faults/progress spelling — callers map that to
-/// kBadRequest before any replay happens.
+/// service always produces the full report; the tools reset it to what
+/// they record). Throws osim::UsageError on an unknown collectives/faults/
+/// progress spelling — callers map that to kBadRequest before any replay
+/// happens.
 dimemas::ReplayOptions options_for(const ScenarioSpec& spec);
 
 /// What the controller needs to know about a trace file to fingerprint,
@@ -77,9 +97,10 @@ struct TraceInfo {
 TraceInfo probe_trace(const std::string& path);
 
 /// The scenario fingerprint of `spec` against a trace already probed:
-/// combined_fingerprint(trace, platform, options) — bit-identical to the
-/// fingerprint a ReplayContext built from the same inputs carries, so
-/// service tickets address the same store objects as batch runs.
+/// combined_fingerprint(trace, platform, options_for(spec)) — bit-identical
+/// to the fingerprint a ReplayContext built from the same inputs carries.
+/// This is the service ticket: the report-level scenario, with
+/// collect_metrics on.
 pipeline::Fingerprint spec_fingerprint(const ScenarioSpec& spec,
                                        const TraceInfo& trace);
 
@@ -90,11 +111,11 @@ struct JobOutcome {
   std::string error;        // when !ok
 };
 
-/// Runs one scenario to its JSON run report, the osim_replay --report way.
-/// `store`, when non-null, serves/fills the lint cache and receives the
-/// replay artifact (write-behind, best effort). Never throws: failures
-/// come back as JobOutcome::error. Crash point "serve.worker.job" fires at
-/// entry (worker-death injection for the retry tests).
+/// Runs one scenario to its JSON run report (pipeline::run_report_json,
+/// as osim_replay --report does). `store`, when non-null, serves and fills
+/// the lint cache. Never throws: failures come back as JobOutcome::error.
+/// Crash point "serve.worker.job" fires at entry (worker-death injection
+/// for the retry tests).
 JobOutcome run_job(const ScenarioSpec& spec, store::ScenarioStore* store);
 
 /// Same, against a caller-cached validated trace (the batching path: a

@@ -163,7 +163,7 @@ TEST(FaultDeterminism, SameSeedSameResultAcrossJobs) {
         [&study](const pipeline::ReplayContext& c) {
           return study.makespan(c);
         });
-    const dimemas::SimResult result = study.run(contexts[0]);
+    const dimemas::SimResult result = pipeline::run_scenario(contexts[0]);
     for (const double t : times) {
       EXPECT_EQ(t, times[0]) << "jobs=" << jobs;
     }

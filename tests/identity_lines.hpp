@@ -59,8 +59,9 @@ inline std::vector<pipeline::ReplayContext> identity_contexts(
   return contexts;
 }
 
-/// Computes the canonical lines through `study` (any jobs count and cache
-/// temperature must produce identical lines — that is the point).
+/// Computes the canonical lines, replaying each app's variants in parallel
+/// on `study`'s pool (any jobs count must produce identical lines — that
+/// is the point).
 inline std::vector<std::string> identity_lines(pipeline::Study& study) {
   std::vector<std::string> lines;
   for (const apps::MiniApp* app : apps::registry()) {
@@ -70,9 +71,11 @@ inline std::vector<std::string> identity_lines(pipeline::Study& study) {
         dimemas::Platform::marenostrum(config.ranks, app->paper_buses());
     const std::vector<pipeline::ReplayContext> contexts =
         identity_contexts(*app, traced);
+    const std::vector<dimemas::SimResult> results =
+        study.map(contexts, pipeline::run_scenario);
     const char* names[] = {"original", "overlap_real", "overlap_ideal"};
     for (std::size_t v = 0; v < contexts.size(); ++v) {
-      const dimemas::SimResult result = study.run(contexts[v]);
+      const dimemas::SimResult& result = results[v];
       lines.push_back(strprintf(
           "%s %s fp=%s makespan=%a events=%llu", app->name().c_str(),
           names[v], pipeline::to_hex(contexts[v].fingerprint()).c_str(),
@@ -88,7 +91,7 @@ inline std::vector<std::string> identity_lines(pipeline::Study& study) {
         traced.annotated, pipeline::TraceVariant::kOriginal,
         identity_overlap(), platform, metrics_options);
     const std::string report = pipeline::replay_report_json(
-        study.run(with_metrics), platform, app->name());
+        pipeline::run_scenario(with_metrics), platform, app->name());
     Crc32 crc;
     crc.update(report.data(), report.size());
     lines.push_back(strprintf("%s report crc32=%08x bytes=%zu",
@@ -103,7 +106,7 @@ inline std::vector<std::string> identity_lines(pipeline::Study& study) {
 /// chunks) on osim_replay's default platform at 250 MB/s, plus pop with
 /// its Table I bus count, which drives the bus-pool path of BusNetwork.
 /// Marked " ranks=" so they never mix with the 8-rank lines above.
-inline std::vector<std::string> scale_lines(pipeline::Study& study) {
+inline std::vector<std::string> scale_lines() {
   constexpr std::int32_t kRanks = 1024;
   std::vector<std::string> lines;
   for (const char* name : {"pop", "specfem3d"}) {
@@ -125,7 +128,7 @@ inline std::vector<std::string> scale_lines(pipeline::Study& study) {
       const pipeline::ReplayContext context = pipeline::make_context(
           traced.annotated, pipeline::TraceVariant::kOverlapMeasured,
           overlap_options, platform);
-      const dimemas::SimResult result = study.run(context);
+      const dimemas::SimResult result = pipeline::run_scenario(context);
       lines.push_back(strprintf(
           "%s overlap_real ranks=%d buses=%d fp=%s makespan=%a events=%llu",
           name, kRanks, buses,

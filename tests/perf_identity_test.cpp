@@ -63,8 +63,7 @@ TEST(PerfIdentity, SerialMatchesSeedGolden) {
 // by port and the calendar buckets became heaps: both are pure speedups,
 // so the replays at the scale where they matter stay bit-identical.
 TEST(PerfIdentity, ScaleLinesMatchGolden) {
-  pipeline::Study study;
-  expect_matches_golden(identity::scale_lines(study), /*scale=*/true);
+  expect_matches_golden(identity::scale_lines(), /*scale=*/true);
 }
 
 TEST(PerfIdentity, ParallelJobsMatchSeedGolden) {

@@ -2,6 +2,7 @@
 // and fingerprinting, Study caching, and — the load-bearing property of the
 // whole subsystem — parallel evaluation being bit-identical to serial.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstddef>
@@ -15,8 +16,10 @@
 
 #include "analysis/bandwidth.hpp"
 #include "common/expect.hpp"
+#include "lint/lint.hpp"
 #include "metrics/replay_metrics.hpp"
 #include "pipeline/context.hpp"
+#include "pipeline/lint_cache.hpp"
 #include "pipeline/report.hpp"
 #include "pipeline/scenario.hpp"
 #include "pipeline/study.hpp"
@@ -324,9 +327,8 @@ TEST(Metrics, CollectionDoesNotPerturbReplay) {
   const ReplayContext metered = plain.with_options(on);
   EXPECT_NE(plain.fingerprint(), metered.fingerprint());
 
-  Study study;
-  const dimemas::SimResult a = study.run(plain);
-  const dimemas::SimResult b = study.run(metered);
+  const dimemas::SimResult a = run_scenario(plain);
+  const dimemas::SimResult b = run_scenario(metered);
   EXPECT_EQ(a.metrics, nullptr);
   ASSERT_NE(b.metrics, nullptr);
   // Bit-identical, not merely close: collection must be purely passive.
@@ -349,8 +351,7 @@ TEST(Metrics, AttributionSumsToBlockedStats) {
   dimemas::ReplayOptions on;
   on.collect_metrics = true;
   const ReplayContext context(ring_trace(6, 4), ring_platform(6), on);
-  Study study;
-  const dimemas::SimResult result = study.run(context);
+  const dimemas::SimResult result = run_scenario(context);
   ASSERT_NE(result.metrics, nullptr);
   ASSERT_EQ(result.metrics->rank_waits.size(), result.rank_stats.size());
   for (std::size_t r = 0; r < result.rank_stats.size(); ++r) {
@@ -365,8 +366,7 @@ TEST(Report, ReplayReportCarriesSchemaAndAttribution) {
   dimemas::ReplayOptions on;
   on.collect_metrics = true;
   const ReplayContext context(ring_trace(4, 2), ring_platform(4), on);
-  Study study;
-  const dimemas::SimResult result = study.run(context);
+  const dimemas::SimResult result = run_scenario(context);
   const std::string json =
       replay_report_json(result, context.platform(), "ring");
   EXPECT_NE(json.find("\"schema\":\"osim.replay_report\""),
@@ -376,6 +376,41 @@ TEST(Report, ReplayReportCarriesSchemaAndAttribution) {
   EXPECT_NE(json.find("\"peer_waits\""), std::string::npos);
   EXPECT_NE(json.find("\"occupancy\""), std::string::npos);
   EXPECT_NE(json.find("\"protocol\""), std::string::npos);
+}
+
+TEST(Report, RunReportIsTheReplayReportWithItsLintBlock) {
+  dimemas::ReplayOptions on;
+  on.collect_metrics = true;
+  dimemas::Platform platform = ring_platform(4);
+  platform.eager_threshold_bytes = 1024;  // the lint passes must see it
+  const ReplayContext context(ring_trace(4, 2), platform, on);
+  ASSERT_TRUE(context.trace().app.empty());
+  const dimemas::SimResult result = run_scenario(context);
+
+  lint::LintOptions lint_options;
+  lint_options.eager_threshold_bytes = 1024;
+  const lint::Report lint_report =
+      lint::lint_trace(context.trace(), lint_options);
+  const std::string expected =
+      replay_report_json(result, platform, "app", &lint_report);
+  EXPECT_EQ(run_report_json(context, result, nullptr), expected);
+  EXPECT_EQ(run_report_json(context, result, nullptr, /*lint_jobs=*/4),
+            expected);
+
+  // Cold and warm through a store: the lint block is cached, not altered.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("osim_run_report_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    store::ScenarioStore store(dir.string());
+    EXPECT_EQ(run_report_json(context, result, &store), expected);
+    EXPECT_EQ(run_report_json(context, result, &store), expected);
+    EXPECT_TRUE(
+        store.load_lint(lint_fingerprint(context.trace(), lint_options))
+            .has_value());
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Report, StudyReportRecordsScenarios) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 
 #include "common/bytes.hpp"
 #include "common/exit_codes.hpp"
+#include "common/flags.hpp"
 #include "serve/client.hpp"
 #include "serve/controller.hpp"
 #include "serve/job.hpp"
@@ -115,6 +117,36 @@ TEST(Wire, DoneRequiresFullConsumption) {
 }
 
 // --- protocol round trips ---------------------------------------------------
+
+TEST(Spec, RegisteredFlagsFillEverySpecField) {
+  ScenarioSpec defaults;
+  Flags none("spec");
+  defaults.register_flags(none);
+  const char* bare[] = {"tool"};
+  ASSERT_TRUE(none.parse(1, bare));
+  EXPECT_EQ(defaults, ScenarioSpec{});
+
+  ScenarioSpec spec;
+  Flags flags("spec");
+  spec.register_flags(flags);
+  const char* argv[] = {"tool",          "--bandwidth",   "125",
+                        "--latency",     "7.5",           "--buses",
+                        "3",             "--ports",       "2",
+                        "--eager",       "0",             "--collectives",
+                        "linear",        "--faults",      "seed=7;loss=0.02",
+                        "--progress",    "app"};
+  ASSERT_TRUE(flags.parse(static_cast<int>(std::size(argv)), argv));
+  ScenarioSpec expected;
+  expected.bandwidth = 125.0;
+  expected.latency = 7.5;
+  expected.buses = 3;
+  expected.ports = 2;
+  expected.eager = 0;
+  expected.collectives = "linear";
+  expected.fault_spec = "seed=7;loss=0.02";
+  expected.progress_spec = "app";
+  EXPECT_EQ(spec, expected);
+}
 
 TEST(Protocol, HandshakeRoundTrip) {
   const std::string hs = handshake_bytes();

@@ -10,10 +10,16 @@
 //   osim_client stats  --socket S
 //   osim_client shutdown --socket S
 //
-// Tickets are scenario fingerprints (32 hex digits) — the same spelling
-// study reports and osim_inspect --fingerprint use, so service work can be
-// correlated with batch runs by eye. A report fetched with --report is
-// byte-identical to `osim_replay --trace T --report ...` with the same
+// The scenario flags (--bandwidth ... --progress) are serve::ScenarioSpec's
+// own, registered exactly as osim_replay and osim_inspect register them.
+//
+// Tickets are scenario fingerprints, spelled as 32 hex digits like the
+// fingerprints of study reports and osim_inspect --fingerprint. A ticket
+// addresses the report-level scenario (replay options with metrics on,
+// serve::spec_fingerprint), so it differs from the osim_inspect
+// --fingerprint of the same flags, which addresses the summary-level
+// replay `osim_replay --cache-dir` stores. A report fetched with --report
+// is byte-identical to `osim_replay --trace T --report ...` with the same
 // flags (scripts/serve_test.sh cmp's them).
 //
 // Exit codes follow common/exit_codes.hpp: 0 OK, 1 failed scenario or RPC
@@ -30,6 +36,7 @@
 #include "pipeline/fingerprint.hpp"
 #include "pipeline/report.hpp"
 #include "serve/client.hpp"
+#include "serve/job.hpp"
 #include "serve/protocol.hpp"
 
 namespace {
@@ -115,15 +122,7 @@ int main(int argc, char** argv) try {
   std::string socket_path;
   std::int64_t tcp_port = 0;
   std::int64_t connect_retry_ms = 5000;
-  std::string trace_path;
-  double bandwidth = 250.0;
-  double latency = 4.0;
-  std::int64_t buses = 0;
-  std::int64_t ports = 1;
-  std::int64_t eager = 16 * 1024;
-  std::string collectives = "binomial-tree";
-  std::string fault_spec;
-  std::string progress_spec;
+  serve::ScenarioSpec spec;
   std::string bandwidths;
   std::string ticket_hex;
   bool wait = false;
@@ -138,18 +137,8 @@ int main(int argc, char** argv) try {
   flags.add("connect-retry-ms", &connect_retry_ms,
             "keep retrying the connect for this long (a just-started "
             "server may not listen yet)");
-  flags.add("trace", &trace_path, "submit/study: trace file to replay");
-  flags.add("bandwidth", &bandwidth, "link bandwidth in MB/s");
-  flags.add("latency", &latency, "per-message latency in us");
-  flags.add("buses", &buses, "global buses (0 = unlimited)");
-  flags.add("ports", &ports, "input/output ports per node");
-  flags.add("eager", &eager, "eager protocol threshold in bytes");
-  flags.add("collectives", &collectives,
-            "collective algorithm: binomial-tree | linear | "
-            "recursive-doubling");
-  flags.add("faults", &fault_spec, "fault-injection spec (see osim_replay)");
-  flags.add("progress", &progress_spec,
-            "MPI progress model: offload | app | thread[,tax=F]");
+  flags.add("trace", &spec.trace_path, "submit/study: trace file to replay");
+  spec.register_flags(flags);
   flags.add("bandwidths", &bandwidths,
             "study: comma-separated bandwidth sweep, e.g. 125,250,500");
   flags.add("ticket", &ticket_hex,
@@ -189,18 +178,7 @@ int main(int argc, char** argv) try {
   }
 
   if (command == "submit" || command == "study") {
-    if (trace_path.empty()) throw UsageError("--trace is required");
-    serve::ScenarioSpec spec;
-    spec.trace_path = trace_path;
-    spec.bandwidth = bandwidth;
-    spec.latency = latency;
-    spec.buses = buses;
-    spec.ports = ports;
-    spec.eager = eager;
-    spec.collectives = collectives;
-    spec.fault_spec = fault_spec;
-    spec.progress_spec = progress_spec;
-
+    if (spec.trace_path.empty()) throw UsageError("--trace is required");
     serve::ClientMessage request{serve::SubmitScenario{spec}};
     if (command == "study") {
       serve::SubmitStudy study;

@@ -16,12 +16,14 @@
 // invalid, 3 unreadable, 4 damaged but salvageable.
 //
 // --fingerprint prints the pipeline::ReplayContext content fingerprint of
-// the trace on the given platform (same flags as osim_replay's network
-// setup), which is the content address of the scenario's object in a
-// persistent store (see osim_cache): use it to correlate store objects
-// with their inputs. With --cache-dir, the object path and its presence
-// are printed too. It cannot be combined with --validate or
-// --validate-only (usage error).
+// the summary-level replay (no timeline, comms or metrics recording) that
+// `osim_replay --cache-dir` stores for the same scenario flags
+// (serve::ScenarioSpec, registered and lowered exactly as osim_replay does,
+// range checks included) or --platform file: the content address of that
+// object in a persistent store (see osim_cache). With --cache-dir, the
+// object path and its presence are printed too. It cannot be combined with
+// --validate or --validate-only (usage error). It is not an osim_client
+// ticket: tickets address the report-level scenario (metrics on).
 //
 //   osim_inspect --trace /tmp/cg.original.trace
 //   osim_inspect --trace t.trace --validate-only
@@ -34,11 +36,9 @@
 #include "common/exit_codes.hpp"
 #include "common/expect.hpp"
 #include "common/flags.hpp"
-#include "common/strings.hpp"
-#include "dimemas/platform_io.hpp"
-#include "faults/spec.hpp"
 #include "lint/lint.hpp"
 #include "pipeline/context.hpp"
+#include "serve/job.hpp"
 #include "store/store.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/summary.hpp"
@@ -61,21 +61,15 @@ int print_report(const osim::lint::Report& report, const std::string& path) {
 
 int main(int argc, char** argv) try {
   using namespace osim;
-  std::string trace_path;
+  serve::ScenarioSpec spec;
   bool validate_only = false;
   bool validate = false;
   bool fingerprint = false;
   std::string platform_path;
-  double bandwidth = 250.0;
-  double latency = 4.0;
-  std::int64_t buses = 0;
-  std::int64_t ports = 1;
-  std::int64_t eager = 16 * 1024;
-  std::string fault_spec;
   std::string cache_dir;
 
   Flags flags("osim_inspect: summarize and validate a trace file");
-  flags.add("trace", &trace_path, "trace file to inspect (required)");
+  flags.add("trace", &spec.trace_path, "trace file to inspect (required)");
   flags.add("validate-only", &validate_only,
             "exit after structural validation and semantic lint");
   flags.add("validate", &validate,
@@ -83,22 +77,17 @@ int main(int argc, char** argv) try {
             "print a damage summary (exit 3 = unreadable, 4 = damaged "
             "but salvageable)");
   flags.add("fingerprint", &fingerprint,
-            "print the ReplayContext content fingerprint of this trace on "
-            "the platform given by the network flags (the scenario store's "
-            "content address — see osim_cache)");
+            "print the content fingerprint of the summary-level replay of "
+            "this trace under the scenario flags (the object osim_replay "
+            "--cache-dir stores — see osim_cache)");
   flags.add("platform", &platform_path,
             "fingerprint: platform file; overrides the network flags");
-  flags.add("bandwidth", &bandwidth, "fingerprint: link bandwidth in MB/s");
-  flags.add("latency", &latency, "fingerprint: per-message latency in us");
-  flags.add("buses", &buses, "fingerprint: global buses (0 = unlimited)");
-  flags.add("ports", &ports, "fingerprint: input/output ports per node");
-  flags.add("eager", &eager, "fingerprint: eager threshold in bytes");
-  flags.add("faults", &fault_spec,
-            "fingerprint: fault-injection spec hashed into the context");
+  spec.register_flags(flags);
   flags.add("cache-dir", &cache_dir,
             "fingerprint: also print the object path in this scenario "
             "store and whether it is present");
   if (!flags.parse(argc, argv)) return 0;
+  const std::string& trace_path = spec.trace_path;
   if (trace_path.empty()) throw UsageError("--trace is required");
   if (fingerprint && (validate || validate_only)) {
     throw UsageError(
@@ -107,26 +96,14 @@ int main(int argc, char** argv) try {
   }
 
   if (fingerprint) {
-    const trace::Trace t = trace::read_any_file(trace_path);
-    dimemas::Platform platform;
-    if (!platform_path.empty()) {
-      platform = dimemas::read_platform_file(platform_path);
-      if (platform.num_nodes < t.num_ranks) {
-        throw Error(strprintf("platform has %d nodes but the trace needs %d",
-                              platform.num_nodes, t.num_ranks));
-      }
-    } else {
-      platform.num_nodes = t.num_ranks;
-      platform.bandwidth_MBps = bandwidth;
-      platform.latency_us = latency;
-      platform.num_buses = static_cast<std::int32_t>(buses);
-      platform.input_ports = static_cast<std::int32_t>(ports);
-      platform.output_ports = static_cast<std::int32_t>(ports);
-      platform.eager_threshold_bytes = static_cast<std::uint64_t>(eager);
-    }
-    dimemas::ReplayOptions options;
-    if (!fault_spec.empty()) options.faults = faults::parse_spec(fault_spec);
-    const pipeline::ReplayContext context(t, platform, options);
+    trace::Trace t = trace::read_any_file(trace_path);
+    const dimemas::Platform platform =
+        serve::platform_for(spec, t.num_ranks, platform_path);
+    // The store holds summary-level replays only, so that is the scenario
+    // addressed: the spec's options with nothing recorded.
+    dimemas::ReplayOptions options = serve::options_for(spec);
+    options.collect_metrics = false;
+    const pipeline::ReplayContext context(std::move(t), platform, options);
     std::printf("%s\n", pipeline::to_hex(context.fingerprint()).c_str());
     const std::string dir = store::resolve_cache_dir(cache_dir);
     if (!dir.empty()) {

@@ -23,6 +23,7 @@
 #include "common/expect.hpp"
 #include "common/flags.hpp"
 #include "common/run_options.hpp"
+#include "common/strings.hpp"
 #include "dimemas/platform_io.hpp"
 #include "lint/lint.hpp"
 #include "pipeline/lint_cache.hpp"
@@ -58,8 +59,8 @@ int main(int argc, char** argv) try {
   flags.add("fail-on", &fail_on,
             "lowest severity that fails the run (warning, error)");
   flags.add("eager-threshold", &eager_threshold,
-            "rendezvous cutoff in bytes; overrides --platform (default: the "
-            "platform's threshold, else 16 KiB)");
+            "rendezvous cutoff in bytes; overrides --platform (-1 = the "
+            "--platform file's threshold, else 16 KiB)");
   run.register_flags(flags, nullptr, "");
   if (!flags.parse(argc, argv)) return 0;
 
@@ -83,6 +84,12 @@ int main(int argc, char** argv) try {
   }
   if (pair_mode && !trace_path.empty()) {
     throw UsageError("--trace and --original/--transformed are exclusive");
+  }
+  if (eager_threshold < -1) {
+    throw UsageError(strprintf(
+        "--eager-threshold must be >= 0 bytes, or -1 for the platform's "
+        "threshold (got %lld)",
+        static_cast<long long>(eager_threshold)));
   }
   lint::LintOptions options;
   if (!platform_path.empty()) {

@@ -1,9 +1,12 @@
 // osim_replay — the Dimemas stage as a standalone tool.
 //
-// Replays a trace file on a platform described either by flags or by a
-// platform file (see dimemas/platform_io.hpp), printing the makespan and
-// per-rank statistics; optionally renders the terminal timeline and writes
-// a Paraver bundle.
+// Replays a trace file on a platform described either by the scenario
+// flags (serve::ScenarioSpec, the flag surface osim_inspect and osim_client
+// share) or by a platform file (see dimemas/platform_io.hpp), printing the
+// makespan and per-rank statistics; optionally renders the terminal
+// timeline and writes a Paraver bundle. --report writes the run report the
+// analysis service delivers for the same flags (pipeline::run_report_json),
+// with its lint passes on --jobs threads.
 //
 //   osim_replay --trace /tmp/cg.original.trace --bandwidth 250 --buses 6
 //   osim_replay --trace t.trace --platform marenostrum.cfg --timeline
@@ -34,14 +37,11 @@
 #include "common/signals.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "dimemas/platform_io.hpp"
-#include "dimemas/progress.hpp"
-#include "faults/spec.hpp"
 #include "paraver/paraver.hpp"
 #include "pipeline/context.hpp"
-#include "pipeline/lint_cache.hpp"
 #include "pipeline/report.hpp"
-#include "pipeline/study.hpp"
+#include "pipeline/scenario.hpp"
+#include "serve/job.hpp"
 #include "store/format.hpp"
 #include "store/store.hpp"
 #include "trace/binary_io.hpp"
@@ -49,51 +49,30 @@
 int main(int argc, char** argv) try {
   using namespace osim;
   PerfRecorder perf("osim_replay");
-  std::string trace_path;
+  serve::ScenarioSpec spec;
   std::string platform_path;
   std::string prv_base;
-  double bandwidth = 250.0;
-  double latency = 4.0;
-  std::int64_t buses = 0;
-  std::int64_t ports = 1;
-  std::int64_t eager = 16 * 1024;
   bool timeline = false;
   bool per_rank = false;
   bool profile = false;
   bool critpath = false;
-  std::string collectives = "binomial-tree";
-  std::string fault_spec;
-  std::string progress_spec;
   bool recover = false;
   std::int64_t timeline_width = 100;
   double scenario_timeout = 0.0;
   RunOptions run;
 
   Flags flags("osim_replay: replay a trace file on a configurable platform");
-  flags.add("trace", &trace_path, "trace file to replay (required)");
+  flags.add("trace", &spec.trace_path, "trace file to replay (required)");
   flags.add("platform", &platform_path,
             "platform file; overrides the individual network flags");
-  flags.add("bandwidth", &bandwidth, "link bandwidth in MB/s");
-  flags.add("latency", &latency, "per-message latency in us");
-  flags.add("buses", &buses, "global buses (0 = unlimited)");
-  flags.add("ports", &ports, "input/output ports per node");
-  flags.add("eager", &eager, "eager protocol threshold in bytes");
+  spec.register_flags(flags);
   flags.add("timeline", &timeline, "render the terminal Gantt chart");
   flags.add("timeline-width", &timeline_width, "timeline width in columns");
   flags.add("per-rank", &per_rank, "print per-rank statistics");
   flags.add("profile", &profile, "print the per-rank state profile");
   flags.add("critical-path", &critpath,
             "print the critical-path composition");
-  flags.add("collectives", &collectives,
-            "collective algorithm: binomial-tree | linear | "
-            "recursive-doubling");
   flags.add("prv", &prv_base, "write a Paraver bundle to <prv>.prv/.pcf/.row");
-  flags.add("faults", &fault_spec,
-            "fault-injection spec, e.g. 'seed=7;loss=0.02;degrade=0-1,"
-            "bw=0.5' (see faults/spec.hpp for the grammar)");
-  flags.add("progress", &progress_spec,
-            "MPI progress model: 'offload' (default), 'app', or "
-            "'thread[,tax=F]' (see dimemas/progress.hpp for the grammar)");
   flags.add("recover", &recover,
             "salvage a damaged trace instead of rejecting it (exit code 4 "
             "when records were lost)");
@@ -106,8 +85,12 @@ int main(int argc, char** argv) try {
                      "occupancy, protocol counters) to this path");
   if (!flags.parse(argc, argv)) return 0;
   const std::string& report_path = run.report;
+  // --jobs runs the report's lint passes; a bad value is a usage error
+  // whether or not a report is asked for.
+  const int jobs = run.resolved_jobs();
 
-  if (trace_path.empty()) throw UsageError("--trace is required");
+  if (spec.trace_path.empty()) throw UsageError("--trace is required");
+  const std::string& trace_path = spec.trace_path;
   trace::Trace t;
   bool salvaged_with_losses = false;
   if (recover) {
@@ -136,36 +119,13 @@ int main(int argc, char** argv) try {
     }
   }
 
-  dimemas::Platform platform;
-  if (!platform_path.empty()) {
-    platform = dimemas::read_platform_file(platform_path);
-    if (platform.num_nodes < t.num_ranks) {
-      throw Error(strprintf("platform has %d nodes but the trace needs %d",
-                            platform.num_nodes, t.num_ranks));
-    }
-  } else {
-    platform = dimemas::Platform::from_flags(t.num_ranks, bandwidth, latency,
-                                             buses, ports, eager);
-  }
-
-  dimemas::ReplayOptions options;
+  const dimemas::Platform platform =
+      serve::platform_for(spec, t.num_ranks, platform_path);
+  dimemas::ReplayOptions options = serve::options_for(spec);
   options.record_timeline =
       timeline || profile || critpath || !prv_base.empty();
   options.record_comms = !prv_base.empty();
   options.collect_metrics = !report_path.empty() || !prv_base.empty();
-  if (collectives == "binomial-tree") {
-    options.collective_algo = dimemas::CollectiveAlgo::kBinomialTree;
-  } else if (collectives == "linear") {
-    options.collective_algo = dimemas::CollectiveAlgo::kLinear;
-  } else if (collectives == "recursive-doubling") {
-    options.collective_algo = dimemas::CollectiveAlgo::kRecursiveDoubling;
-  } else {
-    throw UsageError("unknown collective algorithm: " + collectives);
-  }
-  if (!fault_spec.empty()) options.faults = faults::parse_spec(fault_spec);
-  if (!progress_spec.empty()) {
-    options.progress = dimemas::parse_progress_spec(progress_spec);
-  }
   // --scenario-timeout arms a wall-clock watchdog and turns SIGINT/SIGTERM
   // into a cooperative drain instead of an abort. The token is not part of
   // the scenario fingerprint, so a supervised replay shares store objects
@@ -180,12 +140,10 @@ int main(int argc, char** argv) try {
             std::chrono::duration<double>(scenario_timeout)));
     options.cancel = &cancel_token;
   }
-  // The context validates the trace once (failing with lint diagnostics);
-  // the study carries the --jobs thread pool and replay cache.
-  const pipeline::ReplayContext context(t, platform, options);
-  pipeline::StudyOptions study_options;
-  study_options.jobs = static_cast<int>(run.jobs);
-  pipeline::Study study(study_options);
+  // The context takes the trace and validates it once (failing with lint
+  // diagnostics).
+  const pipeline::ReplayContext context(std::move(t), platform, options);
+  const trace::Trace& replayed = context.trace();
 
   // Persistent store: a summary-level replay (no timeline, comms or
   // metrics recording — those results are not stored) is served from the
@@ -212,7 +170,7 @@ int main(int argc, char** argv) try {
   }
   if (!served_from_store) {
     try {
-      result = study.run(context);
+      result = pipeline::run_scenario(context);
     } catch (const CancelledError& e) {
       const PartialProgress& partial = e.partial();
       std::fprintf(
@@ -223,7 +181,7 @@ int main(int argc, char** argv) try {
           format_seconds(partial.sim_time_s).c_str(),
           static_cast<unsigned long long>(partial.des_events),
           static_cast<long long>(partial.ranks_finished),
-          static_cast<int>(t.num_ranks),
+          static_cast<int>(replayed.num_ranks),
           format_seconds(partial.compute_s).c_str(),
           format_seconds(partial.blocked_s).c_str());
       return kExitInterrupted;
@@ -285,22 +243,14 @@ int main(int argc, char** argv) try {
   }
   if (!prv_base.empty()) {
     paraver::write_prv_bundle(result, prv_base,
-                              t.app.empty() ? "app" : t.app);
+                              replayed.app.empty() ? "app" : replayed.app);
     std::printf("Paraver bundle written to %s.{prv,pcf,row}\n",
                 prv_base.c_str());
   }
   if (!report_path.empty()) {
-    // The report embeds the trace's lint block (static analysis next to
-    // the replay it predicts), served from the store when warm.
-    lint::LintOptions lint_options;
-    lint_options.eager_threshold_bytes = platform.eager_threshold_bytes;
-    const lint::Report lint_report =
-        pipeline::lint_with_cache(t, lint_options, cache.get());
     pipeline::write_report(
         report_path,
-        pipeline::replay_report_json(result, platform,
-                                     t.app.empty() ? "app" : t.app,
-                                     &lint_report));
+        pipeline::run_report_json(context, result, cache.get(), jobs));
     std::printf("run report written to %s\n", report_path.c_str());
   }
   perf.add("makespan_s", result.makespan);
