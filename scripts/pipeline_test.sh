@@ -155,6 +155,24 @@ grep -q '"occupancy"' "$OUT/report.json"
 # The run report embeds the trace's lint block next to the replay.
 grep -q '"lint":{"schema":"osim.lint_report"' "$OUT/report.json"
 
+# Size budget of the lint block: the overlap advisories are collapsed to
+# per-rank counts plus a few exemplars, so every bundled app's 64-rank
+# overlap_real run report carries at most 64 KB of lint (the block is the
+# report's last member).
+for app in sweep3d pop alya specfem3d nas_bt nas_cg; do
+  "$BUILD/tools/osim_trace" --app "$app" --ranks 64 --iterations 3 \
+      --out "$OUT/budget_$app" --quiet --binary
+  "$BUILD/tools/osim_replay" --trace "$OUT/budget_$app.overlap_real.btrace" \
+      --report "$OUT/budget_$app.json" > /dev/null
+  total="$(wc -c < "$OUT/budget_$app.json")"
+  start="$(grep -o -b '"lint":{"schema"' "$OUT/budget_$app.json" | cut -d: -f1)"
+  [ -n "$start" ] || { echo "$app: report has no lint block" >&2; exit 1; }
+  lint_bytes=$((total - start))
+  [ "$lint_bytes" -le 65536 ] || {
+    echo "$app overlap_real@64: lint block is $lint_bytes bytes (> 64 KB)" >&2
+    exit 1; }
+done
+
 # Binary traces replay too.
 "$BUILD/tools/osim_replay" --trace "$OUT/pop.overlap_ideal.btrace" \
     --bandwidth 250 --latency 4 > "$OUT/pop.txt"
@@ -192,6 +210,24 @@ for bad in "--bandwidth 0" "--bandwidth -5" "--latency -1" "--buses -1" \
   [ "$rc" -eq 2 ] || { echo "$bad: expected exit 2, got $rc" >&2; exit 1; }
   grep -q -- "${bad% *} must be" "$OUT/badrange.txt" \
       || { cat "$OUT/badrange.txt" >&2; exit 1; }
+done
+
+# A platform file sets the whole network: a network flag next to
+# --platform would be ignored, so it is a usage error naming both flags,
+# in range or not, in osim_replay and osim_inspect --fingerprint alike.
+for bad in "--bandwidth 0 --buses -4" "--bandwidth 250" "--latency 4" \
+           "--buses 6" "--ports 0" "--eager -1"; do
+  for tool in "osim_replay" "osim_inspect --fingerprint"; do
+    set +e
+    # shellcheck disable=SC2086  # $tool and $bad are words and flags
+    "$BUILD/tools/"$tool --trace "$OUT/cg.original.trace" \
+        --platform "$OUT/platform.cfg" $bad > /dev/null 2> "$OUT/platbad.txt"
+    rc=$?
+    set -e
+    [ "$rc" -eq 2 ] || { echo "$tool --platform $bad: expected exit 2, got $rc" >&2; exit 1; }
+    grep -q -- "${bad%% *} cannot be combined with --platform" \
+        "$OUT/platbad.txt" || { cat "$OUT/platbad.txt" >&2; exit 1; }
+  done
 done
 
 # --jobs runs osim_replay's report lint passes; a negative count is a usage
@@ -294,6 +330,10 @@ fi
 "$BUILD/tools/osim_inspect" --trace "$OUT/cg.original.trace" --fingerprint \
     --platform "$OUT/platform.cfg" --cache-dir "$CACHE" > "$OUT/fp.txt"
 grep -q "(present)" "$OUT/fp.txt"
+# --platform alone addresses the same scenario it always has: rejecting
+# network flags next to it changed no fingerprint.
+grep -q "^4357bd178a21fecc07e5fdcb8f2ac303$" "$OUT/fp.txt" \
+    || { cat "$OUT/fp.txt" >&2; exit 1; }
 
 # The scenario flags are one surface (serve::ScenarioSpec), registered and
 # lowered the same way by both tools: osim_inspect addresses the object a

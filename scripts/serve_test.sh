@@ -7,7 +7,7 @@
 #      second client's concurrent submit shares the first's replay;
 #   3. admission control refuses submits with exit 6 when the queue is
 #      full, and bad requests (missing trace, out-of-range platform
-#      values) exit 2;
+#      values, --bandwidth next to a study's --bandwidths) exit 2;
 #   4. poll/fetch/cancel/stats round-trip against live tickets;
 #   5. a SIGKILLed worker (via OSIM_CRASH_POINT) is reaped and its job
 #      retried — the client still gets its report;
@@ -128,6 +128,20 @@ for bad in "--bandwidth 0" "--buses -1" "--ports 0" "--eager -1"; do
   [ $? -eq 2 ] || { echo "submit $bad: expected exit 2" >&2; exit 1; }
   grep -q -- "${bad% *} must be" "$OUT/badvalue.txt" \
       || { cat "$OUT/badvalue.txt" >&2; exit 1; }
+done
+# A study sets each scenario's bandwidth from --bandwidths, so --bandwidth
+# next to it would be ignored: a usage error, even when out of range, and
+# no ticket is issued.
+for bw in 0 250; do
+  "$CLIENT" study --socket "$SOCK" --trace "$OUT/cg.original.trace" \
+      --bandwidth "$bw" --bandwidths 125,250 > "$OUT/study_bw.txt" \
+      2> "$OUT/study_bw.err"
+  [ $? -eq 2 ] || { echo "study --bandwidth $bw: expected exit 2" >&2; exit 1; }
+  grep -q -- "--bandwidth cannot be combined with --bandwidths" \
+      "$OUT/study_bw.err" || { cat "$OUT/study_bw.err" >&2; exit 1; }
+  if grep -q "^ticket" "$OUT/study_bw.txt"; then
+    echo "study --bandwidth $bw issued tickets" >&2; exit 1
+  fi
 done
 set -e
 "$CLIENT" stats --socket "$SOCK" > "$OUT/stats_bad.json"

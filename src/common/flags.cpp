@@ -116,6 +116,7 @@ void Flags::set_value(const std::string& name, Entry& entry,
 
 bool Flags::parse(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
+  given_.clear();
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -151,8 +152,13 @@ bool Flags::parse(int argc, const char* const* argv) {
       value = argv[++i];
     }
     set_value(name, it->second, value);
+    given_.insert(name);
   }
   return true;
+}
+
+bool Flags::given(const std::string& name) const {
+  return given_.count(name) != 0;
 }
 
 std::string Flags::usage() const {

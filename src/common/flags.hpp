@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,10 @@ class Flags {
 
   std::string usage() const;
 
+  /// True when the last parse() set `name` from the command line (even to
+  /// its default value), so callers can reject flag combinations.
+  bool given(const std::string& name) const;
+
   /// Registered flag closest to `name` within edit distance 2, or "" when
   /// nothing is close enough to suggest.
   std::string suggestion(const std::string& name) const;
@@ -56,6 +61,7 @@ class Flags {
   std::string description_;
   std::string program_;
   std::map<std::string, Entry> entries_;
+  std::set<std::string> given_;
 };
 
 }  // namespace osim

@@ -121,6 +121,11 @@ std::string Report::render_csv() const {
 
 std::string Report::render_json() const {
   metrics::JsonWriter w;
+  write_json(w);
+  return w.str();
+}
+
+void Report::write_json(metrics::JsonWriter& w) const {
   w.begin_object();
   w.key("schema").value("osim.lint_report");
   w.key("version").value(static_cast<std::int64_t>(kLintReportVersion));
@@ -144,7 +149,6 @@ std::string Report::render_json() const {
   }
   w.end_array();
   w.end_object();
-  return w.str();
 }
 
 }  // namespace osim::lint

@@ -19,6 +19,10 @@
 
 #include "trace/record.hpp"
 
+namespace osim::metrics {
+class JsonWriter;
+}  // namespace osim::metrics
+
 namespace osim::lint {
 
 enum class Severity : std::uint8_t {
@@ -34,8 +38,10 @@ const char* severity_name(Severity severity);
 inline constexpr std::ptrdiff_t kNoRecord = -1;
 
 /// Version of the JSON document emitted by Report::render_json(); bump on
-/// any incompatible change to the schema below.
-inline constexpr int kLintReportVersion = 1;
+/// any incompatible change to the schema below or to what the passes
+/// report. Version 2: the overlap pass collapses its advisories into
+/// per-rank counts plus exemplars (lint/overlap_hazards.hpp).
+inline constexpr int kLintReportVersion = 2;
 
 struct Diagnostic {
   Severity severity = Severity::kError;
@@ -85,6 +91,10 @@ class Report {
   /// index and clock evidence. rank/record/code/evidence are omitted when
   /// absent, so the document carries no placeholder values.
   std::string render_json() const;
+
+  /// Writes the same document as one JSON value into `w` — the "lint"
+  /// block of the run and study reports.
+  void write_json(metrics::JsonWriter& w) const;
 
  private:
   std::vector<Diagnostic> diagnostics_;

@@ -1,5 +1,6 @@
 #include "lint/overlap_hazards.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <map>
 #include <utility>
@@ -32,6 +33,26 @@ std::string window_to_string(std::uint64_t instructions, double mips) {
                    static_cast<unsigned long long>(instructions));
 }
 
+/// A zero-window post, kept unrendered until it is known to be an exemplar.
+struct ZeroWindow {
+  std::size_t post = 0;
+  std::size_t wait = 0;
+  bool is_send = false;
+};
+
+Diagnostic zero_window_exemplar(const HbAnalysis& hb, Rank r,
+                                const ZeroWindow& z) {
+  const VectorClock post = hb.post(r, z.post);
+  return Diagnostic{
+      Severity::kInfo, kPass, "zero-window", r,
+      static_cast<std::ptrdiff_t>(z.post),
+      strprintf("immediate %s posted at record %zu is waited at record %zu "
+                "with no compute in between: zero overlap window",
+                z.is_send ? "send" : "receive", z.post, z.wait),
+      post.empty() ? std::string()
+                   : strprintf("post %s", clock_to_string(post).c_str())};
+}
+
 }  // namespace
 
 void check_overlap_hazards(const trace::Trace& trace, const HbAnalysis& hb,
@@ -48,10 +69,21 @@ void check_overlap_hazards(const trace::Trace& trace, const HbAnalysis& hb,
   std::size_t num_unwaited = 0;
   std::uint64_t total_window = 0;
 
+  std::vector<Diagnostic> zero_exemplars;
+  std::vector<Diagnostic> chain_exemplars;
+  std::vector<Diagnostic> zero_counts;
+  std::vector<Diagnostic> chain_counts;
+
   for (Rank r = 0; r < trace.num_ranks; ++r) {
     const auto& stream = trace.ranks[static_cast<std::size_t>(r)];
     std::map<ReqId, Posted> posted;
     std::uint64_t cum = 0;
+    // Zero-window posts surface in wait order; exemplars go in post order,
+    // so the rank's candidates are kept while exemplar slots remain.
+    std::vector<ZeroWindow> zero_candidates;
+    std::size_t rank_zero = 0;
+    std::size_t rank_chains = 0;
+    std::uint64_t rank_chain_window = 0;
     for (std::size_t i = 0; i < stream.size(); ++i) {
       const Record& rec = stream[i];
       if (const auto* burst = std::get_if<CpuBurst>(&rec)) {
@@ -77,17 +109,10 @@ void check_overlap_hazards(const trace::Trace& trace, const HbAnalysis& hb,
           const std::uint64_t window = cum - p.cum_instructions;
           if (window == 0) {
             ++num_zero;
-            const VectorClock post = hb.post(r, p.record);
-            report.add(Diagnostic{
-                Severity::kInfo, kPass, "zero-window", r,
-                static_cast<std::ptrdiff_t>(p.record),
-                strprintf("immediate %s posted at record %zu is waited at "
-                          "record %zu with no compute in between: zero "
-                          "overlap window",
-                          p.is_send ? "send" : "receive", p.record, i),
-                post.empty() ? std::string()
-                             : strprintf("post %s",
-                                         clock_to_string(post).c_str())});
+            ++rank_zero;
+            if (zero_exemplars.size() < kOverlapExemplarsPerCode) {
+              zero_candidates.push_back(ZeroWindow{p.record, i, p.is_send});
+            }
           } else {
             ++num_overlapped;
             ++nonzero_here;
@@ -96,20 +121,52 @@ void check_overlap_hazards(const trace::Trace& trace, const HbAnalysis& hb,
           }
         }
         if (nonzero_here >= 2) {
-          report.add(Diagnostic{
-              Severity::kInfo, kPass, "postponed-wait", r,
-              static_cast<std::ptrdiff_t>(i),
-              strprintf("wait retires %zu requests with nonzero overlap "
-                        "windows (%s): postponed-wait chain",
-                        nonzero_here,
-                        window_to_string(window_here, trace.mips).c_str()),
-              {}});
+          ++rank_chains;
+          rank_chain_window += window_here;
+          if (chain_exemplars.size() < kOverlapExemplarsPerCode) {
+            chain_exemplars.push_back(Diagnostic{
+                Severity::kInfo, kPass, "postponed-wait", r,
+                static_cast<std::ptrdiff_t>(i),
+                strprintf("wait retires %zu requests with nonzero overlap "
+                          "windows (%s): postponed-wait chain",
+                          nonzero_here,
+                          window_to_string(window_here, trace.mips).c_str()),
+                {}});
+          }
         }
       }
     }
     num_unwaited += posted.size();
+
+    std::sort(zero_candidates.begin(), zero_candidates.end(),
+              [](const ZeroWindow& a, const ZeroWindow& b) {
+                return a.post < b.post;
+              });
+    for (const ZeroWindow& z : zero_candidates) {
+      if (zero_exemplars.size() == kOverlapExemplarsPerCode) break;
+      zero_exemplars.push_back(zero_window_exemplar(hb, r, z));
+    }
+    if (rank_zero > 0) {
+      zero_counts.push_back(Diagnostic{
+          Severity::kInfo, kPass, "zero-window-count", r, kNoRecord,
+          strprintf("%zu immediate operation(s) with zero overlap window",
+                    rank_zero),
+          {}});
+    }
+    if (rank_chains > 0) {
+      chain_counts.push_back(Diagnostic{
+          Severity::kInfo, kPass, "postponed-wait-count", r, kNoRecord,
+          strprintf("%zu postponed-wait chain(s), total overlap window %s",
+                    rank_chains,
+                    window_to_string(rank_chain_window, trace.mips).c_str()),
+          {}});
+    }
   }
 
+  for (std::vector<Diagnostic>* part :
+       {&zero_exemplars, &zero_counts, &chain_exemplars, &chain_counts}) {
+    for (Diagnostic& d : *part) report.add(std::move(d));
+  }
   if (num_immediate > 0) {
     report.add(Diagnostic{
         Severity::kInfo, kPass, "overlap-summary", -1, kNoRecord,

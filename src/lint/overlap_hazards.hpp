@@ -11,7 +11,8 @@
 //   zero-window     an immediate op whose wait follows with no intervening
 //                   compute: the nonblocking call buys nothing and the
 //                   paper's overlap mechanisms cannot engage. Anchored at
-//                   the *posting* record.
+//                   the *posting* record, with the post's vector clock as
+//                   evidence.
 //   postponed-wait  a wait retiring two or more requests that all carry a
 //                   nonzero window — the postponed-wait chain the paper's
 //                   transformation produces; listed so replay metrics can
@@ -21,15 +22,32 @@
 //                   and the total predicted window. Emitted only when the
 //                   trace contains at least one immediate operation.
 //
+// A large trace has thousands of the first two, so they are collapsed
+// where they are made: per code, at most kOverlapExemplarsPerCode
+// exemplars (the first in (rank, record) order, with the full message and
+// evidence) and one count advisory per rank that has any —
+// "zero-window-count" ("<n> immediate operation(s) with zero overlap
+// window") and "postponed-wait-count" ("<n> postponed-wait chain(s), total
+// overlap window <window>"), anchored at the rank with no record. The
+// order is: zero-window exemplars, zero-window counts, postponed-wait
+// exemplars, postponed-wait counts, summary. Evidence clocks are looked up
+// and rendered for the exemplars only.
+//
 // Request bookkeeping mirrors the requests pass (reuse overwrites, unknown
 // requests are skipped) so misuse is reported exactly once, there.
 #pragma once
+
+#include <cstddef>
 
 #include "lint/diagnostics.hpp"
 #include "lint/hb.hpp"
 #include "trace/trace.hpp"
 
 namespace osim::lint {
+
+/// Exemplar advisories kept per collapsed code (zero-window,
+/// postponed-wait); the rest survive only in the per-rank counts.
+inline constexpr std::size_t kOverlapExemplarsPerCode = 8;
 
 void check_overlap_hazards(const trace::Trace& trace, const HbAnalysis& hb,
                            Report& report);

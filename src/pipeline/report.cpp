@@ -89,35 +89,6 @@ void write_fault_counts(JsonWriter& w, const faults::Counts& c) {
   w.end_object();
 }
 
-/// The "lint" block: counts plus the full diagnostic list, mirroring
-/// lint::Report::render_json() field for field (minus the outer schema
-/// header, which the surrounding report document already carries).
-void write_lint(JsonWriter& w, const lint::Report& report) {
-  w.begin_object();
-  w.key("schema").value("osim.lint_report");
-  w.key("version").value(static_cast<std::int64_t>(lint::kLintReportVersion));
-  w.key("clean").value(report.clean());
-  w.key("errors").value(static_cast<std::uint64_t>(report.num_errors()));
-  w.key("warnings").value(static_cast<std::uint64_t>(report.num_warnings()));
-  w.key("infos").value(static_cast<std::uint64_t>(report.num_infos()));
-  w.key("diagnostics").begin_array();
-  for (const lint::Diagnostic& d : report.diagnostics()) {
-    w.begin_object();
-    w.key("severity").value(lint::severity_name(d.severity));
-    w.key("pass").value(d.pass);
-    if (!d.code.empty()) w.key("code").value(d.code);
-    if (d.rank >= 0) w.key("rank").value(d.rank);
-    if (d.record != lint::kNoRecord) {
-      w.key("record").value(static_cast<std::int64_t>(d.record));
-    }
-    w.key("message").value(d.message);
-    if (!d.evidence.empty()) w.key("evidence").value(d.evidence);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
 }  // namespace
 
 std::string replay_report_json(const dimemas::SimResult& result,
@@ -226,7 +197,7 @@ std::string replay_report_json(const dimemas::SimResult& result,
 
   if (lint_report != nullptr) {
     w.key("lint");
-    write_lint(w, *lint_report);
+    lint_report->write_json(w);
   }
 
   w.end_object();
@@ -321,7 +292,7 @@ std::string study_report_json(const Study& study,
   w.end_array();
   if (lint_report != nullptr) {
     w.key("lint");
-    write_lint(w, *lint_report);
+    lint_report->write_json(w);
   }
   w.end_object();
   return w.str();

@@ -9,10 +9,10 @@
 //
 // What the loop guarantees:
 //
-//   dedupe      jobs are keyed by scenario fingerprint. Two clients
-//               submitting the same (trace, platform, options) share one
-//               replay; a scenario the store already holds a report for is
-//               answered without any replay at all.
+//   dedupe      jobs are keyed by ticket (serve::spec_fingerprint). Two
+//               clients submitting the same (trace, platform, options)
+//               share one replay; a scenario the store already holds a
+//               report for is answered without any replay at all.
 //   fairness    each client has its own FIFO; the scheduler round-robins
 //               across clients, so one client's thousand submits cannot
 //               starve another's one.

@@ -8,6 +8,7 @@
 #include "dimemas/platform_io.hpp"
 #include "dimemas/progress.hpp"
 #include "faults/spec.hpp"
+#include "lint/diagnostics.hpp"
 #include "pipeline/context.hpp"
 #include "pipeline/report.hpp"
 #include "pipeline/scenario.hpp"
@@ -77,6 +78,19 @@ dimemas::Platform platform_for(const ScenarioSpec& spec,
   return platform;
 }
 
+void reject_network_flags_with_platform(const Flags& flags,
+                                        const std::string& platform_path) {
+  if (platform_path.empty()) return;
+  for (const char* name : {"bandwidth", "latency", "buses", "ports", "eager"}) {
+    if (flags.given(name)) {
+      throw UsageError(strprintf(
+          "--%s cannot be combined with --platform: the platform file sets "
+          "the network",
+          name));
+    }
+  }
+}
+
 dimemas::ReplayOptions options_for(const ScenarioSpec& spec) {
   dimemas::ReplayOptions options;
   options.collect_metrics = true;  // the service always builds the report
@@ -111,9 +125,16 @@ TraceInfo probe_trace(const std::string& path) {
 
 pipeline::Fingerprint spec_fingerprint(const ScenarioSpec& spec,
                                        const TraceInfo& trace) {
-  return pipeline::combined_fingerprint(trace.fingerprint,
-                                        platform_for(spec, trace.num_ranks),
-                                        options_for(spec));
+  const pipeline::Fingerprint scenario = pipeline::combined_fingerprint(
+      trace.fingerprint, platform_for(spec, trace.num_ranks),
+      options_for(spec));
+  pipeline::FingerprintHasher h;
+  h.u64(0x5245504F5254);  // domain tag "REPORT"
+  h.u64(scenario.lo);
+  h.u64(scenario.hi);
+  h.u64(static_cast<std::uint64_t>(pipeline::kReportVersion));
+  h.u64(static_cast<std::uint64_t>(lint::kLintReportVersion));
+  return h.value();
 }
 
 JobOutcome run_job_on_trace(const ScenarioSpec& spec,

@@ -12,10 +12,11 @@
 // must be bit-for-bit the document `osim_replay --report` writes for the
 // same trace and flags (scripts/serve_test.sh cmp's the two); both run the
 // same lowering, pipeline::run_scenario and pipeline::run_report_json.
-// The controller's fingerprints derive from the same spec, so a ticket is
-// the combined fingerprint of the report-level scenario (collect_metrics
-// on); `osim_inspect --fingerprint` addresses the summary-level replay
-// that `osim_replay --cache-dir` stores, which is a different scenario.
+// The controller's fingerprints derive from the same spec, so a ticket
+// addresses the report of the report-level scenario (collect_metrics on),
+// with the report and lint schema versions folded in;
+// `osim_inspect --fingerprint` addresses the summary-level replay that
+// `osim_replay --cache-dir` stores, which is a different scenario.
 #pragma once
 
 #include <cstdint>
@@ -70,11 +71,18 @@ dimemas::Platform platform_for(const ScenarioSpec& spec,
 
 /// The tools' `--platform` branch: the platform file at `platform_path`
 /// when it is non-empty (osim::Error when it has fewer than `num_ranks`
-/// nodes; the network flags are then not consulted), else
-/// platform_for(spec, num_ranks).
+/// nodes; the network flags are then not consulted — see
+/// reject_network_flags_with_platform), else platform_for(spec, num_ranks).
 dimemas::Platform platform_for(const ScenarioSpec& spec,
                                std::int32_t num_ranks,
                                const std::string& platform_path);
+
+/// The tools' rule for `--platform`: the file sets the whole network, so
+/// a network flag (--bandwidth --latency --buses --ports --eager) that
+/// `flags` parsed next to a non-empty `platform_path` would be ignored.
+/// Throws osim::UsageError naming both flags instead, whatever its value.
+void reject_network_flags_with_platform(const Flags& flags,
+                                        const std::string& platform_path);
 
 /// The replay options `spec` describes, with collect_metrics on (the
 /// service always produces the full report; the tools reset it to what
@@ -96,11 +104,14 @@ struct TraceInfo {
 /// when the file is unreadable or malformed.
 TraceInfo probe_trace(const std::string& path);
 
-/// The scenario fingerprint of `spec` against a trace already probed:
-/// combined_fingerprint(trace, platform, options_for(spec)) — bit-identical
-/// to the fingerprint a ReplayContext built from the same inputs carries.
-/// This is the service ticket: the report-level scenario, with
-/// collect_metrics on.
+/// The service ticket of `spec` against a trace already probed: the
+/// scenario fingerprint combined_fingerprint(trace, platform,
+/// options_for(spec)) — the one a ReplayContext built from the same inputs
+/// carries, report-level (collect_metrics on) — folded with
+/// pipeline::kReportVersion and lint::kLintReportVersion. It is also the
+/// key of the stored report (ScenarioStore::save_report/load_report), so a
+/// report rendered by an older format is never served after a version
+/// bump: its ticket, and so its store object, is a different one.
 pipeline::Fingerprint spec_fingerprint(const ScenarioSpec& spec,
                                        const TraceInfo& trace);
 

@@ -17,11 +17,11 @@
 // type, short body, trailing bytes, oversized string — and never throw on
 // content. The framing fuzzer in tests/serve_test.cpp holds them to that.
 //
-// The scenario ticket is the scenario fingerprint itself
-// (pipeline::Fingerprint, spelled as 32 hex digits at the CLI): clients of
-// the service and users of the batch tools name scenarios the same way,
-// and two clients submitting the same work hold the same ticket — dedupe
-// is an addressing property, not a server table.
+// The scenario ticket is the address of the scenario's report: its
+// fingerprint folded with the report format versions
+// (serve::spec_fingerprint; pipeline::Fingerprint, spelled as 32 hex
+// digits at the CLI). Two clients submitting the same work hold the same
+// ticket — dedupe is an addressing property, not a server table.
 #pragma once
 
 #include <cstdint>

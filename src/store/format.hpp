@@ -49,7 +49,8 @@ inline constexpr std::uint32_t kLintObjectVersion = 1;
 /// analysis service (osim_serve) so a controller restart — or another
 /// controller sharing the store — can answer fetch-report without
 /// replaying. Keyed by report_address() (a domain-tagged derivation of the
-/// scenario fingerprint), same envelope, own magic.
+/// service ticket, serve::spec_fingerprint, which folds in the report
+/// format versions), same envelope, own magic.
 inline constexpr std::string_view kReportObjectMagic = "OSIMRPT1";
 inline constexpr std::uint32_t kReportObjectVersion = 1;
 

@@ -27,12 +27,15 @@
 #include "lint/diagnostics.hpp"
 #include "lint/hb.hpp"
 #include "lint/lint.hpp"
+#include "lint/overlap_hazards.hpp"
+#include "lint/races.hpp"
 #include "overlap/options.hpp"
 #include "overlap/transform.hpp"
 #include "pipeline/lint_cache.hpp"
 #include "pipeline/scenario.hpp"
 #include "store/store.hpp"
 #include "trace/trace.hpp"
+#include "random_trace.hpp"
 
 namespace osim {
 namespace {
@@ -47,6 +50,16 @@ std::size_t count_code(const lint::Report& report, std::string_view code) {
   std::size_t n = 0;
   for (const lint::Diagnostic& d : report.diagnostics()) {
     if (d.code == code) ++n;
+  }
+  return n;
+}
+
+/// Sum of the leading counts of the `code`-count advisories: the number of
+/// `code` advisories the overlap pass collapsed, over all ranks.
+std::size_t summed_count(const lint::Report& report, const std::string& code) {
+  std::size_t n = 0;
+  for (const lint::Diagnostic& d : report.diagnostics()) {
+    if (d.code == code + "-count") n += std::stoull(d.message);
   }
   return n;
 }
@@ -337,7 +350,7 @@ TEST(LintJson, GoldenReportDocument) {
 
   EXPECT_EQ(
       report.render_json(),
-      "{\"schema\":\"osim.lint_report\",\"version\":1,\"clean\":false,"
+      "{\"schema\":\"osim.lint_report\",\"version\":2,\"clean\":false,"
       "\"errors\":1,\"warnings\":1,\"infos\":1,\"diagnostics\":["
       "{\"severity\":\"error\",\"pass\":\"match\",\"rank\":1,\"record\":4,"
       "\"message\":\"unmatched send\"},"
@@ -353,7 +366,7 @@ TEST(LintJson, GoldenReportDocument) {
 TEST(LintJson, EmptyReportDocument) {
   const lint::Report report = lint::lint_trace(Trace::make(2, 1000.0));
   EXPECT_EQ(report.render_json(),
-            "{\"schema\":\"osim.lint_report\",\"version\":1,\"clean\":true,"
+            "{\"schema\":\"osim.lint_report\",\"version\":2,\"clean\":true,"
             "\"errors\":0,\"warnings\":0,\"infos\":0,\"diagnostics\":[]}");
 }
 
@@ -451,25 +464,27 @@ TEST(LintGolden, NasCgZeroWindowCountsArePinned) {
   ideal_options.pattern = overlap::PatternMode::kIdeal;
 
   // The original trace waits every pre-posted receive with no compute in
-  // between: the anti-pattern the overlap transformation removes.
+  // between: the anti-pattern the overlap transformation removes. The
+  // advisories are collapsed, so the counts are read from the per-rank
+  // count lines.
   const lint::Report original =
       lint::lint_trace(overlap::lower_original(traced.annotated));
   EXPECT_TRUE(original.clean()) << original.render_text();
-  EXPECT_EQ(count_code(original, "zero-window"), 12u);
-  EXPECT_EQ(count_code(original, "postponed-wait"), 0u);
+  EXPECT_EQ(summed_count(original, "zero-window"), 12u);
+  EXPECT_EQ(summed_count(original, "postponed-wait"), 0u);
   EXPECT_EQ(count_code(original, "overlap-summary"), 1u);
 
   const lint::Report ideal =
       lint::lint_trace(overlap::transform(traced.annotated, ideal_options));
   EXPECT_TRUE(ideal.clean()) << ideal.render_text();
-  EXPECT_EQ(count_code(ideal, "zero-window"), 28u);
-  EXPECT_EQ(count_code(ideal, "postponed-wait"), 12u);
+  EXPECT_EQ(summed_count(ideal, "zero-window"), 28u);
+  EXPECT_EQ(summed_count(ideal, "postponed-wait"), 12u);
 
   const lint::Report real =
       lint::lint_trace(overlap::transform(traced.annotated, real_options));
   EXPECT_TRUE(real.clean()) << real.render_text();
-  EXPECT_EQ(count_code(real, "zero-window"), 16u);
-  EXPECT_EQ(count_code(real, "postponed-wait"), 12u);
+  EXPECT_EQ(summed_count(real, "zero-window"), 16u);
+  EXPECT_EQ(summed_count(real, "postponed-wait"), 12u);
 }
 
 // --- differential test against the dense-clock machines ---------------------
@@ -1432,11 +1447,10 @@ std::uint64_t fnv1a64(std::string_view text) {
   return hash;
 }
 
-/// One line per (app, variant, rank count): the size and FNV-1a 64 of
-/// lint_trace(...).render_json() for the app's original and overlap_real
-/// traces (3 iterations, 4 chunks) at 16 and 64 ranks.
-std::vector<std::string> lint_bytes_lines() {
-  std::vector<std::string> lines;
+/// Calls `fn(app, variant, ranks, trace)` for every bundled app's original
+/// and overlap_real traces (3 iterations, 4 chunks) at 16 and 64 ranks.
+template <typename Fn>
+void for_each_app_trace(Fn fn) {
   for (const std::int32_t ranks : {16, 64}) {
     for (const apps::MiniApp* app : apps::registry()) {
       apps::AppConfig config;
@@ -1453,23 +1467,33 @@ std::vector<std::string> lint_bytes_lines() {
             traced.annotated, variant, overlap_options,
             dimemas::Platform::marenostrum(config.ranks,
                                            app->paper_buses()));
-        const std::string json =
-            lint::lint_trace(context.trace()).render_json();
-        lines.push_back(strprintf(
-            "%s %s ranks=%d bytes=%zu fnv1a64=%016llx", app->name().c_str(),
-            variant == pipeline::TraceVariant::kOriginal ? "original"
-                                                         : "overlap_real",
-            config.ranks, json.size(),
-            static_cast<unsigned long long>(fnv1a64(json))));
+        fn(app->name(),
+           variant == pipeline::TraceVariant::kOriginal ? "original"
+                                                        : "overlap_real",
+           config.ranks, context.trace());
       }
     }
   }
+}
+
+/// One line per (app, variant, rank count): the size and FNV-1a 64 of
+/// lint_trace(...).render_json() for every for_each_app_trace trace.
+std::vector<std::string> lint_bytes_lines() {
+  std::vector<std::string> lines;
+  for_each_app_trace([&lines](const std::string& app, const char* variant,
+                              std::int32_t ranks, const Trace& t) {
+    const std::string json = lint::lint_trace(t).render_json();
+    lines.push_back(strprintf(
+        "%s %s ranks=%d bytes=%zu fnv1a64=%016llx", app.c_str(), variant,
+        ranks, json.size(), static_cast<unsigned long long>(fnv1a64(json))));
+  });
   return lines;
 }
 
-// tests/golden/lint_bytes.golden was generated with the dense-clock engine
-// (one vector clock per record, separate deadlock machine) that the
-// epoch-based machine replaced; the reports must stay byte-identical.
+// tests/golden/lint_bytes.golden pins the reports with collapsed overlap
+// advisories (lint report version 2). Their warnings, errors and exemplars
+// are the bytes the dense-clock engine produced (the differential tests
+// above and below compare against verbatim copies of the old code).
 TEST(LintGolden, ReportBytesMatchGolden) {
   const std::string path =
       std::string(OSIM_GOLDEN_DIR) + "/lint_bytes.golden";
@@ -1484,6 +1508,293 @@ TEST(LintGolden, ReportBytesMatchGolden) {
   for (std::size_t i = 0; i < lines.size(); ++i) {
     EXPECT_EQ(lines[i], golden[i]) << "line " << i;
   }
+}
+
+
+// --- differential test against the uncollapsed overlap pass -----------------
+
+// The overlap pass before its advisories were collapsed, verbatim: one
+// zero-window advisory (with its post clock) per zero-window post and one
+// postponed-wait advisory per chain, in wait order, then the summary.
+namespace uncollapsed {
+
+using lint::Diagnostic;
+using lint::kNoRecord;
+using lint::Severity;
+using lint::VectorClock;
+using lint::clock_to_string;
+
+
+using trace::CpuBurst;
+using trace::Rank;
+using trace::Record;
+using trace::Recv;
+using trace::ReqId;
+using trace::Send;
+using trace::Wait;
+
+constexpr const char* kPass = "overlap";
+
+std::string window_to_string(std::uint64_t instructions, double mips) {
+  if (mips > 0.0) {
+    return strprintf("%llu instruction(s), %.9g s",
+                     static_cast<unsigned long long>(instructions),
+                     static_cast<double>(instructions) / (mips * 1e6));
+  }
+  return strprintf("%llu instruction(s)",
+                   static_cast<unsigned long long>(instructions));
+}
+
+void check_overlap_hazards(const trace::Trace& trace,
+                           const lint::HbAnalysis& hb, lint::Report& report) {
+  struct Posted {
+    std::size_t record = 0;
+    std::uint64_t cum_instructions = 0;  // compute executed before the post
+    bool is_send = false;
+  };
+
+  std::size_t num_immediate = 0;
+  std::size_t num_zero = 0;
+  std::size_t num_overlapped = 0;
+  std::size_t num_unwaited = 0;
+  std::uint64_t total_window = 0;
+
+  for (Rank r = 0; r < trace.num_ranks; ++r) {
+    const auto& stream = trace.ranks[static_cast<std::size_t>(r)];
+    std::map<ReqId, Posted> posted;
+    std::uint64_t cum = 0;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      const Record& rec = stream[i];
+      if (const auto* burst = std::get_if<CpuBurst>(&rec)) {
+        cum += burst->instructions;
+      } else if (const auto* send = std::get_if<Send>(&rec)) {
+        if (send->immediate && send->request != trace::kNoRequest) {
+          posted[send->request] = Posted{i, cum, true};
+          ++num_immediate;
+        }
+      } else if (const auto* recv = std::get_if<Recv>(&rec)) {
+        if (recv->immediate && recv->request != trace::kNoRequest) {
+          posted[recv->request] = Posted{i, cum, false};
+          ++num_immediate;
+        }
+      } else if (const auto* wait = std::get_if<Wait>(&rec)) {
+        std::size_t nonzero_here = 0;
+        std::uint64_t window_here = 0;
+        for (const ReqId req : wait->requests) {
+          const auto it = posted.find(req);
+          if (it == posted.end()) continue;  // misuse: the requests pass
+          const Posted p = it->second;
+          posted.erase(it);
+          const std::uint64_t window = cum - p.cum_instructions;
+          if (window == 0) {
+            ++num_zero;
+            const VectorClock post = hb.post(r, p.record);
+            report.add(Diagnostic{
+                Severity::kInfo, kPass, "zero-window", r,
+                static_cast<std::ptrdiff_t>(p.record),
+                strprintf("immediate %s posted at record %zu is waited at "
+                          "record %zu with no compute in between: zero "
+                          "overlap window",
+                          p.is_send ? "send" : "receive", p.record, i),
+                post.empty() ? std::string()
+                             : strprintf("post %s",
+                                         clock_to_string(post).c_str())});
+          } else {
+            ++num_overlapped;
+            ++nonzero_here;
+            window_here += window;
+            total_window += window;
+          }
+        }
+        if (nonzero_here >= 2) {
+          report.add(Diagnostic{
+              Severity::kInfo, kPass, "postponed-wait", r,
+              static_cast<std::ptrdiff_t>(i),
+              strprintf("wait retires %zu requests with nonzero overlap "
+                        "windows (%s): postponed-wait chain",
+                        nonzero_here,
+                        window_to_string(window_here, trace.mips).c_str()),
+              {}});
+        }
+      }
+    }
+    num_unwaited += posted.size();
+  }
+
+  if (num_immediate > 0) {
+    report.add(Diagnostic{
+        Severity::kInfo, kPass, "overlap-summary", -1, kNoRecord,
+        strprintf("%zu immediate operation(s): %zu zero-window, %zu with "
+                  "overlap window (total %s), %zu never waited",
+                  num_immediate, num_zero, num_overlapped,
+                  window_to_string(total_window, trace.mips).c_str(),
+                  num_unwaited),
+        {}});
+  }
+}
+
+}  // namespace uncollapsed
+
+/// "<n> instruction(s)" right after `prefix` in `message`.
+std::uint64_t instructions_after(const std::string& message,
+                                 std::string_view prefix) {
+  const std::size_t at = message.find(prefix);
+  EXPECT_NE(at, std::string::npos) << message;
+  if (at == std::string::npos) return 0;
+  return std::stoull(message.substr(at + prefix.size()));
+}
+
+/// The diagnostics not made by the overlap pass, in report order.
+std::vector<std::string> non_overlap_lines(const lint::Report& report) {
+  std::vector<std::string> lines;
+  for (const lint::Diagnostic& d : report.diagnostics()) {
+    if (d.pass == "overlap") continue;
+    lines.push_back(strprintf("%s|%s|%s|%d|%td|%s|%s",
+                              lint::severity_name(d.severity), d.pass.c_str(),
+                              d.code.c_str(), d.rank, d.record,
+                              d.message.c_str(), d.evidence.c_str()));
+  }
+  return lines;
+}
+
+bool same_diagnostic(const lint::Diagnostic& a, const lint::Diagnostic& b) {
+  return std::tie(a.severity, a.pass, a.code, a.rank, a.record, a.message,
+                  a.evidence) == std::tie(b.severity, b.pass, b.code, b.rank,
+                                          b.record, b.message, b.evidence);
+}
+
+/// Checks lint_trace(t) against the same passes with the uncollapsed
+/// overlap pass: equal per-(code, rank) counts and postponed-wait window
+/// totals, exemplars that are the old advisories byte for byte (the first
+/// kOverlapExemplarsPerCode in (rank, record) order), the same summary,
+/// and identical warnings, errors and other-pass diagnostics. Returns the
+/// number of advisories the old pass emitted.
+std::size_t expect_collapse_matches_uncollapsed(const Trace& t) {
+  const lint::LintOptions options;
+  const lint::Report got = lint::lint_trace(t, options);
+
+  // lint_trace: check_structure's passes, then (unless the shape check
+  // failed) deadlock, races and overlap.
+  lint::Report want = lint::check_structure(t);
+  const bool shape_ok = std::none_of(
+      want.diagnostics().begin(), want.diagnostics().end(),
+      [](const lint::Diagnostic& d) {
+        return d.code == "rank-shape" || d.code == "no-ranks";
+      });
+  if (shape_ok) {
+    const lint::HbAnalysis hb =
+        lint::analyze_happens_before(t, options.eager_threshold_bytes);
+    lint::check_deadlock(t, hb, want);
+    lint::check_races(t, hb, want);
+    uncollapsed::check_overlap_hazards(t, hb, want);
+  }
+  EXPECT_EQ(non_overlap_lines(got), non_overlap_lines(want));
+  EXPECT_EQ(got.num_errors(), want.num_errors());
+  EXPECT_EQ(got.num_warnings(), want.num_warnings());
+
+  // (code, rank) -> (count, window instructions)
+  using Counts =
+      std::map<std::pair<std::string, trace::Rank>,
+               std::pair<std::uint64_t, std::uint64_t>>;
+  Counts want_counts;
+  Counts got_counts;
+  std::map<std::string, std::vector<const lint::Diagnostic*>> want_advisories;
+  std::map<std::string, std::vector<const lint::Diagnostic*>> got_exemplars;
+  const lint::Diagnostic* want_summary = nullptr;
+  const lint::Diagnostic* got_summary = nullptr;
+  std::size_t advisories = 0;
+  for (const lint::Diagnostic& d : want.diagnostics()) {
+    if (d.code == "zero-window" || d.code == "postponed-wait") {
+      auto& entry = want_counts[{d.code, d.rank}];
+      ++entry.first;
+      if (d.code == "postponed-wait") {
+        entry.second += instructions_after(d.message, "windows (");
+      }
+      want_advisories[d.code].push_back(&d);
+      ++advisories;
+    } else if (d.code == "overlap-summary") {
+      want_summary = &d;
+    }
+  }
+  for (const lint::Diagnostic& d : got.diagnostics()) {
+    if (d.pass != "overlap") continue;
+    EXPECT_EQ(d.severity, Severity::kInfo);
+    if (d.code == "zero-window-count" || d.code == "postponed-wait-count") {
+      const std::string code = d.code.substr(0, d.code.size() - 6);
+      auto& entry = got_counts[{code, d.rank}];
+      EXPECT_EQ(entry.first, 0u) << "two count lines for " << d.code
+                                 << " rank " << d.rank;
+      EXPECT_EQ(d.record, lint::kNoRecord);
+      entry.first = std::stoull(d.message);
+      if (code == "postponed-wait") {
+        entry.second = instructions_after(d.message, "total overlap window ");
+      }
+    } else if (d.code == "zero-window" || d.code == "postponed-wait") {
+      got_exemplars[d.code].push_back(&d);
+    } else {
+      EXPECT_EQ(d.code, "overlap-summary");
+      got_summary = &d;
+    }
+  }
+  EXPECT_EQ(got_counts, want_counts);
+  EXPECT_EQ(got_summary == nullptr, want_summary == nullptr);
+  if (got_summary != nullptr && want_summary != nullptr) {
+    EXPECT_TRUE(same_diagnostic(*got_summary, *want_summary))
+        << got_summary->message;
+  }
+
+  for (const char* code : {"zero-window", "postponed-wait"}) {
+    std::vector<const lint::Diagnostic*> expected = want_advisories[code];
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const lint::Diagnostic* a, const lint::Diagnostic* b) {
+                       return std::tie(a->rank, a->record) <
+                              std::tie(b->rank, b->record);
+                     });
+    if (expected.size() > lint::kOverlapExemplarsPerCode) {
+      expected.resize(lint::kOverlapExemplarsPerCode);
+    }
+    const std::vector<const lint::Diagnostic*>& exemplars =
+        got_exemplars[code];
+    EXPECT_EQ(exemplars.size(), expected.size()) << code;
+    for (std::size_t k = 0; k < exemplars.size() && k < expected.size();
+         ++k) {
+      EXPECT_TRUE(same_diagnostic(*exemplars[k], *expected[k]))
+          << code << " exemplar " << k << ": " << exemplars[k]->message;
+    }
+  }
+  return advisories;
+}
+
+TEST(OverlapCollapse, MatchesUncollapsedPassOnEveryBundledApp) {
+  std::size_t advisories = 0;
+  for_each_app_trace([&advisories](const std::string& app,
+                                   const char* variant, std::int32_t ranks,
+                                   const Trace& t) {
+    SCOPED_TRACE(testing::Message() << app << " " << variant << " ranks "
+                                    << ranks);
+    advisories += expect_collapse_matches_uncollapsed(t);
+  });
+  EXPECT_GE(advisories, 6000u);  // the collapse is exercised, not vacuous
+}
+
+TEST(OverlapCollapse, MatchesUncollapsedPassOnRandomTraces) {
+  std::size_t advisories = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(testing::Message() << "replayable seed " << seed);
+    advisories += expect_collapse_matches_uncollapsed(fuzz::random_trace(seed));
+  }
+  // The differential generator adds postponed waits, unknown requests,
+  // never-waited posts, deadlocks and truncated streams (no clocks).
+  std::mt19937_64 rng(18);
+  constexpr Fault kFaults[] = {Fault::kNone, Fault::kMissingCollective,
+                               Fault::kCycle, Fault::kStarvation,
+                               Fault::kTruncated};
+  for (int trial = 0; trial < 100; ++trial) {
+    SCOPED_TRACE(testing::Message() << "differential trial " << trial);
+    advisories += expect_collapse_matches_uncollapsed(
+        random_trace(rng, kFaults[trial % 5]));
+  }
+  EXPECT_GE(advisories, 5000u);
 }
 
 }  // namespace

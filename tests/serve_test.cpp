@@ -3,8 +3,8 @@
 // controller/worker life cycle, and the service-level acceptance
 // properties — concurrent clients deduped onto one replay with
 // byte-identical reports, admission-control rejection, worker-death
-// retries, and a journaled restart that answers from the store without
-// recomputing.
+// retries, a journaled restart that answers from the store without
+// recomputing, and one that replays what an older report format left.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,10 +20,13 @@
 #include "common/bytes.hpp"
 #include "common/exit_codes.hpp"
 #include "common/flags.hpp"
+#include "pipeline/context.hpp"
 #include "serve/client.hpp"
 #include "serve/controller.hpp"
 #include "serve/job.hpp"
 #include "serve/protocol.hpp"
+#include "store/format.hpp"
+#include "store/store.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/trace.hpp"
 
@@ -146,6 +149,54 @@ TEST(Spec, RegisteredFlagsFillEverySpecField) {
   expected.fault_spec = "seed=7;loss=0.02";
   expected.progress_spec = "app";
   EXPECT_EQ(spec, expected);
+}
+
+TEST(Spec, NetworkFlagsNextToAPlatformFileAreUsageErrors) {
+  const auto check = [](std::vector<const char*> argv,
+                        const std::string& platform_path) {
+    ScenarioSpec spec;
+    Flags flags("spec");
+    spec.register_flags(flags);
+    argv.insert(argv.begin(), "tool");
+    EXPECT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data()));
+    reject_network_flags_with_platform(flags, platform_path);
+  };
+  // Without a platform file every flag is the spec's to lower.
+  EXPECT_NO_THROW(check({"--bandwidth", "125", "--buses", "3"}, ""));
+  // With one, the replay-option flags still apply...
+  EXPECT_NO_THROW(check({"--collectives", "linear", "--progress", "app",
+                         "--faults", "seed=7;loss=0.02"},
+                        "p.cfg"));
+  EXPECT_NO_THROW(check({}, "p.cfg"));
+  // ...but a network flag would be ignored, whatever its value: even the
+  // default or an out-of-range one.
+  for (const char* name :
+       {"--bandwidth", "--latency", "--buses", "--ports", "--eager"}) {
+    for (const char* value : {"0", "-4", "250"}) {
+      try {
+        check({name, value}, "p.cfg");
+        ADD_FAILURE() << name << " " << value << " was accepted";
+      } catch (const UsageError& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find(name), std::string::npos) << message;
+        EXPECT_NE(message.find("--platform"), std::string::npos) << message;
+      }
+    }
+  }
+}
+
+TEST(Spec, TicketFoldsTheReportFormatVersions) {
+  const TraceInfo info{fp(3, 4), 4, 0};
+  const ScenarioSpec spec = sample_spec("t.trace", 250.0);
+  const pipeline::Fingerprint ticket = spec_fingerprint(spec, info);
+  EXPECT_EQ(ticket, spec_fingerprint(spec, info));
+  // Not the bare scenario fingerprint: reports stored under that key by a
+  // build with an older report or lint format are never served.
+  EXPECT_FALSE(ticket == pipeline::combined_fingerprint(
+                             info.fingerprint, platform_for(spec, 4),
+                             options_for(spec)));
+  EXPECT_FALSE(ticket == spec_fingerprint(sample_spec("t.trace", 125.0),
+                                          info));
 }
 
 TEST(Protocol, HandshakeRoundTrip) {
@@ -691,6 +742,55 @@ TEST(Service, JournaledRestartServesFromStoreWithoutRecompute) {
     EXPECT_NE(stats.find("\"enabled\":true"), std::string::npos) << stats;
     EXPECT_EQ(service.shutdown(), kExitOk);
   }
+}
+
+TEST(Service, ReportsOfAnOlderFormatAreReplayedNotServed) {
+  const std::string dir = fresh_dir("format");
+  const std::string trace_path = write_ring_trace(dir, 4, 2);
+  const ScenarioSpec spec = sample_spec(trace_path, 250.0);
+  const TraceInfo info = probe_trace(trace_path);
+  const pipeline::Fingerprint ticket = spec_fingerprint(spec, info);
+
+  ControllerOptions options = thread_mode_options(dir);
+  options.cache_dir = dir + "/cache";
+  options.journal = true;
+  {
+    TestService service(options);
+    ClientConnection connection = service.connect();
+    submit_and_fetch(connection, spec);
+    EXPECT_EQ(service.shutdown(), kExitOk);
+  }
+  // The journal now records the ticket as completed. Age the store: drop
+  // the ticket's report (as a version bump leaves it: recorded, but no
+  // object under the new key) and plant a stale document under the bare
+  // scenario fingerprint, the key reports were stored under before the
+  // format versions were folded into tickets.
+  {
+    store::ScenarioStore store(options.cache_dir);
+    ASSERT_TRUE(store.load_report(ticket).has_value());
+    ASSERT_TRUE(
+        fs::remove(store.object_path(store::report_address(ticket))));
+    ASSERT_FALSE(store.load_report(ticket).has_value());
+    store.save_report(
+        pipeline::combined_fingerprint(info.fingerprint,
+                                       platform_for(spec, info.num_ranks),
+                                       options_for(spec)),
+        "{\"stale\":true}");
+  }
+
+  TestService service(options);
+  ClientConnection connection = service.connect();
+  SubmitDisposition disposition = SubmitDisposition::kServed;
+  const std::string report = submit_and_fetch(connection, spec, &disposition);
+  EXPECT_EQ(disposition, SubmitDisposition::kFresh);
+  const JobOutcome direct = run_job(spec, nullptr);
+  ASSERT_TRUE(direct.ok) << direct.error;
+  EXPECT_EQ(report, direct.report_json);
+  const std::string stats = fetch_stats(connection);
+  EXPECT_NE(stats.find("\"replays_completed\":1"), std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("\"journal_hits\":0"), std::string::npos) << stats;
+  EXPECT_EQ(service.shutdown(), kExitOk);
 }
 
 #ifdef OSIM_SERVE_BIN

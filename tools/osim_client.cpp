@@ -13,9 +13,10 @@
 // The scenario flags (--bandwidth ... --progress) are serve::ScenarioSpec's
 // own, registered exactly as osim_replay and osim_inspect register them.
 //
-// Tickets are scenario fingerprints, spelled as 32 hex digits like the
+// Tickets are fingerprints, spelled as 32 hex digits like the
 // fingerprints of study reports and osim_inspect --fingerprint. A ticket
-// addresses the report-level scenario (replay options with metrics on,
+// addresses the report of the report-level scenario (replay options with
+// metrics on, report and lint schema versions folded in,
 // serve::spec_fingerprint), so it differs from the osim_inspect
 // --fingerprint of the same flags, which addresses the summary-level
 // replay `osim_replay --cache-dir` stores. A report fetched with --report
@@ -140,7 +141,8 @@ int main(int argc, char** argv) try {
   flags.add("trace", &spec.trace_path, "submit/study: trace file to replay");
   spec.register_flags(flags);
   flags.add("bandwidths", &bandwidths,
-            "study: comma-separated bandwidth sweep, e.g. 125,250,500");
+            "study: comma-separated bandwidth sweep, e.g. 125,250,500 "
+            "(replaces --bandwidth, which study rejects)");
   flags.add("ticket", &ticket_hex,
             "poll/fetch/cancel: the scenario ticket (32 hex digits)");
   flags.add("wait", &wait,
@@ -154,6 +156,12 @@ int main(int argc, char** argv) try {
         "missing command: expected submit, study, poll, fetch, cancel, "
         "stats or shutdown\n" +
         flags.usage());
+  }
+  // Each sweep point replaces the base spec's bandwidth.
+  if (command == "study" && flags.given("bandwidth")) {
+    throw UsageError(
+        "--bandwidth cannot be combined with --bandwidths: the sweep sets "
+        "each scenario's bandwidth");
   }
   if (socket_path.empty() && tcp_port == 0) {
     throw UsageError("pass --socket (or --tcp-port)");

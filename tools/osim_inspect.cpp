@@ -81,12 +81,14 @@ int main(int argc, char** argv) try {
             "this trace under the scenario flags (the object osim_replay "
             "--cache-dir stores — see osim_cache)");
   flags.add("platform", &platform_path,
-            "fingerprint: platform file; overrides the network flags");
+            "fingerprint: platform file; sets the network, so the network "
+            "flags cannot be combined with it");
   spec.register_flags(flags);
   flags.add("cache-dir", &cache_dir,
             "fingerprint: also print the object path in this scenario "
             "store and whether it is present");
   if (!flags.parse(argc, argv)) return 0;
+  serve::reject_network_flags_with_platform(flags, platform_path);
   const std::string& trace_path = spec.trace_path;
   if (trace_path.empty()) throw UsageError("--trace is required");
   if (fingerprint && (validate || validate_only)) {

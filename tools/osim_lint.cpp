@@ -7,6 +7,11 @@
 // original / transformed pair, checks that the overlap transformation
 // preserved the message structure.
 //
+// Overlap advisories are info-level and collapsed: per code (zero-window,
+// postponed-wait) at most 8 exemplars with their clock evidence, one
+// count line per rank (zero-window-count, postponed-wait-count) and one
+// overlap-summary. Warnings and errors are always listed in full.
+//
 // Exit codes follow common/exit_codes.hpp: 0 = clean under --fail-on,
 // 1 = findings at or above --fail-on (diagnostics on stdout), 2 = bad
 // command line, 3 = the trace could not be read.
@@ -46,7 +51,8 @@ int main(int argc, char** argv) try {
       "osim_lint: verify that a trace is a semantically valid MPI program "
       "(matching, request lifecycles, deadlock, collectives, races, overlap "
       "hazards, and — with --original/--transformed — overlap-transform "
-      "safety)");
+      "safety). Overlap advisories are collapsed to per-rank counts plus at "
+      "most 8 exemplars per code; warnings and errors are listed in full");
   flags.add("trace", &trace_path, "trace file to lint");
   flags.add("original", &original_path,
             "original trace of an original/transformed pair");

@@ -64,7 +64,8 @@ int main(int argc, char** argv) try {
   Flags flags("osim_replay: replay a trace file on a configurable platform");
   flags.add("trace", &spec.trace_path, "trace file to replay (required)");
   flags.add("platform", &platform_path,
-            "platform file; overrides the individual network flags");
+            "platform file; sets the network, so the individual network "
+            "flags cannot be combined with it");
   spec.register_flags(flags);
   flags.add("timeline", &timeline, "render the terminal Gantt chart");
   flags.add("timeline-width", &timeline_width, "timeline width in columns");
@@ -84,6 +85,7 @@ int main(int argc, char** argv) try {
                      "write a JSON run report (wait-time attribution, "
                      "occupancy, protocol counters) to this path");
   if (!flags.parse(argc, argv)) return 0;
+  serve::reject_network_flags_with_platform(flags, platform_path);
   const std::string& report_path = run.report;
   // --jobs runs the report's lint passes; a bad value is a usage error
   // whether or not a report is asked for.
