@@ -173,6 +173,31 @@ for app in sweep3d pop alya specfem3d nas_bt nas_cg; do
     exit 1; }
 done
 
+# Memory budget of lint: the happens-before machine keeps live state only
+# (reference-counted snapshots, clocks only where a pass reads them), so
+# sweep3d's 256-rank overlap_real trace lints in at most 96 MB of peak RSS
+# (about 36 MB on a 4-core x86-64 VM; 172 MB when every join's snapshot
+# was kept). Sanitized builds shadow every allocation, so there only the
+# counter is checked.
+"$BUILD/tools/osim_trace" --app sweep3d --ranks 256 --iterations 8 \
+    --out "$OUT/mem_sweep3d" --quiet --binary
+"$BUILD/tools/osim_lint" --trace "$OUT/mem_sweep3d.overlap_real.btrace" \
+    --perf-json "$OUT/mem_lint.json" > /dev/null
+if grep -q '^OSIM_SANITIZE:STRING=.' "$BUILD/CMakeCache.txt" 2>/dev/null; then
+  RSS_BUDGET_KB=0
+else
+  RSS_BUDGET_KB=98304
+fi
+python3 - "$OUT/mem_lint.json" "$RSS_BUDGET_KB" <<'PY'
+import json, sys
+record = json.load(open(sys.argv[1]))
+budget = int(sys.argv[2])
+assert record['hb_peak_live_snapshots'] > 0, record
+assert budget == 0 or record['max_rss_kb'] <= budget, (
+    'osim_lint sweep3d overlap_real@256: max_rss_kb %d > %d'
+    % (record['max_rss_kb'], budget))
+PY
+
 # Binary traces replay too.
 "$BUILD/tools/osim_replay" --trace "$OUT/pop.overlap_ideal.btrace" \
     --bandwidth 250 --latency 4 > "$OUT/pop.txt"
@@ -370,6 +395,26 @@ for mode in --validate --validate-only; do
   rc=$?
   set -e
   [ "$rc" -eq 2 ] || { echo "--fingerprint $mode: expected exit 2, got $rc" >&2; exit 1; }
+done
+
+# Without --fingerprint no scenario is read: every scenario flag,
+# --platform and --cache-dir is a usage error naming the flag, valid value
+# or not, instead of being accepted and ignored.
+for bad in "--bandwidth 0 --faults bogus" \
+           "--validate-only --buses -4 --cache-dir /nonexistent" \
+           "--validate --progress app" "--platform $OUT/platform.cfg" \
+           "--cache-dir $OUT/speccache"; do
+  set +e
+  # shellcheck disable=SC2086  # $bad is a list of flags and values
+  "$BUILD/tools/osim_inspect" --trace "$OUT/cg.original.trace" $bad \
+      > /dev/null 2> "$OUT/inspect_bad.txt"
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || { echo "osim_inspect $bad: expected exit 2, got $rc" >&2; exit 1; }
+  flag="${bad#--validate-only }"
+  flag="${flag#--validate }"
+  grep -q -- "${flag%% *} only applies with --fingerprint" \
+      "$OUT/inspect_bad.txt" || { cat "$OUT/inspect_bad.txt" >&2; exit 1; }
 done
 
 # Warm/cold bench round trip: the second run reports every scenario from

@@ -6,11 +6,14 @@
 #include <iterator>
 #include <map>
 #include <set>
+#include <utility>
 #include <variant>
 
 #include "common/expect.hpp"
 #include "common/strings.hpp"
 #include "dimemas/matching.hpp"
+#include "lint/overlap_hazards.hpp"
+#include "lint/races.hpp"
 
 namespace osim::lint {
 
@@ -37,10 +40,14 @@ bool dominates(const VectorClock& a, const VectorClock& b) {
   return true;
 }
 
-/// A posted record's clock by reference: its rank's snapshot at the time
-/// of posting, plus the record's own program-order tick.
+constexpr std::size_t kNoSnapshot = static_cast<std::size_t>(-1);
+
+/// A posted record's clock by reference: a live snapshot of its rank's
+/// clock at or after the last join before the post, plus the record's own
+/// program-order tick. `snapshot` is kNoSnapshot once released (or when no
+/// join will ever read it).
 struct Stamp {
-  std::size_t snapshot = 0;
+  std::size_t snapshot = kNoSnapshot;
   std::uint64_t tick = 0;
 };
 
@@ -50,23 +57,28 @@ struct PendingSend {
   SendEnvelope env;
   bool rendezvous = false;
   bool matched = false;
+  /// No completion of this send will join its partner's post any more:
+  /// eager, completed, or its request was dropped unwaited.
+  bool retired = false;
   std::size_t record = 0;
   Stamp post;
-  const PendingRecv* partner = nullptr;
+  PendingRecv* partner = nullptr;
 };
 
 struct PendingRecv {
   RecvEnvelope env;
   bool matched = false;
+  /// No completion of this receive will join its partner's post any more.
+  bool retired = false;
   std::size_t record = 0;
   Stamp post;
-  const PendingSend* partner = nullptr;
+  PendingSend* partner = nullptr;
 };
 
 /// What an immediate request resolves to in the untimed model.
 struct ReqEntry {
-  const PendingSend* send = nullptr;  // isend: complete when eager or matched
-  const PendingRecv* recv = nullptr;  // irecv: complete when matched
+  PendingSend* send = nullptr;  // isend: complete when eager or matched
+  PendingRecv* recv = nullptr;  // irecv: complete when matched
   bool complete() const {
     if (send != nullptr) return !send->rendezvous || send->matched;
     if (recv != nullptr) return recv->matched;
@@ -79,31 +91,89 @@ enum class BlockKind { kNone, kSend, kRecv, kWait, kCollective };
 struct RankMachine {
   std::size_t pc = 0;
   bool finished = false;
-  VectorClock clock;         // running clock
-  std::size_t snapshot = 0;  // the snapshot `clock` equals, own tick aside
+  VectorClock clock;  // running clock
+  /// A live snapshot equal to `clock` (own component aside), held by this
+  /// rank; kNoSnapshot until a post needs one after the last change.
+  std::size_t snapshot = kNoSnapshot;
   BlockKind block = BlockKind::kNone;
   std::size_t block_record = 0;
-  const PendingSend* blocked_send = nullptr;
-  const PendingRecv* blocked_recv = nullptr;
+  PendingSend* blocked_send = nullptr;
+  PendingRecv* blocked_recv = nullptr;
   std::vector<ReqId> wait_pending;      // kWait: not-yet-complete requests
   std::vector<ReqId> wait_all;          // kWait: the full request list
   std::size_t coll_ordinal = 0;         // kCollective: my arrival ordinal
   std::vector<Stamp> arrivals;          // per collective ordinal reached
+  /// Requests posted and not yet retired by a wait.
   std::map<ReqId, ReqEntry> requests;
 };
 
+/// Reference-counted dense snapshots. A slot whose count drops to zero
+/// goes onto the free list and its n-component buffer is reused.
+class SnapshotPool {
+ public:
+  explicit SnapshotPool(std::size_t width) : width_(width) {}
+
+  /// A new snapshot with one reference; its components are unspecified.
+  std::size_t make() {
+    std::size_t id;
+    if (free_.empty()) {
+      id = slots_.size();
+      slots_.emplace_back(width_, 0);
+      refs_.push_back(0);
+    } else {
+      id = free_.back();
+      free_.pop_back();
+    }
+    refs_[id] = 1;
+    peak_ = std::max(peak_, ++live_);
+    return id;
+  }
+  void acquire(std::size_t id) { ++refs_[id]; }
+  void release(std::size_t id) {
+    if (--refs_[id] == 0) {
+      free_.push_back(id);
+      --live_;
+    }
+  }
+  VectorClock& at(std::size_t id) { return slots_[id]; }
+  const VectorClock& at(std::size_t id) const { return slots_[id]; }
+  std::size_t peak() const { return peak_; }
+
+ private:
+  std::size_t width_;
+  std::vector<VectorClock> slots_;
+  std::vector<std::uint32_t> refs_;
+  std::vector<std::size_t> free_;
+  std::size_t live_ = 0;
+  std::size_t peak_ = 0;
+};
+
+}  // namespace
+
+/// The abstract machine of hb.hpp: one run over a trace, filling an
+/// HbAnalysis (a friend, for the declared clocks).
 class ClockedMachine {
  public:
-  ClockedMachine(const trace::Trace& trace, std::uint64_t eager_threshold)
-      : trace_(trace), eager_threshold_(eager_threshold) {
+  ClockedMachine(const trace::Trace& trace, const HbPoints& points,
+                 std::uint64_t eager_threshold)
+      : trace_(trace),
+        eager_threshold_(eager_threshold),
+        pool_(trace.ranks.size()) {
     const std::size_t n = trace.ranks.size();
     machines_.resize(n);
     unmatched_sends_.resize(n);
     unmatched_recvs_.resize(n);
-    for (RankMachine& m : machines_) m.clock.assign(n, 0);
+    hb_.captured_.resize(n);
+    next_point_.resize(n, 0);
+    pending_completion_.resize(n, nullptr);
+    for (Rank r = 0; r < trace.num_ranks; ++r) {
+      machine(r).clock.assign(n, 0);
+      for (const HbPoints::Point& p : points.sorted(r)) {
+        hb_.captured_[static_cast<std::size_t>(r)].push_back(
+            HbAnalysis::Captured{p.record, p.kinds, kNoSnapshot, kNoSnapshot});
+      }
+    }
     hb_.num_ranks = trace.num_ranks;
-    hb_.snapshots.emplace_back(n, 0);
-    hb_.epochs.resize(n);
   }
 
   HbAnalysis run() {
@@ -125,6 +195,8 @@ class ClockedMachine {
       hb_.matches.push_back(HbMatch{send.env.src, send.record, send.env.dst,
                                     send.partner->record});
     }
+    hb_.peak_live_snapshots = pool_.peak();
+    keep_declared_clocks();
     return std::move(hb_);
   }
 
@@ -159,6 +231,49 @@ class ClockedMachine {
     OSIM_UNREACHABLE("bad block kind");
   }
 
+  /// A new reference to `m`'s current clock, snapshotting the running
+  /// clock first when no live snapshot equals it.
+  std::size_t current_snapshot(RankMachine& m) {
+    if (m.snapshot == kNoSnapshot) {
+      m.snapshot = pool_.make();
+      pool_.at(m.snapshot) = m.clock;
+    }
+    pool_.acquire(m.snapshot);
+    return m.snapshot;
+  }
+
+  /// Drops one reference and forgets it.
+  void release(std::size_t& snapshot) {
+    if (snapshot == kNoSnapshot) return;
+    pool_.release(snapshot);
+    snapshot = kNoSnapshot;
+  }
+
+  /// The receive's completion has joined its partner's post, or never
+  /// will: the partner send's stamp has no reader left.
+  void retire(PendingRecv& recv) {
+    recv.retired = true;
+    if (recv.partner != nullptr) release(recv.partner->post.snapshot);
+  }
+  void retire(PendingSend& send) {
+    send.retired = true;
+    if (send.partner != nullptr) release(send.partner->post.snapshot);
+  }
+  void retire(const ReqEntry& entry) {
+    if (entry.send != nullptr) retire(*entry.send);
+    if (entry.recv != nullptr) retire(*entry.recv);
+  }
+
+  /// Pairs a send with a receive; a side already retired will never read
+  /// the other's post stamp.
+  void pair(PendingSend* send, PendingRecv* recv) {
+    send->matched = recv->matched = true;
+    send->partner = recv;
+    recv->partner = send;
+    if (recv->retired) release(send->post.snapshot);
+    if (send->retired) release(recv->post.snapshot);
+  }
+
   /// Joins the clock `stamp` names, posted by rank `q`, into `dst`; true
   /// when that changed `dst`. A clock only learns q's tick t by joining
   /// one of q's clocks at or after t, which dominates q's clock at t — so
@@ -166,7 +281,9 @@ class ClockedMachine {
   bool join_into(VectorClock& dst, Rank q, const Stamp& stamp) const {
     std::uint64_t& own = dst[static_cast<std::size_t>(q)];
     if (stamp.tick <= own) return false;
-    const VectorClock& src = hb_.snapshots[stamp.snapshot];
+    OSIM_CHECK_MSG(stamp.snapshot != kNoSnapshot,
+                   "happens-before join of a released snapshot");
+    const VectorClock& src = pool_.at(stamp.snapshot);
     for (std::size_t c = 0; c < dst.size(); ++c) {
       dst[c] = std::max(dst[c], src[c]);
     }
@@ -175,22 +292,28 @@ class ClockedMachine {
   }
 
   /// The k-th collective's completion clock — the join of every rank's
-  /// arrival — as a snapshot shared by all ranks. Collectives first
-  /// resolve in ordinal order, so the table grows by one at a time.
+  /// arrival — as a snapshot shared by all ranks, computed when the first
+  /// rank resolves it (collectives first resolve in ordinal order, so the
+  /// table grows by one at a time). The arrivals are released then; the
+  /// table's own reference is dropped once every rank has resolved it.
   std::size_t collective_snapshot(std::size_t k) {
     if (k == coll_snapshots_.size()) {
-      VectorClock join(machines_.size(), 0);
+      const std::size_t id = pool_.make();
+      VectorClock& join = pool_.at(id);
+      std::fill(join.begin(), join.end(), 0);
       for (Rank q = 0; q < trace_.num_ranks; ++q) {
-        join_into(join, q, machine(q).arrivals[k]);
+        Stamp& arrival = machine(q).arrivals[k];
+        join_into(join, q, arrival);
+        release(arrival.snapshot);
       }
-      coll_snapshots_.push_back(hb_.snapshots.size());
-      hb_.snapshots.push_back(std::move(join));
+      coll_snapshots_.push_back(id);
+      coll_resolved_.push_back(0);
     }
     return coll_snapshots_[k];
   }
 
-  /// Applies the completion joins of the resolved blocking record; a join
-  /// that changed the clock starts a new epoch.
+  /// Applies the completion joins of the resolved blocking record and
+  /// retires what it completed; pins a declared completion clock.
   void resolve_block(Rank r, RankMachine& m) {
     const BlockKind block = m.block;
     m.block = BlockKind::kNone;
@@ -201,17 +324,19 @@ class ClockedMachine {
           const PendingRecv& recv = *m.blocked_send->partner;
           changed = join_into(m.clock, recv.env.dst, recv.post);
         }
+        retire(*m.blocked_send);
         break;
       case BlockKind::kRecv:
         if (m.blocked_recv->partner != nullptr) {
           const PendingSend& send = *m.blocked_recv->partner;
           changed = join_into(m.clock, send.env.src, send.post);
         }
+        retire(*m.blocked_recv);
         break;
       case BlockKind::kWait:
         for (const ReqId req : m.wait_all) {
           const auto it = m.requests.find(req);
-          if (it == m.requests.end()) continue;
+          if (it == m.requests.end()) continue;  // unknown or retired
           const ReqEntry& entry = it->second;
           if (entry.recv != nullptr && entry.recv->partner != nullptr) {
             const PendingSend& send = *entry.recv->partner;
@@ -222,23 +347,39 @@ class ClockedMachine {
             changed |= join_into(m.clock, recv.env.dst, recv.post);
           }
           // Eager isend: completes locally, no synchronization edge.
+          retire(entry);
+          m.requests.erase(it);
         }
         break;
-      case BlockKind::kCollective:
+      case BlockKind::kCollective: {
         // Every rank's completion clock is exactly the collective's join.
-        m.snapshot = collective_snapshot(m.coll_ordinal);
-        m.clock = hb_.snapshots[m.snapshot];
-        hb_.epochs[static_cast<std::size_t>(r)].push_back(
-            HbEpoch{m.block_record, m.snapshot});
+        const std::size_t k = m.coll_ordinal;
+        const std::size_t join = collective_snapshot(k);
+        release(m.snapshot);
+        pool_.acquire(join);
+        m.snapshot = join;
+        m.clock = pool_.at(join);
+        if (++coll_resolved_[k] == machines_.size()) {
+          pool_.release(coll_snapshots_[k]);
+        }
+        pin_completion(r, m, /*changed=*/true);
         return;
+      }
       case BlockKind::kNone:
         return;
     }
-    if (!changed) return;
-    m.snapshot = hb_.snapshots.size();
-    hb_.snapshots.push_back(m.clock);
-    hb_.epochs[static_cast<std::size_t>(r)].push_back(
-        HbEpoch{m.block_record, m.snapshot});
+    if (changed) release(m.snapshot);  // it no longer equals the clock
+    pin_completion(r, m, changed);
+  }
+
+  /// Pins the resolved record's declared completion clock: the post clock
+  /// pinned at execution unless the completion joins changed the clock.
+  void pin_completion(Rank r, RankMachine& m, bool changed) {
+    HbAnalysis::Captured* point = std::exchange(
+        pending_completion_[static_cast<std::size_t>(r)], nullptr);
+    if (point == nullptr || !changed) return;
+    release(point->completion);
+    point->completion = current_snapshot(m);
   }
 
   /// Executes as many records of rank `r` as possible; true on progress.
@@ -253,32 +394,76 @@ class ClockedMachine {
       }
       const auto& recs = stream(r);
       if (m.pc >= recs.size()) {
-        m.finished = true;
+        finish(m);
         progressed = true;
         break;
       }
       const std::size_t i = m.pc++;
       progressed = true;
       execute(r, m, i, recs[i]);
+      pin_post(r, m, i);
     }
     return progressed;
   }
 
+  /// A finished rank posts nothing more and waits on nothing more.
+  void finish(RankMachine& m) {
+    m.finished = true;
+    for (const auto& [req, entry] : m.requests) retire(entry);
+    m.requests.clear();
+    release(m.snapshot);
+  }
+
+  /// Pins the declared clocks of record i, just executed: its post clock,
+  /// and its completion clock, which is the post clock unless the record
+  /// blocks (then resolve_block re-pins it once the joins are applied).
+  void pin_post(Rank r, RankMachine& m, std::size_t i) {
+    const auto idx = static_cast<std::size_t>(r);
+    std::vector<HbAnalysis::Captured>& points = hb_.captured_[idx];
+    std::size_t& next = next_point_[idx];
+    while (next < points.size() && points[next].record < i) ++next;
+    if (next == points.size() || points[next].record != i) return;
+    HbAnalysis::Captured& point = points[next++];
+    if ((point.kinds & kPostClock) != 0) point.post = current_snapshot(m);
+    if ((point.kinds & kCompletionClock) != 0) {
+      point.completion = current_snapshot(m);
+      if (m.block != BlockKind::kNone) pending_completion_[idx] = &point;
+    }
+  }
+
+  /// Records `entry` under `req`; reusing a live request drops the old
+  /// one unwaited.
+  void post_request(RankMachine& m, ReqId req, const ReqEntry& entry) {
+    const auto [it, fresh] = m.requests.try_emplace(req, entry);
+    if (fresh) return;
+    retire(it->second);
+    it->second = entry;
+  }
+
   void execute(Rank r, RankMachine& m, std::size_t i, const Record& rec) {
     // Program-order tick: every record gets a unique clock.
-    const Stamp post{m.snapshot, ++m.clock[static_cast<std::size_t>(r)]};
+    const std::uint64_t tick = ++m.clock[static_cast<std::size_t>(r)];
 
     if (const auto* send = std::get_if<Send>(&rec)) {
       if (!in_range(send->dest) || send->dest == r) return;  // match pass
+      const bool rendezvous =
+          send->synchronous || send->bytes > eager_threshold_;
+      // An eager send, or one no wait can complete, never joins its
+      // partner's post.
+      const bool retired =
+          !rendezvous ||
+          (send->immediate && send->request == trace::kNoRequest);
       sends_pool_.push_back(PendingSend{
-          SendEnvelope{r, send->dest, send->tag, send->bytes},
-          send->synchronous || send->bytes > eager_threshold_, false, i,
-          post, nullptr});
+          SendEnvelope{r, send->dest, send->tag, send->bytes}, rendezvous,
+          false, retired, i, Stamp{kNoSnapshot, tick}, nullptr});
       PendingSend* ps = &sends_pool_.back();
       match_send(ps);
+      if (!ps->matched || !ps->partner->retired) {
+        ps->post.snapshot = current_snapshot(m);
+      }
       if (send->immediate) {
         if (send->request != trace::kNoRequest) {
-          m.requests[send->request] = ReqEntry{ps, nullptr};
+          post_request(m, send->request, ReqEntry{ps, nullptr});
         }
         return;
       }
@@ -292,14 +477,19 @@ class ClockedMachine {
           recv->src == r) {
         return;  // reported by the match pass
       }
+      const bool retired =
+          recv->immediate && recv->request == trace::kNoRequest;
       recvs_pool_.push_back(PendingRecv{
-          RecvEnvelope{recv->src, r, recv->tag, recv->bytes}, false, i, post,
-          nullptr});
+          RecvEnvelope{recv->src, r, recv->tag, recv->bytes}, false, retired,
+          i, Stamp{kNoSnapshot, tick}, nullptr});
       PendingRecv* pr = &recvs_pool_.back();
       match_recv(pr);
+      if (!pr->matched || !pr->partner->retired) {
+        pr->post.snapshot = current_snapshot(m);
+      }
       if (recv->immediate) {
         if (recv->request != trace::kNoRequest) {
-          m.requests[recv->request] = ReqEntry{nullptr, pr};
+          post_request(m, recv->request, ReqEntry{nullptr, pr});
         }
         return;
       }
@@ -322,7 +512,7 @@ class ClockedMachine {
       m.wait_all = wait->requests;
     } else if (std::get_if<GlobalOp>(&rec) != nullptr) {
       m.coll_ordinal = m.arrivals.size();
-      m.arrivals.push_back(post);
+      m.arrivals.push_back(Stamp{current_snapshot(m), tick});
       if (m.coll_ordinal == coll_arrived_.size()) coll_arrived_.push_back(0);
       ++coll_arrived_[m.coll_ordinal];
       m.block = BlockKind::kCollective;
@@ -335,10 +525,7 @@ class ClockedMachine {
     auto& recvs = unmatched_recvs_[static_cast<std::size_t>(send->env.dst)];
     for (auto it = recvs.begin(); it != recvs.end(); ++it) {
       if (envelope_matches((*it)->env, send->env)) {
-        (*it)->matched = true;
-        (*it)->partner = send;
-        send->matched = true;
-        send->partner = *it;
+        pair(send, *it);
         recvs.erase(it);
         return;
       }
@@ -350,15 +537,36 @@ class ClockedMachine {
     auto& sends = unmatched_sends_[static_cast<std::size_t>(recv->env.dst)];
     for (auto it = sends.begin(); it != sends.end(); ++it) {
       if (envelope_matches(recv->env, (*it)->env)) {
-        (*it)->matched = true;
-        (*it)->partner = recv;
-        recv->matched = true;
-        recv->partner = *it;
+        pair(*it, recv);
         sends.erase(it);
         return;
       }
     }
     unmatched_recvs_[static_cast<std::size_t>(recv->env.dst)].push_back(recv);
+  }
+
+  /// Moves the pinned clocks of the declared points into the analysis,
+  /// turning their pool slots into indices of HbAnalysis::clocks_.
+  void keep_declared_clocks() {
+    std::vector<std::size_t> kept;  // pool slot -> index in hb_.clocks_
+    const auto keep = [&](std::size_t& slot) {
+      if (slot == kNoSnapshot) {
+        slot = HbAnalysis::kNoClock;
+        return;
+      }
+      if (slot >= kept.size()) kept.resize(slot + 1, HbAnalysis::kNoClock);
+      if (kept[slot] == HbAnalysis::kNoClock) {
+        kept[slot] = hb_.clocks_.size();
+        hb_.clocks_.push_back(std::move(pool_.at(slot)));
+      }
+      slot = kept[slot];
+    };
+    for (std::vector<HbAnalysis::Captured>& points : hb_.captured_) {
+      for (HbAnalysis::Captured& p : points) {
+        keep(p.post);
+        keep(p.completion);
+      }
+    }
   }
 
   /// Every unfinished rank other than `r`: who could still send to a
@@ -427,6 +635,7 @@ class ClockedMachine {
 
   const trace::Trace& trace_;
   const std::uint64_t eager_threshold_;
+  SnapshotPool pool_;
   std::vector<RankMachine> machines_;
   // Stable-address pools; inbox deques and partner pointers point into them.
   std::deque<PendingSend> sends_pool_;
@@ -435,24 +644,63 @@ class ClockedMachine {
   std::vector<std::deque<PendingRecv*>> unmatched_recvs_;
   std::vector<std::size_t> coll_arrived_;    // per ordinal: ranks arrived
   std::vector<std::size_t> coll_snapshots_;  // per resolved ordinal
+  std::vector<std::size_t> coll_resolved_;   // per ordinal: ranks resolved
+  // Per rank: the first declared point (hb_.captured_, holding pool slots
+  // until the run ends) not yet reached, and the blocking record's
+  // declared completion, pinned when it resolves.
+  std::vector<std::size_t> next_point_;
+  std::vector<HbAnalysis::Captured*> pending_completion_;
   HbAnalysis hb_;
 };
 
-}  // namespace
+HbPoints HbPoints::every(const trace::Trace& trace) {
+  HbPoints points(trace.num_ranks);
+  for (std::size_t r = 0; r < points.ranks_.size(); ++r) {
+    for (std::size_t i = 0; i < trace.ranks[r].size(); ++i) {
+      points.ranks_[r].push_back(Point{i, kPostClock | kCompletionClock});
+    }
+  }
+  return points;
+}
+
+std::vector<HbPoints::Point> HbPoints::sorted(trace::Rank r) const {
+  const auto idx = static_cast<std::size_t>(r);
+  if (idx >= ranks_.size()) return {};
+  std::vector<Point> list = ranks_[idx];
+  std::sort(list.begin(), list.end(), [](const Point& a, const Point& b) {
+    return a.record < b.record;
+  });
+  std::vector<Point> merged;
+  for (const Point& p : list) {
+    if (!merged.empty() && merged.back().record == p.record) {
+      merged.back().kinds |= p.kinds;
+    } else {
+      merged.push_back(p);
+    }
+  }
+  return merged;
+}
 
 VectorClock HbAnalysis::clock_at(trace::Rank r, std::size_t i,
-                                 bool completed) const {
+                                 HbClockKind kind) const {
   const auto idx = static_cast<std::size_t>(r);
-  if (i >= executed[idx]) return {};
-  // Epochs of records before `end` apply: through i-1 for a post, through
-  // i for a completion.
-  const std::size_t end = completed ? i + 1 : i;
-  const std::vector<HbEpoch>& list = epochs[idx];
-  const auto it = std::partition_point(
-      list.begin(), list.end(),
-      [end](const HbEpoch& e) { return e.record < end; });
-  VectorClock clock =
-      snapshots[it == list.begin() ? 0 : std::prev(it)->snapshot];
+  const Captured* point = nullptr;
+  if (idx < captured_.size()) {
+    const std::vector<Captured>& list = captured_[idx];
+    const auto it = std::partition_point(
+        list.begin(), list.end(),
+        [i](const Captured& c) { return c.record < i; });
+    if (it != list.end() && it->record == i && (it->kinds & kind) != 0) {
+      point = &*it;
+    }
+  }
+  OSIM_CHECK_MSG(point != nullptr,
+                 strprintf("%s clock of rank %d record %zu was not declared",
+                           kind == kPostClock ? "post" : "completion", r, i));
+  const std::size_t id =
+      kind == kPostClock ? point->post : point->completion;
+  if (id == kNoClock) return {};
+  VectorClock clock = clocks_[id];
   clock[idx] = i + 1;
   return clock;
 }
@@ -482,9 +730,23 @@ std::string clock_to_string(const VectorClock& clock) {
   return out;
 }
 
+HbPoints lint_clock_points(const trace::Trace& trace) {
+  HbPoints points(trace.num_ranks);
+  declare_race_clock_reads(trace, points);
+  declare_overlap_clock_reads(trace, points);
+  return points;
+}
+
+HbAnalysis analyze_happens_before(const trace::Trace& trace,
+                                  const HbPoints& points,
+                                  std::uint64_t eager_threshold_bytes) {
+  return ClockedMachine(trace, points, eager_threshold_bytes).run();
+}
+
 HbAnalysis analyze_happens_before(const trace::Trace& trace,
                                   std::uint64_t eager_threshold_bytes) {
-  return ClockedMachine(trace, eager_threshold_bytes).run();
+  return analyze_happens_before(trace, lint_clock_points(trace),
+                                eager_threshold_bytes);
 }
 
 }  // namespace osim::lint

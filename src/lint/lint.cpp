@@ -97,6 +97,9 @@ Report run_passes(const trace::Trace& trace, const LintOptions& options,
     tasks.emplace_back([&] {
       const HbAnalysis hb =
           analyze_happens_before(trace, options.eager_threshold_bytes);
+      if (options.stats != nullptr) {
+        options.stats->hb_peak_live_snapshots = hb.peak_live_snapshots;
+      }
       check_deadlock(trace, hb, slots[num_ranks + 2]);
       check_races(trace, hb, slots[num_ranks + 3]);
       check_overlap_hazards(trace, hb, slots[num_ranks + 3]);

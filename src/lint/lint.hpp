@@ -27,6 +27,7 @@
 //   7. transform    — overlap-transform safety (lint/transform_check.hpp)
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "lint/deadlock.hpp"
@@ -34,6 +35,13 @@
 #include "trace/trace.hpp"
 
 namespace osim::lint {
+
+/// Counters of one lint_trace run.
+struct LintStats {
+  /// The happens-before machine's peak live snapshot count
+  /// (HbAnalysis::peak_live_snapshots).
+  std::size_t hb_peak_live_snapshots = 0;
+};
 
 struct LintOptions {
   /// Rendezvous cutoff for the deadlock and happens-before passes; mirrors
@@ -45,6 +53,9 @@ struct LintOptions {
   /// slots and merged in canonical order, so any jobs value produces a
   /// byte-identical report; <= 1 runs everything inline.
   int jobs = 1;
+  /// When non-null, lint_trace writes the run's counters here (a report
+  /// served from a cache leaves them untouched).
+  LintStats* stats = nullptr;
 };
 
 /// Runs the structural passes (structure, match, requests, collectives) on

@@ -49,7 +49,14 @@ namespace osim::lint {
 /// postponed-wait); the rest survive only in the per-rank counts.
 inline constexpr std::size_t kOverlapExemplarsPerCode = 8;
 
+/// Reads the post clocks of the zero-window exemplars: `hb` must hold the
+/// points declare_overlap_clock_reads declares.
 void check_overlap_hazards(const trace::Trace& trace, const HbAnalysis& hb,
                            Report& report);
+
+/// Declares the clocks check_overlap_hazards reads, chosen by the same
+/// exemplar selection: the post of each zero-window exemplar.
+void declare_overlap_clock_reads(const trace::Trace& trace,
+                                 HbPoints& points);
 
 }  // namespace osim::lint

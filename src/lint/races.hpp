@@ -3,8 +3,8 @@
 // Two checks, both pure functions of a trace plus its HbAnalysis:
 //
 //   wildcard-race   a wildcard receive whose match is nondeterministic: a
-//                   second send from a *different* source also matches the
-//                   receive's envelope and is concurrent (under HB) with the
+//                   second send to its rank from a *different* source also
+//                   matches the receive's envelope and is concurrent (under HB) with the
 //                   send the abstract machine paired — so a real execution
 //                   may deliver either message. Same-source candidates are
 //                   never racy (MPI non-overtaking orders them), and a
@@ -31,7 +31,17 @@
 
 namespace osim::lint {
 
+/// Reads the post clock of every buffer-reuse site, and for each matched
+/// wildcard receive its post and completion clocks and the post clocks of
+/// its rival sends: `hb` must hold the points declare_race_clock_reads
+/// declares.
 void check_races(const trace::Trace& trace, const HbAnalysis& hb,
                  Report& report);
+
+/// Declares the clocks check_races reads, found by the same scans: the
+/// buffer-reuse sites, every wildcard receive (post and completion) and
+/// every send whose envelope matches a wildcard receive of its
+/// destination (post).
+void declare_race_clock_reads(const trace::Trace& trace, HbPoints& points);
 
 }  // namespace osim::lint

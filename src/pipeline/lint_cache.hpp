@@ -21,8 +21,10 @@ namespace osim::pipeline {
 
 /// Bump whenever any lint pass changes what it reports (message wording,
 /// new passes, severity changes): cached reports from older analyses must
-/// miss, not resurface.
-inline constexpr std::uint32_t kLintAnalysisVersion = 1;
+/// miss, not resurface. Service tickets fold it too (serve::
+/// spec_fingerprint). 2: a wildcard receive's rivals are only sends to
+/// its own rank.
+inline constexpr std::uint32_t kLintAnalysisVersion = 2;
 
 /// Cache key for a lint run: trace content fingerprint + eager threshold +
 /// analysis and schema versions. Deliberately excludes LintOptions::jobs.

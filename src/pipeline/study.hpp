@@ -328,15 +328,23 @@ auto Study::map(const std::vector<T>& items, F fn)
     enqueue(drain);
   }
   drain();  // the calling thread always participates
+  // Results and errors leave the shared State before they are used: a
+  // helper may still drop the last State reference afterwards, and must
+  // then destroy nothing the caller is reading (a rethrown exception
+  // object included).
+  std::vector<R> results;
+  std::vector<std::exception_ptr> errors;
   {
     std::unique_lock<std::mutex> lock(state->mutex);
     state->done_cv.wait(lock,
                         [&] { return state->completed == state->size; });
+    results = std::move(state->results);
+    errors = std::move(state->errors);
   }
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (state->errors[i]) std::rethrow_exception(state->errors[i]);
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
-  return std::move(state->results);
+  return results;
 }
 
 }  // namespace osim::pipeline

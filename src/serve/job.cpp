@@ -10,13 +10,14 @@
 #include "faults/spec.hpp"
 #include "lint/diagnostics.hpp"
 #include "pipeline/context.hpp"
+#include "pipeline/lint_cache.hpp"
 #include "pipeline/report.hpp"
 #include "pipeline/scenario.hpp"
 #include "trace/binary_io.hpp"
 
 namespace osim::serve {
 
-void ScenarioSpec::register_flags(Flags& flags) {
+std::vector<std::string> ScenarioSpec::register_flags(Flags& flags) {
   flags.add("bandwidth", &bandwidth, "link bandwidth in MB/s");
   flags.add("latency", &latency, "per-message latency in us");
   flags.add("buses", &buses, "global buses (0 = unlimited)");
@@ -31,6 +32,8 @@ void ScenarioSpec::register_flags(Flags& flags) {
   flags.add("progress", &progress_spec,
             "MPI progress model: 'offload' (default), 'app', or "
             "'thread[,tax=F]' (see dimemas/progress.hpp for the grammar)");
+  return {"bandwidth", "latency",     "buses",  "ports",
+          "eager",     "collectives", "faults", "progress"};
 }
 
 void encode_spec(bytes::Writer& out, const ScenarioSpec& spec) {
@@ -134,6 +137,7 @@ pipeline::Fingerprint spec_fingerprint(const ScenarioSpec& spec,
   h.u64(scenario.hi);
   h.u64(static_cast<std::uint64_t>(pipeline::kReportVersion));
   h.u64(static_cast<std::uint64_t>(lint::kLintReportVersion));
+  h.u64(pipeline::kLintAnalysisVersion);
   return h.value();
 }
 

@@ -50,9 +50,10 @@ struct ScenarioSpec {
   std::string progress_spec;                  // --progress ('' = offload)
 
   /// Registers --bandwidth --latency --buses --ports --eager --collectives
-  /// --faults --progress onto this spec's fields. The trace flag stays
-  /// with each tool, whose help text for it differs.
-  void register_flags(Flags& flags);
+  /// --faults --progress onto this spec's fields and returns those names
+  /// (without dashes), so a tool can tell whether any was given. The trace
+  /// flag stays with each tool, whose help text for it differs.
+  std::vector<std::string> register_flags(Flags& flags);
 
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
@@ -108,10 +109,11 @@ TraceInfo probe_trace(const std::string& path);
 /// scenario fingerprint combined_fingerprint(trace, platform,
 /// options_for(spec)) — the one a ReplayContext built from the same inputs
 /// carries, report-level (collect_metrics on) — folded with
-/// pipeline::kReportVersion and lint::kLintReportVersion. It is also the
-/// key of the stored report (ScenarioStore::save_report/load_report), so a
-/// report rendered by an older format is never served after a version
-/// bump: its ticket, and so its store object, is a different one.
+/// pipeline::kReportVersion, lint::kLintReportVersion and
+/// pipeline::kLintAnalysisVersion. It is also the key of the stored report
+/// (ScenarioStore::save_report/load_report), so a report rendered by an
+/// older format or lint analysis is never served after a version bump: its
+/// ticket, and so its store object, is a different one.
 pipeline::Fingerprint spec_fingerprint(const ScenarioSpec& spec,
                                        const TraceInfo& trace);
 

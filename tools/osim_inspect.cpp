@@ -23,7 +23,9 @@
 // object in a persistent store (see osim_cache). With --cache-dir, the
 // object path and its presence are printed too. It cannot be combined with
 // --validate or --validate-only (usage error). It is not an osim_client
-// ticket: tickets address the report-level scenario (metrics on).
+// ticket: tickets address the report-level scenario (metrics on). Without
+// --fingerprint no scenario is read, so the scenario flags, --platform and
+// --cache-dir are usage errors there rather than silently ignored.
 //
 //   osim_inspect --trace /tmp/cg.original.trace
 //   osim_inspect --trace t.trace --validate-only
@@ -31,11 +33,14 @@
 //   osim_inspect --trace t.trace --fingerprint --bandwidth 250 --buses 6
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/exit_codes.hpp"
 #include "common/expect.hpp"
 #include "common/flags.hpp"
+#include "common/strings.hpp"
 #include "lint/lint.hpp"
 #include "pipeline/context.hpp"
 #include "serve/job.hpp"
@@ -83,11 +88,22 @@ int main(int argc, char** argv) try {
   flags.add("platform", &platform_path,
             "fingerprint: platform file; sets the network, so the network "
             "flags cannot be combined with it");
-  spec.register_flags(flags);
+  std::vector<std::string> fingerprint_flags = spec.register_flags(flags);
   flags.add("cache-dir", &cache_dir,
             "fingerprint: also print the object path in this scenario "
             "store and whether it is present");
+  fingerprint_flags.insert(fingerprint_flags.end(), {"platform", "cache-dir"});
   if (!flags.parse(argc, argv)) return 0;
+  if (!fingerprint) {
+    // Only the fingerprint reads a scenario; elsewhere these flags would
+    // be accepted and ignored.
+    for (const std::string& name : fingerprint_flags) {
+      if (flags.given(name)) {
+        throw UsageError(strprintf(
+            "--%s only applies with --fingerprint", name.c_str()));
+      }
+    }
+  }
   serve::reject_network_flags_with_platform(flags, platform_path);
   const std::string& trace_path = spec.trace_path;
   if (trace_path.empty()) throw UsageError("--trace is required");

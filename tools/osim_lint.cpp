@@ -108,6 +108,8 @@ int main(int argc, char** argv) try {
         static_cast<std::uint64_t>(eager_threshold);
   }
   options.jobs = run.resolved_jobs();
+  lint::LintStats stats;
+  options.stats = &stats;
 
   const auto read_trace = [](const std::string& path) {
     try {
@@ -158,6 +160,8 @@ int main(int argc, char** argv) try {
     std::printf("%s: clean\n", subject.c_str());
   }
   perf.add("findings", static_cast<double>(report.diagnostics().size()));
+  perf.add("hb_peak_live_snapshots",
+           static_cast<double>(stats.hb_peak_live_snapshots));
   perf.write_if(run.perf_json);
   return report.has_at_least(fail_severity) ? kExitError : kExitOk;
 } catch (const osim::UsageError& e) {
