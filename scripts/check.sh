@@ -52,16 +52,15 @@ if grep -rn --include='*.cpp' --include='*.hpp' -F '[[deprecated' \
 fi
 echo "shims OK (no [[deprecated]] under src/analysis/)"
 
-# One byte codec: fixed-width little-endian fields go through
-# common/bytes.hpp. trace/binary_io.cpp keeps its streaming LEB128 reader
-# over mmap (its only fixed-width field is the CRC footer).
+# One byte codec: every binary format (store, journal, RPC, binary traces)
+# encodes its fields through common/bytes.hpp.
 if grep -rnE --include='*.cpp' --include='*.hpp' '\(8 \* i\)' "$ROOT/src" |
-     grep -vE '^[^:]*/src/(common/bytes\.hpp|trace/binary_io\.cpp):'; then
+     grep -vE '^[^:]*/src/common/bytes\.hpp:'; then
   echo "error: hand-rolled byte-shift loop outside src/common/bytes.hpp;" \
        "use bytes::Writer / bytes::Reader (or store_le/load_le)" >&2
   exit 1
 fi
-echo "codec OK (byte-shift loops only in common/bytes.hpp, trace/binary_io)"
+echo "codec OK (byte-shift loops only in common/bytes.hpp)"
 
 cmake -B "$BUILD" -S "$ROOT" -DOSIM_SANITIZE="$SANITIZE" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo

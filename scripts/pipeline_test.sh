@@ -272,6 +272,30 @@ set -e
 [ "$rc" -eq 2 ] || { echo "lint --eager-threshold -7: expected exit 2, got $rc" >&2; exit 1; }
 grep -q -- "--eager-threshold must be" "$OUT/lint_eager.txt"
 
+# The tracing tools' integer flags are range-checked (exit 2, naming the
+# flag): an out-of-range chunk count or scale used to abort in the overlap
+# transform or the tracer (exit 134), --chunks 0 silently wrote unchunked
+# traces and a rank count past INT32_MAX silently wrapped.
+for bad in "--chunks -2" "--chunks 300" "--scale 0" "--chunks 0" \
+           "--ranks 4294967300"; do
+  set +e
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  "$BUILD/tools/osim_trace" --app nas_cg --ranks 4 --iterations 2 \
+      --out "$OUT/badtrace" --quiet $bad > /dev/null 2> "$OUT/badtrace.txt"
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || { echo "osim_trace $bad: expected exit 2, got $rc" >&2; exit 1; }
+  grep -q -- "${bad% *} must be in" "$OUT/badtrace.txt" \
+      || { cat "$OUT/badtrace.txt" >&2; exit 1; }
+done
+set +e
+"$BUILD/tools/osim_overlap" --annotated "$OUT/cg.ann" \
+    --out "$OUT/badchunks.trace" --chunks -3 > /dev/null 2> "$OUT/badchunks.txt"
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || { echo "osim_overlap --chunks -3: expected exit 2, got $rc" >&2; exit 1; }
+grep -q -- "--chunks must be in" "$OUT/badchunks.txt"
+
 # Truncated binary trace: strict read refuses with exit 3...
 head -c 40 "$OUT/pop.original.btrace" > "$OUT/pop.cut.btrace"
 set +e
@@ -308,6 +332,24 @@ rc=$?
 set -e
 [ "$rc" -eq 4 ] || { echo "salvaged replay: expected exit 4, got $rc" >&2; exit 1; }
 grep -q "makespan:" "$OUT/salvaged.txt"
+
+# Bytes after a valid integrity footer are damage: osim_inspect --validate
+# reports them (exit 4, every record salvaged) and the strict reader
+# refuses the file (exit 3).
+cp "$OUT/pop.original.btrace" "$OUT/pop.tail.btrace"
+printf 'fourteen bytes' >> "$OUT/pop.tail.btrace"
+set +e
+"$BUILD/tools/osim_inspect" --trace "$OUT/pop.tail.btrace" --validate \
+    > "$OUT/tail.txt" 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 4 ] || { echo "trailing bytes --validate: expected exit 4, got $rc" >&2; exit 1; }
+grep -q "14 trailing byte(s) after the integrity footer" "$OUT/tail.txt"
+set +e
+"$BUILD/tools/osim_replay" --trace "$OUT/pop.tail.btrace" > /dev/null 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 3 ] || { echo "trailing bytes replay: expected exit 3, got $rc" >&2; exit 1; }
 
 # Garbage input is unreadable even in recover mode: exit 3.
 printf 'not a trace at all\n' > "$OUT/garbage.trace"

@@ -1,19 +1,22 @@
-// The byte codec shared by every fixed-width binary format in the
-// repository: store objects and index (store/), the study journal
-// (supervise/) and the OSIMRPC1 protocol (serve/).
+// The byte codec shared by every binary format in the repository: store
+// objects and index (store/), the study journal (supervise/), the OSIMRPC1
+// protocol (serve/) and OSIMBT01 binary traces (trace/binary_io).
 //
-// Every field is little-endian. The store and journal may be shared
-// between machines over a network filesystem and RPC peers may differ in
-// host order, so the byte order is pinned rather than host-native.
+// Every fixed-width field is little-endian. The store and journal may be
+// shared between machines over a network filesystem and RPC peers may
+// differ in host order, so the byte order is pinned rather than
+// host-native. Variable-width integers are LEB128 (varint), signed ones
+// zigzag-mapped first (svarint), as binary traces store them.
 //
 // Writer appends fields to a caller-owned std::string. Reader is total by
 // construction: it never throws and never reads out of bounds. The first
-// underrun, oversized string or non-0/1 bool byte latches ok() == false,
-// every later get returns a zero value, and decoders check ok() (or
-// done(), which also demands full consumption) once at the end instead of
-// guarding every field. Length-prefixed strings are checked against the
-// bytes actually present before anything is copied, so a forged length
-// cannot make the reader allocate.
+// underrun, varint overflow, oversized string or non-0/1 bool byte latches
+// ok() == false, every later get returns a zero value and leaves
+// position() where the failure happened, and decoders check ok() (or
+// done(), which also demands full consumption) where they need to instead
+// of guarding every field. Length-prefixed strings are checked against
+// the bytes actually present before anything is copied, so a forged
+// length cannot make the reader allocate.
 #pragma once
 
 #include <cstddef>
@@ -70,6 +73,20 @@ class Writer {
     std::memcpy(&bits, &v, sizeof(bits));
     u64(bits);
   }
+  /// LEB128: seven bits per byte, least significant group first, the high
+  /// bit set on every byte but the last.
+  void varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      u8(static_cast<std::uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    u8(static_cast<std::uint8_t>(v));
+  }
+  /// Zigzag-mapped varint, so small magnitudes of either sign stay short.
+  void svarint(std::int64_t v) {
+    varint((static_cast<std::uint64_t>(v) << 1) ^
+           static_cast<std::uint64_t>(v >> 63));
+  }
   /// Raw bytes, no length prefix.
   void raw(std::string_view s) { out_.append(s.data(), s.size()); }
   /// u32 byte length + raw bytes (RPC strings).
@@ -102,6 +119,12 @@ class Reader {
   /// Every byte consumed and no error: the strict-decode success predicate.
   bool done() const { return ok_ && pos_ == data_.size(); }
   std::size_t remaining() const { return data_.size() - pos_; }
+  /// Bytes consumed from the start of the input. After a failure it stays
+  /// where the failing field stopped: the offset a damage report names.
+  std::size_t position() const { return pos_; }
+  /// The first failure was an underrun (the input ended inside a field),
+  /// as opposed to malformed bytes.
+  bool truncated() const { return truncated_; }
 
   std::uint8_t u8() {
     const char* p = take(1);
@@ -122,6 +145,28 @@ class Reader {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
+  /// Inverse of Writer::varint. A tenth byte that still has its high bit
+  /// set announces more than 64 bits: the eleventh byte is consumed and the
+  /// overflow latches failure.
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+      const char* p = take(1);
+      if (p == nullptr) return 0;
+      if (shift >= 64) {
+        ok_ = false;
+        return 0;
+      }
+      const auto byte = static_cast<std::uint8_t>(*p);
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) return v;
+    }
+  }
+  /// Inverse of Writer::svarint.
+  std::int64_t svarint() {
+    const std::uint64_t raw = varint();
+    return static_cast<std::int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
+  }
   /// The next `n` bytes as a view into the input (empty on underrun).
   std::string_view raw(std::uint64_t n) {
     const char* p = take(n);
@@ -141,8 +186,10 @@ class Reader {
   /// Start of the next `n` bytes, or nullptr (latching failure) when fewer
   /// remain or an earlier read already failed.
   const char* take(std::uint64_t n) {
-    if (!ok_ || n > remaining()) {
+    if (!ok_) return nullptr;
+    if (n > remaining()) {
       ok_ = false;
+      truncated_ = true;
       return nullptr;
     }
     const char* p = data_.data() + pos_;
@@ -159,6 +206,7 @@ class Reader {
   std::string_view data_;
   std::size_t pos_ = 0;
   bool ok_ = true;
+  bool truncated_ = false;
 };
 
 }  // namespace osim::bytes

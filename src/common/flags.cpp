@@ -173,4 +173,13 @@ std::string Flags::usage() const {
   return os.str();
 }
 
+void require_flag_range(const std::string& name, std::int64_t value,
+                        std::int64_t lo, std::int64_t hi) {
+  if (value >= lo && value <= hi) return;
+  throw UsageError(strprintf("--%s must be in [%lld, %lld] (got %lld)",
+                             name.c_str(), static_cast<long long>(lo),
+                             static_cast<long long>(hi),
+                             static_cast<long long>(value)));
+}
+
 }  // namespace osim

@@ -64,4 +64,10 @@ class Flags {
   std::set<std::string> given_;
 };
 
+/// Throws osim::UsageError ("--name must be in [lo, hi] (got value)")
+/// unless lo <= value <= hi. For integer flags whose consumers would
+/// otherwise abort on an invariant or silently narrow the value.
+void require_flag_range(const std::string& name, std::int64_t value,
+                        std::int64_t lo, std::int64_t hi);
+
 }  // namespace osim

@@ -16,16 +16,21 @@ enum class PatternMode : std::uint8_t {
   kIdeal,
 };
 
+/// Most chunks one message can be split into: the chunk index occupies the
+/// low byte of a chunk tag (pairing.hpp).
+inline constexpr int kMaxChunks = 256;
+
 struct OverlapOptions {
   /// Number of chunks per message ("the chunking technique in the
   /// overlapped case splits every MPI message in four chunks", §IV).
   /// Messages with fewer elements than chunks get one chunk per element.
+  /// In [1, kMaxChunks].
   int chunks = 4;
 
   /// Auto-chunking: when > 0, the chunk count is derived per message so
   /// that each chunk is at most this many bytes (e.g. the platform's eager
   /// threshold, so every chunk can use the eager protocol), overriding
-  /// `chunks`. Capped at 256 chunks per message.
+  /// `chunks`. Capped at kMaxChunks chunks per message.
   std::uint64_t auto_chunk_bytes = 0;
 
   PatternMode pattern = PatternMode::kMeasured;
@@ -53,7 +58,7 @@ struct OverlapOptions {
     if (auto_chunk_bytes > 0) {
       c = (message_bytes + auto_chunk_bytes - 1) / auto_chunk_bytes;
       if (c < 1) c = 1;
-      if (c > 256) c = 256;
+      if (c > kMaxChunks) c = kMaxChunks;
     }
     return static_cast<int>(c < num_elements ? c : num_elements);
   }

@@ -17,7 +17,7 @@ trace::Tag chunk_tag(Tag tag, std::int64_t pair_seq, int chunk_index) {
                  "application tag out of range for chunk tagging");
   OSIM_CHECK_MSG(pair_seq >= 0 && pair_seq < (std::int64_t{1} << 24),
                  "too many chunked messages on one (src, dst, tag)");
-  OSIM_CHECK(chunk_index >= 0 && chunk_index < 256);
+  OSIM_CHECK(chunk_index >= 0 && chunk_index < kMaxChunks);
   return (Tag{1} << 62) | (tag << 32) |
          (static_cast<Tag>(pair_seq) << 8) | chunk_index;
 }

@@ -129,7 +129,7 @@ void Study::worker_loop() {
 
 double Study::makespan(const ReplayContext& context, std::string_view label) {
   const Fingerprint key = context.fingerprint();
-  if (options_.cache_replays) {
+  {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     if (const auto it = cache_.find(key); it != cache_.end()) {
       ++hits_;
@@ -147,7 +147,7 @@ double Study::makespan(const ReplayContext& context, std::string_view label) {
   // served without replaying and without even needing the store object to
   // still exist. The journal gets a skipped-resume entry — the record
   // itself stays status ok, because the *result* is a completed one.
-  if (!resume_map_.empty() && options_.cache_replays) {
+  if (!resume_map_.empty()) {
     if (const auto it = resume_map_.find(key); it != resume_map_.end()) {
       CachedRun cached;
       cached.makespan = it->second.makespan;
@@ -174,7 +174,7 @@ double Study::makespan(const ReplayContext& context, std::string_view label) {
   // replay. Because the fingerprint covers the full (trace, platform,
   // options) content and replay is pure, a stored artifact is bit-identical
   // to what a cold evaluation would produce.
-  if (store_ != nullptr && options_.cache_replays) {
+  if (store_ != nullptr) {
     if (const std::optional<store::ScenarioArtifact> artifact =
             store_->load(key)) {
       CachedRun cached;
@@ -199,7 +199,7 @@ double Study::makespan(const ReplayContext& context, std::string_view label) {
       return cached.makespan;
     }
   }
-  if (options_.cache_replays) {
+  {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     ++misses_;
   }
@@ -258,11 +258,11 @@ double Study::makespan(const ReplayContext& context, std::string_view label) {
   cached.fault_counts = artifact.fault_counts;
   cached.fault_wait_s = artifact.fault_wait_s;
   cached.progress_wait_s = artifact.progress_wait_s;
-  if (options_.cache_replays) {
+  {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     cache_insert(key, cached);
   }
-  if (store_ != nullptr && options_.cache_replays) {
+  if (store_ != nullptr) {
     store_save(key, artifact);  // write-behind, queued for retry on failure
   }
   journal_append(key, supervise::ScenarioStatus::kOk, cached, 0.0);

@@ -47,8 +47,6 @@ struct StudyOptions {
   /// Worker threads evaluating scenarios. 1 = fully serial (no threads are
   /// spawned); 0 = one per hardware thread.
   int jobs = 1;
-  /// Serve repeated scenarios from the fingerprint-keyed makespan cache.
-  bool cache_replays = true;
   /// Keep one ScenarioRecord per makespan() evaluation (see scenarios()),
   /// for structured study reports.
   bool record_scenarios = false;

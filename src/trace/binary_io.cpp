@@ -1,11 +1,9 @@
 #include "trace/binary_io.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/expect.hpp"
 #include "common/log.hpp"
@@ -13,15 +11,12 @@
 #include "trace/io.hpp"
 #include "trace/mmap_file.hpp"
 
-static_assert(std::endian::native == std::endian::little,
-              "binary trace format assumes a little-endian host");
-
 namespace osim::trace {
 
 namespace {
 
-constexpr char kMagic[8] = {'O', 'S', 'I', 'M', 'B', 'T', '0', '1'};
-constexpr char kCrcMagic[8] = {'O', 'S', 'I', 'M', 'C', 'R', 'C', '1'};
+constexpr std::string_view kMagic = "OSIMBT01";
+constexpr std::string_view kCrcMagic = "OSIMCRC1";
 
 constexpr std::uint8_t kKindCpu = 0;
 constexpr std::uint8_t kKindSend = 1;
@@ -37,188 +32,79 @@ constexpr std::uint8_t kFlagSynchronous = 2;
 // it have actually been read.
 constexpr std::uint64_t kMaxReserve = 65536;
 
-class Writer {
- public:
-  explicit Writer(std::ostream& out) : out_(out) {}
+/// Throws the reader's latched failure, if any. The codec leaves the
+/// reader's position at the failing field, so that is the damage offset.
+void check(const bytes::Reader& r) {
+  if (r.ok()) return;
+  throw Error(r.truncated() ? "binary trace: unexpected end of file"
+                            : "binary trace: varint overflow");
+}
 
-  /// LEB128 variable-length unsigned integer.
-  void put_varint(std::uint64_t value) {
-    while (value >= 0x80) {
-      put_byte(static_cast<std::uint8_t>(value) | 0x80);
-      value >>= 7;
-    }
-    put_byte(static_cast<std::uint8_t>(value));
-  }
-
-  /// Zigzag-encoded signed integer (small magnitudes stay small).
-  void put_svarint(std::int64_t value) {
-    put_varint((static_cast<std::uint64_t>(value) << 1) ^
-               static_cast<std::uint64_t>(value >> 63));
-  }
-
-  void put_byte(std::uint8_t byte) {
-    if (crc_ != nullptr) crc_->update(byte);
-    out_.put(static_cast<char>(byte));
-  }
-
-  void put_double(double value) {
-    if (crc_ != nullptr) crc_->update(&value, sizeof(value));
-    out_.write(reinterpret_cast<const char*>(&value), sizeof(value));
-  }
-
-  void put_bytes(const char* data, std::size_t n) {
-    if (crc_ != nullptr) crc_->update(data, n);
-    out_.write(data, static_cast<std::streamsize>(n));
-  }
-
-  void put_u32(std::uint32_t value) {
-    for (int i = 0; i < 4; ++i) {
-      put_byte(static_cast<std::uint8_t>(value >> (8 * i)));
-    }
-  }
-
-  /// Routes subsequent writes through `crc` (nullptr detaches).
-  void set_crc(Crc32* crc) { crc_ = crc; }
-
-  std::ostream& out_;
-  Crc32* crc_ = nullptr;
-};
-
-/// Templated over the byte source: std::istream for stream callers, or
-/// MemStream over a MappedFile for the zero-copy file path. Both expose the
-/// same get/read/peek/clear/eof subset.
-template <typename Stream>
-class Reader {
- public:
-  explicit Reader(Stream& in) : in_(in) {}
-
-  std::uint64_t get_varint() {
-    std::uint64_t value = 0;
-    int shift = 0;
-    for (;;) {
-      const std::uint8_t byte = get_byte();
-      if (shift >= 64) throw Error("binary trace: varint overflow");
-      value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) return value;
-      shift += 7;
-    }
-  }
-
-  std::int64_t get_svarint() {
-    const std::uint64_t raw = get_varint();
-    return static_cast<std::int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
-  }
-
-  std::uint8_t get_byte() {
-    const int c = in_.get();
-    if (c == EOF) throw Error("binary trace: unexpected end of file");
-    ++consumed_;
-    const auto byte = static_cast<std::uint8_t>(c);
-    if (crc_ != nullptr) crc_->update(byte);
-    return byte;
-  }
-
-  double get_double() {
-    double value = 0.0;
-    in_.read(reinterpret_cast<char*>(&value), sizeof(value));
-    if (!in_) throw Error("binary trace: unexpected end of file");
-    consumed_ += sizeof(value);
-    if (crc_ != nullptr) crc_->update(&value, sizeof(value));
-    return value;
-  }
-
-  std::string get_string(std::size_t n) {
-    std::string s(n, '\0');
-    in_.read(s.data(), static_cast<std::streamsize>(n));
-    if (!in_) throw Error("binary trace: unexpected end of file");
-    consumed_ += n;
-    if (crc_ != nullptr) crc_->update(s.data(), n);
-    return s;
-  }
-
-  std::uint32_t get_u32() {
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      value |= static_cast<std::uint32_t>(get_byte()) << (8 * i);
-    }
-    return value;
-  }
-
-  bool at_eof() {
-    const int c = in_.peek();
-    if (c == EOF) {
-      in_.clear();
-      return true;
-    }
-    return false;
-  }
-
-  /// Bytes consumed from the start of the stream (damage-report offsets).
-  std::uint64_t consumed() const { return consumed_; }
-
-  /// Routes subsequent reads through `crc` (nullptr detaches).
-  void set_crc(Crc32* crc) { crc_ = crc; }
-
-  Stream& in_;
-  Crc32* crc_ = nullptr;
-  std::uint64_t consumed_ = 0;
-};
-
-/// Parses one record into `stream`. Throws osim::Error on any corruption.
-template <typename Stream>
-void read_one_record(Reader<Stream>& r, std::vector<Record>& stream) {
-  const std::uint8_t kind = r.get_byte();
+/// Parses one record into `stream`. Throws osim::Error on any corruption;
+/// a record is appended only once all of its fields have been read.
+void read_record(bytes::Reader& r, std::vector<Record>& stream) {
+  const std::uint8_t kind = r.u8();
+  check(r);
   switch (kind) {
-    case kKindCpu:
-      stream.push_back(CpuBurst{r.get_varint()});
-      break;
+    case kKindCpu: {
+      const CpuBurst burst{r.varint()};
+      check(r);
+      stream.push_back(burst);
+      return;
+    }
     case kKindSend: {
       Send send;
-      send.dest = static_cast<Rank>(r.get_svarint());
-      send.tag = r.get_svarint();
-      send.bytes = r.get_varint();
-      const std::uint8_t flags = r.get_byte();
+      send.dest = static_cast<Rank>(r.svarint());
+      send.tag = r.svarint();
+      send.bytes = r.varint();
+      const std::uint8_t flags = r.u8();
       send.immediate = (flags & kFlagImmediate) != 0;
       send.synchronous = (flags & kFlagSynchronous) != 0;
-      send.request = r.get_svarint();
+      send.request = r.svarint();
+      check(r);
       stream.push_back(send);
-      break;
+      return;
     }
     case kKindRecv: {
       Recv recv;
-      recv.src = static_cast<Rank>(r.get_svarint());
-      recv.tag = r.get_svarint();
-      recv.bytes = r.get_varint();
-      recv.immediate = (r.get_byte() & kFlagImmediate) != 0;
-      recv.request = r.get_svarint();
+      recv.src = static_cast<Rank>(r.svarint());
+      recv.tag = r.svarint();
+      recv.bytes = r.varint();
+      recv.immediate = (r.u8() & kFlagImmediate) != 0;
+      recv.request = r.svarint();
+      check(r);
       stream.push_back(recv);
-      break;
+      return;
     }
     case kKindWait: {
-      const std::uint64_t n = r.get_varint();
+      const std::uint64_t n = r.varint();
+      check(r);
       if (n == 0 || n > 1'000'000) {
         throw Error("binary trace: implausible wait size");
       }
       Wait wait;
       wait.requests.reserve(std::min(n, kMaxReserve));
-      for (std::uint64_t k = 0; k < n; ++k) {
-        wait.requests.push_back(r.get_svarint());
+      for (std::uint64_t k = 0; k < n && r.ok(); ++k) {
+        wait.requests.push_back(r.svarint());
       }
+      check(r);
       stream.push_back(std::move(wait));
-      break;
+      return;
     }
     case kKindGlobal: {
-      GlobalOp op;
-      const std::uint8_t coll = r.get_byte();
+      const std::uint8_t coll = r.u8();
+      check(r);
       if (coll > static_cast<std::uint8_t>(CollectiveKind::kScan)) {
         throw Error("binary trace: unknown collective kind");
       }
+      GlobalOp op;
       op.kind = static_cast<CollectiveKind>(coll);
-      op.root = static_cast<Rank>(r.get_svarint());
-      op.bytes = r.get_varint();
-      op.sequence = r.get_svarint();
+      op.root = static_cast<Rank>(r.svarint());
+      op.bytes = r.varint();
+      op.sequence = r.svarint();
+      check(r);
       stream.push_back(op);
-      break;
+      return;
     }
     default:
       throw Error(strprintf("binary trace: unknown record kind %u",
@@ -229,244 +115,250 @@ void read_one_record(Reader<Stream>& r, std::vector<Record>& stream) {
 /// Shared strict/salvaging reader. `damage == nullptr` is strict mode:
 /// every problem throws. With a Damage sink nothing throws; problems are
 /// recorded and the longest valid prefix is returned.
-template <typename Stream>
-Trace read_binary_impl(Stream& in, Damage* damage) {
-  Reader<Stream> r(in);
+Trace decode(std::string_view bytes, Damage* damage) {
+  bytes::Reader r(bytes);
   const bool recover = damage != nullptr;
 
-  auto report = [&](std::uint64_t offset, std::int32_t rank,
-                    std::uint64_t record, const std::string& message) {
+  auto report = [&](std::int32_t rank, std::uint64_t record,
+                    const std::string& message) {
     if (!recover) throw Error(message);
-    damage->issues.push_back(DamageIssue{offset, rank, record, message});
+    damage->issues.push_back(
+        DamageIssue{r.position(), rank, record, message});
   };
 
   // --- header ------------------------------------------------------------
   Trace trace;
   std::uint64_t num_ranks = 0;
   try {
-    const std::string magic = r.get_string(sizeof(kMagic));
-    if (std::memcmp(magic.data(), kMagic, sizeof(kMagic)) != 0) {
+    const std::string_view magic = r.raw(kMagic.size());
+    check(r);
+    if (magic != kMagic) {
       throw Error("binary trace: bad magic (not an OSIMBT01 file)");
     }
-    const double mips = r.get_double();
-    num_ranks = r.get_varint();
+    const double mips = r.f64();
+    num_ranks = r.varint();
+    check(r);
     if (num_ranks == 0 || num_ranks > 1'000'000) {
       throw Error("binary trace: implausible rank count");
     }
-    if (mips <= 0.0) throw Error("binary trace: invalid MIPS rate");
-    const std::uint64_t app_len = r.get_varint();
+    if (!(mips > 0.0)) throw Error("binary trace: invalid MIPS rate");
+    const std::uint64_t app_len = r.varint();
+    check(r);
     if (app_len > 4096) throw Error("binary trace: implausible app name");
+    const std::string_view app = r.raw(app_len);
+    check(r);
     trace = Trace::make(static_cast<std::int32_t>(num_ranks), mips,
-                        r.get_string(app_len));
+                        std::string(app));
   } catch (const Error& e) {
     if (!recover) throw;
     damage->unusable = true;
-    damage->issues.push_back(DamageIssue{r.consumed(), -1, 0, e.what()});
+    damage->issues.push_back(DamageIssue{r.position(), -1, 0, e.what()});
     return Trace{};
   }
 
   // --- per-rank record streams -------------------------------------------
-  std::vector<std::uint32_t> rank_crcs;
-  rank_crcs.reserve(std::min(num_ranks, kMaxReserve));
+  // Rank k's bytes are [starts[k], starts[k + 1]): the range its footer
+  // CRC covers.
+  std::vector<std::size_t> starts;
+  starts.reserve(std::min(num_ranks, kMaxReserve) + 1);
   bool desynchronized = false;
   for (std::uint64_t rank = 0; rank < num_ranks && !desynchronized; ++rank) {
     auto& stream = trace.ranks[rank];
-    Crc32 crc;
-    r.set_crc(&crc);
+    starts.push_back(r.position());
     std::uint64_t count = 0;
     std::uint64_t i = 0;
     try {
-      count = r.get_varint();
+      count = r.varint();
+      check(r);
       if (count > (std::uint64_t{1} << 40)) {
         throw Error("binary trace: implausible record count");
       }
       stream.reserve(std::min(count, kMaxReserve));
       for (; i < count; ++i) {
-        read_one_record(r, stream);
+        read_record(r, stream);
       }
     } catch (const Error& e) {
-      r.set_crc(nullptr);
-      report(r.consumed(), static_cast<std::int32_t>(rank), i, e.what());
+      report(static_cast<std::int32_t>(rank), i, e.what());
       // Recover mode from here on (report() threw in strict mode). The
       // framing has no resync point: the first corrupt byte ends the
       // salvage. Keep everything already parsed, drop the rest.
-      if (in.eof()) damage->truncated = true;
+      if (r.truncated()) damage->truncated = true;
       damage->records_dropped += count > i ? count - i : 0;
       if (rank + 1 < num_ranks) {
         damage->issues.push_back(DamageIssue{
-            r.consumed(), static_cast<std::int32_t>(rank), i,
+            r.position(), static_cast<std::int32_t>(rank), i,
             strprintf("stream desynchronized: %llu later rank stream(s) "
                       "not recovered",
                       static_cast<unsigned long long>(num_ranks - rank - 1))});
       }
       desynchronized = true;
     }
-    r.set_crc(nullptr);
-    rank_crcs.push_back(crc.value());
     if (recover) damage->records_salvaged += stream.size();
   }
+  starts.push_back(r.position());
 
   // --- integrity footer ---------------------------------------------------
-  if (!desynchronized) {
-    if (r.at_eof()) {
-      // Legacy trace written before the CRC footer existed: accept, warn.
-      if (recover) damage->missing_footer = true;
-      log::warn(
-          "binary trace: no integrity footer (written by an older "
-          "version); CRC verification skipped");
-    } else {
-      const std::uint64_t footer_offset = r.consumed();
-      try {
-        const std::string magic = r.get_string(sizeof(kCrcMagic));
-        if (std::memcmp(magic.data(), kCrcMagic, sizeof(kCrcMagic)) != 0) {
-          throw Error(
-              "binary trace: trailing bytes are not an OSIMCRC1 integrity "
-              "footer");
-        }
-        for (std::uint64_t rank = 0; rank < num_ranks; ++rank) {
-          const std::uint32_t stored = r.get_u32();
-          if (stored != rank_crcs[rank]) {
-            if (recover) ++damage->crc_mismatches;
-            report(r.consumed(), static_cast<std::int32_t>(rank), 0,
-                   strprintf("binary trace: rank %llu stream CRC mismatch "
-                             "(stored %08x, computed %08x)",
-                             static_cast<unsigned long long>(rank), stored,
-                             rank_crcs[rank]));
-          }
-        }
-      } catch (const Error& e) {
-        if (!recover) throw;
-        if (in.eof()) damage->truncated = true;
-        damage->issues.push_back(
-            DamageIssue{footer_offset, -1, 0,
-                        std::string("bad integrity footer: ") + e.what()});
+  if (desynchronized) return trace;
+  if (r.remaining() == 0) {
+    // Legacy trace written before the CRC footer existed: accept, warn.
+    if (recover) damage->missing_footer = true;
+    log::warn(
+        "binary trace: no integrity footer (written by an older "
+        "version); CRC verification skipped");
+    return trace;
+  }
+  const std::uint64_t footer_offset = r.position();
+  try {
+    const std::string_view magic = r.raw(kCrcMagic.size());
+    check(r);
+    if (magic != kCrcMagic) {
+      throw Error(
+          "binary trace: trailing bytes are not an OSIMCRC1 integrity "
+          "footer");
+    }
+    for (std::uint64_t rank = 0; rank < num_ranks; ++rank) {
+      const std::uint32_t stored = r.u32();
+      check(r);
+      const std::uint32_t computed =
+          crc32(bytes.substr(starts[rank], starts[rank + 1] - starts[rank]));
+      if (stored != computed) {
+        if (recover) ++damage->crc_mismatches;
+        report(static_cast<std::int32_t>(rank), 0,
+               strprintf("binary trace: rank %llu stream CRC mismatch "
+                         "(stored %08x, computed %08x)",
+                         static_cast<unsigned long long>(rank), stored,
+                         computed));
       }
     }
+  } catch (const Error& e) {
+    if (!recover) throw;
+    if (r.truncated()) damage->truncated = true;
+    damage->issues.push_back(
+        DamageIssue{footer_offset, -1, 0,
+                    std::string("bad integrity footer: ") + e.what()});
+    return trace;
+  }
+  if (!r.done()) {
+    // The footer ends the file; whatever follows was not written by us.
+    report(-1, 0,
+           strprintf("binary trace: %zu trailing byte(s) after the "
+                     "integrity footer",
+                     r.remaining()));
   }
   return trace;
 }
 
-}  // namespace
-
-void write_binary(const Trace& trace, std::ostream& out) {
-  Writer w(out);
-  w.put_bytes(kMagic, sizeof(kMagic));
-  w.put_double(trace.mips);
-  w.put_varint(static_cast<std::uint64_t>(trace.num_ranks));
-  w.put_varint(trace.app.size());
-  w.put_bytes(trace.app.data(), trace.app.size());
+/// Encodes `trace` as consecutive pieces — the header, each rank's byte
+/// range, the footer — handing each to `emit`, so a file is written one
+/// rank at a time instead of being assembled in memory first.
+template <class Emit>
+void encode(const Trace& trace, Emit&& emit) {
+  std::string piece;
+  bytes::Writer w(piece);
+  w.raw(kMagic);
+  w.f64(trace.mips);
+  w.varint(static_cast<std::uint64_t>(trace.num_ranks));
+  w.varint(trace.app.size());
+  w.raw(trace.app);
+  emit(std::string_view(piece));
   std::vector<std::uint32_t> rank_crcs;
   rank_crcs.reserve(trace.ranks.size());
   for (const auto& stream : trace.ranks) {
-    Crc32 crc;
-    w.set_crc(&crc);
-    w.put_varint(stream.size());
+    piece.clear();
+    w.varint(stream.size());
     for (const Record& rec : stream) {
       std::visit(
           [&w](const auto& r) {
             using T = std::decay_t<decltype(r)>;
             if constexpr (std::is_same_v<T, CpuBurst>) {
-              w.put_byte(kKindCpu);
-              w.put_varint(r.instructions);
+              w.u8(kKindCpu);
+              w.varint(r.instructions);
             } else if constexpr (std::is_same_v<T, Send>) {
-              w.put_byte(kKindSend);
-              w.put_svarint(r.dest);
-              w.put_svarint(r.tag);
-              w.put_varint(r.bytes);
+              w.u8(kKindSend);
+              w.svarint(r.dest);
+              w.svarint(r.tag);
+              w.varint(r.bytes);
               std::uint8_t flags = 0;
               if (r.immediate) flags |= kFlagImmediate;
               if (r.synchronous) flags |= kFlagSynchronous;
-              w.put_byte(flags);
-              w.put_svarint(r.request);
+              w.u8(flags);
+              w.svarint(r.request);
             } else if constexpr (std::is_same_v<T, Recv>) {
-              w.put_byte(kKindRecv);
-              w.put_svarint(r.src);
-              w.put_svarint(r.tag);
-              w.put_varint(r.bytes);
-              w.put_byte(r.immediate ? kFlagImmediate : 0);
-              w.put_svarint(r.request);
+              w.u8(kKindRecv);
+              w.svarint(r.src);
+              w.svarint(r.tag);
+              w.varint(r.bytes);
+              w.u8(r.immediate ? kFlagImmediate : 0);
+              w.svarint(r.request);
             } else if constexpr (std::is_same_v<T, Wait>) {
-              w.put_byte(kKindWait);
-              w.put_varint(r.requests.size());
+              w.u8(kKindWait);
+              w.varint(r.requests.size());
               for (const ReqId req : r.requests) {
-                w.put_svarint(req);
+                w.svarint(req);
               }
             } else if constexpr (std::is_same_v<T, GlobalOp>) {
-              w.put_byte(kKindGlobal);
-              w.put_byte(static_cast<std::uint8_t>(r.kind));
-              w.put_svarint(r.root);
-              w.put_varint(r.bytes);
-              w.put_svarint(r.sequence);
+              w.u8(kKindGlobal);
+              w.u8(static_cast<std::uint8_t>(r.kind));
+              w.svarint(r.root);
+              w.varint(r.bytes);
+              w.svarint(r.sequence);
             }
           },
           rec);
     }
-    w.set_crc(nullptr);
-    rank_crcs.push_back(crc.value());
+    rank_crcs.push_back(crc32(piece));
+    emit(std::string_view(piece));
   }
-  w.put_bytes(kCrcMagic, sizeof(kCrcMagic));
-  for (const std::uint32_t crc : rank_crcs) w.put_u32(crc);
-  if (!out) throw Error("binary trace: write error");
+  piece.clear();
+  w.raw(kCrcMagic);
+  for (const std::uint32_t crc : rank_crcs) w.u32(crc);
+  emit(std::string_view(piece));
+}
+
+bool has_binary_magic(std::string_view bytes) {
+  return bytes.substr(0, kMagic.size()) == kMagic;
+}
+
+}  // namespace
+
+std::string write_binary(const Trace& trace) {
+  std::string out;
+  encode(trace, [&out](std::string_view piece) { out += piece; });
+  return out;
 }
 
 void write_binary_file(const Trace& trace, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw Error("cannot open binary trace file: " + path);
-  write_binary(trace, out);
+  encode(trace, [&out](std::string_view piece) {
+    out.write(piece.data(), static_cast<std::streamsize>(piece.size()));
+  });
+  if (!out) throw Error("binary trace: write error");
 }
 
-namespace {
+Trace read_binary(std::string_view bytes) { return decode(bytes, nullptr); }
 
-bool has_binary_magic(const MappedFile& file) {
-  return file.size() >= sizeof(kMagic) &&
-         std::memcmp(file.data(), kMagic, sizeof(kMagic)) == 0;
-}
-
-}  // namespace
-
-Trace read_binary(std::istream& in) {
-  return read_binary_impl(in, nullptr);
-}
-
-Trace read_binary_file(const std::string& path) {
-  // Parse straight out of the mapping: no read() copies, no per-byte
-  // iostream dispatch. Records are still materialized (the Trace owns its
-  // data); only the ingestion path is zero-copy.
-  const MappedFile file = MappedFile::open(path);
-  MemStream in(file);
-  return read_binary_impl(in, nullptr);
-}
-
-Trace read_any_file(const std::string& path) {
-  const MappedFile file = MappedFile::open(path);
-  if (has_binary_magic(file)) {
-    MemStream in(file);
-    return read_binary_impl(in, nullptr);
-  }
-  std::istringstream in(std::string(file.data(), file.size()));
-  return read_text(in);
-}
-
-RecoveredTrace read_binary_recover(std::istream& in) {
+RecoveredTrace read_binary_recover(std::string_view bytes) {
   RecoveredTrace result;
-  result.trace = read_binary_impl(in, &result.damage);
+  result.trace = decode(bytes, &result.damage);
   return result;
 }
 
-RecoveredTrace read_any_file_recover(const std::string& path) {
-  // A damaged mapping behaves exactly like a damaged stream: the salvage
-  // parser reports issues and keeps the longest valid prefix.
+Trace read_any_file(const std::string& path) {
+  // Binary traces parse straight out of the mapping: no read() copies.
+  // Records are still materialized (the Trace owns its data); only the
+  // ingestion path is zero-copy.
   const MappedFile file = MappedFile::open(path);
-  if (has_binary_magic(file)) {
-    MemStream in(file);
-    RecoveredTrace result;
-    result.trace = read_binary_impl(in, &result.damage);
-    return result;
-  }
+  if (has_binary_magic(file.view())) return read_binary(file.view());
+  return read_text(std::string(file.view()));
+}
+
+RecoveredTrace read_any_file_recover(const std::string& path) {
+  const MappedFile file = MappedFile::open(path);
+  if (has_binary_magic(file.view())) return read_binary_recover(file.view());
   RecoveredTrace result;
   try {
-    std::istringstream in(std::string(file.data(), file.size()));
-    result.trace = read_text(in);
+    result.trace = read_text(std::string(file.view()));
   } catch (const Error& e) {
     // The text parser has no partial-salvage mode: report and bail.
     result.damage.unusable = true;

@@ -2,7 +2,9 @@
 //
 // The text format (io.hpp) is the interchange format; the binary format is
 // for large traces where parsing dominates (~10x smaller and faster to
-// load). Integers are LEB128 varints (zigzag for signed). Layout:
+// load). It is encoded and decoded through the shared byte codec
+// (common/bytes.hpp): integers are LEB128 varints (zigzag for signed),
+// fixed-width fields little-endian. Layout:
 //
 //   magic "OSIMBT01" (8 bytes)
 //   f64 mips (fixed), varint num_ranks, varint app_len, app bytes
@@ -17,13 +19,13 @@
 //              4 = GlobalOp  u8 collective, svarint root, varint bytes,
 //                            svarint sequence
 //   integrity footer: magic "OSIMCRC1" (8 bytes), then per rank one
-//     little-endian u32 CRC-32 (IEEE) over that rank's stream bytes
+//     little-endian u32 CRC-32 (IEEE) over that rank's byte range
 //     (record-count varint through last record byte)
 //
-// The footer is new: traces written before it still load — the strict
-// reader accepts a clean EOF where the footer would start (with a logged
-// warning), and old readers stopped after the last record and never saw the
-// trailing bytes.
+// The footer ends the file. Traces written before it existed still load —
+// the strict reader accepts a clean end of input where the footer would
+// start (with a logged warning) — but bytes after a footer are damage:
+// the strict reader throws and the salvage reader reports them.
 //
 // Salvage mode: read_binary_recover() never throws on damaged input.
 // It validates per record, reports every problem with its byte offset in a
@@ -32,33 +34,34 @@
 // everything before it (including earlier, fully-parsed ranks) is kept,
 // everything after is counted as dropped.
 //
-// read_any_file() sniffs the magic and dispatches to the right reader, so
-// the tools accept either format transparently.
+// read_any_file() maps the file (mmap_file.hpp), sniffs the magic and
+// parses the mapped bytes with the right reader, so the tools accept
+// either format transparently.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/trace.hpp"
 
 namespace osim::trace {
 
-void write_binary(const Trace& trace, std::ostream& out);
+/// The complete file: header, rank streams and integrity footer.
+std::string write_binary(const Trace& trace);
 void write_binary_file(const Trace& trace, const std::string& path);
 
 /// Throws osim::Error on truncated or corrupt input (including CRC
-/// mismatches and trailing garbage when the integrity footer is present).
-Trace read_binary(std::istream& in);
-Trace read_binary_file(const std::string& path);
+/// mismatches and any byte after the integrity footer).
+Trace read_binary(std::string_view bytes);
 
 /// Reads a trace file in either format, dispatching on the leading magic.
 Trace read_any_file(const std::string& path);
 
 /// One problem found while reading a damaged trace.
 struct DamageIssue {
-  std::uint64_t offset = 0;  // byte offset from the start of the stream
+  std::uint64_t offset = 0;  // byte offset from the start of the input
   std::int32_t rank = -1;    // rank whose stream was affected; -1 = header/footer
   std::uint64_t record = 0;  // record index within the rank (when rank >= 0)
   std::string message;
@@ -89,13 +92,13 @@ struct RecoveredTrace {
   Damage damage;
 };
 
-/// Salvaging reader: never throws on damaged bytes (I/O setup errors, e.g.
-/// an unopenable file, still throw). See the file comment for semantics.
-RecoveredTrace read_binary_recover(std::istream& in);
+/// Salvaging reader: never throws, whatever the bytes. See the file
+/// comment for semantics.
+RecoveredTrace read_binary_recover(std::string_view bytes);
 
 /// Either-format salvaging reader. Text traces have no partial-salvage
 /// mode: a malformed text trace comes back unusable with the parse error as
-/// the single issue.
+/// the single issue. An unopenable file still throws.
 RecoveredTrace read_any_file_recover(const std::string& path);
 
 }  // namespace osim::trace

@@ -1,7 +1,6 @@
 #include "trace/mmap_file.hpp"
 
 #include <cerrno>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -121,21 +120,6 @@ MappedFile::~MappedFile() {
     ::munmap(const_cast<char*>(data_), size_);
   }
 #endif
-}
-
-MemStream& MemStream::read(char* out, std::streamsize n) {
-  const auto want = static_cast<std::size_t>(n);
-  const std::size_t have = size_ - pos_;
-  if (want > have) {
-    std::memcpy(out, data_ + pos_, have);
-    pos_ = size_;
-    eof_ = true;
-    fail_ = true;
-    return *this;
-  }
-  std::memcpy(out, data_ + pos_, want);
-  pos_ += want;
-  return *this;
 }
 
 }  // namespace osim::trace

@@ -1,22 +1,15 @@
 // Read-only memory-mapped files for zero-copy trace ingestion.
 //
-// The binary trace parser consumes bytes sequentially; feeding it through
-// an ifstream costs a buffer copy per chunk plus iostream virtual dispatch
-// per byte. MappedFile maps the file read-only instead, so the parser walks
-// the page cache directly. When mmap is unavailable (non-POSIX host, weird
-// file kinds, empty files), the class degrades to reading the file into an
-// owned buffer — callers see the same (data, size) view either way.
-//
-// MemStream adapts a byte span to the small istream-like subset the binary
-// reader needs (get/read/peek/clear/eof + failure flag), so the same parser
-// template runs over real istreams and mapped memory. A damaged mapping is
-// indistinguishable from a damaged stream: the salvage path downstream works
-// unchanged.
+// MappedFile maps a trace file read-only, so the binary trace parser
+// (binary_io.cpp, a bytes::Reader over view()) walks the page cache
+// directly, with no read() copy. When mmap is unavailable (non-POSIX host,
+// pipes and FIFOs, zero-length files), the class degrades to reading the
+// file into an owned buffer — callers see the same view() either way.
 #pragma once
 
 #include <cstddef>
-#include <ios>
 #include <string>
+#include <string_view>
 
 namespace osim::trace {
 
@@ -34,62 +27,14 @@ class MappedFile {
   MappedFile& operator=(const MappedFile&) = delete;
   ~MappedFile();
 
-  const char* data() const { return data_; }
-  std::size_t size() const { return size_; }
-  /// True when the view is a real mmap (false: fallback buffer).
-  bool mapped() const { return mapped_; }
+  /// The file's bytes, valid while this MappedFile lives.
+  std::string_view view() const { return {data_, size_}; }
 
  private:
   const char* data_ = nullptr;
   std::size_t size_ = 0;
   bool mapped_ = false;
   std::string fallback_;  // owns the bytes when !mapped_
-};
-
-/// Sequential cursor over a byte span with the istream-subset interface the
-/// binary trace reader uses. EOF and failure semantics mirror std::istream:
-/// get()/peek() return EOF (-1) past the end, a short read() sets the
-/// failure flag, clear() resets it.
-class MemStream {
- public:
-  MemStream(const char* data, std::size_t size) : data_(data), size_(size) {}
-  explicit MemStream(const MappedFile& file)
-      : MemStream(file.data(), file.size()) {}
-
-  int get() {
-    if (pos_ >= size_) {
-      eof_ = true;
-      fail_ = true;
-      return -1;
-    }
-    return static_cast<unsigned char>(data_[pos_++]);
-  }
-
-  int peek() {
-    if (pos_ >= size_) {
-      eof_ = true;
-      return -1;
-    }
-    return static_cast<unsigned char>(data_[pos_]);
-  }
-
-  MemStream& read(char* out, std::streamsize n);
-
-  void clear() {
-    eof_ = false;
-    fail_ = false;
-  }
-
-  bool eof() const { return eof_; }
-  bool operator!() const { return fail_; }
-  explicit operator bool() const { return !fail_; }
-
- private:
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-  bool eof_ = false;
-  bool fail_ = false;
 };
 
 }  // namespace osim::trace

@@ -1,14 +1,17 @@
-// Byte-level golden for every fixed-width binary format the repository
-// persists or sends: the three store object kinds (OSIMSTO1, OSIMLNT1,
-// OSIMRPT1), the store index (OSIMIDX1), the study journal (OSIMJRN1) and
-// the OSIMRPC1 handshake plus one frame of every message type.
+// Byte-level golden for every binary format the repository persists or
+// sends: the three store object kinds (OSIMSTO1, OSIMLNT1, OSIMRPT1), the
+// store index (OSIMIDX1), the study journal (OSIMJRN1), the OSIMRPC1
+// handshake plus one frame of every message type, and OSIMBT01 binary
+// traces.
 //
-// tests/golden/codec_store/ is a complete store directory and
-// tests/golden/rpc_frames.hex one hex-encoded frame per line. Both were
-// written by the tree that predates the shared byte codec
-// (common/bytes.hpp); every artifact must decode to the values built below
-// and re-encode to exactly the committed bytes. A format change that moves
-// a single byte fails here, before it can strand a user's cache.
+// tests/golden/codec_store/ is a complete store directory,
+// tests/golden/rpc_frames.hex one hex-encoded frame per line and
+// tests/golden/trace_codec.btrace one binary trace (with its text
+// rendering, trace_codec.trace). All were written by trees that predate
+// the shared byte codec (common/bytes.hpp) or its use for that format;
+// every artifact must decode to the values built below and re-encode to
+// exactly the committed bytes. A format change that moves a single byte
+// fails here, before it can strand a user's cache or trace files.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +29,8 @@
 #include "store/format.hpp"
 #include "store/store.hpp"
 #include "supervise/journal.hpp"
+#include "trace/binary_io.hpp"
+#include "trace/io.hpp"
 
 namespace osim {
 namespace {
@@ -35,6 +40,8 @@ namespace fs = std::filesystem;
 const std::string kGoldenDir = OSIM_GOLDEN_DIR;
 const std::string kStoreDir = kGoldenDir + "/codec_store";
 const std::string kFramesFile = kGoldenDir + "/rpc_frames.hex";
+const std::string kTraceFile = kGoldenDir + "/trace_codec.btrace";
+const std::string kTraceTextFile = kGoldenDir + "/trace_codec.trace";
 
 // --- pinned values ----------------------------------------------------------
 
@@ -136,6 +143,34 @@ std::vector<supervise::JournalEntry> golden_journal_entries() {
   skipped.status = supervise::ScenarioStatus::kSkippedResume;
   entries.push_back(skipped);
   return entries;
+}
+
+/// Every record kind, both send flags (a blocking synchronous send and an
+/// immediate synchronous one), a wildcard receive, a two-request wait, a
+/// collective rooted at rank 2, multi-byte varints of both signs and a
+/// non-empty app name.
+trace::Trace golden_trace() {
+  using namespace trace;
+  TraceBuilder b(3, 2300.5, "golden-app");
+  b.compute(0, 987654321)
+      .send(0, 1, 7, 100)
+      .isend(0, 2, 8, std::uint64_t{1} << 40, 11)
+      .irecv(0, kAnyRank, kAnyTag, 64, 12)
+      .wait(0, {11, 12})
+      .global(0, CollectiveKind::kBcast, 2, 4096, 0)
+      .compute(0, 1);
+  b.recv(1, 0, 7, 100)
+      .isend(1, 0, 1'000'000'000'000, 64, 0)
+      .wait(1, {0})
+      .global(1, CollectiveKind::kBcast, 2, 4096, 0);
+  b.irecv(2, 0, 8, std::uint64_t{1} << 40, 4)
+      .compute(2, 300)
+      .wait(2, {4})
+      .global(2, CollectiveKind::kBcast, 2, 4096, 0);
+  Trace t = std::move(b).build();
+  std::get<Send>(t.ranks[0][1]).synchronous = true;
+  std::get<Send>(t.ranks[1][1]).synchronous = true;
+  return t;
 }
 
 serve::ScenarioSpec golden_spec() {
@@ -444,6 +479,22 @@ TEST(CodecGolden, JobFramesDecodeAndReencode) {
   EXPECT_TRUE(*result == golden_job_result());
   EXPECT_EQ(framed(serve::encode_job_result(*result)),
             frames.at("job-result"));
+}
+
+TEST(CodecGolden, BinaryTraceDecodesAndReencodes) {
+  const std::string bytes = read_file(kTraceFile);
+  const trace::Trace pinned = golden_trace();
+  const trace::Trace decoded = trace::read_binary(bytes);
+  // The text rendering covers every field but the request ids of blocking
+  // records; the re-encoding below covers those.
+  EXPECT_EQ(trace::write_text(decoded), read_file(kTraceTextFile));
+  EXPECT_EQ(trace::write_text(decoded), trace::write_text(pinned));
+  EXPECT_EQ(trace::write_binary(decoded), bytes);
+  EXPECT_EQ(trace::write_binary(pinned), bytes);
+  EXPECT_EQ(trace::write_binary(trace::read_any_file(kTraceFile)), bytes);
+  const trace::RecoveredTrace recovered = trace::read_binary_recover(bytes);
+  EXPECT_TRUE(recovered.damage.clean());
+  EXPECT_EQ(recovered.damage.records_salvaged, pinned.total_records());
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/bytes.hpp"
 #include "common/csv.hpp"
 #include "common/expect.hpp"
 #include "common/flags.hpp"
@@ -539,6 +540,61 @@ TEST(Signals, IgnoreSigpipeSurvivesClosedPipeWrite) {
 }
 
 #endif
+
+// --- byte codec varints -----------------------------------------------------
+
+TEST(Bytes, VarintsRoundTripAtTheirLimits) {
+  const std::uint64_t unsigned_values[] = {0, 1, 127, 128, 16383, 16384,
+                                           std::uint64_t{1} << 63,
+                                           ~std::uint64_t{0}};
+  const std::int64_t signed_values[] = {0, -1, 1, -64, 64, INT64_MIN,
+                                        INT64_MAX};
+  std::string data;
+  bytes::Writer w(data);
+  for (const std::uint64_t v : unsigned_values) w.varint(v);
+  for (const std::int64_t v : signed_values) w.svarint(v);
+  bytes::Reader r(data);
+  for (const std::uint64_t v : unsigned_values) EXPECT_EQ(r.varint(), v);
+  for (const std::int64_t v : signed_values) EXPECT_EQ(r.svarint(), v);
+  EXPECT_TRUE(r.done());
+
+  std::string one;
+  bytes::Writer(one).varint(127);
+  EXPECT_EQ(one.size(), 1u);
+  std::string ten;
+  bytes::Writer(ten).varint(~std::uint64_t{0});
+  EXPECT_EQ(ten.size(), 10u);
+  std::string small;
+  bytes::Writer(small).svarint(-1);  // zigzag keeps small negatives short
+  EXPECT_EQ(small, std::string(1, '\x01'));
+}
+
+TEST(Bytes, VarintFailuresLatchWhereTheyHappen) {
+  // Ten continuation bytes announce more than 64 bits: the eleventh byte
+  // is consumed and the overflow latches, as malformed bytes rather than
+  // an underrun.
+  const std::string overflow = std::string(10, '\x80') + "\x01" + "tail";
+  bytes::Reader r(overflow);
+  EXPECT_EQ(r.varint(), 0u);
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.truncated());
+  EXPECT_EQ(r.position(), 11u);
+  EXPECT_EQ(r.u8(), 0u);  // later reads return zero and do not move
+  EXPECT_EQ(r.position(), 11u);
+
+  // Input ending inside a varint is an underrun at the last byte read.
+  bytes::Reader cut(std::string_view("\x80\x80"));
+  EXPECT_EQ(cut.varint(), 0u);
+  EXPECT_FALSE(cut.ok());
+  EXPECT_TRUE(cut.truncated());
+  EXPECT_EQ(cut.position(), 2u);
+
+  // A fixed-width underrun does not advance either.
+  bytes::Reader short_u32(std::string_view("abc"));
+  EXPECT_EQ(short_u32.u32(), 0u);
+  EXPECT_TRUE(short_u32.truncated());
+  EXPECT_EQ(short_u32.position(), 0u);
+}
 
 }  // namespace
 }  // namespace osim

@@ -156,12 +156,10 @@ TEST(FaultDeterminism, SameSeedSameResultAcrossJobs) {
   for (const int jobs : {1, 2, 8}) {
     pipeline::StudyOptions options;
     options.jobs = jobs;
-    options.cache_replays = false;  // force every replay to really run
     pipeline::Study study(options);
     const std::vector<double> times = study.map(
-        contexts,
-        [&study](const pipeline::ReplayContext& c) {
-          return study.makespan(c);
+        contexts, [](const pipeline::ReplayContext& c) {
+          return pipeline::run_scenario(c).makespan;
         });
     const dimemas::SimResult result = pipeline::run_scenario(contexts[0]);
     for (const double t : times) {

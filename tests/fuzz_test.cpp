@@ -10,7 +10,6 @@
 #include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <thread>
 #include <tuple>
 
@@ -112,9 +111,7 @@ TEST_P(RandomTraces, SerializationRoundTripStable) {
 
 TEST_P(RandomTraces, BinaryBitFlipsNeverCrashRecovery) {
   const Trace t = random_trace(GetParam());
-  std::ostringstream os;
-  trace::write_binary(t, os);
-  const std::string original = os.str();
+  const std::string original = trace::write_binary(t);
   Rng rng(GetParam() * 101 + 13);
   for (int round = 0; round < 64; ++round) {
     std::string bytes = original;
@@ -125,9 +122,8 @@ TEST_P(RandomTraces, BinaryBitFlipsNeverCrashRecovery) {
       bytes[pos] = static_cast<char>(
           bytes[pos] ^ static_cast<char>(1u << rng.below(8)));
     }
-    std::istringstream is(bytes);
     trace::RecoveredTrace recovered;
-    ASSERT_NO_THROW(recovered = trace::read_binary_recover(is))
+    ASSERT_NO_THROW(recovered = trace::read_binary_recover(bytes))
         << "round " << round;
     if (bytes != original) {
       // Whatever was salvaged must itself be structurally bounded: the
@@ -139,15 +135,13 @@ TEST_P(RandomTraces, BinaryBitFlipsNeverCrashRecovery) {
 
 TEST_P(RandomTraces, BinaryTruncationsSalvageAPrefix) {
   const Trace t = random_trace(GetParam());
-  std::ostringstream os;
-  trace::write_binary(t, os);
-  const std::string original = os.str();
+  const std::string original = trace::write_binary(t);
   Rng rng(GetParam() * 211 + 5);
   for (int round = 0; round < 32; ++round) {
     const std::size_t cut = rng.below(original.size());
-    std::istringstream is(original.substr(0, cut));
+    const std::string cut_bytes = original.substr(0, cut);
     trace::RecoveredTrace recovered;
-    ASSERT_NO_THROW(recovered = trace::read_binary_recover(is))
+    ASSERT_NO_THROW(recovered = trace::read_binary_recover(cut_bytes))
         << "cut at " << cut;
     // A truncated stream can never yield more records than the original.
     std::size_t total = 0;
@@ -157,18 +151,17 @@ TEST_P(RandomTraces, BinaryTruncationsSalvageAPrefix) {
     // except when the cut removes only footer bytes, which the strict
     // reader tolerates for legacy traces when nothing of the footer is
     // left (a clean EOF after the last record).
-    std::istringstream strict_is(original.substr(0, cut));
     const std::size_t footer = 8 + 4 * static_cast<std::size_t>(t.num_ranks);
     if (cut < original.size() - footer || cut == original.size() - footer) {
       if (cut < original.size() - footer) {
-        EXPECT_THROW(trace::read_binary(strict_is), Error)
+        EXPECT_THROW(trace::read_binary(cut_bytes), Error)
             << "cut at " << cut;
       } else {
-        EXPECT_NO_THROW(trace::read_binary(strict_is)) << "cut at " << cut;
+        EXPECT_NO_THROW(trace::read_binary(cut_bytes)) << "cut at " << cut;
       }
     } else {
       // Partial footer: strict mode must reject it.
-      EXPECT_THROW(trace::read_binary(strict_is), Error) << "cut at " << cut;
+      EXPECT_THROW(trace::read_binary(cut_bytes), Error) << "cut at " << cut;
     }
   }
 }
@@ -178,9 +171,7 @@ TEST_P(RandomTraces, BinaryPayloadCorruptionIsDetectedByStrictReader) {
   // (parse error) or survives parsing and is caught by the per-rank CRC:
   // the strict reader must never return success on a mutated stream.
   const Trace t = random_trace(GetParam());
-  std::ostringstream os;
-  trace::write_binary(t, os);
-  const std::string original = os.str();
+  const std::string original = trace::write_binary(t);
   const std::size_t footer = 8 + 4 * static_cast<std::size_t>(t.num_ranks);
   Rng rng(GetParam() * 313 + 1);
   for (int round = 0; round < 32; ++round) {
@@ -196,8 +187,7 @@ TEST_P(RandomTraces, BinaryPayloadCorruptionIsDetectedByStrictReader) {
     bytes[pos] = static_cast<char>(
         bytes[pos] ^ static_cast<char>(1u << rng.below(8)));
     if (bytes == original) continue;
-    std::istringstream is(bytes);
-    EXPECT_THROW(trace::read_binary(is), Error) << "flip at " << pos;
+    EXPECT_THROW(trace::read_binary(bytes), Error) << "flip at " << pos;
   }
 }
 
@@ -207,9 +197,7 @@ TEST_P(RandomTraces, LintNeverCrashesOnCorruptedRecoveredTraces) {
   // salvaging reader produces: bit-flipped and truncated traces may yield
   // any diagnostics, but never a crash, hang or throw.
   const Trace t = random_trace(GetParam());
-  std::ostringstream os;
-  trace::write_binary(t, os);
-  const std::string original = os.str();
+  const std::string original = trace::write_binary(t);
   Rng rng(GetParam() * 401 + 23);
   for (int round = 0; round < 12; ++round) {
     std::string bytes = original;
@@ -219,17 +207,16 @@ TEST_P(RandomTraces, LintNeverCrashesOnCorruptedRecoveredTraces) {
       bytes[pos] = static_cast<char>(
           bytes[pos] ^ static_cast<char>(1u << rng.below(8)));
     }
-    std::istringstream is(bytes);
     trace::RecoveredTrace recovered;
-    ASSERT_NO_THROW(recovered = trace::read_binary_recover(is))
+    ASSERT_NO_THROW(recovered = trace::read_binary_recover(bytes))
         << "round " << round;
     ASSERT_NO_THROW(lint::lint_trace(recovered.trace)) << "round " << round;
   }
   for (int round = 0; round < 12; ++round) {
     const std::size_t cut = rng.below(original.size());
-    std::istringstream is(original.substr(0, cut));
+    const std::string cut_bytes = original.substr(0, cut);
     trace::RecoveredTrace recovered;
-    ASSERT_NO_THROW(recovered = trace::read_binary_recover(is))
+    ASSERT_NO_THROW(recovered = trace::read_binary_recover(cut_bytes))
         << "cut at " << cut;
     lint::LintOptions options;
     options.jobs = 1 + static_cast<int>(round % 3);  // parallel paths too

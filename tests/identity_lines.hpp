@@ -92,10 +92,8 @@ inline std::vector<std::string> identity_lines(pipeline::Study& study) {
         identity_overlap(), platform, metrics_options);
     const std::string report = pipeline::replay_report_json(
         pipeline::run_scenario(with_metrics), platform, app->name());
-    Crc32 crc;
-    crc.update(report.data(), report.size());
     lines.push_back(strprintf("%s report crc32=%08x bytes=%zu",
-                              app->name().c_str(), crc.value(),
+                              app->name().c_str(), crc32(report),
                               report.size()));
   }
   return lines;

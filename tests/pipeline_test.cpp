@@ -233,15 +233,21 @@ TEST(Study, RepeatedBisectionProbesAreCached) {
   EXPECT_GT(study.cache_hits(), hits_after_first);
 }
 
-TEST(Study, CachingCanBeDisabled) {
+template <class T>
+concept HasCacheSwitch = requires(T options) { options.cache_replays; };
+
+// The makespan cache has no off switch: a repeated scenario is always
+// served from memory. Code that needs every replay to really run calls
+// run_scenario (through map() for a pool), not makespan().
+TEST(Study, MakespanAlwaysServesRepeatsFromTheCache) {
+  EXPECT_FALSE(HasCacheSwitch<StudyOptions>);
   const ReplayContext context(ring_trace(2, 1), ring_platform(2));
-  StudyOptions options;
-  options.cache_replays = false;
-  Study study(options);
+  Study study;
   const double first = study.makespan(context);
   EXPECT_EQ(study.makespan(context), first);
-  EXPECT_EQ(study.cache_hits(), 0u);
-  EXPECT_EQ(study.cache_size(), 0u);
+  EXPECT_EQ(study.cache_hits(), 1u);
+  EXPECT_EQ(study.cache_misses(), 1u);
+  EXPECT_EQ(study.cache_size(), 1u);
 }
 
 // --- Study: exception propagation and pool health ---------------------------

@@ -199,11 +199,10 @@ TEST(ProgressDeterminism, SameResultAcrossJobs) {
     for (const int jobs : {1, 8}) {
       pipeline::StudyOptions options;
       options.jobs = jobs;
-      options.cache_replays = false;  // force every replay to really run
       pipeline::Study study(options);
       const std::vector<double> times = study.map(
-          contexts, [&study](const pipeline::ReplayContext& c) {
-            return study.makespan(c);
+          contexts, [](const pipeline::ReplayContext& c) {
+            return pipeline::run_scenario(c).makespan;
           });
       for (const double t : times) {
         EXPECT_EQ(t, times[0]) << "spec=" << spec << " jobs=" << jobs;

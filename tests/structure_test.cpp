@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -525,9 +524,7 @@ TEST_P(StructureCorpus, RandomTracesAgree) {
 
 TEST_P(StructureCorpus, BitFlipSalvagedTracesDifferOnlyByDocumentedClasses) {
   const Trace t = fuzz::random_trace(GetParam());
-  std::ostringstream os;
-  trace::write_binary(t, os);
-  const std::string original = os.str();
+  const std::string original = trace::write_binary(t);
   Rng rng(GetParam() * 101 + 13);
   for (int round = 0; round < 64; ++round) {
     std::string bytes = original;
@@ -537,8 +534,7 @@ TEST_P(StructureCorpus, BitFlipSalvagedTracesDifferOnlyByDocumentedClasses) {
       bytes[pos] = static_cast<char>(
           bytes[pos] ^ static_cast<char>(1u << rng.below(8)));
     }
-    std::istringstream is(bytes);
-    const Trace salvaged = trace::read_binary_recover(is).trace;
+    const Trace salvaged = trace::read_binary_recover(bytes).trace;
     const std::string d = divergence(salvaged);
     EXPECT_EQ(d.rfind("unexplained", 0), std::string::npos)
         << "round " << round << ": " << d;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <sstream>
 
 #include "common/expect.hpp"
 #include "trace/annotated.hpp"
@@ -180,10 +179,7 @@ TEST(BinaryIo, RoundTripMatchesTextRendering) {
   Trace original = std::move(b).build();
   std::get<Send>(original.ranks[0][1]).synchronous = true;
 
-  std::ostringstream os;
-  write_binary(original, os);
-  std::istringstream is(os.str());
-  const Trace parsed = read_binary(is);
+  const Trace parsed = read_binary(write_binary(original));
   EXPECT_EQ(write_text(parsed), write_text(original));
 }
 
@@ -205,26 +201,20 @@ TEST(BinaryIo, BinarySmallerThanText) {
     b.compute(1, 123456).recv(1, 0, i, 8192);
   }
   const Trace t = std::move(b).build();
-  std::ostringstream bin;
-  write_binary(t, bin);
-  EXPECT_LT(bin.str().size(), write_text(t).size());
+  EXPECT_LT(write_binary(t).size(), write_text(t).size());
 }
 
 TEST(BinaryIo, TruncatedInputThrows) {
   TraceBuilder b(1, 1000.0);
   b.compute(0, 42);
-  std::ostringstream os;
-  write_binary(std::move(b).build(), os);
-  const std::string full = os.str();
+  const std::string full = write_binary(std::move(b).build());
   for (const std::size_t cut : {4ul, 9ul, full.size() - 1}) {
-    std::istringstream is(full.substr(0, cut));
-    EXPECT_THROW(read_binary(is), Error) << "cut at " << cut;
+    EXPECT_THROW(read_binary(full.substr(0, cut)), Error) << "cut at " << cut;
   }
 }
 
 TEST(BinaryIo, BadMagicThrows) {
-  std::istringstream is("definitely not a trace");
-  EXPECT_THROW(read_binary(is), Error);
+  EXPECT_THROW(read_binary("definitely not a trace"), Error);
 }
 
 // The integrity footer is 8 magic bytes + one u32 CRC per rank.
@@ -235,59 +225,43 @@ constexpr std::size_t footer_size(std::size_t num_ranks) {
 TEST(BinaryIo, CorruptKindThrows) {
   TraceBuilder b(1, 1000.0);
   b.compute(0, 42);
-  std::ostringstream os;
-  write_binary(std::move(b).build(), os);
-  std::string bytes = os.str();
+  std::string bytes = write_binary(std::move(b).build());
   // The record-kind byte directly follows the rank-0 record count; the
   // single compute record is kind + varint(42) = 2 bytes before the footer.
   bytes[bytes.size() - footer_size(1) - 2] = 99;
-  std::istringstream is(bytes);
-  EXPECT_THROW(read_binary(is), Error);
+  EXPECT_THROW(read_binary(bytes), Error);
 }
 
 TEST(BinaryIo, CorruptFooterCrcThrows) {
   const Trace t = pingpong();
-  std::ostringstream os;
-  write_binary(t, os);
-  std::string bytes = os.str();
+  std::string bytes = write_binary(t);
   bytes.back() = static_cast<char>(bytes.back() ^ 0x40);  // rank-1 CRC byte
-  std::istringstream is(bytes);
-  EXPECT_THROW(read_binary(is), Error);
+  EXPECT_THROW(read_binary(bytes), Error);
 }
 
 TEST(BinaryIo, CorruptPayloadFailsCrc) {
   const Trace t = pingpong();
-  std::ostringstream os;
-  write_binary(t, os);
-  std::string bytes = os.str();
+  std::string bytes = write_binary(t);
   // Flip a low bit inside rank 1's last record (a payload byte whose
   // corruption still parses: it only changes a value, not the framing).
   bytes[bytes.size() - footer_size(2) - 1] =
       static_cast<char>(bytes[bytes.size() - footer_size(2) - 1] ^ 0x01);
-  std::istringstream is(bytes);
-  EXPECT_THROW(read_binary(is), Error);
+  EXPECT_THROW(read_binary(bytes), Error);
 }
 
 TEST(BinaryIo, LegacyTraceWithoutFooterLoads) {
   const Trace t = pingpong();
-  std::ostringstream os;
-  write_binary(t, os);
-  std::string bytes = os.str();
+  std::string bytes = write_binary(t);
   bytes.resize(bytes.size() - footer_size(2));  // pre-footer writer output
-  std::istringstream is(bytes);
-  EXPECT_EQ(write_text(read_binary(is)), write_text(t));
-  std::istringstream is2(bytes);
-  const RecoveredTrace recovered = read_binary_recover(is2);
+  EXPECT_EQ(write_text(read_binary(bytes)), write_text(t));
+  const RecoveredTrace recovered = read_binary_recover(bytes);
   EXPECT_TRUE(recovered.damage.clean());
   EXPECT_TRUE(recovered.damage.missing_footer);
 }
 
 TEST(BinaryIo, RecoverCleanInput) {
   const Trace t = pingpong();
-  std::ostringstream os;
-  write_binary(t, os);
-  std::istringstream is(os.str());
-  const RecoveredTrace recovered = read_binary_recover(is);
+  const RecoveredTrace recovered = read_binary_recover(write_binary(t));
   EXPECT_TRUE(recovered.damage.clean());
   EXPECT_FALSE(recovered.damage.missing_footer);
   EXPECT_EQ(recovered.damage.records_salvaged, 7u);
@@ -296,12 +270,10 @@ TEST(BinaryIo, RecoverCleanInput) {
 
 TEST(BinaryIo, RecoverSalvagesTruncatedPrefix) {
   const Trace t = pingpong();
-  std::ostringstream os;
-  write_binary(t, os);
-  const std::string full = os.str();
+  const std::string full = write_binary(t);
   // Cut inside rank 1's stream: rank 0 must survive intact.
-  std::istringstream is(full.substr(0, full.size() - footer_size(2) - 3));
-  const RecoveredTrace recovered = read_binary_recover(is);
+  const RecoveredTrace recovered =
+      read_binary_recover(full.substr(0, full.size() - footer_size(2) - 3));
   EXPECT_FALSE(recovered.damage.clean());
   EXPECT_TRUE(recovered.damage.truncated);
   EXPECT_FALSE(recovered.damage.unusable);
@@ -316,12 +288,9 @@ TEST(BinaryIo, RecoverSalvagesTruncatedPrefix) {
 
 TEST(BinaryIo, RecoverCrcMismatchKeepsRecords) {
   const Trace t = pingpong();
-  std::ostringstream os;
-  write_binary(t, os);
-  std::string bytes = os.str();
+  std::string bytes = write_binary(t);
   bytes.back() = static_cast<char>(bytes.back() ^ 0x40);
-  std::istringstream is(bytes);
-  const RecoveredTrace recovered = read_binary_recover(is);
+  const RecoveredTrace recovered = read_binary_recover(bytes);
   EXPECT_FALSE(recovered.damage.clean());
   EXPECT_EQ(recovered.damage.crc_mismatches, 1u);
   EXPECT_EQ(recovered.damage.records_dropped, 0u);
@@ -329,8 +298,8 @@ TEST(BinaryIo, RecoverCrcMismatchKeepsRecords) {
 }
 
 TEST(BinaryIo, RecoverBadMagicIsUnusable) {
-  std::istringstream is("definitely not a trace");
-  const RecoveredTrace recovered = read_binary_recover(is);
+  const RecoveredTrace recovered =
+      read_binary_recover("definitely not a trace");
   EXPECT_TRUE(recovered.damage.unusable);
   EXPECT_FALSE(recovered.damage.clean());
   EXPECT_EQ(recovered.trace.num_ranks, 0);
@@ -345,6 +314,43 @@ TEST(BinaryIo, RecoverAnyFileHandlesBrokenText) {
   const RecoveredTrace recovered = read_any_file_recover(path);
   EXPECT_TRUE(recovered.damage.unusable);
   ASSERT_EQ(recovered.damage.issues.size(), 1u);
+}
+
+// The footer ends the file: bytes after a valid footer are damage, not a
+// clean read. The strict reader throws; the salvage reader keeps every
+// record and reports the trailing bytes once, at their offset.
+TEST(BinaryIo, BytesAfterTheFooterAreRejected) {
+  const Trace t = pingpong();
+  const std::string clean = write_binary(t);
+  const std::string bytes = clean + "fourteen bytes";
+  EXPECT_THROW(read_binary(bytes), Error);
+  const RecoveredTrace recovered = read_binary_recover(bytes);
+  EXPECT_FALSE(recovered.damage.clean());
+  EXPECT_FALSE(recovered.damage.truncated);
+  EXPECT_FALSE(recovered.damage.unusable);
+  EXPECT_EQ(recovered.damage.records_salvaged, t.total_records());
+  EXPECT_EQ(recovered.damage.records_dropped, 0u);
+  EXPECT_EQ(recovered.damage.crc_mismatches, 0u);
+  ASSERT_EQ(recovered.damage.issues.size(), 1u);
+  EXPECT_EQ(recovered.damage.issues[0].offset, clean.size());
+  EXPECT_EQ(recovered.damage.issues[0].rank, -1);
+  EXPECT_NE(recovered.damage.issues[0].message.find("14 trailing byte"),
+            std::string::npos)
+      << recovered.damage.issues[0].message;
+  EXPECT_EQ(write_text(recovered.trace), write_text(t));
+}
+
+// A NaN MIPS rate is as invalid as a negative one: it must be reported,
+// not handed to Trace::make (whose invariant check aborts).
+TEST(BinaryIo, NanMipsIsRejected) {
+  std::string bytes = write_binary(pingpong());
+  for (std::size_t i = 8; i < 16; ++i) bytes[i] = '\xff';  // f64 NaN
+  EXPECT_THROW(read_binary(bytes), Error);
+  const RecoveredTrace recovered = read_binary_recover(bytes);
+  EXPECT_TRUE(recovered.damage.unusable);
+  ASSERT_EQ(recovered.damage.issues.size(), 1u);
+  EXPECT_EQ(recovered.damage.issues[0].message,
+            "binary trace: invalid MIPS rate");
 }
 
 // --- annotated trace validation ---------------------------------------------------

@@ -48,6 +48,7 @@ int main(int argc, char** argv) try {
             "force synchronous chunk transfers");
   flags.add("binary", &binary, "write the compact binary format");
   if (!flags.parse(argc, argv)) return 0;
+  require_flag_range("chunks", chunks, 1, overlap::kMaxChunks);
 
   if (annotated_path.empty()) throw UsageError("--annotated is required");
   if (out_path.empty()) throw UsageError("--out is required");

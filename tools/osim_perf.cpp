@@ -183,7 +183,7 @@ int main(int argc, char** argv) try {
     const Clock::time_point start = Clock::now();
     std::size_t records = 0;
     for (const std::string& path : trace_files) {
-      records += trace::read_binary_file(path).total_records();
+      records += trace::read_any_file(path).total_records();
     }
     OSIM_CHECK(records > 0);
     const double wall = seconds_since(start);

@@ -10,6 +10,7 @@
 //     /tmp/cg.overlap_real.trace
 //     /tmp/cg.overlap_ideal.trace
 #include <cstdio>
+#include <limits>
 
 #include "apps/app.hpp"
 #include "common/exit_codes.hpp"
@@ -54,6 +55,11 @@ int main(int argc, char** argv) try {
             "run the semantic verifier on every emitted trace and check "
             "the overlapped traces against the original");
   if (!flags.parse(argc, argv)) return 0;
+  constexpr std::int64_t kMaxInt32 = std::numeric_limits<std::int32_t>::max();
+  require_flag_range("ranks", ranks, 1, kMaxInt32);
+  require_flag_range("iterations", iterations, 1, kMaxInt32);
+  require_flag_range("scale", scale, 1, kMaxInt32);
+  require_flag_range("chunks", chunks, 1, overlap::kMaxChunks);
 
   const apps::MiniApp* app = apps::find_app(app_name);
   if (app == nullptr) {
