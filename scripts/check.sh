@@ -4,7 +4,8 @@
 #   1. greps: nothing in bench/ or src/analysis/ may call
 #      dimemas::replay directly — every replay goes through the
 #      pipeline::ReplayContext / Study API; no deprecated analysis shims;
-#      no little-endian byte-shift loops outside common/bytes.hpp;
+#      no little-endian byte-shift loops outside common/bytes.hpp; no
+#      std::getline in the trace, annotated and platform file readers;
 #   2. full build under AddressSanitizer + UndefinedBehaviorSanitizer (or
 #      ThreadSanitizer with 'thread', or standalone UBSan with 'undefined'
 #      as the second argument) and the full test suite;
@@ -61,6 +62,16 @@ if grep -rnE --include='*.cpp' --include='*.hpp' '\(8 \* i\)' "$ROOT/src" |
   exit 1
 fi
 echo "codec OK (byte-shift loops only in common/bytes.hpp)"
+
+# One text input contract: the trace, annotated and platform readers parse
+# the mapped bytes through common/line_cursor.hpp, not an istream.
+if grep -n 'std::getline' "$ROOT"/src/trace/*io.cpp \
+     "$ROOT/src/dimemas/platform_io.cpp"; then
+  echo "error: std::getline in a file reader; parse the mapped bytes" \
+       "through LineCursor (common/line_cursor.hpp)" >&2
+  exit 1
+fi
+echo "input OK (file readers parse through LineCursor)"
 
 cmake -B "$BUILD" -S "$ROOT" -DOSIM_SANITIZE="$SANITIZE" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -360,6 +360,83 @@ rc=$?
 set -e
 [ "$rc" -eq 3 ] || { echo "garbage recover: expected exit 3, got $rc" >&2; exit 1; }
 
+# --- input-file contract (common/line_cursor.hpp) ---------------------------
+
+# A value a trace, an annotated trace or a platform file cannot hold is a
+# malformed input: exit 3 for a trace (osim_replay, osim_lint and every
+# osim_inspect mode), 1 for an annotated trace (osim_overlap) or a platform
+# file, with a message naming the key (and the line). These used to abort
+# (134) on NaN, or to run (0) on infinities and wrapped integers.
+expect_input_error() {  # <exit code> <text the message names> <command...>
+  want="$1"
+  key="$2"
+  shift 2
+  set +e
+  "$@" > "$OUT/contract.txt" 2>&1
+  rc=$?
+  set -e
+  [ "$rc" -eq "$want" ] || {
+    echo "$*: expected exit $want, got $rc" >&2; cat "$OUT/contract.txt" >&2
+    exit 1; }
+  grep -q -- "$key" "$OUT/contract.txt" || {
+    echo "$*: message does not name '$key'" >&2; cat "$OUT/contract.txt" >&2
+    exit 1; }
+}
+for bad in "1 nan c 100:line 4: mips" "1 inf c 100:line 4: mips" \
+           "3000000000 1000 c 100:line 3: ranks" \
+           "4294967298 1000 c 100:line 3: ranks" \
+           "2 1000 s 4294967297 7 64:line 6: dest" \
+           "2 1000 g bcast 4294967297 8 0:line 6: root"; do
+  set -- ${bad%%:*}
+  ranks="$1"
+  mips="$2"
+  shift 2
+  printf '#OSIM-TRACE v1\nmeta app x\nmeta ranks %s\nmeta mips %s\nrank 0\n%s\n' \
+      "$ranks" "$mips" "$*" > "$OUT/contract.trace"
+  for tool in osim_replay osim_lint osim_inspect "osim_inspect --validate-only" \
+              "osim_inspect --validate" "osim_inspect --fingerprint"; do
+    # shellcheck disable=SC2086  # $tool is a tool and its mode flag
+    expect_input_error 3 "${bad#*:}" "$BUILD/tools/"$tool \
+        --trace "$OUT/contract.trace"
+  done
+done
+for bad in "mips nan:line 4: mips" "ranks 4294967298:line 3: ranks"; do
+  sed "s/^meta ${bad%% *} .*/meta ${bad%%:*}/" "$OUT/cg.ann" \
+      > "$OUT/contract.ann"
+  expect_input_error 1 "${bad#*:}" "$BUILD/tools/osim_overlap" \
+      --annotated "$OUT/contract.ann" --out "$OUT/contract_out.trace"
+done
+for bad in "latency_us inf" "latency_us nan" "bandwidth_mbps nan" \
+           "bandwidth_mbps inf" "overhead_us nan" "relative_cpu_speed nan" \
+           "relative_cpu_speed inf" "fabric_links nan" "nodes 4294967300" \
+           "buses 4294967297" "input_ports 3000000000" "nodes 0"; do
+  { cat "$OUT/platform.cfg"; echo "$bad"; } > "$OUT/contract.cfg"
+  for tool in osim_replay "osim_inspect --fingerprint"; do
+    # shellcheck disable=SC2086  # $tool is a tool and its mode flag
+    expect_input_error 1 "line 5: ${bad% *}" "$BUILD/tools/"$tool \
+        --trace "$OUT/cg.original.trace" --platform "$OUT/contract.cfg"
+  done
+done
+
+# osim_inspect exits 3 on a trace it cannot read, in every mode, as
+# osim_replay and osim_lint do.
+for mode in "" --validate-only --validate --fingerprint; do
+  for case in "missing.trace:cannot open" "garbage.trace:header"; do
+    # shellcheck disable=SC2086  # $mode is empty or one flag
+    expect_input_error 3 "${case#*:}" "$BUILD/tools/osim_inspect" $mode \
+        --trace "$OUT/${case%%:*}"
+  done
+done
+
+# Wall-clock budgets saturate: a budget too large for the clock runs to
+# completion; one that is not a finite number is a usage error.
+"$BUILD/tools/osim_replay" --trace "$OUT/cg.original.trace" \
+    --scenario-timeout 1e300 | grep -q "makespan:"
+for bad in nan inf; do
+  expect_input_error 2 "scenario-timeout" "$BUILD/tools/osim_replay" \
+      --trace "$OUT/cg.original.trace" --scenario-timeout "$bad"
+done
+
 # Fault injection smoke: counters reach the run report, and faults off
 # means no fault section.
 "$BUILD/tools/osim_replay" --trace "$OUT/cg.original.trace" \

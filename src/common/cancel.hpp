@@ -106,6 +106,16 @@ class CancelToken {
   Clock::time_point study_deadline_ = Clock::time_point::max();
 };
 
+/// The steady-clock point `seconds` (> 0) from now: a wall-clock budget's
+/// deadline. Saturating: a budget of a billion seconds or more (~31 years)
+/// is unbounded, time_point::max(), so converting it can never overflow.
+inline CancelToken::Clock::time_point deadline_after(double seconds) {
+  using Clock = CancelToken::Clock;
+  if (!(seconds < 1e9)) return Clock::time_point::max();
+  return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double>(seconds));
+}
+
 /// Thrown by dimemas::replay when its CancelToken fires. Derives from
 /// osim::Error so unsupervised callers that catch Error keep working; the
 /// supervised Study catches this type specifically to record the scenario

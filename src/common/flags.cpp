@@ -95,7 +95,8 @@ void Flags::set_value(const std::string& name, Entry& entry,
     case Kind::kDouble: {
       const auto parsed = parse_f64(value);
       if (!parsed) {
-        throw UsageError("flag --" + name + ": bad number '" + value + "'");
+        throw UsageError("flag --" + name + ": '" + value +
+                         "' is not a finite number");
       }
       *static_cast<double*>(entry.target) = *parsed;
       return;

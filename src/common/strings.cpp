@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -17,21 +18,6 @@ std::vector<std::string> split(std::string_view text, char sep) {
       out.emplace_back(text.substr(start, i - start));
       start = i + 1;
     }
-  }
-  return out;
-}
-
-std::vector<std::string> split_ws(std::string_view text) {
-  std::vector<std::string> out;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])))
-      ++i;
-    const size_t start = i;
-    while (i < text.size() &&
-           !std::isspace(static_cast<unsigned char>(text[i])))
-      ++i;
-    if (i > start) out.emplace_back(text.substr(start, i - start));
   }
   return out;
 }
@@ -81,8 +67,10 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) {
 }
 
 std::optional<double> parse_f64(std::string_view text) {
-  return parse_with<double>(
+  const auto value = parse_with<double>(
       text, [](const char* s, char** end) { return std::strtod(s, end); });
+  if (!value || !std::isfinite(*value)) return std::nullopt;
+  return value;
 }
 
 std::string strprintf(const char* fmt, ...) {

@@ -1,10 +1,11 @@
 #include "dimemas/platform.hpp"
 
-#include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "common/expect.hpp"
 #include "common/strings.hpp"
+#include "trace/trace.hpp"
 
 namespace osim::dimemas {
 
@@ -20,32 +21,64 @@ Platform Platform::marenostrum(std::int32_t num_nodes, std::int32_t buses) {
   return p;
 }
 
+namespace {
+
+/// One rule per platform field, by its platform-file key: `value` must lie
+/// in [lo, hi], or in (lo, hi] when lo_open. The bounds are finite, so nan
+/// and infinities break every rule.
+struct FieldRule {
+  std::string_view key;
+  double lo;
+  bool lo_open;
+  double hi;
+  const char* text;
+};
+
+static_assert(trace::kMaxRanks == 1'000'000, "the nodes rule spells it");
+constexpr double kMaxCount = std::numeric_limits<std::int32_t>::max();
+constexpr double kHuge = std::numeric_limits<double>::max();
+constexpr FieldRule kFieldRules[] = {
+    {"nodes", 1, false, static_cast<double>(trace::kMaxRanks),
+     "in [1, 1000000]"},
+    {"bandwidth_mbps", 0, true, kHuge, "a positive number of MB/s"},
+    {"latency_us", 0, false, kHuge, "a non-negative number of us"},
+    {"overhead_us", 0, false, kHuge, "a non-negative number of us"},
+    {"buses", 0, false, kMaxCount, "in [0, 2147483647] (0 = unlimited)"},
+    {"input_ports", 1, false, kMaxCount, "in [1, 2147483647]"},
+    {"output_ports", 1, false, kMaxCount, "in [1, 2147483647]"},
+    {"eager_threshold", 0, false, kHuge, "a non-negative number of bytes"},
+    {"relative_cpu_speed", 0, true, kHuge, "a positive number"},
+    {"fabric_links", -kHuge, false, kHuge,
+     "a finite number (<= 0 = unlimited)"},
+};
+
+}  // namespace
+
+std::string Platform::field_error(std::string_view key, double value) {
+  for (const FieldRule& rule : kFieldRules) {
+    if (rule.key != key) continue;
+    const bool above = rule.lo_open ? value > rule.lo : value >= rule.lo;
+    if (above && value <= rule.hi) return "";
+    return strprintf("must be %s, got %.15g", rule.text, value);
+  }
+  OSIM_UNREACHABLE("unknown platform field");
+}
+
 Platform Platform::from_flags(std::int32_t num_nodes, double bandwidth_MBps,
                               double latency_us, std::int64_t buses,
                               std::int64_t ports, std::int64_t eager_bytes) {
-  constexpr std::int64_t kMaxCount = std::numeric_limits<std::int32_t>::max();
-  if (!(bandwidth_MBps > 0.0) || !std::isfinite(bandwidth_MBps)) {
-    throw UsageError(strprintf("--bandwidth must be a positive number of "
-                               "MB/s (got %g)", bandwidth_MBps));
-  }
-  if (!(latency_us >= 0.0) || !std::isfinite(latency_us)) {
-    throw UsageError(strprintf(
-        "--latency must be a non-negative number of us (got %g)",
-        latency_us));
-  }
-  if (buses < 0 || buses > kMaxCount) {
-    throw UsageError(strprintf(
-        "--buses must be in [0, %lld] (0 = unlimited; got %lld)",
-        static_cast<long long>(kMaxCount), static_cast<long long>(buses)));
-  }
-  if (ports < 1 || ports > kMaxCount) {
-    throw UsageError(strprintf("--ports must be in [1, %lld] (got %lld)",
-                               static_cast<long long>(kMaxCount),
-                               static_cast<long long>(ports)));
-  }
-  if (eager_bytes < 0) {
-    throw UsageError(strprintf("--eager must be >= 0 bytes (got %lld)",
-                               static_cast<long long>(eager_bytes)));
+  const std::tuple<const char*, std::string_view, double> flags[] = {
+      {"bandwidth", "bandwidth_mbps", bandwidth_MBps},
+      {"latency", "latency_us", latency_us},
+      {"buses", "buses", static_cast<double>(buses)},
+      {"ports", "input_ports", static_cast<double>(ports)},
+      {"eager", "eager_threshold", static_cast<double>(eager_bytes)},
+  };
+  for (const auto& [flag, key, value] : flags) {
+    const std::string error = field_error(key, value);
+    if (!error.empty()) {
+      throw UsageError(strprintf("--%s %s", flag, error.c_str()));
+    }
   }
   Platform p;
   p.num_nodes = num_nodes;

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace osim::dimemas {
@@ -74,11 +75,20 @@ struct Platform {
   /// The bus platform osim_replay builds from its network flags
   /// (--bandwidth MB/s, --latency us, --buses, --ports, --eager bytes); the
   /// analysis service builds its platforms here too. Throws
-  /// osim::UsageError naming the flag when a value is out of range, the
-  /// same bounds read_platform() enforces on a platform file.
+  /// osim::UsageError naming the flag ("--bandwidth must be ...") when a
+  /// value breaks its field's rule (field_error).
   static Platform from_flags(std::int32_t num_nodes, double bandwidth_MBps,
                              double latency_us, std::int64_t buses,
                              std::int64_t ports, std::int64_t eager_bytes);
+
+  /// The one validator of platforms built from outside input: the network
+  /// flags (from_flags) and platform files (read_platform) check every
+  /// value against its field's rule here, before narrowing it. `key` is
+  /// the field's platform-file key (see platform_io.hpp). Returns "" when
+  /// `value` obeys the rule, else the rule with the value
+  /// ("must be a positive number of MB/s (got 0)"). The counts' bounds fit
+  /// std::int32_t; numbers must be finite.
+  static std::string field_error(std::string_view key, double value);
 
   /// The detailed reference machine used as "the real run" in our
   /// reproduction (see DESIGN.md substitutions): same links, max-min fair

@@ -4,7 +4,8 @@
 #include <sstream>
 
 #include "common/expect.hpp"
-#include "common/strings.hpp"
+#include "common/line_cursor.hpp"
+#include "trace/mmap_file.hpp"
 
 namespace osim::dimemas {
 
@@ -40,90 +41,60 @@ void write_platform_file(const Platform& p, const std::string& path) {
   if (!out) throw Error("error writing platform file: " + path);
 }
 
-Platform read_platform(std::istream& in) {
+Platform read_platform(std::string_view text) {
+  LineCursor in(text, "platform file");
   Platform p;
   bool have_nodes = false;
-  std::string line;
-  int line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const auto tokens = split_ws(line);
-    if (tokens.empty()) continue;
-    auto fail = [&](const std::string& why) -> void {
-      throw Error(strprintf("platform file line %d: %s", line_number,
-                            why.c_str()));
-    };
-    if (tokens.size() != 2) fail("expected 'key value'");
-    const std::string& key = tokens[0];
-    const std::string& value = tokens[1];
-    auto as_int = [&]() {
-      const auto parsed = parse_i64(value);
-      if (!parsed) fail("bad integer '" + value + "'");
-      return static_cast<std::int32_t>(*parsed);
-    };
-    auto as_double = [&]() {
-      const auto parsed = parse_f64(value);
-      if (!parsed) fail("bad number '" + value + "'");
-      return *parsed;
-    };
-    if (key == "nodes") {
-      p.num_nodes = as_int();
-      have_nodes = true;
-      if (p.num_nodes <= 0) fail("nodes must be positive");
-    } else if (key == "model") {
-      if (value == "bus") {
+  while (in.next()) {
+    if (in.size() != 2) in.fail("expected 'key value'");
+    const std::string_view key = in.token(0);
+    if (key == "model") {
+      if (in.token(1) == "bus") {
         p.model = NetworkModelKind::kBus;
-      } else if (value == "fairshare") {
+      } else if (in.token(1) == "fairshare") {
         p.model = NetworkModelKind::kFairShare;
       } else {
-        fail("unknown model '" + value + "' (bus | fairshare)");
+        in.fail("unknown model '" + std::string(in.token(1)) +
+                "' (bus | fairshare)");
       }
-    } else if (key == "bandwidth_mbps") {
-      p.bandwidth_MBps = as_double();
-      if (p.bandwidth_MBps <= 0) fail("bandwidth must be positive");
-    } else if (key == "latency_us") {
-      p.latency_us = as_double();
-      if (p.latency_us < 0) fail("latency must be non-negative");
-    } else if (key == "overhead_us") {
-      p.per_message_overhead_us = as_double();
-      if (p.per_message_overhead_us < 0) fail("overhead must be non-negative");
-    } else if (key == "buses") {
-      p.num_buses = as_int();
-      if (p.num_buses < 0) fail("buses must be non-negative");
-    } else if (key == "input_ports") {
-      p.input_ports = as_int();
-      if (p.input_ports <= 0) fail("input_ports must be positive");
-    } else if (key == "output_ports") {
-      p.output_ports = as_int();
-      if (p.output_ports <= 0) fail("output_ports must be positive");
-    } else if (key == "eager_threshold") {
-      const auto parsed = parse_u64(value);
-      if (!parsed) fail("bad unsigned integer '" + value + "'");
-      p.eager_threshold_bytes = *parsed;
-    } else if (key == "relative_cpu_speed") {
-      p.relative_cpu_speed = as_double();
-      if (p.relative_cpu_speed <= 0) fail("cpu speed must be positive");
-    } else if (key == "fabric_links") {
-      p.fabric_capacity_links = as_double();
-    } else {
-      fail("unknown key '" + key + "'");
+      continue;
     }
+    if (key == "eager_threshold") {
+      p.eager_threshold_bytes = in.integer<std::uint64_t>(1, key);
+      continue;
+    }
+    std::int32_t* count = key == "nodes"          ? &p.num_nodes
+                          : key == "buses"        ? &p.num_buses
+                          : key == "input_ports"  ? &p.input_ports
+                          : key == "output_ports" ? &p.output_ports
+                                                  : nullptr;
+    double* number = key == "bandwidth_mbps"       ? &p.bandwidth_MBps
+                     : key == "latency_us"         ? &p.latency_us
+                     : key == "overhead_us"        ? &p.per_message_overhead_us
+                     : key == "relative_cpu_speed" ? &p.relative_cpu_speed
+                     : key == "fabric_links"       ? &p.fabric_capacity_links
+                                                   : nullptr;
+    if (count == nullptr && number == nullptr) {
+      in.fail("unknown key '" + std::string(key) + "'");
+    }
+    const double value =
+        count != nullptr ? static_cast<double>(in.integer<std::int64_t>(1, key))
+                         : in.number(1, key);
+    const std::string error = Platform::field_error(key, value);
+    if (!error.empty()) in.fail(std::string(key) + " " + error);
+    if (count != nullptr) {
+      *count = static_cast<std::int32_t>(value);  // the rule bounds counts
+    } else {
+      *number = value;
+    }
+    have_nodes = have_nodes || key == "nodes";
   }
   if (!have_nodes) throw Error("platform file missing 'nodes'");
   return p;
 }
 
-Platform read_platform(const std::string& text) {
-  std::istringstream is(text);
-  return read_platform(is);
-}
-
 Platform read_platform_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open platform file: " + path);
-  return read_platform(in);
+  return read_platform(trace::MappedFile::open(path).view());
 }
 
 }  // namespace osim::dimemas

@@ -13,10 +13,16 @@
 //   eager_threshold 16384
 //   relative_cpu_speed 1.0
 //   fabric_links 8       # fairshare model only; 0 = unlimited
+//
+// Every value passes the rule of its field (Platform::field_error, the
+// same rules the network flags obey): counts are integers (nodes in
+// [1, 1000000], buses >= 0, ports >= 1), rates and times finite numbers
+// (bandwidth and CPU speed above zero, latency and overhead not below).
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "dimemas/platform.hpp"
 
@@ -26,10 +32,10 @@ void write_platform(const Platform& platform, std::ostream& out);
 std::string write_platform(const Platform& platform);
 void write_platform_file(const Platform& platform, const std::string& path);
 
-/// Parses a platform description; unknown keys and malformed values raise
-/// osim::Error with a line number.
-Platform read_platform(std::istream& in);
-Platform read_platform(const std::string& text);
+/// Parses a platform description; an unknown key or a value that breaks
+/// its field's rule raises osim::Error naming the line and the key. The
+/// file reader parses the mapped file.
+Platform read_platform(std::string_view text);
 Platform read_platform_file(const std::string& path);
 
 }  // namespace osim::dimemas

@@ -1,6 +1,5 @@
 #include "faults/spec.hpp"
 
-#include <cmath>
 #include <limits>
 
 #include "common/expect.hpp"
@@ -27,9 +26,11 @@ double parse_duration_s(const std::string& clause, std::string_view text) {
   } else if (!text.empty() && text.back() == 's') {
     number = text.substr(0, text.size() - 1);
   }
-  // Infinity is a valid `until` (an open-ended window); NaN never is.
+  // `inf` is a valid `until` (an open-ended window, as to_spec() writes
+  // the default); every other duration is a finite number.
+  if (number == "inf") return std::numeric_limits<double>::infinity();
   const auto parsed = parse_f64(number);
-  if (!parsed || std::isnan(*parsed) || *parsed < 0.0) {
+  if (!parsed || *parsed < 0.0) {
     bad(clause, "bad duration '" + std::string(text) + "'");
   }
   return *parsed * unit;
@@ -52,7 +53,7 @@ double parse_duration_us(const std::string& clause, std::string_view text) {
     number = text.substr(0, text.size() - 1);
   }
   const auto parsed = parse_f64(number);
-  if (!parsed || std::isnan(*parsed) || *parsed < 0.0) {
+  if (!parsed || *parsed < 0.0) {
     bad(clause, "bad duration '" + std::string(text) + "'");
   }
   return *parsed * unit;

@@ -9,7 +9,8 @@
 //   degrade=<src>-<dst>[,from=<t>][,until=<t>][,bw=<f>][,lat=<t>]
 //   straggler=<rank>[,from=<t>][,until=<t>][,cpu=<f>]
 //
-// <t> is a duration with an optional unit suffix: s, ms or us (default s).
+// <t> is a finite duration with an optional unit suffix: s, ms or us
+// (default s); `until` may also be `inf` (an open-ended window, the default).
 // <src>/<dst>/<rank> are rank numbers or the keyword `any` (kept a word, not
 // `*`, so specs survive unquoted shell use). `degrade` and `straggler` may
 // repeat; windows that overlap compose multiplicatively. Example:

@@ -46,10 +46,7 @@ Study::Study(StudyOptions options)
                 options_.memory_budget_bytes > 0 || options_.journal ||
                 options_.resume || options_.stop_flag != nullptr;
   if (options_.study_deadline_s > 0.0) {
-    study_deadline_ =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(
-                               options_.study_deadline_s));
+    study_deadline_ = deadline_after(options_.study_deadline_s);
   }
   if (options_.journal || options_.resume) {
     if (cache_dir.empty()) {
@@ -214,10 +211,7 @@ double Study::makespan(const ReplayContext& context, std::string_view label) {
       return record_stopped(key, label, pre, PartialProgress{}, 0.0);
     }
     if (options_.scenario_timeout_s > 0.0) {
-      token.set_scenario_deadline(
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(
-                                 options_.scenario_timeout_s)));
+      token.set_scenario_deadline(deadline_after(options_.scenario_timeout_s));
     }
   }
   // Computed outside the lock; a concurrent miss on the same key computes
@@ -404,9 +398,7 @@ std::size_t Study::drain_pending_writes(bool force) {
           std::min(0.1 * static_cast<double>(1ULL << std::min(
                                                  pending.attempts, 8)),
                    30.0);
-      pending.next_try =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(delay_s));
+      pending.next_try = deadline_after(delay_s);
       std::lock_guard<std::mutex> lock(pending_mutex_);
       pending_writes_.push_back(std::move(pending));
     }

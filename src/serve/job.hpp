@@ -71,7 +71,8 @@ dimemas::Platform platform_for(const ScenarioSpec& spec,
                                std::int32_t num_ranks);
 
 /// The tools' `--platform` branch: the platform file at `platform_path`
-/// when it is non-empty (osim::Error when it has fewer than `num_ranks`
+/// when it is non-empty (osim::Error when a value breaks its field's rule,
+/// the rules the flags obey, or when it has fewer than `num_ranks`
 /// nodes; the network flags are then not consulted — see
 /// reject_network_flags_with_platform), else platform_for(spec, num_ranks).
 dimemas::Platform platform_for(const ScenarioSpec& spec,

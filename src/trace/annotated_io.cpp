@@ -1,11 +1,13 @@
 #include "trace/annotated_io.hpp"
 
+#include <cstdint>
 #include <fstream>
-#include <optional>
 #include <sstream>
 
 #include "common/expect.hpp"
-#include "common/strings.hpp"
+#include "common/line_cursor.hpp"
+#include "trace/io.hpp"
+#include "trace/mmap_file.hpp"
 
 namespace osim::trace {
 
@@ -22,20 +24,6 @@ void write_times(std::ostream& out,
       out << ' ' << t;
     }
   }
-}
-
-std::optional<CollectiveKind> collective_from_name(std::string_view name) {
-  static constexpr CollectiveKind kAll[] = {
-      CollectiveKind::kBarrier,  CollectiveKind::kBcast,
-      CollectiveKind::kReduce,   CollectiveKind::kAllreduce,
-      CollectiveKind::kGather,   CollectiveKind::kAllgather,
-      CollectiveKind::kScatter,  CollectiveKind::kAlltoall,
-      CollectiveKind::kScan,
-  };
-  for (const CollectiveKind kind : kAll) {
-    if (name == collective_name(kind)) return kind;
-  }
-  return std::nullopt;
 }
 
 }  // namespace
@@ -108,198 +96,101 @@ void write_annotated_file(const AnnotatedTrace& trace,
 
 namespace {
 
-class Parser {
- public:
-  explicit Parser(std::istream& in) : in_(in) {}
-
-  AnnotatedTrace parse() {
-    expect_header();
-    parse_meta();
-    AnnotatedTrace trace = AnnotatedTrace::make(ranks_, mips_, app_);
-    Rank current = -1;
-    std::string line;
-    while (next_line(line)) {
-      const auto tokens = split_ws(line);
-      if (tokens.empty()) continue;
-      const std::string& op = tokens[0];
-      if (op == "rank") {
-        require_min(tokens, 4);
-        if (tokens[2] != "final") fail("expected 'rank N final CLOCK'");
-        current = to_i<Rank>(tokens[1]);
-        if (current < 0 || current >= ranks_) fail("rank out of range");
-        trace.ranks[static_cast<std::size_t>(current)].final_vclock =
-            to_u64(tokens[3]);
-        continue;
-      }
-      if (current < 0) fail("event before any 'rank' directive");
-      auto& events =
-          trace.ranks[static_cast<std::size_t>(current)].events;
-
-      AnnEvent ev;
-      std::size_t i = 1;
-      if (op == "s" || op == "is") {
-        ev.kind = op == "is" ? AnnEvent::Kind::kIsend : AnnEvent::Kind::kSend;
-        ev.vclock = to_u64(field(tokens, i++));
-        if (op == "is") ev.request = to_i<ReqId>(field(tokens, i++));
-        ev.peer = to_i<Rank>(field(tokens, i++));
-        ev.tag = to_i<Tag>(field(tokens, i++));
-        ev.elem_bytes = to_i<std::uint32_t>(field(tokens, i++));
-        const std::uint64_t nelems = to_u64(field(tokens, i++));
-        ev.bytes = nelems * ev.elem_bytes;
-        ev.buffer_id = to_i<std::int64_t>(field(tokens, i++));
-        ev.chunkable = to_u64(field(tokens, i++)) != 0;
-        ev.interval_start = to_u64(field(tokens, i++));
-        read_times(tokens, i, nelems, &ev.elem_last_store);
-      } else if (op == "r" || op == "ir") {
-        ev.kind =
-            op == "ir" ? AnnEvent::Kind::kIrecv : AnnEvent::Kind::kRecv;
-        ev.vclock = to_u64(field(tokens, i++));
-        if (op == "ir") ev.request = to_i<ReqId>(field(tokens, i++));
-        ev.peer = to_i<Rank>(field(tokens, i++));
-        ev.tag = to_i<Tag>(field(tokens, i++));
-        ev.elem_bytes = to_i<std::uint32_t>(field(tokens, i++));
-        const std::uint64_t nelems = to_u64(field(tokens, i++));
-        ev.bytes = nelems * ev.elem_bytes;
-        ev.buffer_id = to_i<std::int64_t>(field(tokens, i++));
-        ev.chunkable = to_u64(field(tokens, i++)) != 0;
-        ev.interval_end = to_u64(field(tokens, i++));
-        ev.wait_event_index = to_i<std::int64_t>(field(tokens, i++));
-        read_times(tokens, i, nelems, &ev.elem_first_load);
-      } else if (op == "w") {
-        ev.kind = AnnEvent::Kind::kWait;
-        ev.vclock = to_u64(field(tokens, i++));
-        while (i < tokens.size()) {
-          ev.wait_requests.push_back(to_i<ReqId>(tokens[i++]));
-        }
-        if (ev.wait_requests.empty()) fail("wait with no requests");
-      } else if (op == "g") {
-        ev.kind = AnnEvent::Kind::kGlobalOp;
-        ev.vclock = to_u64(field(tokens, i++));
-        const auto kind = collective_from_name(field(tokens, i++));
-        if (!kind) fail("unknown collective");
-        ev.coll = *kind;
-        ev.root = to_i<Rank>(field(tokens, i++));
-        ev.bytes = to_u64(field(tokens, i++));
-        ev.coll_sequence = to_i<std::int64_t>(field(tokens, i++));
-      } else {
-        fail("unknown event type '" + op + "'");
-      }
-      events.push_back(std::move(ev));
-    }
-    validate(trace);
-    return trace;
+/// The per-element trailer of a transfer from token `i` on: none
+/// (untracked buffer) or exactly `nelems` clocks, '-' for never.
+void read_times(const LineCursor& in, std::size_t i, std::uint64_t nelems,
+                std::vector<std::uint64_t>* out) {
+  if (i >= in.size()) return;
+  if (in.size() - i != nelems) {
+    in.fail(strprintf("expected %llu per-element times, got %zu",
+                      static_cast<unsigned long long>(nelems),
+                      in.size() - i));
   }
-
- private:
-  void read_times(const std::vector<std::string>& tokens, std::size_t from,
-                  std::uint64_t nelems, std::vector<std::uint64_t>* out) {
-    if (from >= tokens.size()) return;  // untracked: no trailer
-    if (tokens.size() - from != nelems) {
-      fail(strprintf("expected %llu per-element times, got %zu",
-                     static_cast<unsigned long long>(nelems),
-                     tokens.size() - from));
-    }
-    out->reserve(nelems);
-    for (std::size_t i = from; i < tokens.size(); ++i) {
-      out->push_back(tokens[i] == "-" ? kNeverAccessed : to_u64(tokens[i]));
-    }
+  out->reserve(nelems);
+  for (; i < in.size(); ++i) {
+    out->push_back(in.token(i) == "-" ? kNeverAccessed
+                                      : in.integer<std::uint64_t>(i, "time"));
   }
-
-  bool next_line(std::string& line) {
-    while (std::getline(in_, line)) {
-      ++line_number_;
-      const auto hash = line.find('#');
-      if (hash != std::string::npos) line.resize(hash);
-      if (!trim(line).empty()) return true;
-    }
-    return false;
-  }
-
-  void expect_header() {
-    std::string line;
-    if (!std::getline(in_, line)) fail("empty annotated trace file");
-    ++line_number_;
-    if (trim(line) != kHeader) fail("missing '#OSIM-ANNTRACE v1' header");
-  }
-
-  void parse_meta() {
-    std::string line;
-    while (in_.peek() != EOF) {
-      const auto pos = in_.tellg();
-      if (!next_line(line)) break;
-      const auto tokens = split_ws(line);
-      if (tokens.empty()) continue;
-      if (tokens[0] != "meta") {
-        in_.seekg(pos);
-        --line_number_;
-        break;
-      }
-      require_min(tokens, 3);
-      if (tokens[1] == "app") {
-        app_ = tokens[2] == "-" ? "" : tokens[2];
-      } else if (tokens[1] == "ranks") {
-        ranks_ = to_i<Rank>(tokens[2]);
-        if (ranks_ <= 0) fail("ranks must be positive");
-      } else if (tokens[1] == "mips") {
-        const auto parsed = parse_f64(tokens[2]);
-        if (!parsed || *parsed <= 0.0) fail("bad mips value");
-        mips_ = *parsed;
-      } else {
-        fail("unknown meta key '" + tokens[1] + "'");
-      }
-    }
-    if (ranks_ <= 0) fail("annotated trace missing 'meta ranks'");
-  }
-
-  const std::string& field(const std::vector<std::string>& tokens,
-                           std::size_t index) {
-    if (index >= tokens.size()) fail("missing field");
-    return tokens[index];
-  }
-
-  void require_min(const std::vector<std::string>& tokens,
-                   std::size_t count) {
-    if (tokens.size() < count) fail("too few fields");
-  }
-
-  template <typename T>
-  T to_i(const std::string& text) {
-    const auto parsed = parse_i64(text);
-    if (!parsed) fail("bad integer '" + text + "'");
-    return static_cast<T>(*parsed);
-  }
-
-  std::uint64_t to_u64(const std::string& text) {
-    const auto parsed = parse_u64(text);
-    if (!parsed) fail("bad unsigned integer '" + text + "'");
-    return *parsed;
-  }
-
-  [[noreturn]] void fail(const std::string& why) {
-    throw Error(strprintf("annotated trace parse error at line %d: %s",
-                          line_number_, why.c_str()));
-  }
-
-  std::istream& in_;
-  int line_number_ = 0;
-  Rank ranks_ = 0;
-  double mips_ = 1000.0;
-  std::string app_;
-};
+}
 
 }  // namespace
 
-AnnotatedTrace read_annotated(std::istream& in) { return Parser(in).parse(); }
+AnnotatedTrace read_annotated(std::string_view text) {
+  LineCursor in(text, "annotated trace");
+  TextHeader header = read_text_header(in, kHeader, true);
+  AnnotatedTrace trace =
+      AnnotatedTrace::make(header.ranks, header.mips, std::move(header.app));
+  std::vector<AnnEvent>* events = nullptr;
+  while (in.next()) {
+    const std::string_view op = in.token(0);
+    if (op == "rank") {
+      in.require_min(4);
+      if (in.token(2) != "final") in.fail("expected 'rank N final CLOCK'");
+      const Rank rank = in.integer<Rank>(1, "rank");
+      if (rank < 0 || rank >= trace.num_ranks) in.fail("rank out of range");
+      AnnotatedRank& arank = trace.ranks[static_cast<std::size_t>(rank)];
+      arank.final_vclock = in.integer<std::uint64_t>(3, "final");
+      events = &arank.events;
+      continue;
+    }
+    if (events == nullptr) in.fail("event before any 'rank' directive");
+    const bool transfer = op == "s" || op == "is" || op == "r" || op == "ir";
+    if (!transfer && op != "w" && op != "g") {
+      in.fail("unknown event type '" + std::string(op) + "'");
+    }
 
-AnnotatedTrace read_annotated(const std::string& text) {
-  std::istringstream is(text);
-  return read_annotated(is);
+    AnnEvent ev;
+    std::size_t i = 1;
+    ev.vclock = in.integer<std::uint64_t>(i++, "vclock");
+    if (transfer) {
+      const bool send = op.back() == 's';
+      const bool immediate = op[0] == 'i';
+      ev.kind = send ? (immediate ? AnnEvent::Kind::kIsend
+                                  : AnnEvent::Kind::kSend)
+                     : (immediate ? AnnEvent::Kind::kIrecv
+                                  : AnnEvent::Kind::kRecv);
+      if (immediate) ev.request = in.integer<ReqId>(i++, "request");
+      ev.peer = in.integer<Rank>(i++, "peer");
+      ev.tag = in.integer<Tag>(i++, "tag");
+      ev.elem_bytes = in.integer<std::uint32_t>(i++, "elem_bytes");
+      const std::uint64_t nelems = in.integer<std::uint64_t>(i++, "nelems");
+      if (ev.elem_bytes != 0 && nelems > UINT64_MAX / ev.elem_bytes) {
+        in.fail("nelems * elem_bytes overflows 64 bits");
+      }
+      ev.bytes = nelems * ev.elem_bytes;
+      ev.buffer_id = in.integer<std::int64_t>(i++, "buffer");
+      ev.chunkable = in.integer<std::uint64_t>(i++, "chunkable") != 0;
+      if (send) {
+        ev.interval_start = in.integer<std::uint64_t>(i++, "interval_start");
+        read_times(in, i, nelems, &ev.elem_last_store);
+      } else {
+        ev.interval_end = in.integer<std::uint64_t>(i++, "interval_end");
+        ev.wait_event_index = in.integer<std::int64_t>(i++, "wait_event");
+        read_times(in, i, nelems, &ev.elem_first_load);
+      }
+    } else if (op == "w") {
+      ev.kind = AnnEvent::Kind::kWait;
+      for (; i < in.size(); ++i) {
+        ev.wait_requests.push_back(in.integer<ReqId>(i, "request"));
+      }
+      if (ev.wait_requests.empty()) in.fail("wait with no requests");
+    } else {
+      ev.kind = AnnEvent::Kind::kGlobalOp;
+      const auto kind = collective_from_name(in.token(i++));
+      if (!kind) in.fail("unknown collective");
+      ev.coll = *kind;
+      ev.root = in.integer<Rank>(i++, "root");
+      ev.bytes = in.integer<std::uint64_t>(i++, "bytes");
+      ev.coll_sequence = in.integer<std::int64_t>(i++, "sequence");
+    }
+    events->push_back(std::move(ev));
+  }
+  validate(trace);
+  return trace;
 }
 
 AnnotatedTrace read_annotated_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open annotated trace file: " + path);
-  return read_annotated(in);
+  return read_annotated(MappedFile::open(path).view());
 }
 
 }  // namespace osim::trace

@@ -18,11 +18,15 @@
 //   w  <vclock> <request ids...>
 //   g  <vclock> <collective> <root> <bytes> <sequence>
 //
-// Untracked transfers (buffer = -1) carry no per-element trailer.
+// Untracked transfers (buffer = -1) carry no per-element trailer. The
+// header and the input contract (integers that fit their field, finite
+// numbers, ranks in [1, kMaxRanks], a MIPS rate above zero) are the text
+// trace format's (trace/io.hpp).
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "trace/annotated.hpp"
 
@@ -33,9 +37,10 @@ std::string write_annotated(const AnnotatedTrace& trace);
 void write_annotated_file(const AnnotatedTrace& trace,
                           const std::string& path);
 
-/// Throws osim::Error with a line number on malformed input.
-AnnotatedTrace read_annotated(std::istream& in);
-AnnotatedTrace read_annotated(const std::string& text);
+/// Parses and validates an annotated trace; throws osim::Error naming the
+/// line (and the field) on malformed input. The file reader parses the
+/// mapped file.
+AnnotatedTrace read_annotated(std::string_view text);
 AnnotatedTrace read_annotated_file(const std::string& path);
 
 }  // namespace osim::trace

@@ -40,6 +40,13 @@ void check(const bytes::Reader& r) {
                             : "binary trace: varint overflow");
 }
 
+/// A decoded rank field (dest, src, root): an int32, never truncated.
+Rank rank_field(std::int64_t value) {
+  const auto rank = narrow<Rank>(value);
+  if (!rank) throw Error("binary trace: rank field out of range");
+  return *rank;
+}
+
 /// Parses one record into `stream`. Throws osim::Error on any corruption;
 /// a record is appended only once all of its fields have been read.
 void read_record(bytes::Reader& r, std::vector<Record>& stream) {
@@ -54,7 +61,7 @@ void read_record(bytes::Reader& r, std::vector<Record>& stream) {
     }
     case kKindSend: {
       Send send;
-      send.dest = static_cast<Rank>(r.svarint());
+      const std::int64_t dest = r.svarint();
       send.tag = r.svarint();
       send.bytes = r.varint();
       const std::uint8_t flags = r.u8();
@@ -62,17 +69,19 @@ void read_record(bytes::Reader& r, std::vector<Record>& stream) {
       send.synchronous = (flags & kFlagSynchronous) != 0;
       send.request = r.svarint();
       check(r);
+      send.dest = rank_field(dest);
       stream.push_back(send);
       return;
     }
     case kKindRecv: {
       Recv recv;
-      recv.src = static_cast<Rank>(r.svarint());
+      const std::int64_t src = r.svarint();
       recv.tag = r.svarint();
       recv.bytes = r.varint();
       recv.immediate = (r.u8() & kFlagImmediate) != 0;
       recv.request = r.svarint();
       check(r);
+      recv.src = rank_field(src);
       stream.push_back(recv);
       return;
     }
@@ -99,10 +108,11 @@ void read_record(bytes::Reader& r, std::vector<Record>& stream) {
       }
       GlobalOp op;
       op.kind = static_cast<CollectiveKind>(coll);
-      op.root = static_cast<Rank>(r.svarint());
+      const std::int64_t root = r.svarint();
       op.bytes = r.varint();
       op.sequence = r.svarint();
       check(r);
+      op.root = rank_field(root);
       stream.push_back(op);
       return;
     }
@@ -138,10 +148,10 @@ Trace decode(std::string_view bytes, Damage* damage) {
     const double mips = r.f64();
     num_ranks = r.varint();
     check(r);
-    if (num_ranks == 0 || num_ranks > 1'000'000) {
+    if (!valid_rank_count(num_ranks)) {
       throw Error("binary trace: implausible rank count");
     }
-    if (!(mips > 0.0)) throw Error("binary trace: invalid MIPS rate");
+    if (!valid_mips(mips)) throw Error("binary trace: invalid MIPS rate");
     const std::uint64_t app_len = r.varint();
     check(r);
     if (app_len > 4096) throw Error("binary trace: implausible app name");
@@ -345,12 +355,12 @@ RecoveredTrace read_binary_recover(std::string_view bytes) {
 }
 
 Trace read_any_file(const std::string& path) {
-  // Binary traces parse straight out of the mapping: no read() copies.
+  // Both formats parse straight out of the mapping: no read() copies.
   // Records are still materialized (the Trace owns its data); only the
   // ingestion path is zero-copy.
   const MappedFile file = MappedFile::open(path);
   if (has_binary_magic(file.view())) return read_binary(file.view());
-  return read_text(std::string(file.view()));
+  return read_text(file.view());
 }
 
 RecoveredTrace read_any_file_recover(const std::string& path) {
@@ -358,7 +368,7 @@ RecoveredTrace read_any_file_recover(const std::string& path) {
   if (has_binary_magic(file.view())) return read_binary_recover(file.view());
   RecoveredTrace result;
   try {
-    result.trace = read_text(std::string(file.view()));
+    result.trace = read_text(file.view());
   } catch (const Error& e) {
     // The text parser has no partial-salvage mode: report and bail.
     result.damage.unusable = true;

@@ -22,6 +22,10 @@
 //     little-endian u32 CRC-32 (IEEE) over that rank's byte range
 //     (record-count varint through last record byte)
 //
+// Decoded values obey the text formats' input contract: the header's rank
+// count and MIPS rate pass valid_rank_count/valid_mips (trace.hpp), and a
+// dest, src or root outside 32 bits is corrupt, not truncated.
+//
 // The footer ends the file. Traces written before it existed still load —
 // the strict reader accepts a clean end of input where the footer would
 // start (with a logged warning) — but bytes after a footer are damage:

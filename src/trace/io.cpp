@@ -1,31 +1,15 @@
 #include "trace/io.hpp"
 
 #include <fstream>
-#include <optional>
 #include <sstream>
 
 #include "common/expect.hpp"
-#include "common/strings.hpp"
 
 namespace osim::trace {
 
 namespace {
 
 constexpr const char* kHeader = "#OSIM-TRACE v1";
-
-std::optional<CollectiveKind> collective_from_name(std::string_view name) {
-  static constexpr CollectiveKind kAll[] = {
-      CollectiveKind::kBarrier,  CollectiveKind::kBcast,
-      CollectiveKind::kReduce,   CollectiveKind::kAllreduce,
-      CollectiveKind::kGather,   CollectiveKind::kAllgather,
-      CollectiveKind::kScatter,  CollectiveKind::kAlltoall,
-      CollectiveKind::kScan,
-  };
-  for (const CollectiveKind kind : kAll) {
-    if (name == collective_name(kind)) return kind;
-  }
-  return std::nullopt;
-}
 
 }  // namespace
 
@@ -86,177 +70,92 @@ void write_text_file(const Trace& trace, const std::string& path) {
   if (!out) throw Error("error writing trace file: " + path);
 }
 
-namespace {
-
-class Parser {
- public:
-  explicit Parser(std::istream& in) : in_(in) {}
-
-  Trace parse() {
-    expect_header();
-    parse_meta();
-    Trace trace = Trace::make(ranks_, mips_, app_);
-    Rank current = -1;
-    std::string line;
-    while (next_line(line)) {
-      const auto tokens = split_ws(line);
-      if (tokens.empty()) continue;
-      const std::string& op = tokens[0];
-      if (op == "rank") {
-        current = to_rank(field(tokens, 1));
-        if (current < 0 || current >= ranks_) fail("rank out of range");
-        continue;
-      }
-      if (current < 0) fail("record before any 'rank' directive");
-      auto& stream = trace.ranks[static_cast<std::size_t>(current)];
-      if (op == "c") {
-        stream.push_back(CpuBurst{to_u64(field(tokens, 1))});
-        require_arity(tokens, 2);
-      } else if (op == "s" || op == "s!") {
-        require_arity(tokens, 4);
-        stream.push_back(Send{to_rank(tokens[1]), to_tag(tokens[2]),
-                              to_u64(tokens[3]), false, kNoRequest,
-                              op == "s!"});
-      } else if (op == "is" || op == "is!") {
-        require_arity(tokens, 5);
-        stream.push_back(Send{to_rank(tokens[1]), to_tag(tokens[2]),
-                              to_u64(tokens[3]), true, to_tag(tokens[4]),
-                              op == "is!"});
-      } else if (op == "r") {
-        require_arity(tokens, 4);
-        stream.push_back(Recv{to_rank(tokens[1]), to_tag(tokens[2]),
-                              to_u64(tokens[3]), false, kNoRequest});
-      } else if (op == "ir") {
-        require_arity(tokens, 5);
-        stream.push_back(Recv{to_rank(tokens[1]), to_tag(tokens[2]),
-                              to_u64(tokens[3]), true, to_tag(tokens[4])});
-      } else if (op == "w") {
-        if (tokens.size() < 2) fail("wait needs at least one request id");
-        Wait wait;
-        for (std::size_t i = 1; i < tokens.size(); ++i) {
-          wait.requests.push_back(to_tag(tokens[i]));
-        }
-        stream.push_back(std::move(wait));
-      } else if (op == "g") {
-        require_arity(tokens, 5);
-        const auto kind = collective_from_name(tokens[1]);
-        if (!kind) fail("unknown collective '" + tokens[1] + "'");
-        stream.push_back(GlobalOp{*kind, to_rank(tokens[2]),
-                                  to_u64(tokens[3]),
-                                  static_cast<std::int64_t>(
-                                      to_tag(tokens[4]))});
-      } else {
-        fail("unknown record type '" + op + "'");
-      }
+TextHeader read_text_header(LineCursor& in, std::string_view magic,
+                            bool extra_meta_fields) {
+  in.expect_first_line(magic);
+  TextHeader header;
+  std::uint64_t ranks = 0;
+  // Meta lines come as a contiguous block before the first rank.
+  while (in.next()) {
+    if (in.token(0) != "meta") {
+      in.unread();
+      break;
     }
-    return trace;
-  }
-
- private:
-  bool next_line(std::string& line) {
-    while (std::getline(in_, line)) {
-      ++line_number_;
-      const auto hash = line.find('#');
-      if (hash != std::string::npos) line.resize(hash);
-      if (!trim(line).empty()) return true;
-    }
-    return false;
-  }
-
-  void expect_header() {
-    std::string line;
-    if (!std::getline(in_, line)) fail("empty trace file");
-    ++line_number_;
-    if (trim(line) != kHeader) fail("missing '#OSIM-TRACE v1' header");
-  }
-
-  void parse_meta() {
-    std::string line;
-    // Meta lines must come as a contiguous block before the first rank.
-    while (in_.peek() != EOF) {
-      const auto pos = in_.tellg();
-      if (!next_line(line)) break;
-      const auto tokens = split_ws(line);
-      if (tokens.empty()) continue;
-      if (tokens[0] != "meta") {
-        in_.seekg(pos);
-        --line_number_;
-        break;
+    extra_meta_fields ? in.require_min(3) : in.require_size(3);
+    const std::string_view key = in.token(1);
+    if (key == "app") {
+      header.app = in.token(2) == "-" ? "" : std::string(in.token(2));
+    } else if (key == "ranks") {
+      ranks = in.integer<std::uint64_t>(2, "ranks");
+      if (!valid_rank_count(ranks)) {
+        in.fail_token(2, "ranks",
+                      "is outside [1, " + std::to_string(kMaxRanks) + "]");
       }
-      require_arity(tokens, 3);
-      if (tokens[1] == "app") {
-        app_ = tokens[2] == "-" ? "" : tokens[2];
-      } else if (tokens[1] == "ranks") {
-        ranks_ = to_rank(tokens[2]);
-        if (ranks_ <= 0) fail("ranks must be positive");
-      } else if (tokens[1] == "mips") {
-        const auto parsed = parse_f64(tokens[2]);
-        if (!parsed || *parsed <= 0.0) fail("bad mips value");
-        mips_ = *parsed;
-      } else {
-        fail("unknown meta key '" + tokens[1] + "'");
-      }
-    }
-    if (ranks_ <= 0) fail("trace file missing 'meta ranks'");
-  }
-
-  const std::string& field(const std::vector<std::string>& tokens,
-                           std::size_t index) {
-    if (index >= tokens.size()) fail("missing field");
-    return tokens[index];
-  }
-
-  void require_arity(const std::vector<std::string>& tokens,
-                     std::size_t expected) {
-    if (tokens.size() != expected) {
-      fail(strprintf("expected %zu fields, got %zu", expected,
-                     tokens.size()));
+    } else if (key == "mips") {
+      header.mips = in.number(2, "mips");
+      if (!valid_mips(header.mips)) in.fail_token(2, "mips", "is not above 0");
+    } else {
+      in.fail("unknown meta key '" + std::string(key) + "'");
     }
   }
-
-  Rank to_rank(const std::string& text) {
-    const auto parsed = parse_i64(text);
-    if (!parsed) fail("bad rank '" + text + "'");
-    return static_cast<Rank>(*parsed);
-  }
-
-  Tag to_tag(const std::string& text) {
-    const auto parsed = parse_i64(text);
-    if (!parsed) fail("bad integer '" + text + "'");
-    return *parsed;
-  }
-
-  std::uint64_t to_u64(const std::string& text) {
-    const auto parsed = parse_u64(text);
-    if (!parsed) fail("bad unsigned integer '" + text + "'");
-    return *parsed;
-  }
-
-  [[noreturn]] void fail(const std::string& why) {
-    throw Error(strprintf("trace parse error at line %d: %s", line_number_,
-                          why.c_str()));
-  }
-
-  std::istream& in_;
-  int line_number_ = 0;
-  Rank ranks_ = 0;
-  double mips_ = 1000.0;
-  std::string app_;
-};
-
-}  // namespace
-
-Trace read_text(std::istream& in) { return Parser(in).parse(); }
-
-Trace read_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_text(is);
+  if (ranks == 0) in.fail("missing 'meta ranks'");
+  header.ranks = static_cast<std::int32_t>(ranks);
+  return header;
 }
 
-Trace read_text_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open trace file: " + path);
-  return read_text(in);
+Trace read_text(std::string_view text) {
+  LineCursor in(text, "trace");
+  TextHeader header = read_text_header(in, kHeader, false);
+  Trace trace = Trace::make(header.ranks, header.mips, std::move(header.app));
+  std::vector<Record>* stream = nullptr;
+  while (in.next()) {
+    const std::string_view op = in.token(0);
+    if (op == "rank") {
+      const Rank rank = in.integer<Rank>(1, "rank");
+      if (rank < 0 || rank >= trace.num_ranks) in.fail("rank out of range");
+      stream = &trace.ranks[static_cast<std::size_t>(rank)];
+      continue;
+    }
+    if (stream == nullptr) in.fail("record before any 'rank' directive");
+    if (op == "c") {
+      stream->push_back(CpuBurst{in.integer<std::uint64_t>(1, "instructions")});
+      in.require_size(2);
+    } else if (op == "s" || op == "s!" || op == "is" || op == "is!") {
+      const bool immediate = op[0] == 'i';
+      in.require_size(immediate ? 5 : 4);
+      stream->push_back(Send{
+          in.integer<Rank>(1, "dest"), in.integer<Tag>(2, "tag"),
+          in.integer<std::uint64_t>(3, "bytes"), immediate,
+          immediate ? in.integer<ReqId>(4, "request") : kNoRequest,
+          op.back() == '!'});
+    } else if (op == "r" || op == "ir") {
+      const bool immediate = op[0] == 'i';
+      in.require_size(immediate ? 5 : 4);
+      stream->push_back(Recv{
+          in.integer<Rank>(1, "src"), in.integer<Tag>(2, "tag"),
+          in.integer<std::uint64_t>(3, "bytes"), immediate,
+          immediate ? in.integer<ReqId>(4, "request") : kNoRequest});
+    } else if (op == "w") {
+      if (in.size() < 2) in.fail("wait needs at least one request id");
+      Wait wait;
+      for (std::size_t i = 1; i < in.size(); ++i) {
+        wait.requests.push_back(in.integer<ReqId>(i, "request"));
+      }
+      stream->push_back(std::move(wait));
+    } else if (op == "g") {
+      in.require_size(5);
+      const auto kind = collective_from_name(in.token(1));
+      if (!kind) {
+        in.fail("unknown collective '" + std::string(in.token(1)) + "'");
+      }
+      stream->push_back(GlobalOp{*kind, in.integer<Rank>(2, "root"),
+                                 in.integer<std::uint64_t>(3, "bytes"),
+                                 in.integer<std::int64_t>(4, "sequence")});
+    } else {
+      in.fail("unknown record type '" + std::string(op) + "'");
+    }
+  }
+  return trace;
 }
 
 }  // namespace osim::trace

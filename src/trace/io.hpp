@@ -18,11 +18,21 @@
 // This mirrors the role of the Dimemas trace file between the paper's
 // Valgrind tool and the Dimemas simulator: the pipeline stages can run as
 // separate processes exchanging files.
+//
+// Input contract (shared with the annotated and platform formats through
+// common/line_cursor.hpp): integers must fit their field (ranks, tags and
+// requests are never wrapped), numbers must be finite, the rank count must
+// lie in [1, kMaxRanks] and the MIPS rate above zero (valid_rank_count,
+// valid_mips: the header rules the binary reader applies too). Files are
+// read with read_any_file (trace/binary_io.hpp), which parses the mapped
+// bytes of either format.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
+#include "common/line_cursor.hpp"
 #include "trace/trace.hpp"
 
 namespace osim::trace {
@@ -31,9 +41,20 @@ void write_text(const Trace& trace, std::ostream& out);
 std::string write_text(const Trace& trace);
 void write_text_file(const Trace& trace, const std::string& path);
 
-/// Parses a trace; throws osim::Error with a line number on malformed input.
-Trace read_text(std::istream& in);
-Trace read_text(const std::string& text);
-Trace read_text_file(const std::string& path);
+/// Parses a trace; throws osim::Error naming the line (and the field) on
+/// malformed input.
+Trace read_text(std::string_view text);
+
+/// The header both text formats open with: the `magic` line, then a
+/// contiguous block of `meta <key> <value>` lines (app, ranks, mips).
+/// `extra_meta_fields` lets a meta line carry trailing fields, as the
+/// annotated format always has.
+struct TextHeader {
+  std::int32_t ranks = 0;
+  double mips = 1000.0;
+  std::string app;
+};
+TextHeader read_text_header(LineCursor& in, std::string_view magic,
+                            bool extra_meta_fields);
 
 }  // namespace osim::trace

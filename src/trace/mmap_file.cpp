@@ -24,10 +24,10 @@ namespace {
 #if !OSIM_HAVE_MMAP
 std::string read_whole_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open trace file: " + path);
+  if (!in) throw Error("cannot open file: " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  if (in.bad()) throw Error("error reading trace file: " + path);
+  if (in.bad()) throw Error("error reading file: " + path);
   return std::move(buf).str();
 }
 #endif
@@ -45,7 +45,7 @@ std::string read_whole_fd(int fd, const std::string& path) {
     if (n == 0) return out;
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw Error("error reading trace file: " + path);
+      throw Error("error reading file: " + path);
     }
     out.append(chunk, static_cast<std::size_t>(n));
   }
@@ -58,11 +58,11 @@ MappedFile MappedFile::open(const std::string& path) {
   MappedFile file;
 #if OSIM_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) throw Error("cannot open trace file: " + path);
+  if (fd < 0) throw Error("cannot open file: " + path);
   struct stat st = {};
   if (::fstat(fd, &st) != 0) {
     ::close(fd);
-    throw Error("cannot stat trace file: " + path);
+    throw Error("cannot stat file: " + path);
   }
   // Only regular, non-empty files are mappable (mmap of length 0 is EINVAL;
   // pipes and devices have no fixed extent). Everything else falls back.

@@ -1,8 +1,9 @@
-// Read-only memory-mapped files for zero-copy trace ingestion.
+// Read-only memory-mapped files for zero-copy input ingestion.
 //
-// MappedFile maps a trace file read-only, so the binary trace parser
-// (binary_io.cpp, a bytes::Reader over view()) walks the page cache
-// directly, with no read() copy. When mmap is unavailable (non-POSIX host,
+// MappedFile maps an input file read-only — a trace in either format, an
+// annotated trace, a platform file — so its parser (a bytes::Reader or a
+// LineCursor over view()) walks the page cache directly, with no read()
+// copy. When mmap is unavailable (non-POSIX host,
 // pipes and FIFOs, zero-length files), the class degrades to reading the
 // file into an owned buffer — callers see the same view() either way.
 #pragma once

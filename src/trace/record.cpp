@@ -30,6 +30,14 @@ const char* collective_name(CollectiveKind kind) {
   OSIM_UNREACHABLE("bad CollectiveKind");
 }
 
+std::optional<CollectiveKind> collective_from_name(std::string_view name) {
+  for (auto kind = CollectiveKind::kBarrier; kind <= CollectiveKind::kScan;
+       kind = static_cast<CollectiveKind>(static_cast<int>(kind) + 1)) {
+    if (name == collective_name(kind)) return kind;
+  }
+  return std::nullopt;
+}
+
 std::string to_string(const Record& record) {
   std::ostringstream os;
   std::visit(

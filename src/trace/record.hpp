@@ -17,7 +17,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -72,6 +74,8 @@ enum class CollectiveKind : std::uint8_t {
 };
 
 const char* collective_name(CollectiveKind kind);
+/// The kind collective_name() spells `name`, or nullopt.
+std::optional<CollectiveKind> collective_from_name(std::string_view name);
 
 struct GlobalOp {
   CollectiveKind kind = CollectiveKind::kBarrier;

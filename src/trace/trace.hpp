@@ -4,6 +4,7 @@
 // the number of executed instructions by the average MIPS rate").
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -11,6 +12,20 @@
 #include "trace/record.hpp"
 
 namespace osim::trace {
+
+/// The most ranks a trace may declare, in any format.
+inline constexpr std::uint64_t kMaxRanks = 1'000'000;
+
+/// The header rules every trace format (text, annotated, binary) checks
+/// before it builds a trace, so no input reaches the OSIM_CHECKs of
+/// Trace::make and AnnotatedTrace::make: a rank count in [1, kMaxRanks]
+/// and a finite MIPS rate above zero.
+inline bool valid_rank_count(std::uint64_t ranks) {
+  return ranks >= 1 && ranks <= kMaxRanks;
+}
+inline bool valid_mips(double mips) {
+  return std::isfinite(mips) && mips > 0.0;
+}
 
 struct Trace {
   std::int32_t num_ranks = 0;

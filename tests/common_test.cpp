@@ -14,9 +14,11 @@
 #endif
 
 #include "common/bytes.hpp"
+#include "common/cancel.hpp"
 #include "common/csv.hpp"
 #include "common/expect.hpp"
 #include "common/flags.hpp"
+#include "common/line_cursor.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/signals.hpp"
@@ -45,14 +47,71 @@ TEST(Strings, SplitSingleToken) {
   EXPECT_EQ(parts[0], "hello");
 }
 
-TEST(Strings, SplitWsDropsRuns) {
-  const auto parts = split_ws("  a \t b\n c  ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
+// A wall-clock budget too large for the clock is unbounded, not an
+// overflowed conversion that fires at once.
+TEST(Cancel, DeadlinesSaturate) {
+  using Clock = CancelToken::Clock;
+  for (const double seconds : {1e9, 1e300}) {
+    EXPECT_EQ(deadline_after(seconds), Clock::time_point::max());
+  }
+  const Clock::time_point before = Clock::now();
+  const Clock::time_point soon = deadline_after(2.5);
+  EXPECT_GE(soon - before, std::chrono::milliseconds(2500));
+  EXPECT_LT(soon - before, std::chrono::seconds(60));
 }
 
-TEST(Strings, SplitWsEmpty) { EXPECT_TRUE(split_ws("   \t\n").empty()); }
+TEST(LineCursor, TokensCommentsAndLineNumbers) {
+  LineCursor in("magic\n  a \t b\r\n\n# note\n c  # tail\n \t\n", "input");
+  in.expect_first_line("magic");
+  ASSERT_TRUE(in.next());
+  ASSERT_EQ(in.size(), 2u);
+  EXPECT_EQ(in.token(0), "a");
+  EXPECT_EQ(in.token(1), "b");
+  ASSERT_TRUE(in.next());
+  EXPECT_EQ(in.size(), 1u);
+  EXPECT_EQ(in.token(0), "c");
+  in.unread();
+  ASSERT_TRUE(in.next());
+  EXPECT_EQ(in.token(0), "c");
+  try {
+    in.token(1);
+    ADD_FAILURE() << "missing field accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "input line 5: missing field");
+  }
+  EXPECT_FALSE(in.next());
+}
+
+TEST(LineCursor, FieldsMustFitAndBeFinite) {
+  LineCursor in("-1 300 4294967296 nan 1e400 2.5 x\n", "input");
+  ASSERT_TRUE(in.next());
+  EXPECT_EQ(in.integer<std::int8_t>(0, "k"), -1);
+  const auto error = [&](auto read) {
+    try {
+      read();
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(error([&] { in.integer<std::uint32_t>(0, "k"); }),
+            "input line 1: k: '-1' is outside [0, 4294967295]");
+  EXPECT_EQ(error([&] { in.integer<std::int8_t>(1, "k"); }),
+            "input line 1: k: '300' is outside [-128, 127]");
+  EXPECT_EQ(error([&] { in.integer<std::int32_t>(2, "rank"); }),
+            "input line 1: rank: '4294967296' is outside [-2147483648, "
+            "2147483647]");
+  EXPECT_EQ(in.integer<std::uint64_t>(2, "k"), 4294967296u);
+  EXPECT_EQ(error([&] { in.integer<std::uint64_t>(0, "k"); }),
+            "input line 1: k: '-1' is not an integer");
+  EXPECT_EQ(error([&] { in.number(3, "mips"); }),
+            "input line 1: mips: 'nan' is not a finite number");
+  EXPECT_EQ(error([&] { in.number(4, "mips"); }),
+            "input line 1: mips: '1e400' is not a finite number");
+  EXPECT_DOUBLE_EQ(in.number(5, "x"), 2.5);
+  EXPECT_EQ(error([&] { in.integer<std::int64_t>(6, "k"); }),
+            "input line 1: k: 'x' is not an integer");
+}
 
 TEST(Strings, Trim) {
   EXPECT_EQ(trim("  x  "), "x");
@@ -86,6 +145,9 @@ TEST(Strings, ParseF64) {
   EXPECT_DOUBLE_EQ(*parse_f64("2.5e3"), 2500.0);
   EXPECT_FALSE(parse_f64("abc"));
   EXPECT_FALSE(parse_f64("1.0 trailing"));
+  EXPECT_FALSE(parse_f64("nan"));
+  EXPECT_FALSE(parse_f64("inf"));
+  EXPECT_FALSE(parse_f64("-inf"));
 }
 
 TEST(Strings, Strprintf) {

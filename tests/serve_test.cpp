@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <optional>
 #include <string>
@@ -592,7 +593,20 @@ TEST(Service, MalformedSubmitsAreBadRequests) {
     ASSERT_NE(error, nullptr);
     EXPECT_EQ(error->code, RpcErrorCode::kBadRequest);
   }
-  // The connection survives both rejections.
+  // Text traces whose header breaks the trace rules: a NaN MIPS rate and a
+  // rank count past 32 bits. Probing them used to abort the controller.
+  for (const char* meta : {"meta ranks 1\nmeta mips nan\n",
+                           "meta ranks 4294967298\nmeta mips 1000\n"}) {
+    const std::string path = dir + "/bad_header.trace";
+    std::ofstream(path) << "#OSIM-TRACE v1\nmeta app x\n" << meta
+                        << "rank 0\nc 100\n";
+    const ServerMessage reply = connection.call(
+        ClientMessage(SubmitScenario{sample_spec(path, 250.0)}));
+    const auto* error = std::get_if<ErrorReply>(&reply);
+    ASSERT_NE(error, nullptr) << meta;
+    EXPECT_EQ(error->code, RpcErrorCode::kBadRequest);
+  }
+  // The connection survives every rejection.
   EXPECT_FALSE(submit_and_fetch(connection, sample_spec(trace_path, 250.0))
                    .empty());
   EXPECT_EQ(service.shutdown(), kExitOk);

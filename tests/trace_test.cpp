@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 
+#include "common/bytes.hpp"
 #include "common/expect.hpp"
 #include "trace/annotated.hpp"
 #include "trace/annotated_io.hpp"
@@ -109,7 +111,7 @@ TEST(Io, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/osim_trace_test.trace";
   const Trace t = pingpong();
   write_text_file(t, path);
-  const Trace parsed = read_text_file(path);
+  const Trace parsed = read_any_file(path);
   EXPECT_EQ(parsed.total_records(), t.total_records());
 }
 
@@ -160,7 +162,7 @@ TEST(Io, UnknownCollectiveThrows) {
 }
 
 TEST(Io, MissingFileThrows) {
-  EXPECT_THROW(read_text_file("/nonexistent/path/x.trace"), Error);
+  EXPECT_THROW(read_any_file("/nonexistent/path/x.trace"), Error);
 }
 
 // --- binary serialization ---------------------------------------------------------
@@ -351,6 +353,49 @@ TEST(BinaryIo, NanMipsIsRejected) {
   ASSERT_EQ(recovered.damage.issues.size(), 1u);
   EXPECT_EQ(recovered.damage.issues[0].message,
             "binary trace: invalid MIPS rate");
+}
+
+// So is an infinite one, which would replay every burst in zero time: the
+// binary header obeys the text formats' rules (valid_mips).
+TEST(BinaryIo, InfiniteMipsIsRejected) {
+  std::string bytes = write_binary(pingpong());
+  std::string mips;
+  bytes::Writer(mips).f64(std::numeric_limits<double>::infinity());
+  bytes.replace(8, 8, mips);
+  EXPECT_THROW(read_binary(bytes), Error);
+  const RecoveredTrace recovered = read_binary_recover(bytes);
+  EXPECT_TRUE(recovered.damage.unusable);
+  ASSERT_EQ(recovered.damage.issues.size(), 1u);
+  EXPECT_EQ(recovered.damage.issues[0].message,
+            "binary trace: invalid MIPS rate");
+}
+
+// Rank fields are int32: a wider dest, src or root is refused, not
+// truncated into another rank (2^32 + 1 used to become rank 1).
+TEST(BinaryIo, RankFieldsOutsideInt32AreRejected) {
+  for (const int kind : {1, 2, 4}) {  // Send, Recv, GlobalOp
+    std::string bytes;
+    bytes::Writer w(bytes);
+    w.raw("OSIMBT01");
+    w.f64(1000.0);
+    w.varint(2);  // ranks
+    w.varint(0);  // app name
+    w.varint(1);  // rank 0: one record
+    w.u8(static_cast<std::uint8_t>(kind));
+    if (kind == 4) w.u8(1);  // bcast
+    w.svarint((std::int64_t{1} << 32) + 1);
+    if (kind != 4) w.svarint(7);  // tag
+    w.varint(64);                 // bytes
+    if (kind != 4) w.u8(0);       // flags
+    w.svarint(kind == 4 ? 0 : -1);  // sequence / request
+    w.varint(0);                    // rank 1: no records
+    try {
+      read_binary(bytes);
+      ADD_FAILURE() << "record kind " << kind << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "binary trace: rank field out of range");
+    }
+  }
 }
 
 // --- annotated trace validation ---------------------------------------------------

@@ -12,8 +12,8 @@
 // --validate additionally reads the file through the salvaging reader
 // first and prints a damage summary (corrupt records, CRC mismatches,
 // truncation, with byte offsets), then validates whatever was salvaged.
-// Exit codes follow common/exit_codes.hpp: 0 clean, 1 semantically
-// invalid, 3 unreadable, 4 damaged but salvageable.
+// Exit codes follow common/exit_codes.hpp in every mode: 0 clean, 1
+// semantically invalid, 3 unreadable, 4 damaged but salvageable.
 //
 // --fingerprint prints the pipeline::ReplayContext content fingerprint of
 // the summary-level replay (no timeline, comms or metrics recording) that
@@ -113,8 +113,38 @@ int main(int argc, char** argv) try {
         "--validate-only");
   }
 
+  // A trace that cannot be read at all is exit 3 in every mode; --validate
+  // salvages what a damaged one still holds.
+  trace::Trace t;
+  trace::RecoveredTrace recovered;
+  try {
+    if (validate) {
+      recovered = trace::read_any_file_recover(trace_path);
+    } else {
+      t = trace::read_any_file(trace_path);
+    }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return kExitUnreadable;
+  }
+
+  if (validate) {
+    if (!recovered.damage.clean()) {
+      std::printf("%s", recovered.damage.render_text().c_str());
+      if (recovered.damage.unusable) {
+        std::printf("%s: unreadable\n", trace_path.c_str());
+        return kExitUnreadable;
+      }
+      // Lint the salvage so the damage triage is complete, but the exit
+      // code reports the damage even when the salvage lints clean.
+      print_report(lint::lint_trace(recovered.trace), trace_path);
+      std::printf("%s: damaged but salvageable\n", trace_path.c_str());
+      return kExitSalvaged;
+    }
+    return print_report(lint::lint_trace(recovered.trace), trace_path);
+  }
+
   if (fingerprint) {
-    trace::Trace t = trace::read_any_file(trace_path);
     const dimemas::Platform platform =
         serve::platform_for(spec, t.num_ranks, platform_path);
     // The store holds summary-level replays only, so that is the scenario
@@ -134,25 +164,6 @@ int main(int argc, char** argv) try {
     return kExitOk;
   }
 
-  if (validate) {
-    trace::RecoveredTrace recovered =
-        trace::read_any_file_recover(trace_path);
-    if (!recovered.damage.clean()) {
-      std::printf("%s", recovered.damage.render_text().c_str());
-      if (recovered.damage.unusable) {
-        std::printf("%s: unreadable\n", trace_path.c_str());
-        return kExitUnreadable;
-      }
-      // Lint the salvage so the damage triage is complete, but the exit
-      // code reports the damage even when the salvage lints clean.
-      print_report(lint::lint_trace(recovered.trace), trace_path);
-      std::printf("%s: damaged but salvageable\n", trace_path.c_str());
-      return kExitSalvaged;
-    }
-    return print_report(lint::lint_trace(recovered.trace), trace_path);
-  }
-
-  const trace::Trace t = trace::read_any_file(trace_path);
   if (validate_only) return print_report(lint::lint_trace(t), trace_path);
   const lint::Report structure = lint::check_structure(t);
   if (structure.num_errors() > 0) {

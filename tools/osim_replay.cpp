@@ -22,7 +22,6 @@
 // trace was damaged but replayed from the salvaged prefix, 5 = the replay
 // was stopped by --scenario-timeout or a SIGINT/SIGTERM before finishing
 // (partial progress is printed, nothing is cached).
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -136,10 +135,7 @@ int main(int argc, char** argv) try {
   if (scenario_timeout > 0.0) {
     install_graceful_shutdown();
     cancel_token = CancelToken(shutdown_flag());
-    cancel_token.set_scenario_deadline(
-        CancelToken::Clock::now() +
-        std::chrono::duration_cast<CancelToken::Clock::duration>(
-            std::chrono::duration<double>(scenario_timeout)));
+    cancel_token.set_scenario_deadline(deadline_after(scenario_timeout));
     options.cancel = &cancel_token;
   }
   // The context takes the trace and validates it once (failing with lint
