@@ -360,6 +360,15 @@ rc=$?
 set -e
 [ "$rc" -eq 3 ] || { echo "garbage recover: expected exit 3, got $rc" >&2; exit 1; }
 
+# So is a file that cannot be opened, in recover mode as in the strict read.
+set +e
+"$BUILD/tools/osim_replay" --trace "$OUT/no-such.trace" --recover \
+    > /dev/null 2> "$OUT/missing.txt"
+rc=$?
+set -e
+[ "$rc" -eq 3 ] || { echo "missing recover: expected exit 3, got $rc" >&2; exit 1; }
+grep -q "cannot open" "$OUT/missing.txt"
+
 # --- input-file contract (common/line_cursor.hpp) ---------------------------
 
 # A value a trace, an annotated trace or a platform file cannot hold is a

@@ -49,8 +49,9 @@ class Arena {
     if (left_ < size + pad) {
       const std::size_t chunk = size > chunk_bytes_ ? size : chunk_bytes_;
       // operator new returns max_align_t-aligned storage, enough for any
-      // type the replay engine arenas.
-      chunks_.push_back(std::make_unique<unsigned char[]>(chunk));
+      // type the replay engine arenas. Not zeroed: make() constructs every
+      // object it hands out.
+      chunks_.push_back(std::make_unique_for_overwrite<unsigned char[]>(chunk));
       cur_ = chunks_.back().get();
       left_ = chunk;
       pad = 0;

@@ -8,9 +8,13 @@
 // callables up to `InlineBytes` in place (48 bytes covers every closure the
 // replay engine and network models build) and only falls back to the heap
 // for larger ones. Move-only: the event queue never copies handlers.
+//
+// Like std::function, operator() is const and may call a mutable callable,
+// and a default-constructed (or nullptr) InlineFunction is empty.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 
@@ -23,6 +27,7 @@ template <typename R, typename... Args, std::size_t InlineBytes>
 class InlineFunction<R(Args...), InlineBytes> {
  public:
   InlineFunction() = default;
+  InlineFunction(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename = std::enable_if_t<
@@ -48,7 +53,12 @@ class InlineFunction<R(Args...), InlineBytes> {
 
   explicit operator bool() const { return ops_ != nullptr; }
 
-  R operator()(Args... args) {
+  /// Whether a callable of type F is stored in place (no heap block).
+  template <typename F>
+  static constexpr bool kStoresInline =
+      sizeof(F) <= InlineBytes && alignof(F) <= alignof(std::max_align_t);
+
+  R operator()(Args... args) const {
     return ops_->invoke(buf_, std::forward<Args>(args)...);
   }
 
@@ -56,26 +66,34 @@ class InlineFunction<R(Args...), InlineBytes> {
   struct Ops {
     R (*invoke)(void*, Args&&...);
     /// Move-constructs the callable at `dst` from `src`, then destroys the
-    /// one at `src` (heap-backed callables just move the owning pointer).
+    /// one at `src`. Null when a byte copy does that: trivially copyable
+    /// callables and heap-backed ones (whose buffer holds just the owning
+    /// pointer).
     void (*relocate)(void* dst, void* src);
+    /// Null for trivially destructible callables.
     void (*destroy)(void*);
   };
 
   template <typename F>
   void init(F&& fn) {
     using D = std::decay_t<F>;
-    if constexpr (sizeof(D) <= InlineBytes &&
-                  alignof(D) <= alignof(std::max_align_t)) {
+    if constexpr (kStoresInline<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
+      using Relocate = void (*)(void*, void*);
+      using Destroy = void (*)(void*);
       static constexpr Ops ops = {
           [](void* p, Args&&... args) -> R {
             return (*static_cast<D*>(p))(std::forward<Args>(args)...);
           },
-          [](void* dst, void* src) {
-            ::new (dst) D(std::move(*static_cast<D*>(src)));
-            static_cast<D*>(src)->~D();
-          },
-          [](void* p) { static_cast<D*>(p)->~D(); },
+          std::is_trivially_copyable_v<D>
+              ? Relocate{nullptr}
+              : [](void* dst, void* src) {
+                  ::new (dst) D(std::move(*static_cast<D*>(src)));
+                  static_cast<D*>(src)->~D();
+                },
+          std::is_trivially_destructible_v<D>
+              ? Destroy{nullptr}
+              : [](void* p) { static_cast<D*>(p)->~D(); },
       };
       ops_ = &ops;
     } else {
@@ -84,9 +102,7 @@ class InlineFunction<R(Args...), InlineBytes> {
           [](void* p, Args&&... args) -> R {
             return (**static_cast<D**>(p))(std::forward<Args>(args)...);
           },
-          [](void* dst, void* src) {
-            ::new (dst) D*(*static_cast<D**>(src));
-          },
+          nullptr,
           [](void* p) { delete *static_cast<D**>(p); },
       };
       ops_ = &ops;
@@ -96,19 +112,23 @@ class InlineFunction<R(Args...), InlineBytes> {
   void move_from(InlineFunction& other) noexcept {
     if (other.ops_ != nullptr) {
       ops_ = other.ops_;
-      ops_->relocate(buf_, other.buf_);
+      if (ops_->relocate != nullptr) {
+        ops_->relocate(buf_, other.buf_);
+      } else {
+        std::memcpy(buf_, other.buf_, InlineBytes);
+      }
       other.ops_ = nullptr;
     }
   }
 
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(buf_);
+      if (ops_->destroy != nullptr) ops_->destroy(buf_);
       ops_ = nullptr;
     }
   }
 
-  alignas(std::max_align_t) unsigned char buf_[InlineBytes];
+  alignas(std::max_align_t) mutable unsigned char buf_[InlineBytes];
   const Ops* ops_ = nullptr;
 };
 

@@ -110,9 +110,12 @@ void BusNetwork::start(const Transfer& transfer, ArrivalFn on_arrival,
   const double release_at = events_.now() + serialization;
   const double arrival = release_at + arrival_latency;
   events_.schedule(release_at, [this, transfer] { release(transfer); });
-  events_.schedule(arrival, [this, on_arrival = std::move(on_arrival)] {
+  auto arrive = [this, on_arrival = std::move(on_arrival)] {
     on_arrival(events_.now());
-  });
+  };
+  static_assert(EventQueue::Handler::kStoresInline<decltype(arrive)>,
+                "an arrival event must not heap-allocate");
+  events_.schedule(arrival, std::move(arrive));
 }
 
 // The queue keeps one invariant between calls: every queued transfer is

@@ -15,11 +15,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <vector>
 
+#include "common/inline_function.hpp"
 #include "dimemas/events.hpp"
 #include "dimemas/fairshare.hpp"
 #include "dimemas/platform.hpp"
@@ -40,9 +40,12 @@ struct Transfer {
 
 /// Invoked exactly once per submitted transfer, at arrival time, with the
 /// simulated arrival timestamp. A second callback reports when the wire
-/// time actually began (for visualization); it may be dropped.
-using ArrivalFn = std::function<void(double)>;
-using StartFn = std::function<void(double)>;
+/// time actually began (for visualization); it may be dropped. Move-only:
+/// the replay engine's callbacks (two pointers at most) sit in the inline
+/// buffer, and a BusNetwork arrival event that carries one still fits the
+/// event queue's handler buffer.
+using ArrivalFn = InlineFunction<void(double), 24>;
+using StartFn = InlineFunction<void(double), 24>;
 
 class Network {
  public:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 
 #include "common/arena.hpp"
 #include "common/expect.hpp"
@@ -24,7 +23,6 @@ using trace::kAnyRank;
 using trace::kAnyTag;
 using trace::LaneKind;
 using trace::Rank;
-using trace::ReqId;
 using trace::Tag;
 
 namespace {
@@ -34,6 +32,11 @@ namespace {
 /// millisecond of wall clock while keeping steady_clock reads off the per-
 /// event path entirely.
 constexpr std::uint64_t kCancelPollStride = 4096;
+
+/// State of one request slot (trace/soa.hpp numbers a rank's requests
+/// densely). A completed request stays kComplete after its Wait, so a
+/// second immediate op on the same id is still a duplicate.
+enum RequestState : std::uint8_t { kUnissued = 0, kPending, kComplete };
 
 class Replayer {
  public:
@@ -51,8 +54,11 @@ class Replayer {
       procs_[static_cast<std::size_t>(r)].rank = r;
     }
     if (options.collect_metrics) {
+      // Only the Paraver counter records read occupancy samples, and a
+      // Paraver bundle needs the recorded timeline or comms.
       collector_ = std::make_unique<metrics::ReplayCollector>(
-          trace.num_ranks, platform.num_nodes);
+          trace.num_ranks, platform.num_nodes,
+          /*keep_samples=*/options.record_timeline || options.record_comms);
       network_->set_collector(collector_.get());
     }
     if (options.faults.enabled()) {
@@ -149,7 +155,7 @@ class Replayer {
     Tag tag = 0;
     std::uint64_t bytes = 0;
     bool immediate = false;
-    ReqId request = trace::kNoRequest;
+    std::uint32_t request = trace::kNoRequestSlot;
     bool eager = false;
     bool arrived = false;
     double call_time = 0.0;  // when the sender reached the send record
@@ -169,7 +175,7 @@ class Replayer {
     std::uint64_t bytes = 0;
     Rank dst = 0;
     bool immediate = false;
-    ReqId request = trace::kNoRequest;
+    std::uint32_t request = trace::kNoRequestSlot;
     double post_time = 0.0;  // when the receiver posted the recv
     SendSide* partner = nullptr;
     bool complete = false;
@@ -194,10 +200,11 @@ class Replayer {
     double wait_release_time = 0.0;
     const SendSide* wait_releaser = nullptr;
     bool wait_completed_any = false;
-    std::unordered_map<ReqId, bool> request_complete;
-    /// Requests the currently-blocked Wait still needs (small; linear scan
-    /// beats hashing and is deterministic).
-    std::vector<ReqId> waited;
+    /// RequestState by request slot.
+    std::vector<std::uint8_t> requests;
+    /// Request slots the currently-blocked Wait still needs (small; a
+    /// linear scan is cheap and deterministic).
+    std::vector<std::uint32_t> waited;
     // Running per-rank decision indices for fault injection.
     std::uint64_t burst_seq = 0;
     std::uint64_t send_seq = 0;
@@ -372,14 +379,21 @@ class Replayer {
     proc.wait_release_time = std::max(proc.wait_release_time, t);
   }
 
-  void complete_request(Proc& proc, ReqId request, Rank cause_rank = -1,
-                        double cause_time = 0.0,
+  /// Marks an immediate op's request slot pending.
+  static void issue_request(Proc& proc, std::uint32_t request) {
+    std::uint8_t& state = proc.requests[request];
+    OSIM_CHECK_MSG(state == kUnissued, "duplicate request id in trace");
+    state = kPending;
+  }
+
+  void complete_request(Proc& proc, std::uint32_t request,
+                        Rank cause_rank = -1, double cause_time = 0.0,
                         const SendSide* releaser = nullptr) {
-    auto it = proc.request_complete.find(request);
-    OSIM_CHECK_MSG(it != proc.request_complete.end(),
+    std::uint8_t& state = proc.requests[request];
+    OSIM_CHECK_MSG(state != kUnissued,
                    "request completion for unknown request");
-    OSIM_CHECK(!it->second);
-    it->second = true;
+    OSIM_CHECK(state == kPending);
+    state = kComplete;
     if (proc.blocked && proc.block_state == RankState::kWaitBlocked) {
       OSIM_CHECK(proc.outstanding > 0);
       // Only decrement if this request is among the waited set — the wait
@@ -487,11 +501,7 @@ class Replayer {
       collector_->count_message(send->eager, send->bytes);
     }
 
-    if (immediate) {
-      const bool inserted =
-          proc.request_complete.emplace(send->request, false).second;
-      OSIM_CHECK_MSG(inserted, "duplicate request id in trace");
-    }
+    if (immediate) issue_request(proc, send->request);
 
     match_send(send);
 
@@ -522,11 +532,7 @@ class Replayer {
     recv->post_time = now();
     proc.stats.messages_received++;
 
-    if (immediate) {
-      const bool inserted =
-          proc.request_complete.emplace(recv->request, false).second;
-      OSIM_CHECK_MSG(inserted, "duplicate request id in trace");
-    }
+    if (immediate) issue_request(proc, recv->request);
 
     match_recv(recv);
     if (recv->partner != nullptr) {
@@ -553,11 +559,11 @@ class Replayer {
     const std::uint32_t begin = recs.wait_begin[slot];
     const std::uint32_t end = recs.wait_begin[slot + 1];
     for (std::uint32_t k = begin; k < end; ++k) {
-      const ReqId req = recs.wait_requests[k];
-      auto it = proc.request_complete.find(req);
-      OSIM_CHECK_MSG(it != proc.request_complete.end(),
+      const std::uint32_t req = recs.wait_requests[k];
+      const std::uint8_t state = proc.requests[req];
+      OSIM_CHECK_MSG(state != kUnissued,
                      "wait on unknown request (trace not validated?)");
-      if (!it->second) {
+      if (state == kPending) {
         proc.waited.push_back(req);
         ++incomplete;
       }
@@ -811,6 +817,9 @@ class Replayer {
     // then streams dense lanes instead of walking 48-byte variants.
     // compile() rejects surviving GlobalOps.
     compiled_ = trace::compile(*replayed_);
+    for (Proc& proc : procs_) {
+      proc.requests.assign(stream(proc).request_slots, kUnissued);
+    }
   }
 
  private:

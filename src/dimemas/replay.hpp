@@ -46,7 +46,9 @@ struct ReplayOptions {
   /// Populate SimResult::metrics (wait-time attribution, resource
   /// occupancy, protocol counters). Collection is passive: replay results
   /// are bit-identical with this flag on or off, and the hooks cost
-  /// nothing when it is off.
+  /// nothing when it is off. The occupancy samples (the level-change log
+  /// only the Paraver counters read) are kept only when record_timeline
+  /// or record_comms is set too; every other field is the same either way.
   bool collect_metrics = false;
   bool auto_expand_collectives = true;
   CollectiveAlgo collective_algo = CollectiveAlgo::kBinomialTree;

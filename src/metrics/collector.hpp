@@ -7,12 +7,12 @@
 // send path, and occupancy levels pushed by the network model. All methods
 // are passive accumulators — a collector never changes simulated time or
 // event order, which is what keeps replay results bit-identical with
-// collection on or off.
+// collection on or off. Occupancy samples (the per-change log behind the
+// Paraver counter records) are kept only when the collector is built to
+// keep them; histograms, peaks and busy time are the same either way.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "metrics/attribution.hpp"
@@ -23,7 +23,8 @@ namespace osim::metrics {
 
 class ReplayCollector {
  public:
-  ReplayCollector(std::int32_t num_ranks, std::int32_t num_nodes);
+  ReplayCollector(std::int32_t num_ranks, std::int32_t num_nodes,
+                  bool keep_samples = true);
 
   /// Attributes the blocked span [begin, end] of `rank`, released by a
   /// transfer with `timing` whose other end was `peer` (-1 = unknown).
@@ -37,13 +38,15 @@ class ReplayCollector {
   OccupancyTracker& out_tracker(std::int32_t node);
 
   /// Closes all occupancy timelines at `end_time` and assembles the final
-  /// metrics. Call once, after the replay finished.
-  ReplayMetrics finish(double end_time) const;
+  /// metrics, moving the accumulated tables out. Call once, after the
+  /// replay finished.
+  ReplayMetrics finish(double end_time);
 
  private:
   std::vector<RankWaitAttribution> rank_waits_;
-  // Ordered map for a deterministic, sorted peer_waits output.
-  std::map<std::pair<std::int32_t, std::int32_t>, PeerWait> peer_waits_;
+  /// Per rank, its peers' entries sorted by peer (-1 first): a rank blocks
+  /// on few peers, and finish() concatenates them in (rank, peer) order.
+  std::vector<std::vector<PeerWait>> peer_waits_;
   OccupancyTracker bus_;
   std::vector<OccupancyTracker> in_;
   std::vector<OccupancyTracker> out_;

@@ -1,6 +1,7 @@
 #include "metrics/occupancy.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/expect.hpp"
 
@@ -25,20 +26,20 @@ void OccupancyTracker::set_level(double now, std::int64_t level) {
   add_span(histogram_, level_, now - last_change_);
   last_change_ = now;
   if (level != level_) {
-    samples_.push_back(OccupancySample{now, level});
+    if (keep_samples_) samples_.push_back(OccupancySample{now, level});
     level_ = level;
     peak_ = std::max(peak_, level);
   }
 }
 
-OccupancyStats OccupancyTracker::finish(double end) const {
+OccupancyStats OccupancyTracker::finish(double end) {
   OccupancyStats stats;
   stats.tracked = touched_;
   stats.capacity = capacity_;
   stats.peak = peak_;
-  stats.histogram = histogram_;
+  stats.histogram = std::move(histogram_);
   add_span(stats.histogram, level_, end - last_change_);
-  stats.samples = samples_;
+  stats.samples = std::move(samples_);
 
   double level_seconds = 0.0;
   double busy = 0.0;

@@ -3,9 +3,9 @@
 // An OccupancyTracker follows one integer-valued resource level (messages on
 // the global bus pool, transfers holding a node's input or output ports)
 // through simulated time and accumulates a time-weighted histogram of the
-// levels it visited, plus the change log needed to render the occupancy as
-// a Paraver counter timeline. Tracking is passive: it never schedules
-// events, so enabling it cannot perturb a replay.
+// levels it visited, plus (when asked to keep it) the change log needed to
+// render the occupancy as a Paraver counter timeline. Tracking is passive:
+// it never schedules events, so enabling it cannot perturb a replay.
 #pragma once
 
 #include <cstdint>
@@ -30,12 +30,18 @@ struct OccupancyStats {
   double utilization = 0.0;
   /// histogram[l] = seconds spent at exactly level l.
   std::vector<double> histogram;
-  /// Level-change log in time order (first entry is the first change).
+  /// Level-change log in time order (first entry is the first change);
+  /// empty unless the tracker kept samples.
   std::vector<OccupancySample> samples;
 };
 
 class OccupancyTracker {
  public:
+  /// `keep_samples` = false drops the level-change log: only the Paraver
+  /// counter records read it, and it grows with every level change.
+  explicit OccupancyTracker(bool keep_samples = true)
+      : keep_samples_(keep_samples) {}
+
   void set_capacity(std::int64_t capacity) { capacity_ = capacity; }
 
   /// Records that the level changed to `level` at simulated time `now`.
@@ -44,10 +50,12 @@ class OccupancyTracker {
 
   bool tracked() const { return touched_; }
 
-  /// Closes the timeline at `end` and returns the accumulated statistics.
-  OccupancyStats finish(double end) const;
+  /// Closes the timeline at `end` and returns the accumulated statistics,
+  /// moving the histogram and samples out. Call once.
+  OccupancyStats finish(double end);
 
  private:
+  bool keep_samples_ = true;
   std::int64_t capacity_ = 0;
   std::int64_t level_ = 0;
   std::int64_t peak_ = 0;

@@ -13,6 +13,14 @@
 // replay loop's streaming reads repay it. The canonical Trace remains the
 // source of truth — the compiled form is a derived, per-replay view and
 // never outlives the trace it was built from.
+//
+// Request ids are renumbered per rank to dense slots 0..request_slots-1,
+// in first-appearance order over the immediate sends, immediate receives
+// and waits of the stream, so the replay keeps request states in a flat
+// array instead of a hash map keyed by arbitrary 64-bit ids. The mapping
+// is a bijection: a reused id keeps its slot and an id that only a Wait
+// names gets one of its own, so the replay's duplicate-request and
+// unknown-request checks see exactly what they saw on the raw ids.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +29,9 @@
 #include "trace/trace.hpp"
 
 namespace osim::trace {
+
+/// The request lane value of a blocking send or receive.
+inline constexpr std::uint32_t kNoRequestSlot = UINT32_MAX;
 
 enum class LaneKind : std::uint8_t { kCpu = 0, kSend = 1, kRecv = 2, kWait = 3 };
 
@@ -37,7 +48,8 @@ struct CompiledStream {
   std::vector<Rank> send_dest;
   std::vector<Tag> send_tag;
   std::vector<std::uint64_t> send_bytes;
-  std::vector<ReqId> send_request;
+  std::vector<std::uint32_t> send_request;  // dense slot; kNoRequestSlot
+                                            // for a blocking send
   std::vector<std::uint8_t> send_immediate;
   std::vector<std::uint8_t> send_synchronous;
 
@@ -45,13 +57,16 @@ struct CompiledStream {
   std::vector<Rank> recv_src;
   std::vector<Tag> recv_tag;
   std::vector<std::uint64_t> recv_bytes;
-  std::vector<ReqId> recv_request;
+  std::vector<std::uint32_t> recv_request;  // as send_request
   std::vector<std::uint8_t> recv_immediate;
 
   // Wait lane: request lists flattened into one array; wait w waits on
   // wait_requests[wait_begin[w] .. wait_begin[w + 1]).
   std::vector<std::uint32_t> wait_begin;  // wait_count + 1 entries
-  std::vector<ReqId> wait_requests;
+  std::vector<std::uint32_t> wait_requests;  // dense slots
+
+  /// Distinct request ids of the stream (slots are 0..request_slots-1).
+  std::uint32_t request_slots = 0;
 
   std::size_t records() const { return kind.size(); }
 };

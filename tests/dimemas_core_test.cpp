@@ -2,6 +2,7 @@
 // the two network models driven directly (no replay on top).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <functional>
 #include <list>
@@ -101,6 +102,161 @@ TEST(EventQueue, HandlersMayScheduleMore) {
   q.run_until_empty();
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
+}
+
+// --- handler lifetime -------------------------------------------------------
+//
+// Handlers live in a slab while their keys move through the buckets. A
+// Tracked capture counts, per handler id, the copies alive (constructions
+// minus destructions, moves included) and how often the handler ran: a
+// handler must run at most once and leave no copy alive once it ran or its
+// queue was destroyed, and no copy may ever be destroyed twice.
+
+struct Lifetimes {
+  std::vector<int> alive;
+  std::vector<int> runs;
+  bool double_destroy = false;
+
+  int add() {
+    alive.push_back(0);
+    runs.push_back(0);
+    return static_cast<int>(alive.size()) - 1;
+  }
+  int alive_total() const {
+    int total = 0;
+    for (const int a : alive) total += a;
+    return total;
+  }
+};
+
+class Tracked {
+ public:
+  Tracked(Lifetimes* life, int id) : life_(life), id_(id) { ++count(); }
+  Tracked(const Tracked& other) : life_(other.life_), id_(other.id_) {
+    ++count();
+  }
+  Tracked(Tracked&& other) noexcept : life_(other.life_), id_(other.id_) {
+    ++count();
+  }
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() {
+    if (--count() < 0) life_->double_destroy = true;
+  }
+
+  void ran() const { ++life_->runs[static_cast<std::size_t>(id_)]; }
+  int id() const { return id_; }
+
+ private:
+  int& count() const { return life_->alive[static_cast<std::size_t>(id_)]; }
+  Lifetimes* life_;
+  int id_;
+};
+
+/// Schedules a handler holding a Tracked capture; `big` pads the closure
+/// past the inline buffer, so the handler lives in a heap block.
+template <typename Body>
+void schedule_tracked(EventQueue& q, Lifetimes& life, double time, bool big,
+                      Body body) {
+  Tracked tracked(&life, life.add());
+  if (big) {
+    std::array<double, 8> pad{};
+    pad[0] = time;
+    q.schedule(time, [tracked, pad, body] {
+      tracked.ran();
+      body(pad[0]);
+    });
+  } else {
+    q.schedule(time, [tracked, body] {
+      tracked.ran();
+      body(0.0);
+    });
+  }
+}
+
+TEST(EventQueueLifetime, RunHandlersAreDestroyedOnce) {
+  Lifetimes life;
+  {
+    EventQueue q;
+    for (int i = 0; i < 10; ++i) {
+      schedule_tracked(q, life, 1.0 + i, i % 2 == 0, [](double) {});
+    }
+    EXPECT_EQ(life.alive_total(), 10);
+    q.run_until_empty();
+    EXPECT_EQ(life.alive_total(), 0);  // before the queue goes away
+  }
+  EXPECT_EQ(life.runs, std::vector<int>(10, 1));
+  EXPECT_FALSE(life.double_destroy);
+}
+
+TEST(EventQueueLifetime, RebuildsInBothDirectionsKeepEveryHandler) {
+  Lifetimes life;
+  EventQueue q;
+  // 1,000 pending events grow the calendar through several rebuilds...
+  for (int i = 0; i < 1000; ++i) {
+    schedule_tracked(q, life, 1.0 + (i % 37) * 0.25, i % 5 == 0,
+                     [](double) {});
+  }
+  EXPECT_EQ(life.alive_total(), 1000);
+  // ...and draining all but a few shrinks it again.
+  for (int i = 0; i < 990; ++i) ASSERT_TRUE(q.run_one());
+  EXPECT_EQ(life.alive_total(), 10);
+  int ran = 0;
+  for (std::size_t id = 0; id < life.runs.size(); ++id) {
+    EXPECT_EQ(life.alive[id], 1 - life.runs[id]) << "handler " << id;
+    ran += life.runs[id];
+  }
+  EXPECT_EQ(ran, 990);
+  q.run_until_empty();
+  EXPECT_EQ(life.alive_total(), 0);
+  EXPECT_EQ(life.runs, std::vector<int>(1000, 1));
+  EXPECT_FALSE(life.double_destroy);
+}
+
+TEST(EventQueueLifetime, SlotsAreReusedByHandlersScheduledFromHandlers) {
+  Lifetimes life;
+  EventQueue q;
+  // Each handler schedules its successors from inside its own body, into
+  // the slot it just vacated and into fresh slots that grow (relocate) the
+  // slab while it runs; its own capture must stay intact throughout.
+  std::function<void(int, double)> spawn = [&](int depth, double at) {
+    const bool big = depth % 2 == 1;
+    schedule_tracked(q, life, at, big, [&, depth, big](double padded) {
+      if (big) {
+        EXPECT_EQ(padded, q.now());
+      }
+      if (depth == 0) return;
+      for (int child = 0; child < 40; ++child) {
+        spawn(depth - 1, q.now() + 0.5 * (child % 3));
+      }
+    });
+  };
+  spawn(2, 0.0);
+  q.run_until_empty();
+  EXPECT_EQ(life.runs.size(), 1u + 40u + 1600u);
+  EXPECT_EQ(life.runs, std::vector<int>(life.runs.size(), 1));
+  EXPECT_EQ(life.alive_total(), 0);
+  EXPECT_FALSE(life.double_destroy);
+}
+
+TEST(EventQueueLifetime, DestroyingAQueueDestroysPendingHandlers) {
+  Lifetimes life;
+  {
+    EventQueue q;
+    for (int i = 0; i < 300; ++i) {
+      schedule_tracked(q, life, static_cast<double>(i % 7), i % 3 == 0,
+                       [](double) {});
+    }
+    for (int i = 0; i < 100; ++i) ASSERT_TRUE(q.run_one());
+    EXPECT_EQ(life.alive_total(), 200);
+  }
+  int ran = 0;
+  for (std::size_t id = 0; id < life.runs.size(); ++id) {
+    EXPECT_EQ(life.alive[id], 0) << "handler " << id;
+    EXPECT_LE(life.runs[id], 1) << "handler " << id;
+    ran += life.runs[id];
+  }
+  EXPECT_EQ(ran, 100);
+  EXPECT_FALSE(life.double_destroy);
 }
 
 TEST(EventQueueDeathTest, PastSchedulingAborts) {
@@ -210,6 +366,100 @@ TEST(EventQueueDifferential, MatchesBinaryHeapOnBurstyPrograms) {
     ReferenceHeapQueue heap;
     const auto got = EventProgram<EventQueue>(calendar, seed).run();
     const auto want = EventProgram<ReferenceHeapQueue>(heap, seed).run();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    EXPECT_GT(got.size(), 10'000u);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].first, want[i].first)
+          << "seed " << seed << " pop " << i;
+      ASSERT_EQ(got[i].second, want[i].second)
+          << "seed " << seed << " pop " << i;
+    }
+  }
+}
+
+/// A program whose handlers carry state and schedule their children from
+/// inside their own bodies, several per event and often at the very
+/// instant they run, so a running handler's slot is reused and the slab
+/// grows while handlers execute. Every other handler's closure is too big
+/// for the inline buffer. Each handler checks its payload when it fires.
+template <typename Queue>
+class NestingProgram {
+ public:
+  NestingProgram(Queue& queue, std::uint64_t seed)
+      : queue_(queue), seed_(seed) {}
+
+  std::vector<std::pair<int, double>> run() {
+    for (int i = 0; i < 64; ++i) add(0.0);
+    queue_.run_until_empty();
+    return popped_;
+  }
+
+  bool payloads_intact() const { return payloads_intact_; }
+
+ private:
+  static std::uint64_t mix(std::uint64_t x) {
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    return x ^ (x >> 29);
+  }
+
+  void add(double time) {
+    const int id = next_id_++;
+    if (id % 2 == 0) {
+      queue_.schedule(time, [this, id] { fire(id); });
+      return;
+    }
+    std::array<std::uint64_t, 8> payload{};
+    for (std::size_t k = 0; k < payload.size(); ++k) {
+      payload[k] = mix(static_cast<std::uint64_t>(id) * 8 + k);
+    }
+    queue_.schedule(time, [this, id, payload] {
+      for (std::size_t k = 0; k < payload.size(); ++k) {
+        if (payload[k] != mix(static_cast<std::uint64_t>(id) * 8 + k)) {
+          payloads_intact_ = false;
+        }
+      }
+      fire(id);
+    });
+  }
+
+  void fire(int id) {
+    popped_.emplace_back(id, queue_.now());
+    if (next_id_ >= kMaxEvents) return;
+    std::mt19937_64 rng(seed_ * 7'919u + static_cast<std::uint64_t>(id));
+    const int children = static_cast<int>(rng() % 4);
+    for (int c = 0; c < children; ++c) {
+      switch (rng() % 3) {
+        case 0:  // same instant: runs after every event already due now
+          add(queue_.now());
+          break;
+        case 1:
+          add(queue_.now() + 1e-6 * static_cast<double>(1 + rng() % 50));
+          break;
+        default:
+          add(queue_.now() + 1e-3 * static_cast<double>(rng() % 20));
+          break;
+      }
+    }
+  }
+
+  static constexpr int kMaxEvents = 40'000;
+  Queue& queue_;
+  std::uint64_t seed_;
+  int next_id_ = 0;
+  bool payloads_intact_ = true;
+  std::vector<std::pair<int, double>> popped_;
+};
+
+TEST(EventQueueDifferential, MatchesBinaryHeapWhenHandlersNest) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    EventQueue calendar;
+    ReferenceHeapQueue heap;
+    NestingProgram<EventQueue> got_program(calendar, seed);
+    NestingProgram<ReferenceHeapQueue> want_program(heap, seed);
+    const auto got = got_program.run();
+    const auto want = want_program.run();
+    EXPECT_TRUE(got_program.payloads_intact()) << "seed " << seed;
     ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
     EXPECT_GT(got.size(), 10'000u);
     for (std::size_t i = 0; i < got.size(); ++i) {

@@ -36,12 +36,15 @@
 #include "pipeline/scenario.hpp"
 #include "store/store.hpp"
 #include "trace/trace.hpp"
+#include "app_traces.hpp"
 #include "random_trace.hpp"
 
 namespace osim {
 namespace {
 
 using lint::Severity;
+using testing_fixtures::fnv1a64;
+using testing_fixtures::for_each_app_trace;
 using trace::CollectiveKind;
 using trace::kAnyRank;
 using trace::Trace;
@@ -1474,45 +1477,6 @@ TEST(HbDifferential, MatchesDenseMachinesOnRandomTraces) {
 }
 
 // --- golden report bytes on every bundled application -----------------------
-
-/// FNV-1a 64 over the bytes of `text`.
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-/// Calls `fn(app, variant, ranks, trace)` for every bundled app's original
-/// and overlap_real traces (3 iterations, 4 chunks) at each rank count.
-template <typename Fn>
-void for_each_app_trace(Fn fn, std::initializer_list<std::int32_t>
-                                   rank_counts = {16, 64}) {
-  for (const std::int32_t ranks : rank_counts) {
-    for (const apps::MiniApp* app : apps::registry()) {
-      apps::AppConfig config;
-      config.ranks = ranks;
-      config.iterations = 3;
-      while (!app->supports_ranks(config.ranks)) ++config.ranks;
-      const tracer::TracedRun traced = apps::trace_app(*app, config, {});
-      overlap::OverlapOptions overlap_options;
-      overlap_options.chunks = 4;
-      for (const pipeline::TraceVariant variant :
-           {pipeline::TraceVariant::kOriginal,
-            pipeline::TraceVariant::kOverlapMeasured}) {
-        const pipeline::ReplayContext context = pipeline::make_context(
-            traced.annotated, variant, overlap_options,
-            dimemas::Platform::marenostrum(config.ranks,
-                                           app->paper_buses()));
-        fn(app->name(),
-           variant == pipeline::TraceVariant::kOriginal ? "original"
-                                                        : "overlap_real",
-           config.ranks, context.trace());
-      }
-    }
-  }
-}
 
 /// One line per (app, variant, rank count): the size and FNV-1a 64 of
 /// lint_trace(...).render_json() for every for_each_app_trace trace.

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 
+#include "app_traces.hpp"
 #include "dimemas/replay.hpp"
 #include "metrics/attribution.hpp"
 #include "metrics/collector.hpp"
@@ -377,6 +378,126 @@ TEST(ReplayMetricsE2E, CollectiveTraceAttributionSums) {
   const dimemas::SimResult result =
       replay_with_metrics(std::move(b).build(), test_platform(4));
   expect_attribution_matches_stats(result);
+}
+
+// ---------------------------------------------------------------------------
+// Occupancy samples are kept only for Paraver
+// ---------------------------------------------------------------------------
+
+void expect_same_occupancy(const OccupancyStats& got,
+                           const OccupancyStats& want) {
+  EXPECT_EQ(got.tracked, want.tracked);
+  EXPECT_EQ(got.capacity, want.capacity);
+  EXPECT_EQ(got.peak, want.peak);
+  // Bit-exact comparisons: EXPECT_EQ on doubles.
+  EXPECT_EQ(got.mean_level, want.mean_level);
+  EXPECT_EQ(got.busy_s, want.busy_s);
+  EXPECT_EQ(got.utilization, want.utilization);
+  EXPECT_EQ(got.histogram, want.histogram);
+}
+
+void expect_same_components(const metrics::WaitComponents& got,
+                            const metrics::WaitComponents& want) {
+  EXPECT_EQ(got.dependency_s, want.dependency_s);
+  EXPECT_EQ(got.fault_s, want.fault_s);
+  EXPECT_EQ(got.bus_contention_s, want.bus_contention_s);
+  EXPECT_EQ(got.port_contention_s, want.port_contention_s);
+  EXPECT_EQ(got.wire_s, want.wire_s);
+  EXPECT_EQ(got.latency_s, want.latency_s);
+  EXPECT_EQ(got.progress_s, want.progress_s);
+}
+
+/// Every (bus, node_in, node_out) occupancy of `m`.
+std::vector<const OccupancyStats*> occupancies(const ReplayMetrics& m) {
+  std::vector<const OccupancyStats*> all = {&m.bus};
+  for (const OccupancyStats& stats : m.node_in) all.push_back(&stats);
+  for (const OccupancyStats& stats : m.node_out) all.push_back(&stats);
+  return all;
+}
+
+// The report path (collect_metrics alone) drops the level-change log that
+// only the Paraver counters read; everything else it reports must be the
+// same bits a replay that also records comms (osim_replay --prv) produces.
+TEST(ReplayMetricsE2E, SamplesOnlyWhenAParaverBundleCanBeWritten) {
+  int checked = 0;
+  testing_fixtures::for_each_app_context(
+      [&checked](const std::string& app, const char* variant, std::int32_t,
+                 const pipeline::ReplayContext& context) {
+        SCOPED_TRACE(app + " " + variant);
+        dimemas::ReplayOptions report = context.options();
+        report.collect_metrics = true;
+        dimemas::ReplayOptions comms = report;
+        comms.record_comms = true;
+        dimemas::ReplayOptions timeline = report;
+        timeline.record_timeline = true;
+        const dimemas::SimResult a =
+            dimemas::replay(context.trace(), context.platform(), report);
+        const dimemas::SimResult b =
+            dimemas::replay(context.trace(), context.platform(), comms);
+        const dimemas::SimResult c =
+            dimemas::replay(context.trace(), context.platform(), timeline);
+        ASSERT_NE(a.metrics, nullptr);
+        ASSERT_NE(b.metrics, nullptr);
+        ASSERT_NE(c.metrics, nullptr);
+        const ReplayMetrics& got = *a.metrics;
+        const ReplayMetrics& want = *b.metrics;
+
+        ASSERT_EQ(got.rank_waits.size(), want.rank_waits.size());
+        for (std::size_t r = 0; r < got.rank_waits.size(); ++r) {
+          expect_same_components(got.rank_waits[r].send,
+                                 want.rank_waits[r].send);
+          expect_same_components(got.rank_waits[r].recv,
+                                 want.rank_waits[r].recv);
+          expect_same_components(got.rank_waits[r].wait,
+                                 want.rank_waits[r].wait);
+        }
+        ASSERT_EQ(got.peer_waits.size(), want.peer_waits.size());
+        ASSERT_FALSE(got.peer_waits.empty());
+        for (std::size_t i = 0; i < got.peer_waits.size(); ++i) {
+          EXPECT_EQ(got.peer_waits[i].rank, want.peer_waits[i].rank);
+          EXPECT_EQ(got.peer_waits[i].peer, want.peer_waits[i].peer);
+          EXPECT_EQ(got.peer_waits[i].blocks, want.peer_waits[i].blocks);
+          expect_same_components(got.peer_waits[i].components,
+                                 want.peer_waits[i].components);
+          if (i > 0) {  // ascending (rank, peer), each pair once
+            EXPECT_LT(std::make_pair(got.peer_waits[i - 1].rank,
+                                     got.peer_waits[i - 1].peer),
+                      std::make_pair(got.peer_waits[i].rank,
+                                     got.peer_waits[i].peer));
+          }
+        }
+        EXPECT_EQ(got.protocol.eager_messages, want.protocol.eager_messages);
+        EXPECT_EQ(got.protocol.eager_bytes, want.protocol.eager_bytes);
+        EXPECT_EQ(got.protocol.rendezvous_messages,
+                  want.protocol.rendezvous_messages);
+        EXPECT_EQ(got.protocol.rendezvous_bytes,
+                  want.protocol.rendezvous_bytes);
+
+        const auto without = occupancies(got);
+        const auto with_comms = occupancies(want);
+        const auto with_timeline = occupancies(*c.metrics);
+        ASSERT_EQ(without.size(), with_comms.size());
+        ASSERT_EQ(without.size(), with_timeline.size());
+        std::size_t samples = 0;
+        for (std::size_t k = 0; k < without.size(); ++k) {
+          expect_same_occupancy(*without[k], *with_comms[k]);
+          EXPECT_TRUE(without[k]->samples.empty()) << "occupancy " << k;
+          ASSERT_EQ(with_comms[k]->samples.size(),
+                    with_timeline[k]->samples.size());
+          for (std::size_t i = 0; i < with_comms[k]->samples.size(); ++i) {
+            EXPECT_EQ(with_comms[k]->samples[i].time_s,
+                      with_timeline[k]->samples[i].time_s);
+            EXPECT_EQ(with_comms[k]->samples[i].level,
+                      with_timeline[k]->samples[i].level);
+          }
+          samples += with_comms[k]->samples.size();
+        }
+        EXPECT_FALSE(want.bus.samples.empty());
+        EXPECT_GT(samples, want.bus.samples.size());
+        ++checked;
+      },
+      {16});
+  EXPECT_EQ(checked, 12);
 }
 
 }  // namespace

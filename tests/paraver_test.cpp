@@ -2,12 +2,20 @@
 // rendering, and communication summaries.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "app_traces.hpp"
 #include "common/expect.hpp"
+#include "common/strings.hpp"
 #include "dimemas/replay.hpp"
 #include "paraver/paraver.hpp"
+#include "pipeline/report.hpp"
 #include "trace/trace.hpp"
 
 namespace osim::paraver {
@@ -141,6 +149,79 @@ TEST(Paraver, CommSummaryEmpty) {
   const CommSummary summary = summarize_comms(empty);
   EXPECT_EQ(summary.messages, 0u);
   EXPECT_DOUBLE_EQ(summary.mean_flight_s, 0.0);
+}
+
+// --- golden bundle and report bytes on every bundled application -----------
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << "cannot read " << path;
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+std::string size_and_hash(const std::string& bytes) {
+  return strprintf("%zu:%016llx", bytes.size(),
+                   static_cast<unsigned long long>(
+                       testing_fixtures::fnv1a64(bytes)));
+}
+
+/// One line per (app, variant): the size and FNV-1a 64 of the .prv, .pcf
+/// and .row files osim_replay --prv writes (timeline, comms and metrics,
+/// so the occupancy counter records are in), and of the run report of a
+/// metrics-only replay (the osim_replay --report replay, without lint).
+std::vector<std::string> bundle_lines() {
+  const std::string base = ::testing::TempDir() + "/osim_paraver_golden_" +
+                           std::to_string(::getpid());
+  std::vector<std::string> lines;
+  testing_fixtures::for_each_app_context(
+      [&](const std::string& app, const char* variant, std::int32_t ranks,
+          const pipeline::ReplayContext& context) {
+        dimemas::ReplayOptions prv = context.options();
+        prv.collect_metrics = true;
+        prv.record_timeline = true;
+        prv.record_comms = true;
+        write_prv_bundle(
+            dimemas::replay(context.trace(), context.platform(), prv), base,
+            app);
+        dimemas::ReplayOptions report = context.options();
+        report.collect_metrics = true;
+        const std::string json = pipeline::replay_report_json(
+            dimemas::replay(context.trace(), context.platform(), report),
+            context.platform(), app);
+        lines.push_back(strprintf(
+            "%s %s ranks=%d prv=%s pcf=%s row=%s report=%s", app.c_str(),
+            variant, ranks, size_and_hash(read_file(base + ".prv")).c_str(),
+            size_and_hash(read_file(base + ".pcf")).c_str(),
+            size_and_hash(read_file(base + ".row")).c_str(),
+            size_and_hash(json).c_str()));
+      },
+      {16});
+  for (const char* ext : {".prv", ".pcf", ".row"}) {
+    std::remove((base + ext).c_str());
+  }
+  return lines;
+}
+
+// tests/golden/paraver_bundle.golden pins the bytes before the replay
+// stopped keeping occupancy samples for replays that cannot write a
+// Paraver bundle: the counter records must still be all there, and the
+// run report must not change.
+TEST(ParaverGolden, BundleAndReportBytesMatchGolden) {
+  const std::string path =
+      std::string(OSIM_GOLDEN_DIR) + "/paraver_bundle.golden";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open()) << "missing golden file: " << path;
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) golden.push_back(line);
+  }
+  const std::vector<std::string> lines = bundle_lines();
+  ASSERT_EQ(lines.size(), golden.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i], golden[i]) << "line " << i;
+  }
 }
 
 }  // namespace

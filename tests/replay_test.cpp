@@ -3,7 +3,11 @@
 // recording, and monotonicity properties over platform parameters.
 #include <gtest/gtest.h>
 
+#include <variant>
+
+#include "app_traces.hpp"
 #include "common/expect.hpp"
+#include "common/strings.hpp"
 #include "dimemas/replay.hpp"
 #include "trace/trace.hpp"
 
@@ -233,6 +237,78 @@ TEST(Replay, PlatformMustHaveEnoughNodes) {
   b.compute(0, 1);
   EXPECT_DEATH(replay(std::move(b).build(), test_platform(2)),
                "fewer nodes");
+}
+
+// The replay numbers each rank's requests densely (trace::compile), so the
+// ids a trace uses must not matter: remapping every request id of the
+// bundled apps' traces to sparse 64-bit values replays to the same bits.
+Trace with_sparse_requests(const Trace& in, std::size_t* remapped) {
+  const auto sparse = [remapped](trace::ReqId id) {
+    ++*remapped;
+    return static_cast<trace::ReqId>(static_cast<std::uint64_t>(id) *
+                                         (std::uint64_t{1} << 33) +
+                                     7);
+  };
+  Trace out = in;
+  for (std::vector<trace::Record>& stream : out.ranks) {
+    for (trace::Record& rec : stream) {
+      if (auto* send = std::get_if<trace::Send>(&rec)) {
+        if (send->immediate) send->request = sparse(send->request);
+      } else if (auto* recv = std::get_if<trace::Recv>(&rec)) {
+        if (recv->immediate) recv->request = sparse(recv->request);
+      } else if (auto* wait = std::get_if<trace::Wait>(&rec)) {
+        for (trace::ReqId& request : wait->requests) {
+          request = sparse(request);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Replay, RequestIdsDoNotChangeTheReplay) {
+  int replays = 0;
+  std::size_t remapped = 0;
+  testing_fixtures::for_each_app_context(
+      [&](const std::string& app, const char* variant, std::int32_t,
+          const pipeline::ReplayContext& context) {
+        SCOPED_TRACE(app + " " + variant);
+        const Trace sparse = with_sparse_requests(context.trace(), &remapped);
+        const SimResult want = replay(context.trace(), context.platform());
+        const SimResult got = replay(sparse, context.platform());
+        EXPECT_EQ(strprintf("%a", got.makespan),
+                  strprintf("%a", want.makespan));
+        EXPECT_EQ(got.des_events, want.des_events);
+        EXPECT_EQ(got.rank_stats, want.rank_stats);
+        ++replays;
+      },
+      {16});
+  EXPECT_EQ(replays, 12);
+  EXPECT_GT(remapped, 10'000u);
+}
+
+TEST(ReplayDeathTest, WaitOnANeverIssuedRequestAborts) {
+  TraceBuilder b(1, 1000.0);
+  b.compute(0, 10).wait(0, {5});
+  EXPECT_DEATH(replay(std::move(b).build(), test_platform(1)),
+               "wait on unknown request \\(trace not validated\\?\\)");
+}
+
+TEST(ReplayDeathTest, WaitBeforeItsRequestIsIssuedAborts) {
+  TraceBuilder b(2, 1000.0);
+  b.wait(0, {3}).isend(0, 1, 0, 64, 3).wait(0, {3});
+  b.recv(1, 0, 0, 64);
+  EXPECT_DEATH(replay(std::move(b).build(), test_platform(2)),
+               "wait on unknown request");
+}
+
+TEST(ReplayDeathTest, ReusedRequestIdAborts) {
+  // Even after its Wait consumed it, an id names one request only.
+  TraceBuilder b(2, 1000.0);
+  b.isend(0, 1, 0, 64, 9).wait(0, {9}).isend(0, 1, 1, 64, 9).wait(0, {9});
+  b.recv(1, 0, 0, 64).recv(1, 0, 1, 64);
+  EXPECT_DEATH(replay(std::move(b).build(), test_platform(2)),
+               "duplicate request id in trace");
 }
 
 TEST(Replay, TimelineRecording) {

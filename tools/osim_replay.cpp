@@ -95,8 +95,15 @@ int main(int argc, char** argv) try {
   trace::Trace t;
   bool salvaged_with_losses = false;
   if (recover) {
-    trace::RecoveredTrace recovered =
-        trace::read_any_file_recover(trace_path);
+    trace::RecoveredTrace recovered;
+    try {
+      recovered = trace::read_any_file_recover(trace_path);
+    } catch (const Error& e) {
+      // Salvage needs the bytes: a file that cannot be opened or mapped
+      // is as unreadable as in the strict read.
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return kExitUnreadable;
+    }
     if (!recovered.damage.clean()) {
       std::fprintf(stderr, "%s",
                    recovered.damage.render_text().c_str());
