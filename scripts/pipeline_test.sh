@@ -124,6 +124,20 @@ set -e
 grep -q "error \[match\] rank 0 record 0: unmatched send" \
     "$OUT/broken_inspect.txt"
 
+# 80k waits on requests no record issues: the requests pass tells "posted
+# later" from "never posted" by a binary search, not a scan of the rest of
+# the stream per wait (quadratic: seconds here, minutes at 300k).
+{
+  printf '#OSIM-TRACE v1\nmeta app waits\nmeta ranks 1\nmeta mips 1000\nrank 0\n'
+  awk 'BEGIN { for (i = 0; i < 80000; i++) print "w " i }'
+} > "$OUT/waits.trace"
+set +e
+"$BUILD/tools/osim_lint" --trace "$OUT/waits.trace" > "$OUT/waits.txt" 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 1 ] || { echo "lint unissued waits: expected exit 1, got $rc" >&2; exit 1; }
+grep -q "wait on unknown request" "$OUT/waits.txt"
+
 # Platform file round trip through the replay tool.
 cat > "$OUT/platform.cfg" <<CFG
 nodes 4

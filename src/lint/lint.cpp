@@ -49,13 +49,10 @@ bool check_shape(const trace::Trace& trace, Report& report) {
   return true;
 }
 
-/// Runs the task list on `jobs` workers. Each task owns one result slot,
-/// so the schedule (and thread count) cannot affect the merged report.
+/// Runs the task list on `jobs` (>= 2) workers. Each task owns one
+/// result slot, so the schedule (and thread count) cannot affect the
+/// merged report.
 void run_tasks(std::vector<std::function<void()>>& tasks, int jobs) {
-  if (jobs <= 1 || tasks.size() <= 1) {
-    for (auto& task : tasks) task();
-    return;
-  }
   std::atomic<std::size_t> next{0};
   const std::size_t workers =
       std::min(static_cast<std::size_t>(jobs), tasks.size());
@@ -72,15 +69,37 @@ void run_tasks(std::vector<std::function<void()>>& tasks, int jobs) {
   for (std::thread& t : pool) t.join();
 }
 
-/// The one pass schedule behind check_structure and lint_trace. Slot
-/// layout (canonical merge order): match, requests per rank, collectives,
-/// then with `semantic` deadlock and the happens-before passes (races +
-/// overlap share one slot). Deadlock, races and overlap read one run of
-/// the abstract machine, so they share one task.
+/// Deadlock, races and overlap: they read one run of the abstract machine.
+void run_semantic_passes(const trace::Trace& trace, const LintOptions& options,
+                         Report& deadlock, Report& hb_passes) {
+  const HbAnalysis hb =
+      analyze_happens_before(trace, options.eager_threshold_bytes);
+  if (options.stats != nullptr) {
+    options.stats->hb_peak_live_snapshots = hb.peak_live_snapshots;
+  }
+  check_deadlock(trace, hb, deadlock);
+  check_races(trace, hb, hb_passes);
+  check_overlap_hazards(trace, hb, hb_passes);
+}
+
+/// The one pass schedule behind check_structure and lint_trace, in the
+/// canonical merge order: match, requests per rank, collectives, then with
+/// `semantic` deadlock and the happens-before passes. With jobs <= 1 every
+/// pass writes straight into the report; otherwise each pass (and the
+/// rank-local requests pass per rank) is a task writing its own slot, and
+/// the slots are merged in that order.
 Report run_passes(const trace::Trace& trace, const LintOptions& options,
                   bool semantic) {
   Report report;
   if (!check_shape(trace, report)) return report;
+
+  if (options.jobs <= 1) {
+    check_matching(trace, report);
+    check_requests(trace, report);
+    check_collectives(trace, report);
+    if (semantic) run_semantic_passes(trace, options, report, report);
+    return report;
+  }
 
   const std::size_t num_ranks = trace.ranks.size();
   std::vector<Report> slots(num_ranks + (semantic ? 4 : 2));
@@ -95,14 +114,8 @@ Report run_passes(const trace::Trace& trace, const LintOptions& options,
       [&] { check_collectives(trace, slots[num_ranks + 1]); });
   if (semantic) {
     tasks.emplace_back([&] {
-      const HbAnalysis hb =
-          analyze_happens_before(trace, options.eager_threshold_bytes);
-      if (options.stats != nullptr) {
-        options.stats->hb_peak_live_snapshots = hb.peak_live_snapshots;
-      }
-      check_deadlock(trace, hb, slots[num_ranks + 2]);
-      check_races(trace, hb, slots[num_ranks + 3]);
-      check_overlap_hazards(trace, hb, slots[num_ranks + 3]);
+      run_semantic_passes(trace, options, slots[num_ranks + 2],
+                          slots[num_ranks + 3]);
     });
   }
 

@@ -1,9 +1,10 @@
 #include "lint/match.hpp"
 
+#include <algorithm>
 #include <cstddef>
-#include <map>
 #include <numeric>
 #include <tuple>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -61,6 +62,8 @@ std::string recv_desc(const RecvSite& site) {
 /// visits the receives in index order; visited ones are skipped through a
 /// path-halving "next unvisited index" array, reset per top-level augment,
 /// so a level never rescans the receives deeper levels already visited.
+/// The search is iterative: an augmenting path may be as long as the
+/// destination's message count.
 class BipartiteMatcher {
  public:
   BipartiteMatcher(const std::vector<SendSite>& sends,
@@ -93,19 +96,51 @@ class BipartiteMatcher {
     return r;
   }
 
-  bool augment(std::size_t s) {
-    for (std::size_t r = unvisited_from(0); r < recvs_.size();
-         r = unvisited_from(r + 1)) {
-      if (!envelope_matches(recvs_[r].env, sends_[s].env)) continue;
-      next_unvisited_[r] = r + 1;  // mark visited
-      if (send_of_recv_[r] < 0 ||
-          augment(static_cast<std::size_t>(send_of_recv_[r]))) {
-        send_of_recv_[r] = static_cast<std::ptrdiff_t>(s);
-        recv_of_send_[s] = static_cast<std::ptrdiff_t>(r);
-        return true;
+  /// One level of an augmenting-path search: send `s` is trying the
+  /// receives from index `r` on.
+  struct Frame {
+    std::size_t s;
+    std::size_t r;
+  };
+
+  /// Searches an augmenting path from send `root` depth-first, on an
+  /// explicit stack so the path length is not bounded by the thread's
+  /// stack. Each level visits the receives in index order, exactly as the
+  /// recursive formulation would: a receive held by another send descends
+  /// into that send, and a level whose receives are exhausted fails back
+  /// to its parent, which resumes after the receive it descended through.
+  void augment(std::size_t root) {
+    path_.clear();
+    path_.push_back(Frame{root, unvisited_from(0)});
+    while (!path_.empty()) {
+      Frame& top = path_.back();
+      std::size_t r = top.r;
+      while (r < recvs_.size() &&
+             !envelope_matches(recvs_[r].env, sends_[top.s].env)) {
+        r = unvisited_from(r + 1);
       }
+      if (r == recvs_.size()) {
+        path_.pop_back();
+        if (!path_.empty()) {
+          path_.back().r = unvisited_from(path_.back().r + 1);
+        }
+        continue;
+      }
+      top.r = r;
+      next_unvisited_[r] = r + 1;  // mark visited
+      if (send_of_recv_[r] >= 0) {
+        path_.push_back(Frame{static_cast<std::size_t>(send_of_recv_[r]),
+                              unvisited_from(0)});
+        continue;
+      }
+      // A free receive ends the path: every level takes the receive it
+      // descended through.
+      for (const Frame& level : path_) {
+        send_of_recv_[level.r] = static_cast<std::ptrdiff_t>(level.s);
+        recv_of_send_[level.s] = static_cast<std::ptrdiff_t>(level.r);
+      }
+      return;
     }
-    return false;
   }
 
   const std::vector<SendSite>& sends_;
@@ -113,57 +148,101 @@ class BipartiteMatcher {
   std::vector<std::ptrdiff_t> recv_of_send_;
   std::vector<std::ptrdiff_t> send_of_recv_;
   std::vector<std::size_t> next_unvisited_;
+  std::vector<Frame> path_;
 };
 
-/// Deterministic FIFO pairing for a destination with no wildcard receives:
-/// per (src, tag) the k-th send must pair with the k-th recv.
-void check_fifo(const std::vector<SendSite>& sends,
-                const std::vector<RecvSite>& recvs, Rank dst,
-                Report& report) {
-  std::map<std::tuple<Rank, Tag>, std::vector<const SendSite*>> send_q;
-  std::map<std::tuple<Rank, Tag>, std::vector<const RecvSite*>> recv_q;
-  for (const SendSite& s : sends) send_q[{s.env.src, s.env.tag}].push_back(&s);
-  for (const RecvSite& r : recvs) recv_q[{r.env.src, r.env.tag}].push_back(&r);
+/// The FIFO channel, (source, tag), a message travels on at its
+/// destination.
+template <typename Site>
+std::pair<Rank, Tag> channel(const Site& site) {
+  return {site.env.src, site.env.tag};
+}
 
-  for (const auto& [key, sq] : send_q) {
-    const auto it = recv_q.find(key);
-    const std::vector<const RecvSite*> empty;
-    const auto& rq = it == recv_q.end() ? empty : it->second;
-    const std::size_t paired = std::min(sq.size(), rq.size());
+/// Sorts sites by (channel, record): per channel the sites stay in record
+/// order, which is the order MPI's non-overtaking rule pairs them in.
+template <typename Site>
+void sort_by_channel(std::vector<Site>& sites) {
+  std::sort(sites.begin(), sites.end(), [](const Site& a, const Site& b) {
+    return std::tie(a.env.src, a.env.tag, a.record) <
+           std::tie(b.env.src, b.env.tag, b.record);
+  });
+}
+
+/// End of the run of sites that share `sites[begin]`'s channel.
+template <typename Site>
+std::size_t run_end(const std::vector<Site>& sites, std::size_t begin) {
+  std::size_t end = begin + 1;
+  while (end < sites.size() && channel(sites[end]) == channel(sites[begin])) {
+    ++end;
+  }
+  return end;
+}
+
+/// Deterministic FIFO pairing for a destination with no wildcard receives:
+/// per (src, tag) channel the k-th send must pair with the k-th recv. Both
+/// site lists are sorted into channel runs and merge-walked: first every
+/// channel that carries a send, ascending, then the channels only
+/// receives name.
+void check_fifo(std::vector<SendSite>& sends, std::vector<RecvSite>& recvs,
+                Rank dst, Report& report) {
+  sort_by_channel(sends);
+  sort_by_channel(recvs);
+
+  std::size_t r = 0;
+  for (std::size_t s = 0; s < sends.size();) {
+    const auto key = channel(sends[s]);
+    const std::size_t s_end = run_end(sends, s);
+    while (r < recvs.size() && channel(recvs[r]) < key) ++r;
+    const std::size_t r_end =
+        r < recvs.size() && channel(recvs[r]) == key ? run_end(recvs, r) : r;
+    const std::size_t num_sends = s_end - s;
+    const std::size_t num_recvs = r_end - r;
+    const std::size_t paired = std::min(num_sends, num_recvs);
     for (std::size_t k = 0; k < paired; ++k) {
-      if (rq[k]->env.bytes < sq[k]->env.bytes) {
+      const SendSite& send = sends[s + k];
+      const RecvSite& recv = recvs[r + k];
+      if (recv.env.bytes < send.env.bytes) {
         report.error(
-            kPass, dst, static_cast<std::ptrdiff_t>(rq[k]->record),
+            kPass, dst, static_cast<std::ptrdiff_t>(recv.record),
             strprintf("%s is smaller than its matching send (message %zu "
                       "from rank %d record %zu, %llu bytes): the pair can "
                       "never match",
-                      recv_desc(*rq[k]).c_str(), k, sq[k]->env.src,
-                      sq[k]->record,
-                      static_cast<unsigned long long>(sq[k]->env.bytes)));
+                      recv_desc(recv).c_str(), k, send.env.src, send.record,
+                      static_cast<unsigned long long>(send.env.bytes)));
       }
     }
-    for (std::size_t k = paired; k < sq.size(); ++k) {
-      report.error(kPass, sq[k]->env.src,
-                   static_cast<std::ptrdiff_t>(sq[k]->record),
+    for (std::size_t k = paired; k < num_sends; ++k) {
+      const SendSite& send = sends[s + k];
+      report.error(kPass, send.env.src,
+                   static_cast<std::ptrdiff_t>(send.record),
                    strprintf("unmatched %s: rank %d posts only %zu matching "
                              "recv(s)",
-                             send_desc(*sq[k]).c_str(), dst, rq.size()));
+                             send_desc(send).c_str(), dst, num_recvs));
     }
-    for (std::size_t k = paired; k < rq.size(); ++k) {
-      report.error(kPass, dst, static_cast<std::ptrdiff_t>(rq[k]->record),
+    for (std::size_t k = paired; k < num_recvs; ++k) {
+      const RecvSite& recv = recvs[r + k];
+      report.error(kPass, dst, static_cast<std::ptrdiff_t>(recv.record),
                    strprintf("unmatched %s: rank %d issues only %zu matching "
                              "send(s)",
-                             recv_desc(*rq[k]).c_str(), std::get<0>(key),
-                             sq.size()));
+                             recv_desc(recv).c_str(), key.first, num_sends));
     }
+    s = s_end;
+    r = r_end;
   }
-  for (const auto& [key, rq] : recv_q) {
-    if (send_q.find(key) != send_q.end()) continue;
-    for (const RecvSite* r : rq) {
-      report.error(kPass, dst, static_cast<std::ptrdiff_t>(r->record),
-                   strprintf("unmatched %s: no send with this envelope",
-                             recv_desc(*r).c_str()));
+
+  std::size_t s = 0;
+  for (r = 0; r < recvs.size();) {
+    const auto key = channel(recvs[r]);
+    const std::size_t r_end = run_end(recvs, r);
+    while (s < sends.size() && channel(sends[s]) < key) ++s;
+    if (s == sends.size() || channel(sends[s]) != key) {
+      for (std::size_t k = r; k < r_end; ++k) {
+        report.error(kPass, dst, static_cast<std::ptrdiff_t>(recvs[k].record),
+                     strprintf("unmatched %s: no send with this envelope",
+                               recv_desc(recvs[k]).c_str()));
+      }
     }
+    r = r_end;
   }
 }
 

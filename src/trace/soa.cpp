@@ -1,50 +1,13 @@
 #include "trace/soa.hpp"
 
-#include <unordered_map>
 #include <variant>
 
 #include "common/expect.hpp"
+#include "trace/request_slots.hpp"
 
 namespace osim::trace {
 
 namespace {
-
-/// Renumbers one stream's request ids to dense slots in first-appearance
-/// order. Recorded and transformed traces number requests with a per-rank
-/// counter from 0, so an id below twice the stream length indexes a direct
-/// table (bounded by the input); any other id — negative, sparse or huge —
-/// goes through a hash map.
-class RequestSlots {
- public:
-  explicit RequestSlots(std::size_t records)
-      : direct_limit_(2 * static_cast<std::uint64_t>(records) + 64) {}
-
-  std::uint32_t operator()(ReqId id) {
-    if (id >= 0 && static_cast<std::uint64_t>(id) < direct_limit_) {
-      const auto index = static_cast<std::size_t>(id);
-      if (index >= direct_.size()) direct_.resize(index + 1, kNoRequestSlot);
-      std::uint32_t& slot = direct_[index];
-      if (slot == kNoRequestSlot) slot = take();
-      return slot;
-    }
-    const auto [it, inserted] = sparse_.try_emplace(id, kNoRequestSlot);
-    if (inserted) it->second = take();
-    return it->second;
-  }
-
-  std::uint32_t count() const { return next_; }
-
- private:
-  std::uint32_t take() {
-    OSIM_CHECK_MSG(next_ < kNoRequestSlot, "too many requests in one rank");
-    return next_++;
-  }
-
-  std::uint64_t direct_limit_;
-  std::vector<std::uint32_t> direct_;
-  std::unordered_map<ReqId, std::uint32_t> sparse_;
-  std::uint32_t next_ = 0;
-};
 
 CompiledStream compile_stream(const std::vector<Record>& records) {
   CompiledStream s;

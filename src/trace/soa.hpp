@@ -14,24 +14,24 @@
 // source of truth — the compiled form is a derived, per-replay view and
 // never outlives the trace it was built from.
 //
-// Request ids are renumbered per rank to dense slots 0..request_slots-1,
-// in first-appearance order over the immediate sends, immediate receives
-// and waits of the stream, so the replay keeps request states in a flat
-// array instead of a hash map keyed by arbitrary 64-bit ids. The mapping
-// is a bijection: a reused id keeps its slot and an id that only a Wait
-// names gets one of its own, so the replay's duplicate-request and
+// Request ids are renumbered per rank to dense slots 0..request_slots-1
+// by trace::RequestSlots (trace/request_slots.hpp, the same table the
+// structural check's requests pass keys its per-request state by), in
+// first-appearance order over the immediate sends, immediate receives and
+// waits of the stream, so the replay keeps request states in a flat array
+// instead of a hash map keyed by arbitrary 64-bit ids. The mapping is a
+// bijection: a reused id keeps its slot and an id that only a Wait names
+// gets one of its own, so the replay's duplicate-request and
 // unknown-request checks see exactly what they saw on the raw ids.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "trace/request_slots.hpp"
 #include "trace/trace.hpp"
 
 namespace osim::trace {
-
-/// The request lane value of a blocking send or receive.
-inline constexpr std::uint32_t kNoRequestSlot = UINT32_MAX;
 
 enum class LaneKind : std::uint8_t { kCpu = 0, kSend = 1, kRecv = 2, kWait = 3 };
 
