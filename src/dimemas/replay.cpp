@@ -1,6 +1,7 @@
 #include "dimemas/replay.hpp"
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <memory>
 
@@ -40,18 +41,33 @@ enum RequestState : std::uint8_t { kUnissued = 0, kPending, kComplete };
 
 class Replayer {
  public:
-  Replayer(const trace::Trace& trace, const Platform& platform,
-           const ReplayOptions& options)
+  Replayer(const trace::Trace& trace, const ReplayProgram& program,
+           const Platform& platform, const ReplayOptions& options)
       : trace_(trace),
+        program_(program),
         platform_(platform),
         options_(options),
         network_(make_network(events_, platform)) {
     OSIM_CHECK_MSG(platform.num_nodes >= trace.num_ranks,
                    "platform has fewer nodes than the trace has ranks");
+    if (!platform.per_node_cpu_speed.empty()) {
+      OSIM_CHECK_MSG(platform.per_node_cpu_speed.size() ==
+                         static_cast<std::size_t>(platform.num_nodes),
+                     "per_node_cpu_speed must have num_nodes entries");
+      for (const double speed : platform.per_node_cpu_speed) {
+        OSIM_CHECK_MSG(speed > 0.0, "per-node CPU speed must be positive");
+      }
+    }
+    OSIM_CHECK_MSG(program.lowered_for(options),
+                   "replay program was lowered under other collective options");
+    OSIM_CHECK_MSG(program.lanes().ranks.size() == trace.ranks.size(),
+                   "replay program was lowered from another trace");
     procs_.resize(static_cast<std::size_t>(trace.num_ranks));
     inbox_.resize(static_cast<std::size_t>(trace.num_ranks));
     for (Rank r = 0; r < trace.num_ranks; ++r) {
-      procs_[static_cast<std::size_t>(r)].rank = r;
+      Proc& proc = procs_[static_cast<std::size_t>(r)];
+      proc.rank = r;
+      proc.requests.assign(stream(proc).request_slots, kUnissued);
     }
     if (options.collect_metrics) {
       // Only the Paraver counter records read occupancy samples, and a
@@ -183,7 +199,10 @@ class Replayer {
 
   struct Proc {
     Rank rank = 0;
-    std::size_t pc = 0;
+    std::size_t pc = 0;  // next record
+    /// Next entry of each lane (indexed by LaneKind): records of one kind
+    /// occupy their lane in record order.
+    std::array<std::uint32_t, trace::kLaneKinds> lane_next{};
     bool running = false;   // guards against re-entrant step()
     bool finished = false;
     // Block bookkeeping.
@@ -233,7 +252,7 @@ class Replayer {
   // --- helpers --------------------------------------------------------------
 
   const CompiledStream& stream(const Proc& proc) const {
-    return compiled_.ranks[static_cast<std::size_t>(proc.rank)];
+    return program_.lanes().ranks[static_cast<std::size_t>(proc.rank)];
   }
 
   double now() const { return events_.now(); }
@@ -421,9 +440,10 @@ class Replayer {
     const CompiledStream& recs = stream(proc);
     const std::size_t n = recs.records();
     while (!proc.blocked && proc.pc < n) {
-      const std::size_t i = proc.pc++;
-      const std::uint32_t slot = recs.slot[i];
-      switch (recs.kind[i]) {
+      const LaneKind kind = recs.kind[proc.pc++];
+      const std::uint32_t slot =
+          proc.lane_next[static_cast<std::size_t>(kind)]++;
+      switch (kind) {
         case LaneKind::kCpu:
           do_compute(proc, recs.burst_instructions[slot]);
           proc.running = false;
@@ -479,9 +499,9 @@ class Replayer {
     send->dst = recs.send_dest[slot];
     send->tag = recs.send_tag[slot];
     send->bytes = recs.send_bytes[slot];
-    const bool immediate = recs.send_immediate[slot] != 0;
-    send->immediate = immediate;
     send->request = recs.send_request[slot];
+    const bool immediate = send->request != trace::kNoRequestSlot;
+    send->immediate = immediate;
     send->eager = recs.send_synchronous[slot] == 0 &&
                   send->bytes <= platform_.eager_threshold_bytes;
     send->call_time = now();
@@ -526,9 +546,9 @@ class Replayer {
     recv->tag = recs.recv_tag[slot];
     recv->bytes = recs.recv_bytes[slot];
     recv->dst = proc.rank;
-    const bool immediate = recs.recv_immediate[slot] != 0;
-    recv->immediate = immediate;
     recv->request = recs.recv_request[slot];
+    const bool immediate = recv->request != trace::kNoRequestSlot;
+    recv->immediate = immediate;
     recv->post_time = now();
     proc.stats.messages_received++;
 
@@ -778,13 +798,24 @@ class Replayer {
   }
 
   void check_all_finished() const {
+    if (std::all_of(procs_.begin(), procs_.end(),
+                    [](const Proc& proc) { return proc.finished; })) {
+      return;
+    }
+    // Diagnostics render the variant stream the program was compiled from
+    // (same record order): the trace, or its collective expansion, rebuilt
+    // here so that only a deadlocked replay pays for it.
+    trace::Trace expanded;
+    const trace::Trace* replayed = &trace_;
+    if (options_.auto_expand_collectives && has_collectives(trace_)) {
+      expanded = expand_collectives(trace_, options_.collective_algo);
+      replayed = &expanded;
+    }
     std::vector<std::string> stuck;
     for (const auto& proc : procs_) {
       if (proc.finished) continue;
-      // Diagnostics read the canonical variant stream (same record order
-      // as the compiled one).
       const auto& recs =
-          replayed_->ranks[static_cast<std::size_t>(proc.rank)];
+          replayed->ranks[static_cast<std::size_t>(proc.rank)];
       const std::size_t at = proc.pc == 0 ? 0 : proc.pc - 1;
       stuck.push_back(strprintf(
           "rank %d %s at record %zu/%zu: %s", proc.rank,
@@ -797,36 +828,9 @@ class Replayer {
     }
   }
 
- public:
-  void prepare() {
-    if (!platform_.per_node_cpu_speed.empty()) {
-      OSIM_CHECK_MSG(platform_.per_node_cpu_speed.size() ==
-                         static_cast<std::size_t>(platform_.num_nodes),
-                     "per_node_cpu_speed must have num_nodes entries");
-      for (const double speed : platform_.per_node_cpu_speed) {
-        OSIM_CHECK_MSG(speed > 0.0, "per-node CPU speed must be positive");
-      }
-    }
-    if (options_.auto_expand_collectives && has_collectives(trace_)) {
-      expanded_ = expand_collectives(trace_, options_.collective_algo);
-      replayed_ = &expanded_;
-    } else {
-      replayed_ = &trace_;
-    }
-    // Lower the record streams to struct-of-arrays once; the interpreter
-    // then streams dense lanes instead of walking 48-byte variants.
-    // compile() rejects surviving GlobalOps.
-    compiled_ = trace::compile(*replayed_);
-    for (Proc& proc : procs_) {
-      proc.requests.assign(stream(proc).request_slots, kUnissued);
-    }
-  }
-
  private:
   const trace::Trace& trace_;
-  trace::Trace expanded_;
-  const trace::Trace* replayed_ = nullptr;
-  trace::CompiledTrace compiled_;
+  const ReplayProgram& program_;
   const Platform& platform_;
   const ReplayOptions& options_;
   EventQueue events_;
@@ -841,11 +845,36 @@ class Replayer {
 
 }  // namespace
 
+bool same_lowering(const ReplayOptions& a, const ReplayOptions& b) {
+  return a.auto_expand_collectives == b.auto_expand_collectives &&
+         a.collective_algo == b.collective_algo;
+}
+
+bool ReplayProgram::lowered_for(const ReplayOptions& options) const {
+  return expanded_collectives_ == options.auto_expand_collectives &&
+         collective_algo_ == options.collective_algo;
+}
+
+ReplayProgram lower(const trace::Trace& trace, const ReplayOptions& options) {
+  ReplayProgram program;
+  program.expanded_collectives_ = options.auto_expand_collectives;
+  program.collective_algo_ = options.collective_algo;
+  // compile() rejects surviving GlobalOps.
+  program.lanes_ =
+      options.auto_expand_collectives && has_collectives(trace)
+          ? trace::compile(expand_collectives(trace, options.collective_algo))
+          : trace::compile(trace);
+  return program;
+}
+
+SimResult replay(const trace::Trace& trace, const ReplayProgram& program,
+                 const Platform& platform, const ReplayOptions& options) {
+  return Replayer(trace, program, platform, options).run();
+}
+
 SimResult replay(const trace::Trace& trace, const Platform& platform,
                  const ReplayOptions& options) {
-  Replayer replayer(trace, platform, options);
-  replayer.prepare();
-  return replayer.run();
+  return replay(trace, lower(trace, options), platform, options);
 }
 
 }  // namespace osim::dimemas

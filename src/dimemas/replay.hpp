@@ -36,6 +36,7 @@
 #include "dimemas/progress.hpp"
 #include "dimemas/result.hpp"
 #include "faults/model.hpp"
+#include "trace/soa.hpp"
 #include "trace/trace.hpp"
 
 namespace osim::dimemas {
@@ -72,13 +73,56 @@ struct ReplayOptions {
   const CancelToken* cancel = nullptr;
 };
 
-/// Replays `trace` on `platform`. Precondition: `trace` is structurally
-/// valid — lint::check_structure reports no errors. replay() does not
-/// re-check; callers pass a trace that came through a
-/// pipeline::ReplayContext, which checks it once at construction. A
-/// receive buffer at least as large as its send matches (see
-/// dimemas/matching.hpp) and delivers the send's bytes. Throws osim::Error
-/// on deadlock (with a per-rank diagnostic of where each rank is stuck).
+/// A trace lowered for replay: its record streams with collectives expanded
+/// per the options' auto_expand_collectives and collective_algo, compiled
+/// to the struct-of-arrays lanes the interpreter walks (trace/soa.hpp).
+/// Lowering depends on nothing else — not the platform, faults, progress
+/// regime or recording flags — so one program serves every replay of the
+/// same trace under those two options. pipeline::ReplayContext lowers once
+/// per context family and shares the program across its derived contexts.
+class ReplayProgram {
+ public:
+  const trace::CompiledTrace& lanes() const { return lanes_; }
+
+  /// True if replaying under `options` would lower the trace to exactly
+  /// this program.
+  bool lowered_for(const ReplayOptions& options) const;
+
+ private:
+  friend ReplayProgram lower(const trace::Trace& trace,
+                             const ReplayOptions& options);
+
+  bool expanded_collectives_ = false;
+  CollectiveAlgo collective_algo_ = CollectiveAlgo::kBinomialTree;
+  trace::CompiledTrace lanes_;
+};
+
+/// True if `a` and `b` lower a trace to the same ReplayProgram (they agree
+/// on auto_expand_collectives and collective_algo).
+bool same_lowering(const ReplayOptions& a, const ReplayOptions& b);
+
+/// Lowers `trace` for replay under `options`: expands its collectives (the
+/// expanded trace is a temporary) and compiles the lanes. Same
+/// precondition as replay(). Throws osim::Error if a GlobalOp survives
+/// (auto_expand_collectives off on a trace with collectives).
+ReplayProgram lower(const trace::Trace& trace, const ReplayOptions& options);
+
+/// Replays `trace` on `platform` from its lowered `program`, which must
+/// come from lower(trace, o) with same_lowering(o, options) — checked.
+/// Precondition: `trace` is structurally valid — lint::check_structure
+/// reports no errors. replay() does not re-check; callers pass a trace that
+/// came through a pipeline::ReplayContext, which checks it once at
+/// construction and lowers it once on its family's first replay. A receive
+/// buffer at least as large as its send matches (see dimemas/matching.hpp)
+/// and delivers the send's bytes. Throws osim::Error on deadlock (with a
+/// per-rank diagnostic of where each rank is stuck, rendered from the
+/// expanded record stream).
+SimResult replay(const trace::Trace& trace, const ReplayProgram& program,
+                 const Platform& platform, const ReplayOptions& options = {});
+
+/// Lowers `trace`, then replays it: replay(trace, lower(trace, options),
+/// platform, options). For one-off replays; repeated replays of one trace
+/// should lower once.
 SimResult replay(const trace::Trace& trace, const Platform& platform,
                  const ReplayOptions& options = {});
 

@@ -123,6 +123,7 @@ ReplayContext::ReplayContext(std::shared_ptr<const trace::Trace> trace,
                              dimemas::Platform platform,
                              dimemas::ReplayOptions options)
     : trace_(validated(std::move(trace))),
+      program_(std::make_shared<ProgramSlot>()),
       platform_(std::move(platform)),
       options_(options),
       trace_fingerprint_(trace_fingerprint(*trace_)),
@@ -132,21 +133,38 @@ ReplayContext::ReplayContext(std::shared_ptr<const trace::Trace> trace,
 ReplayContext::ReplayContext(std::shared_ptr<const trace::Trace> trace,
                              Fingerprint trace_fingerprint,
                              dimemas::Platform platform,
-                             dimemas::ReplayOptions options)
+                             dimemas::ReplayOptions options,
+                             std::shared_ptr<ProgramSlot> program)
     : trace_(std::move(trace)),
+      program_(std::move(program)),
       platform_(std::move(platform)),
       options_(options),
       trace_fingerprint_(trace_fingerprint),
       fingerprint_(
           combined_fingerprint(trace_fingerprint_, platform_, options_)) {}
 
+std::shared_ptr<const dimemas::ReplayProgram> ReplayContext::program() const {
+  // Held while lowering, so racing first replays lower once between them.
+  std::lock_guard<std::mutex> lock(program_->mutex);
+  if (program_->program == nullptr) {
+    program_->program = std::make_shared<const dimemas::ReplayProgram>(
+        dimemas::lower(*trace_, options_));
+  }
+  return program_->program;
+}
+
 ReplayContext ReplayContext::with_platform(dimemas::Platform platform) const {
   return ReplayContext(trace_, trace_fingerprint_, std::move(platform),
-                       options_);
+                       options_, program_);
 }
 
 ReplayContext ReplayContext::with_options(dimemas::ReplayOptions options) const {
-  return ReplayContext(trace_, trace_fingerprint_, platform_, options);
+  std::shared_ptr<ProgramSlot> program =
+      dimemas::same_lowering(options_, options)
+          ? program_
+          : std::make_shared<ProgramSlot>();
+  return ReplayContext(trace_, trace_fingerprint_, platform_, options,
+                       std::move(program));
 }
 
 ReplayContext ReplayContext::with_bandwidth(double mbps) const {

@@ -8,6 +8,16 @@
 // between derived contexts, so sweeping a platform parameter across hundreds
 // of scenarios copies no records.
 //
+// A context family — a context and every context derived from it that
+// lowers the trace alike (with_platform, with_bandwidth, with_faults,
+// with_progress, and with_options when auto_expand_collectives and
+// collective_algo are unchanged) — also shares one dimemas::ReplayProgram,
+// the trace's collective expansion compiled to replay lanes. It is built
+// once, by the family's first replay (whichever thread gets there first;
+// the others wait for it), so a bandwidth sweep lowers each trace once
+// instead of once per bandwidth, and a context that never replays (a
+// fingerprint query, a cache hit) never pays for it.
+//
 // Every context carries a 128-bit content fingerprint over its three
 // inputs. Because replay() is a pure, deterministic function of exactly
 // these inputs, the fingerprint is a sound cache key: two contexts with
@@ -16,6 +26,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 
 #include "dimemas/platform.hpp"
 #include "dimemas/replay.hpp"
@@ -57,6 +68,10 @@ class ReplayContext {
   const dimemas::ReplayOptions& options() const { return options_; }
   const Fingerprint& fingerprint() const { return fingerprint_; }
 
+  /// The family's lowered trace, built on first use (thread-safe) and
+  /// shared by every context of the family; the program replay() takes.
+  std::shared_ptr<const dimemas::ReplayProgram> program() const;
+
   /// Derived contexts share the validated trace (and its fingerprint), so
   /// they cost one platform/options rehash — no records are copied or
   /// re-validated.
@@ -73,11 +88,19 @@ class ReplayContext {
   ReplayContext with_progress(dimemas::ProgressModel progress) const;
 
  private:
+  /// The once-built program of a context family.
+  struct ProgramSlot {
+    std::mutex mutex;
+    std::shared_ptr<const dimemas::ReplayProgram> program;  // null: not yet
+  };
+
   ReplayContext(std::shared_ptr<const trace::Trace> trace,
                 Fingerprint trace_fingerprint, dimemas::Platform platform,
-                dimemas::ReplayOptions options);
+                dimemas::ReplayOptions options,
+                std::shared_ptr<ProgramSlot> program);
 
   std::shared_ptr<const trace::Trace> trace_;
+  std::shared_ptr<ProgramSlot> program_;
   dimemas::Platform platform_;
   dimemas::ReplayOptions options_;
   Fingerprint trace_fingerprint_;  // over the trace content only

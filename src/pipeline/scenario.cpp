@@ -35,8 +35,8 @@ ReplayContext make_context(const trace::AnnotatedTrace& annotated,
 }
 
 dimemas::SimResult run_scenario(const ReplayContext& context) {
-  return dimemas::replay(context.trace(), context.platform(),
-                         context.options());
+  return dimemas::replay(context.trace(), *context.program(),
+                         context.platform(), context.options());
 }
 
 std::vector<ReplayContext> cross_faults(

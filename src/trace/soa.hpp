@@ -9,10 +9,16 @@
 // compare instead of variant machinery.
 //
 // compile() lowers a validated, collective-free trace (GlobalOps must have
-// been expanded) into that layout. It is a one-pass O(records) copy; the
-// replay loop's streaming reads repay it. The canonical Trace remains the
-// source of truth — the compiled form is a derived, per-replay view and
-// never outlives the trace it was built from.
+// been expanded) into that layout. It is a one-pass O(records) copy into
+// exactly-sized lanes. The canonical Trace remains the source of truth —
+// the compiled form is a derived view of it, built once per lowering
+// (dimemas::lower, shared by every replay of a pipeline::ReplayContext
+// family) and never outliving the trace it was built from. Because it can
+// stay resident for as long as its contexts live, it keeps no per-record
+// index into the lanes and no immediate flags: the interpreter walks each
+// lane with its own cursor (records of one kind appear in lane order), and
+// an operation is immediate exactly when its request slot is not
+// kNoRequestSlot.
 //
 // Request ids are renumbered per rank to dense slots 0..request_slots-1
 // by trace::RequestSlots (trace/request_slots.hpp, the same table the
@@ -25,6 +31,7 @@
 // unknown-request checks see exactly what they saw on the raw ids.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,11 +42,13 @@ namespace osim::trace {
 
 enum class LaneKind : std::uint8_t { kCpu = 0, kSend = 1, kRecv = 2, kWait = 3 };
 
+/// Number of lanes (LaneKind values).
+inline constexpr std::size_t kLaneKinds = 4;
+
 /// One rank's record stream, lowered field-by-field. `kind[i]` selects the
-/// lane of record i and `slot[i]` indexes that lane's arrays.
+/// lane of record i; the n-th record of a kind is entry n of its lane.
 struct CompiledStream {
   std::vector<LaneKind> kind;
-  std::vector<std::uint32_t> slot;
 
   // CpuBurst lane.
   std::vector<std::uint64_t> burst_instructions;
@@ -48,9 +57,8 @@ struct CompiledStream {
   std::vector<Rank> send_dest;
   std::vector<Tag> send_tag;
   std::vector<std::uint64_t> send_bytes;
-  std::vector<std::uint32_t> send_request;  // dense slot; kNoRequestSlot
-                                            // for a blocking send
-  std::vector<std::uint8_t> send_immediate;
+  std::vector<std::uint32_t> send_request;  // dense slot of an isend;
+                                            // kNoRequestSlot if blocking
   std::vector<std::uint8_t> send_synchronous;
 
   // Recv lane.
@@ -58,7 +66,6 @@ struct CompiledStream {
   std::vector<Tag> recv_tag;
   std::vector<std::uint64_t> recv_bytes;
   std::vector<std::uint32_t> recv_request;  // as send_request
-  std::vector<std::uint8_t> recv_immediate;
 
   // Wait lane: request lists flattened into one array; wait w waits on
   // wait_requests[wait_begin[w] .. wait_begin[w + 1]).

@@ -15,7 +15,11 @@
 #include <vector>
 
 #include "analysis/bandwidth.hpp"
+#include "app_traces.hpp"
 #include "common/expect.hpp"
+#include "common/strings.hpp"
+#include "dimemas/progress.hpp"
+#include "faults/spec.hpp"
 #include "lint/lint.hpp"
 #include "metrics/replay_metrics.hpp"
 #include "pipeline/context.hpp"
@@ -101,6 +105,82 @@ TEST(ReplayContext, DerivedContextsShareTheTrace) {
   p.latency_us = 0.0;
   EXPECT_EQ(base.trace_ptr().get(),
             base.with_platform(p).trace_ptr().get());
+}
+
+// --- ReplayContext: one lowered program per context family ------------------
+
+void expect_same_replay(const dimemas::SimResult& got,
+                        const dimemas::SimResult& want) {
+  EXPECT_EQ(strprintf("%a", got.makespan), strprintf("%a", want.makespan));
+  EXPECT_EQ(got.des_events, want.des_events);
+  EXPECT_EQ(got.rank_stats, want.rank_stats);
+}
+
+// Every derived context replays exactly like a fresh lowering of its own
+// (trace, platform, options). The base replays first, so its family's
+// program exists before the collective-algorithm derivatives are made: a
+// with_options that kept the family's program for another algorithm would
+// replay stale lanes here.
+TEST(ReplayContext, FamiliesReplayLikeFreshLowerings) {
+  int families = 0;
+  int algo_sensitive = 0;
+  testing_fixtures::for_each_app_context(
+      [&](const std::string& app, const char* variant, std::int32_t,
+          const ReplayContext& base) {
+        SCOPED_TRACE(app + " " + variant);
+        const dimemas::SimResult base_result = run_scenario(base);
+        expect_same_replay(base_result,
+                           dimemas::replay(base.trace(), base.platform(),
+                                           base.options()));
+        const std::vector<ReplayContext> shared = {
+            base.with_bandwidth(50.0), base.with_bandwidth(400.0),
+            base.with_bandwidth(2000.0),
+            base.with_faults(faults::parse_spec("seed=7;loss=0.02")),
+            base.with_progress(dimemas::parse_progress_spec("app"))};
+        for (const ReplayContext& context : shared) {
+          EXPECT_EQ(context.program().get(), base.program().get());
+          expect_same_replay(run_scenario(context),
+                             dimemas::replay(context.trace(),
+                                             context.platform(),
+                                             context.options()));
+        }
+        for (const dimemas::CollectiveAlgo algo :
+             {dimemas::CollectiveAlgo::kLinear,
+              dimemas::CollectiveAlgo::kRecursiveDoubling}) {
+          SCOPED_TRACE(dimemas::collective_algo_name(algo));
+          dimemas::ReplayOptions options = base.options();
+          options.collective_algo = algo;
+          const ReplayContext context = base.with_options(options);
+          EXPECT_NE(context.program().get(), base.program().get());
+          const dimemas::SimResult result = run_scenario(context);
+          expect_same_replay(result,
+                             dimemas::replay(context.trace(),
+                                             context.platform(), options));
+          if (result.des_events != base_result.des_events ||
+              result.makespan != base_result.makespan) {
+            ++algo_sensitive;
+          }
+        }
+        ++families;
+      },
+      {16});
+  EXPECT_EQ(families, 12);
+  // The algorithm derivatives would expose a stale program: half of them
+  // or more replay differently from the base.
+  EXPECT_GE(algo_sensitive, 12);
+}
+
+TEST(ReplayContext, OptionsThatLowerAlikeShareTheProgram) {
+  const ReplayContext base(ring_trace(4, 2), ring_platform(4));
+  dimemas::ReplayOptions recording = base.options();
+  recording.record_timeline = true;
+  recording.collect_metrics = true;
+  EXPECT_EQ(base.with_options(recording).program().get(),
+            base.program().get());
+  dimemas::ReplayOptions unexpanded = base.options();
+  unexpanded.auto_expand_collectives = false;
+  EXPECT_NE(base.with_options(unexpanded).program().get(),
+            base.program().get());
 }
 
 // --- scenario lowering ------------------------------------------------------
@@ -192,6 +272,41 @@ TEST(Study, ParallelIsBitIdenticalToSerial) {
       // Bit-identical, not approximately equal: replay is pure.
       EXPECT_EQ(parallel[i], serial[i]) << "jobs=" << jobs << " item " << i;
     }
+  }
+}
+
+// Sixteen bandwidths of one base that has never replayed: the pool's first
+// replays race to lower the family's program. They must build one program
+// and replay bit-identically to a serial run.
+TEST(Study, RacingFirstReplaysLowerOneProgram) {
+  const auto sweep = [](int jobs) {
+    trace::Trace t = ring_trace(8, 4);
+    for (trace::Rank r = 0; r < t.num_ranks; ++r) {
+      t.ranks[static_cast<std::size_t>(r)].push_back(trace::GlobalOp{
+          trace::CollectiveKind::kAllreduce, 0, 64 * 1024, 0});
+    }
+    const ReplayContext base(std::move(t), ring_platform(8));
+    std::vector<ReplayContext> contexts;
+    for (int i = 1; i <= 16; ++i) {
+      contexts.push_back(base.with_bandwidth(25.0 * i));
+    }
+    StudyOptions options;
+    options.jobs = jobs;
+    Study study(options);
+    const std::vector<double> makespans = study.map(
+        contexts, [&study](const ReplayContext& c) { return study.makespan(c); });
+    EXPECT_EQ(study.cache_misses(), contexts.size());
+    for (const ReplayContext& context : contexts) {
+      EXPECT_EQ(context.program().get(), base.program().get());
+    }
+    return makespans;
+  };
+  const std::vector<double> serial = sweep(1);
+  const std::vector<double> parallel = sweep(4);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(strprintf("%a", parallel[i]), strprintf("%a", serial[i]))
+        << "bandwidth " << i;
   }
 }
 

@@ -223,6 +223,27 @@ TEST(Replay, DeadlockDetectedAndDescribed) {
   }
 }
 
+TEST(Replay, DeadlockInsideACollectiveNamesTheExpandedRecord) {
+  // Rank 0's rendezvous send is only received after the barrier, which
+  // rank 0 never reaches: rank 1 sticks in the barrier's expansion, so the
+  // diagnostic renders a record that exists only in the expanded stream.
+  TraceBuilder b(2, 1000.0);
+  b.send(0, 1, 0, 1'000'000).global(0, CollectiveKind::kBarrier, 0, 0, 0);
+  b.global(1, CollectiveKind::kBarrier, 0, 0, 0).recv(1, 0, 0, 1'000'000);
+  try {
+    replay(std::move(b).build(), test_platform(2));
+    FAIL() << "expected deadlock";
+  } catch (const Error& e) {
+    // Rank 1 is at record 1 of its three expanded records (the barrier's
+    // fan-in send to rank 0, then the fan-out receive it is stuck in).
+    EXPECT_EQ(std::string(e.what()),
+              "replay deadlock:\n"
+              "  rank 0 send at record 0/3: send(dest=1, tag=0, "
+              "bytes=1000000)\n"
+              "  rank 1 recv at record 1/3: recv(src=0, tag=-2, bytes=0)");
+  }
+}
+
 TEST(Replay, MaxSimTimeGuard) {
   TraceBuilder b(1, 1000.0);
   b.compute(0, 10'000'000);  // 10 ms
@@ -285,6 +306,21 @@ TEST(Replay, RequestIdsDoNotChangeTheReplay) {
       {16});
   EXPECT_EQ(replays, 12);
   EXPECT_GT(remapped, 10'000u);
+}
+
+TEST(ReplayDeathTest, ProgramLoweredUnderOtherCollectiveOptionsAborts) {
+  TraceBuilder b(4, 1000.0);
+  for (Rank r = 0; r < 4; ++r) {
+    b.global(r, CollectiveKind::kAllreduce, 0, 8, 0);
+  }
+  const Trace t = std::move(b).build();
+  const ReplayProgram binomial = lower(t, ReplayOptions{});
+  ReplayOptions linear;
+  linear.collective_algo = CollectiveAlgo::kLinear;
+  EXPECT_TRUE(binomial.lowered_for(ReplayOptions{}));
+  EXPECT_FALSE(binomial.lowered_for(linear));
+  EXPECT_DEATH(replay(t, binomial, test_platform(4), linear),
+               "lowered under other collective options");
 }
 
 TEST(ReplayDeathTest, WaitOnANeverIssuedRequestAborts) {
