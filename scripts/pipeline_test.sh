@@ -589,6 +589,28 @@ PY
     > /dev/null
 "$BUILD/tools/osim_cache" verify --cache-dir "$CACHE" > /dev/null
 
+# Each osim_cache command reads only its own flags: a flag that belongs to
+# another command (or to none, like --jobs) and a negative budget are usage
+# errors naming the flag, not silently ignored or wrapped to 2^64 - N.
+for case in "gc --max-bytes 1024 --max-objects -5|--max-objects" \
+            "gc --max-bytes -1|--max-bytes" \
+            "verify --max-bytes 7 --json --journals|--journals does not apply" \
+            "stats --max-objects 3|--max-objects" \
+            "stats --json --jobs 2|--jobs"; do
+  args="${case%|*}"
+  flag="${case#*|}"
+  set +e
+  # shellcheck disable=SC2086  # $args is a command plus its flags
+  "$BUILD/tools/osim_cache" $args --cache-dir "$CACHE" \
+      > /dev/null 2> "$OUT/cache_bad.txt"
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || { echo "osim_cache $args: expected exit 2, got $rc" >&2; exit 1; }
+  grep -q -- "$flag" "$OUT/cache_bad.txt" \
+      || { cat "$OUT/cache_bad.txt" >&2; exit 1; }
+done
+"$BUILD/tools/osim_cache" verify --cache-dir "$CACHE" > /dev/null
+
 # Every tool that accepts --perf-json writes a record naming itself (the
 # flag used to be accepted and ignored by osim_cache and osim_perf).
 check_perf_record() {

@@ -871,7 +871,7 @@ struct Controller::Impl {
     metrics::JsonWriter writer;
     writer.begin_object();
     writer.key("schema").value("osim.serve_stats");
-    writer.key("version").value(std::int64_t{1});
+    writer.key("version").value(std::int64_t{2});
     writer.key("socket").value(options.socket_path);
     writer.key("draining").value(draining);
     writer.key("clients").value(

@@ -11,11 +11,7 @@ void write_store_stats_fields(
   writer.key("root").value(store.root());
   writer.key("objects").value(stats.objects);
   writer.key("bytes").value(stats.bytes);
-  writer.key("recorded_hits").value(stats.total_hits);
-  writer.key("lru_clock").value(stats.clock);
-  writer.key("index_rebuilt").value(stats.index_rebuilt);
-  // Process-local probe counters: this process's tier hit rates, not the
-  // index's lifetime totals.
+  // Process-local probe counters: this process's tier hit rates.
   writer.key("session_hits").value(store.hits());
   writer.key("session_misses").value(store.misses());
   writer.key("session_rejects").value(store.rejects());
@@ -58,7 +54,7 @@ std::string cache_stats_json(
   metrics::JsonWriter writer;
   writer.begin_object();
   writer.key("schema").value("osim.cache_stats");
-  writer.key("version").value(std::int64_t{1});
+  writer.key("version").value(std::int64_t{2});
   write_store_stats_fields(writer, store, journals);
   writer.end_object();
   return writer.str();

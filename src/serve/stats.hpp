@@ -22,7 +22,7 @@ void write_store_stats_fields(
     const std::vector<supervise::JournalInfo>& journals);
 
 /// The standalone document `osim_cache stats --json` prints: schema
-/// "osim.cache_stats" version 1 wrapping the shared fields.
+/// "osim.cache_stats" version 2 wrapping the shared fields.
 std::string cache_stats_json(store::ScenarioStore& store,
                              const std::vector<supervise::JournalInfo>& journals);
 

@@ -5,21 +5,17 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <tuple>
 #include <utility>
 
 #ifndef _WIN32
-#include <cerrno>
-#include <fcntl.h>
-#include <sys/file.h>
 #include <unistd.h>
 #endif
 
-#include "common/bytes.hpp"
 #include "common/crash_point.hpp"
-#include "common/crc32.hpp"
 #include "common/expect.hpp"
 #include "common/strings.hpp"
+#include "trace/mmap_file.hpp"
 
 namespace osim::store {
 
@@ -27,46 +23,23 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr std::string_view kIndexMagic = "OSIMIDX1";
-constexpr std::uint32_t kIndexVersion = 1;
-constexpr const char* kIndexName = "index.osim";
-constexpr const char* kLockName = "lock";
-
-/// RAII advisory lock on <root>/lock. flock() locks are per open file
-/// description, so two threads of one process exclude each other exactly
-/// like two processes do — each acquisition opens its own descriptor.
-class FileLock {
- public:
-  explicit FileLock(const fs::path& path) {
-#ifndef _WIN32
-    fd_ = ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-    if (fd_ >= 0) {
-      while (::flock(fd_, LOCK_EX) != 0 && errno == EINTR) {
-      }
-    }
-#else
-    (void)path;  // single-process best effort on platforms without flock
-#endif
+/// Maps the file at `path`; one that cannot be opened is nullopt. Objects
+/// are renamed into place and only ever unlinked, never rewritten, so a
+/// mapping never sees a torn file.
+std::optional<trace::MappedFile> map_file(const fs::path& path) {
+  try {
+    return trace::MappedFile::open(path.string());
+  } catch (const Error&) {
+    return std::nullopt;
   }
-  ~FileLock() {
-#ifndef _WIN32
-    if (fd_ >= 0) ::close(fd_);  // releases the lock
-#endif
-  }
-  FileLock(const FileLock&) = delete;
-  FileLock& operator=(const FileLock&) = delete;
+}
 
- private:
-  int fd_ = -1;
-};
-
-std::optional<std::string> read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  return std::move(buffer).str();
+/// Stamps `path` as used now: its mtime is its LRU slot. The explicit
+/// time is finer than the kernel's coarse write stamp. A failure (a
+/// read-only store, another user's object) costs recency, never results.
+void stamp_now(const fs::path& path) {
+  std::error_code ignored;
+  fs::last_write_time(path, fs::file_time_type::clock::now(), ignored);
 }
 
 /// Publishes `bytes` at `path` via a unique temp file in `tmp_dir` and an
@@ -95,10 +68,10 @@ void write_file_atomic(const fs::path& path, const std::string& bytes,
       throw Error("store: failed writing " + tmp.string());
     }
   }
+  stamp_now(tmp);
   // Crash injection for durability tests: dying here leaves only an
   // orphaned tmp file (a reader sees a clean miss; the open-time sweep
-  // reclaims it), dying after the rename leaves a complete object whose
-  // index entry lags (the index is rebuilt from the tree).
+  // reclaims it), dying after the rename leaves a complete object.
   maybe_crash("store.publish.tmp");
   std::error_code ec;
   fs::rename(tmp, path, ec);
@@ -111,60 +84,38 @@ void write_file_atomic(const fs::path& path, const std::string& bytes,
   maybe_crash("store.publish.renamed");
 }
 
-}  // namespace
-
-// --- index (de)serialization -------------------------------------------------
-//
-// Layout: magic "OSIMIDX1", u32 version, u64 clock, u64 entry count,
-// entries (hi, lo, bytes, last_access, hits; five u64 = 40 bytes each),
-// u32 CRC over every byte after the magic. Like the object envelope
-// (store/format.hpp), but with a clock where objects carry a fingerprint.
-// The index is a rebuildable summary, so a failed decode is repaired, not
-// reported to callers.
-
-struct IndexCodec {
-  static constexpr std::size_t kHeader = 8 + 4 + 8 + 8;
-  static constexpr std::size_t kEntryBytes = 5 * 8;
-
-  static std::string encode(std::uint64_t clock,
-                            const std::vector<std::uint64_t>& flat) {
-    // flat holds 5 u64 per entry: hi, lo, bytes, last_access, hits.
-    std::string out;
-    out.reserve(kHeader + 8 * flat.size() + 4);
-    bytes::Writer w(out);
-    w.raw(kIndexMagic);
-    w.u32(kIndexVersion);
-    w.u64(clock);
-    w.u64(flat.size() / 5);
-    for (const std::uint64_t v : flat) w.u64(v);
-    w.u32(crc32(std::string_view(out).substr(kIndexMagic.size())));
-    return out;
-  }
-
-  static bool decode(std::string_view index, std::uint64_t& clock,
-                     std::vector<std::uint64_t>& flat) {
-    if (index.size() < kHeader + 4 || !index.starts_with(kIndexMagic)) {
-      return false;
-    }
-    const std::string_view covered = index.substr(
-        kIndexMagic.size(), index.size() - kIndexMagic.size() - 4);
-    if (bytes::load_le<std::uint32_t>(index.data() + index.size() - 4) !=
-        crc32(covered)) {
-      return false;
-    }
-    bytes::Reader in(covered);
-    if (in.u32() != kIndexVersion) return false;
-    clock = in.u64();
-    const std::uint64_t count = in.u64();
-    if (in.remaining() % kEntryBytes != 0 ||
-        count != in.remaining() / kEntryBytes) {
-      return false;
-    }
-    flat.resize(count * 5);
-    for (std::uint64_t& v : flat) v = in.u64();
-    return in.done();
-  }
+/// One file of the object tree, as a scan found it.
+struct StoredObject {
+  pipeline::Fingerprint fp;
+  std::uint64_t bytes = 0;
+  fs::file_time_type mtime;
 };
+
+/// Every object file under `<root>/objects`. Files whose names are not
+/// addresses are skipped, and so are files that vanish mid-scan (a
+/// concurrent gc).
+std::vector<StoredObject> scan_objects(const std::string& root) {
+  std::vector<StoredObject> found;
+  std::error_code ec;
+  for (fs::directory_iterator prefix(fs::path(root) / "objects", ec);
+       !ec && prefix != fs::directory_iterator(); prefix.increment(ec)) {
+    if (!prefix->is_directory(ec)) continue;
+    std::error_code inner;
+    for (fs::directory_iterator file(prefix->path(), inner);
+         !inner && file != fs::directory_iterator(); file.increment(inner)) {
+      const std::optional<pipeline::Fingerprint> fp =
+          pipeline::fingerprint_from_hex(file->path().filename().string());
+      if (!fp.has_value()) continue;
+      std::error_code stat_ec;
+      StoredObject object{*fp, file->file_size(stat_ec), {}};
+      if (!stat_ec) object.mtime = file->last_write_time(stat_ec);
+      if (!stat_ec) found.push_back(object);
+    }
+  }
+  return found;
+}
+
+}  // namespace
 
 // --- ScenarioStore -----------------------------------------------------------
 
@@ -172,11 +123,13 @@ ScenarioStore::ScenarioStore(std::string root) : root_(std::move(root)) {
   OSIM_CHECK_MSG(!root_.empty(), "store: empty root directory");
   std::error_code ec;
   fs::create_directories(fs::path(root_) / "objects", ec);
-  if (!ec) fs::create_directories(fs::path(root_) / "tmp", ec);
   if (ec) {
     throw Error("store: cannot create cache directory " + root_ + ": " +
                 ec.message());
   }
+  // Best effort: only publication needs tmp/, and it reports its own
+  // failure, so a store that cannot be written still serves hits.
+  fs::create_directories(fs::path(root_) / "tmp", ec);
   sweep_stale_tmp(root_, kStaleTmpMaxAge);
 }
 
@@ -211,23 +164,23 @@ template <class Decoded>
 std::optional<Decoded> ScenarioStore::fetch(
     const pipeline::Fingerprint& fp,
     std::optional<Decoded> (*decode)(std::string_view)) {
-  const std::optional<std::string> bytes = read_file(object_path(fp));
+  const fs::path path(object_path(fp));
+  const std::optional<trace::MappedFile> file = map_file(path);
   std::optional<Decoded> decoded;
-  if (bytes.has_value()) decoded = decode(*bytes);
+  if (file.has_value()) decoded = decode(file->view());
   if (!decoded.has_value() || !(decoded->fingerprint == fp)) {
     // Absent, or damaged, version-skewed or mis-addressed: a miss, never
     // an error.
     std::lock_guard<std::mutex> guard(mutex_);
     ++misses_;
-    if (bytes.has_value()) ++rejects_;
+    if (file.has_value()) ++rejects_;
     return std::nullopt;
   }
   {
     std::lock_guard<std::mutex> guard(mutex_);
     ++hits_;
   }
-  // Bump the LRU slot so gc() evicts cold objects first.
-  record_access(fp, bytes->size(), /*hit=*/true);
+  stamp_now(path);  // so gc() evicts cold objects first
   return decoded;
 }
 
@@ -241,25 +194,6 @@ void ScenarioStore::publish(const pipeline::Fingerprint& fp,
                 ec.message());
   }
   write_file_atomic(path, bytes, fs::path(root_) / "tmp");
-  record_access(fp, bytes.size(), /*hit=*/false);
-}
-
-void ScenarioStore::record_access(const pipeline::Fingerprint& fp,
-                                  std::uint64_t bytes, bool hit) {
-  FileLock lock(fs::path(root_) / kLockName);
-  Index index = reconciled_index();
-  ++index.clock;
-  const auto entry =
-      std::find_if(index.entries.begin(), index.entries.end(),
-                   [&fp](const IndexEntry& e) { return e.fp == fp; });
-  if (entry != index.entries.end()) {
-    entry->bytes = bytes;
-    entry->last_access = index.clock;
-    if (hit) ++entry->hits;
-  } else if (!hit) {
-    index.entries.push_back(IndexEntry{fp, bytes, index.clock, 0});
-  }
-  write_index(index);
 }
 
 std::optional<ScenarioArtifact> ScenarioStore::load(
@@ -300,113 +234,37 @@ void ScenarioStore::save_report(const pipeline::Fingerprint& scenario,
   publish(fp, encode_report_object(fp, report_json));
 }
 
-std::vector<pipeline::Fingerprint> ScenarioStore::scan_objects() const {
-  std::vector<pipeline::Fingerprint> found;
-  std::error_code ec;
-  const fs::path objects = fs::path(root_) / "objects";
-  for (fs::directory_iterator prefix(objects, ec);
-       !ec && prefix != fs::directory_iterator(); prefix.increment(ec)) {
-    if (!prefix->is_directory(ec)) continue;
-    std::error_code inner;
-    for (fs::directory_iterator file(prefix->path(), inner);
-         !inner && file != fs::directory_iterator(); file.increment(inner)) {
-      const std::optional<pipeline::Fingerprint> fp =
-          pipeline::fingerprint_from_hex(file->path().filename().string());
-      if (fp.has_value()) found.push_back(*fp);
-    }
-  }
-  return found;
-}
-
-ScenarioStore::Index ScenarioStore::reconciled_index() {
-  Index index;
-  const std::optional<std::string> bytes =
-      read_file(fs::path(root_) / kIndexName);
-  std::vector<std::uint64_t> flat;
-  if (bytes.has_value() && IndexCodec::decode(*bytes, index.clock, flat)) {
-    index.entries.reserve(flat.size() / 5);
-    for (std::size_t i = 0; i + 4 < flat.size(); i += 5) {
-      index.entries.push_back(IndexEntry{{flat[i + 1], flat[i]}, flat[i + 2],
-                                         flat[i + 3], flat[i + 4]});
-    }
-  } else if (bytes.has_value()) {
-    index.rebuilt = true;  // damaged index: rebuilt below, never fatal
-  }
-  // Reconcile with the object tree: entries for vanished objects go, files
-  // published without an index update (crash between rename and index
-  // write, or a hand-copied store) come in with unknown recency.
-  std::vector<IndexEntry> alive;
-  alive.reserve(index.entries.size());
-  for (const IndexEntry& entry : index.entries) {
-    std::error_code ec;
-    if (fs::exists(object_path(entry.fp), ec) && !ec) {
-      alive.push_back(entry);
-    }
-  }
-  index.entries = std::move(alive);
-  for (const pipeline::Fingerprint& fp : scan_objects()) {
-    const bool known =
-        std::any_of(index.entries.begin(), index.entries.end(),
-                    [&fp](const IndexEntry& e) { return e.fp == fp; });
-    if (known) continue;
-    std::error_code ec;
-    const std::uint64_t size = fs::file_size(object_path(fp), ec);
-    index.entries.push_back(IndexEntry{fp, ec ? 0 : size, 0, 0});
-  }
-  return index;
-}
-
-void ScenarioStore::write_index(const Index& index) {
-  std::vector<std::uint64_t> flat;
-  flat.reserve(index.entries.size() * 5);
-  for (const IndexEntry& entry : index.entries) {
-    flat.push_back(entry.fp.hi);
-    flat.push_back(entry.fp.lo);
-    flat.push_back(entry.bytes);
-    flat.push_back(entry.last_access);
-    flat.push_back(entry.hits);
-  }
-  write_file_atomic(fs::path(root_) / kIndexName,
-                    IndexCodec::encode(index.clock, flat),
-                    fs::path(root_) / "tmp");
-}
-
-StoreStats ScenarioStore::stats() {
-  FileLock lock(fs::path(root_) / kLockName);
-  const Index index = reconciled_index();
+StoreStats ScenarioStore::stats() const {
   StoreStats stats;
-  stats.clock = index.clock;
-  stats.index_rebuilt = index.rebuilt;
-  for (const IndexEntry& entry : index.entries) {
+  for (const StoredObject& object : scan_objects(root_)) {
     ++stats.objects;
-    stats.bytes += entry.bytes;
-    stats.total_hits += entry.hits;
+    stats.bytes += object.bytes;
   }
-  write_index(index);  // persist the reconciliation
   return stats;
 }
 
-VerifyReport ScenarioStore::verify() {
+VerifyReport ScenarioStore::verify() const {
   VerifyReport report;
-  for (const pipeline::Fingerprint& fp : scan_objects()) {
+  for (const StoredObject& object : scan_objects(root_)) {
     ++report.objects_checked;
-    const std::string path = object_path(fp);
+    const std::string path = object_path(object.fp);
     std::error_code rel_ec;
     const std::string relative = fs::relative(path, root_, rel_ec).string();
-    const std::optional<std::string> bytes = read_file(path);
-    if (!bytes.has_value()) {
+    const std::optional<trace::MappedFile> file = map_file(path);
+    if (!file.has_value()) {
       report.issues.push_back({relative, "unreadable"});
       continue;
     }
     // probe_object dispatches on the magic, so replay artifacts and lint
     // reports are both recognized (and neither flags the other as damage).
-    const std::optional<pipeline::Fingerprint> probed = probe_object(*bytes);
+    const std::optional<pipeline::Fingerprint> probed =
+        probe_object(file->view());
     if (!probed.has_value()) {
       report.issues.push_back(
           {relative, "corrupt object (bad magic, version or CRC)"});
       continue;
     }
-    if (!(*probed == fp)) {
+    if (!(*probed == object.fp)) {
       report.issues.push_back(
           {relative, "address mismatch: object records fingerprint " +
                          pipeline::to_hex(*probed)});
@@ -414,64 +272,46 @@ VerifyReport ScenarioStore::verify() {
     }
     ++report.objects_ok;
   }
-  const std::optional<std::string> index_bytes =
-      read_file(fs::path(root_) / kIndexName);
-  if (index_bytes.has_value()) {
-    std::uint64_t clock = 0;
-    std::vector<std::uint64_t> flat;
-    if (!IndexCodec::decode(*index_bytes, clock, flat)) {
-      report.issues.push_back(
-          {kIndexName, "damaged index (will be rebuilt on next use)"});
-    }
-  }
   return report;
 }
 
 GcReport ScenarioStore::gc(std::uint64_t max_bytes,
                            std::uint64_t max_objects) {
-  FileLock lock(fs::path(root_) / kLockName);
-  Index index = reconciled_index();
-
+  const std::vector<StoredObject> objects = scan_objects(root_);
   GcReport report;
-  for (const IndexEntry& entry : index.entries) {
-    ++report.objects_before;
-    report.bytes_before += entry.bytes;
-  }
-
   // Corrupt objects are dead weight: they can only ever decode to misses,
   // so gc removes them regardless of the byte budget.
-  std::vector<IndexEntry> intact;
-  intact.reserve(index.entries.size());
-  for (const IndexEntry& entry : index.entries) {
-    const std::optional<std::string> bytes = read_file(object_path(entry.fp));
-    const std::optional<pipeline::Fingerprint> probed =
-        bytes.has_value() ? probe_object(*bytes) : std::nullopt;
-    if (probed.has_value() && *probed == entry.fp) {
-      intact.push_back(entry);
+  std::vector<StoredObject> intact;
+  intact.reserve(objects.size());
+  for (const StoredObject& object : objects) {
+    ++report.objects_before;
+    report.bytes_before += object.bytes;
+    const std::string path = object_path(object.fp);
+    const std::optional<trace::MappedFile> file = map_file(path);
+    if (file.has_value() && probe_object(file->view()) == object.fp) {
+      intact.push_back(object);
       continue;
     }
     std::error_code ec;
-    fs::remove(object_path(entry.fp), ec);
+    fs::remove(path, ec);
     ++report.objects_removed;
-    report.bytes_removed += entry.bytes;
+    report.bytes_removed += object.bytes;
   }
 
-  // LRU eviction: coldest first (last_access 0 = never seen hot).
+  // LRU eviction: oldest stamp first. Kernel timestamps are coarse and
+  // stamps can tie, so the fingerprint makes the order deterministic.
   std::sort(intact.begin(), intact.end(),
-            [](const IndexEntry& a, const IndexEntry& b) {
-              if (a.last_access != b.last_access) {
-                return a.last_access < b.last_access;
-              }
-              return std::make_pair(a.fp.hi, a.fp.lo) <
-                     std::make_pair(b.fp.hi, b.fp.lo);
+            [](const StoredObject& a, const StoredObject& b) {
+              return std::tie(a.mtime, a.fp.hi, a.fp.lo) <
+                     std::tie(b.mtime, b.fp.hi, b.fp.lo);
             });
   std::uint64_t kept_bytes = 0;
-  for (const IndexEntry& entry : intact) kept_bytes += entry.bytes;
+  for (const StoredObject& object : intact) kept_bytes += object.bytes;
   std::size_t evict = 0;
   while (evict < intact.size() &&
          (kept_bytes > max_bytes ||
           (max_objects != 0 && intact.size() - evict > max_objects))) {
-    const IndexEntry& victim = intact[evict];
+    const StoredObject& victim = intact[evict];
     std::error_code ec;
     fs::remove(object_path(victim.fp), ec);
     kept_bytes -= victim.bytes;
@@ -479,13 +319,8 @@ GcReport ScenarioStore::gc(std::uint64_t max_bytes,
     report.bytes_removed += victim.bytes;
     ++evict;
   }
-  intact.erase(intact.begin(),
-               intact.begin() + static_cast<std::ptrdiff_t>(evict));
-
-  report.objects_kept = intact.size();
+  report.objects_kept = intact.size() - evict;
   report.bytes_kept = kept_bytes;
-  index.entries = std::move(intact);
-  write_index(index);
   return report;
 }
 

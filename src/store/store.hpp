@@ -5,25 +5,26 @@
 //
 //   <root>/objects/<first 2 hex digits>/<32 hex digits>
 //
-// alongside a small LRU index (<root>/index.osim) and an advisory lock
-// file (<root>/lock). The store is safe to share between concurrent
-// processes and threads:
+// The object tree is the whole store: there is no index and no lock. It
+// is safe to share between concurrent processes and threads:
 //
 //   publication  objects are written to <root>/tmp and renamed into place,
-//                so a reader only ever sees absent or complete files;
-//   index        every read-modify-write of the index happens under an
-//                exclusive advisory flock on <root>/lock, and the index is
-//                itself published by rename;
-//   reads        load() needs neither the lock nor the index — the object
-//                path is derived from the key alone, which is what makes
-//                a gc'd, hand-pruned or half-indexed store merely slower,
-//                never wrong.
+//                so a reader only ever sees absent or complete files, and
+//                concurrent publications to one address rename identical
+//                bytes over each other;
+//   reads        the object path is derived from the key alone, and a
+//                load writes nothing but a best-effort mtime stamp, so
+//                hits and stats() work on a store they cannot write;
+//   recency      an object's mtime is its LRU slot: publication and every
+//                hit stamp it with the current time, and gc() evicts in
+//                ascending (mtime, fingerprint) order. Two concurrent gc
+//                runs can at worst evict more than needed.
 //
-// Damage never propagates: a corrupt or version-skewed object decodes to
-// a miss (strict CRC, see store/format.hpp), and a damaged index is
-// rebuilt from a directory scan. The index is metadata only — byte sizes,
-// hit counts and a logical LRU clock used by gc() — so losing it loses
-// recency, not results.
+// So a gc'd, hand-pruned or concurrently collected store is merely slower,
+// never wrong. Damage never propagates: a corrupt or
+// version-skewed object decodes to a miss (strict CRC, see
+// store/format.hpp). The LRU index and `lock` file that older versions
+// kept at the root are inert and may be deleted.
 #pragma once
 
 #include <chrono>
@@ -39,14 +40,10 @@
 
 namespace osim::store {
 
-/// Store-wide totals, as recorded in the index (reconciled with the object
-/// tree on load, so stale entries do not inflate the numbers).
+/// Store-wide totals from a scan of the object tree.
 struct StoreStats {
   std::uint64_t objects = 0;
   std::uint64_t bytes = 0;
-  std::uint64_t total_hits = 0;  // lifetime disk hits recorded in the index
-  std::uint64_t clock = 0;       // logical LRU clock (advances per access)
-  bool index_rebuilt = false;    // index was missing/damaged and rebuilt
 };
 
 struct VerifyIssue {
@@ -55,7 +52,7 @@ struct VerifyIssue {
 };
 
 /// Full-scan integrity report: every object decoded and checked against
-/// its address, plus the index header.
+/// its address.
 struct VerifyReport {
   std::uint64_t objects_checked = 0;
   std::uint64_t objects_ok = 0;
@@ -68,7 +65,7 @@ struct VerifyReport {
 struct GcReport {
   std::uint64_t objects_before = 0;
   std::uint64_t bytes_before = 0;
-  std::uint64_t objects_removed = 0;  // evicted + corrupt + stale
+  std::uint64_t objects_removed = 0;  // evicted + corrupt
   std::uint64_t bytes_removed = 0;
   std::uint64_t objects_kept = 0;
   std::uint64_t bytes_kept = 0;
@@ -83,9 +80,10 @@ inline constexpr std::chrono::seconds kStaleTmpMaxAge =
 class ScenarioStore {
  public:
   /// Opens (creating if needed) the store rooted at `root`; throws
-  /// osim::Error when the directory tree cannot be created. Sweeps stale
-  /// tmp files (older than kStaleTmpMaxAge) left behind by crashed
-  /// publications.
+  /// osim::Error when the objects directory cannot be created. An
+  /// unwritable `<root>/tmp` is not an error here: only publication needs
+  /// it, and save() reports its own failure. Sweeps stale tmp files (older
+  /// than kStaleTmpMaxAge) left behind by crashed publications.
   explicit ScenarioStore(std::string root);
 
   /// Removes `<root>/tmp` entries older than `max_age`; returns how many
@@ -97,21 +95,22 @@ class ScenarioStore {
 
   const std::string& root() const { return root_; }
 
-  /// Strict read-through lookup. A hit bumps the object's LRU slot in the
-  /// index; a corrupt, truncated or version-skewed object counts as a miss
-  /// (and as a reject, see rejects()). Never throws on object damage.
+  /// Strict read-through lookup. A hit re-stamps the object's mtime (its
+  /// LRU slot; a failed stamp is ignored); a corrupt, truncated or
+  /// version-skewed object counts as a miss (and as a reject, see
+  /// rejects()). Never throws on object damage or an unwritable store.
   std::optional<ScenarioArtifact> load(const pipeline::Fingerprint& fp);
 
-  /// Publishes `artifact` under `fp` (write temp + rename, then index
-  /// update). Overwrites any previous object at the same address — replay
-  /// is pure, so an overwrite is bit-identical anyway. Throws osim::Error
-  /// on I/O failure; callers on the write-behind path treat that as a
-  /// warning, not an error (the result is already computed).
+  /// Publishes `artifact` under `fp` (write temp, stamp it with the current
+  /// time, rename). Overwrites any previous object at the same address —
+  /// replay is pure, so an overwrite is bit-identical anyway. Throws
+  /// osim::Error on I/O failure; callers on the write-behind path treat
+  /// that as a warning, not an error (the result is already computed).
   void save(const pipeline::Fingerprint& fp, const ScenarioArtifact& artifact);
 
   /// Lint-report twin of load(): strict read-through lookup of a cached
-  /// lint report (object kind "OSIMLNT1"). Shares the object tree, index
-  /// and LRU policy with replay artifacts.
+  /// lint report (object kind "OSIMLNT1"). Shares the object tree and LRU
+  /// policy with replay artifacts.
   std::optional<lint::Report> load_lint(const pipeline::Fingerprint& fp);
 
   /// Lint-report twin of save().
@@ -130,13 +129,14 @@ class ScenarioStore {
   /// Absolute object path for `fp` (the file may or may not exist).
   std::string object_path(const pipeline::Fingerprint& fp) const;
 
-  StoreStats stats();
-  VerifyReport verify();
+  /// Object count and bytes, from a read-only scan of the object tree.
+  StoreStats stats() const;
+  VerifyReport verify() const;
 
-  /// Evicts least-recently-used objects until the store holds at most
-  /// `max_bytes` of objects (and at most `max_objects` objects, when
-  /// non-zero). Corrupt objects and stale index entries are always
-  /// removed. max_bytes == 0 empties the store.
+  /// Evicts least-recently-used objects (oldest mtime first, ties broken
+  /// by fingerprint) until the store holds at most `max_bytes` of objects
+  /// (and at most `max_objects` objects, when non-zero). Corrupt objects
+  /// are always removed. max_bytes == 0 empties the store.
   GcReport gc(std::uint64_t max_bytes, std::uint64_t max_objects = 0);
 
   // Process-local probe counters (thread-safe).
@@ -147,34 +147,14 @@ class ScenarioStore {
   std::uint64_t rejects() const;
 
  private:
-  struct IndexEntry {
-    pipeline::Fingerprint fp;
-    std::uint64_t bytes = 0;
-    std::uint64_t last_access = 0;  // logical clock tick; 0 = never/unknown
-    std::uint64_t hits = 0;
-  };
-  struct Index {
-    std::uint64_t clock = 0;
-    std::vector<IndexEntry> entries;
-    bool rebuilt = false;
-  };
-
-  /// Reads and decodes the object at `fp`, counting a hit (and bumping
-  /// its LRU slot) or a miss; damaged or mis-addressed objects are misses.
+  /// Reads and decodes the object at `fp`, counting a hit (and stamping
+  /// its mtime) or a miss; damaged or mis-addressed objects are misses.
   template <class Decoded>
   std::optional<Decoded> fetch(
       const pipeline::Fingerprint& fp,
       std::optional<Decoded> (*decode)(std::string_view));
-  /// Publishes encoded object bytes at `fp` and records them in the index.
+  /// Publishes encoded object bytes at `fp`.
   void publish(const pipeline::Fingerprint& fp, const std::string& bytes);
-  /// Advances the LRU clock and stamps `fp`'s index entry (adding it on a
-  /// save, counting a hit on a load).
-  void record_access(const pipeline::Fingerprint& fp, std::uint64_t bytes,
-                     bool hit);
-
-  Index reconciled_index();  // call with the store lock held
-  void write_index(const Index& index);
-  std::vector<pipeline::Fingerprint> scan_objects() const;
 
   std::string root_;
   mutable std::mutex mutex_;  // guards the counters

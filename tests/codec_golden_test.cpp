@@ -1,10 +1,10 @@
 // Byte-level golden for every binary format the repository persists or
 // sends: the three store object kinds (OSIMSTO1, OSIMLNT1, OSIMRPT1), the
-// store index (OSIMIDX1), the study journal (OSIMJRN1), the OSIMRPC1
-// handshake plus one frame of every message type, and OSIMBT01 binary
-// traces.
+// study journal (OSIMJRN1), the OSIMRPC1 handshake plus one frame of every
+// message type, and OSIMBT01 binary traces.
 //
-// tests/golden/codec_store/ is a complete store directory,
+// tests/golden/codec_store/ is a complete store directory (its index.osim
+// is the LRU index older versions kept; the store now ignores it),
 // tests/golden/rpc_frames.hex one hex-encoded frame per line and
 // tests/golden/trace_codec.btrace one binary trace (with its text
 // rendering, trace_codec.trace). All were written by trees that predate
@@ -360,27 +360,35 @@ TEST(CodecGolden, StoreVerifiesClean) {
   EXPECT_EQ(report.objects_ok, 3u);
 }
 
-// --- index ------------------------------------------------------------------
+// --- legacy index -----------------------------------------------------------
 
-TEST(CodecGolden, IndexDecodesAndReencodes) {
-  const std::string root = copy_of_golden_store("index");
+TEST(CodecGolden, LegacyIndexedStoreServesItsObjects) {
+  // A store written by a version that kept an LRU index (index.osim) is
+  // read through its object tree alone: every object counts and loads,
+  // and the old index is never read, rewritten or required.
+  const std::string root = copy_of_golden_store("legacy_index");
   const std::string golden_index = read_file(kStoreDir + "/index.osim");
   ASSERT_FALSE(golden_index.empty());
   store::ScenarioStore store(root);
-  // stats() reconciles the index with the object tree and writes it back;
-  // with every object present that is a pure decode + re-encode.
-  const store::StoreStats stats = store.stats();
-  EXPECT_FALSE(stats.index_rebuilt);
-  EXPECT_EQ(stats.objects, 3u);
-  EXPECT_EQ(stats.clock, 4u);  // three saves + one load
-  EXPECT_EQ(stats.total_hits, 1u);
-  std::uint64_t bytes = 0;
-  for (const pipeline::Fingerprint& fp :
-       {kArtifactKey, kLintKey, store::report_address(kReportScenario)}) {
-    bytes += fs::file_size(store.object_path(fp));
-  }
-  EXPECT_EQ(stats.bytes, bytes);
+  const auto expect_served = [&store]() {
+    const store::StoreStats stats = store.stats();
+    EXPECT_EQ(stats.objects, 3u);
+    EXPECT_EQ(stats.bytes, 962u);  // 449 + 387 + 126, the three objects
+    EXPECT_TRUE(store.load(kArtifactKey).has_value());
+    EXPECT_TRUE(store.load_lint(kLintKey).has_value());
+    EXPECT_EQ(store.load_report(kReportScenario), golden_report_json());
+    const store::VerifyReport report = store.verify();
+    EXPECT_TRUE(report.clean()) << report.render_text();
+    EXPECT_EQ(report.objects_ok, 3u);
+  };
+  expect_served();
+  EXPECT_EQ(store.gc(1u << 20).objects_kept, 3u);
   EXPECT_EQ(read_file(root + "/index.osim"), golden_index);
+  EXPECT_FALSE(fs::exists(root + "/lock"));
+
+  // Without the old index nothing changes: objects are not "unindexed".
+  fs::remove(root + "/index.osim");
+  expect_served();
 }
 
 // --- journal ----------------------------------------------------------------

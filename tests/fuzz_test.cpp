@@ -478,40 +478,6 @@ TEST_P(RandomStoreObjects, PublishedObjectCorruptionDegradesToMiss) {
   }
 }
 
-TEST_P(RandomStoreObjects, IndexCorruptionNeverCrashesOrLosesObjects) {
-  namespace fs = std::filesystem;
-  Rng rng(GetParam() * 53 + 19);
-  const std::string dir = ::testing::TempDir() + "/osim_index_fuzz_" +
-                          std::to_string(GetParam());
-  fs::remove_all(dir);
-  const pipeline::Fingerprint fp = random_fingerprint(rng);
-  {
-    store::ScenarioStore store(dir);
-    store.save(fp, random_artifact(rng));
-    store.stats();  // persist an index to corrupt
-  }
-  const std::string index_path = dir + "/index.osim";
-  std::string original;
-  {
-    std::ifstream in(index_path, std::ios::binary);
-    original.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-  }
-  for (int round = 0; round < 8; ++round) {
-    {
-      const std::string bytes = flip_bits(original, rng);
-      std::ofstream out(index_path, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-    store::ScenarioStore store(dir);
-    store::StoreStats stats;
-    ASSERT_NO_THROW(stats = store.stats()) << "round " << round;
-    EXPECT_EQ(stats.objects, 1u) << "round " << round;
-    EXPECT_TRUE(store.load(fp).has_value()) << "round " << round;
-    ASSERT_NO_THROW(store.gc(1u << 30)) << "round " << round;
-  }
-}
-
 // Lint-report store objects ("OSIMLNT1") share the envelope and the
 // damage-degrades-to-miss contract with scenario artifacts.
 

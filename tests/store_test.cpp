@@ -4,6 +4,7 @@
 // entirely from the disk tier with bit-identical makespans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/expect.hpp"
 #include "pipeline/context.hpp"
 #include "pipeline/fingerprint.hpp"
 #include "pipeline/report.hpp"
@@ -392,7 +394,6 @@ TEST(ScenarioStore, StatsCountObjectsAndBytes) {
   const StoreStats stats = store.stats();
   EXPECT_EQ(stats.objects, 3u);
   EXPECT_EQ(stats.bytes, expected_bytes);
-  EXPECT_FALSE(stats.index_rebuilt);
 }
 
 TEST(ScenarioStore, VerifyReportsDamage) {
@@ -453,48 +454,6 @@ TEST(ScenarioStore, GcRemovesCorruptObjectsUnconditionally) {
   EXPECT_TRUE(store.verify().clean());
 }
 
-TEST(ScenarioStore, DamagedIndexIsRebuiltFromObjects) {
-  const std::string dir = fresh_dir("index_rebuild");
-  {
-    ScenarioStore store(dir);
-    store.save(fp(5, 6), sample_artifact(3));
-    store.stats();  // persist an index
-  }
-  write_file(dir + "/index.osim", "not an index");
-  ScenarioStore store(dir);
-  const StoreStats stats = store.stats();
-  EXPECT_TRUE(stats.index_rebuilt);
-  EXPECT_EQ(stats.objects, 1u);
-  EXPECT_TRUE(store.load(fp(5, 6)).has_value());  // objects are unaffected
-}
-
-TEST(ScenarioStore, IndexCountMismatchIsRebuilt) {
-  const std::string dir = fresh_dir("index_count");
-  {
-    ScenarioStore store(dir);
-    store.save(fp(1, 2), sample_artifact(1));
-    store.stats();
-  }
-  const std::string index = read_file(dir + "/index.osim");
-  constexpr std::size_t kCountAt = 8 + 4 + 8;
-  // The count must equal (size - header) / 40, checked before the entry
-  // table is sized; a re-sealed mismatch is damage, and damage means
-  // rebuild — even when the forged count is far beyond any allocation.
-  for (const std::uint64_t count : {std::uint64_t{2}, std::uint64_t{1} << 61}) {
-    write_file(dir + "/index.osim",
-               with_field<std::uint64_t>(index, kCountAt, count));
-    ScenarioStore store(dir);
-    StoreStats stats;
-    ASSERT_NO_THROW(stats = store.stats()) << count;
-    EXPECT_TRUE(stats.index_rebuilt) << count;
-    EXPECT_EQ(stats.objects, 1u) << count;
-  }
-  write_file(dir + "/index.osim",
-             with_field<std::uint64_t>(index, kCountAt, 1));
-  ScenarioStore store(dir);
-  EXPECT_FALSE(store.stats().index_rebuilt);
-}
-
 TEST(ScenarioStore, StaleTmpFilesAreSweptOnOpen) {
   const std::string dir = fresh_dir("tmp_sweep");
   { ScenarioStore store(dir); }  // create the tree
@@ -521,19 +480,91 @@ TEST(ScenarioStore, StaleTmpFilesAreSweptOnOpen) {
   EXPECT_EQ(ScenarioStore::sweep_stale_tmp(dir, std::chrono::seconds(0)), 0u);
 }
 
-TEST(ScenarioStore, UnindexedObjectsAreAdopted) {
-  // A store whose index vanished (or never existed) still counts and
-  // serves its objects: the index is metadata, not a table of contents.
-  const std::string dir = fresh_dir("adopt");
-  {
-    ScenarioStore store(dir);
-    store.save(fp(7, 7), sample_artifact(1));
-    store.stats();
-  }
-  fs::remove(dir + "/index.osim");
+// Replaces `<root>/tmp` with a regular file, so no publication (and no
+// other write through tmp/) can succeed.
+void make_tmp_unwritable(const std::string& root) {
+  fs::remove_all(root + "/tmp");
+  write_file(root + "/tmp", "not a directory");
+  ASSERT_TRUE(fs::is_regular_file(root + "/tmp"));
+}
+
+TEST(ScenarioStore, HitsAndStatsNeedNoWritableStore) {
+  // Reads write nothing that can fail: a full disk or a read-only tmp/
+  // must not turn a warm hit into an error.
+  const std::string dir = fresh_dir("readonly_tmp");
   ScenarioStore store(dir);
-  EXPECT_EQ(store.stats().objects, 1u);
-  EXPECT_TRUE(store.load(fp(7, 7)).has_value());
+  const pipeline::Fingerprint artifact = fp(1, 10);
+  const pipeline::Fingerprint lint = fp(2, 20);
+  const pipeline::Fingerprint scenario = fp(3, 30);
+  store.save(artifact, sample_artifact(4));
+  store.save_lint(lint, one_diagnostic_report("held"));
+  store.save_report(scenario, "{\"report\":1}");
+  make_tmp_unwritable(dir);
+
+  std::optional<ScenarioArtifact> loaded;
+  ASSERT_NO_THROW(loaded = store.load(artifact));
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->makespan, sample_artifact(4).makespan);
+  std::optional<lint::Report> loaded_lint;
+  ASSERT_NO_THROW(loaded_lint = store.load_lint(lint));
+  ASSERT_TRUE(loaded_lint.has_value());
+  EXPECT_EQ(loaded_lint->render_json(),
+            one_diagnostic_report("held").render_json());
+  std::optional<std::string> loaded_report;
+  ASSERT_NO_THROW(loaded_report = store.load_report(scenario));
+  EXPECT_EQ(loaded_report, std::optional<std::string>("{\"report\":1}"));
+  EXPECT_EQ(store.hits(), 3u);
+
+  StoreStats stats;
+  ASSERT_NO_THROW(stats = store.stats());
+  EXPECT_EQ(stats.objects, 3u);
+  EXPECT_TRUE(store.verify().clean());
+  // A publication still reports its failure.
+  EXPECT_THROW(store.save(fp(4, 40), sample_artifact(5)), Error);
+}
+
+TEST(ScenarioStore, TreeHoldsOnlyObjectsAndTmp) {
+  // The object tree is the whole store: saves, loads, stats and gc leave
+  // nothing else at the root (no index, no lock file).
+  const std::string dir = fresh_dir("tree_only");
+  ScenarioStore store(dir);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    store.save(fp(i, 7), sample_artifact(static_cast<int>(i)));
+  }
+  store.save_report(fp(9, 7), "{}");
+  ASSERT_TRUE(store.load(fp(1, 7)).has_value());
+  ASSERT_TRUE(store.load_report(fp(9, 7)).has_value());
+  EXPECT_EQ(store.stats().objects, 5u);
+  EXPECT_TRUE(store.verify().clean());
+  store.gc(1u << 30, 3);
+  EXPECT_EQ(store.stats().objects, 3u);
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"objects", "tmp"}));
+  EXPECT_TRUE(fs::is_empty(dir + "/tmp"));
+}
+
+TEST(ScenarioStore, GcBreaksRecencyTiesByFingerprint) {
+  // Equal mtimes (coarse kernel stamps, or a copied store) must not make
+  // eviction depend on directory order.
+  ScenarioStore store(fresh_dir("gc_ties"));
+  const std::vector<pipeline::Fingerprint> keys = {fp(5, 2), fp(9, 1),
+                                                   fp(1, 2), fp(3, 1)};
+  const auto stamp = fs::file_time_type::clock::now();
+  for (const pipeline::Fingerprint& key : keys) {
+    store.save(key, sample_artifact(1));
+    fs::last_write_time(store.object_path(key), stamp);
+  }
+  // Ascending (hi, lo): (1,3) (1,9) (2,1) (2,5) — the first two go.
+  const GcReport report = store.gc(1u << 30, 2);
+  EXPECT_EQ(report.objects_removed, 2u);
+  EXPECT_FALSE(fs::exists(store.object_path(fp(3, 1))));
+  EXPECT_FALSE(fs::exists(store.object_path(fp(9, 1))));
+  EXPECT_TRUE(fs::exists(store.object_path(fp(1, 2))));
+  EXPECT_TRUE(fs::exists(store.object_path(fp(5, 2))));
 }
 
 // --- Study integration ------------------------------------------------------
@@ -587,6 +618,37 @@ TEST(StudyDiskTier, WarmRunIsAllDiskHitsAndBitIdentical) {
   for (std::size_t i = 0; i < cold_makespans.size(); ++i) {
     EXPECT_EQ(warm_makespans[i], cold_makespans[i]) << "scenario " << i;
   }
+}
+
+TEST(StudyDiskTier, WarmRunNeedsNoWritableStore) {
+  // A warm sweep over a store it cannot write (full disk, read-only tmp/)
+  // is still all disk hits with the cold run's makespans.
+  const std::string dir = fresh_dir("warm_readonly");
+  const trace::Trace t = ring_trace(4, 2);
+  const pipeline::ReplayContext base(t, ring_platform(4));
+  std::vector<pipeline::ReplayContext> contexts;
+  for (const double bw : {100.0, 400.0}) {
+    contexts.push_back(base.with_bandwidth(bw));
+  }
+  std::vector<double> cold_makespans;
+  {
+    pipeline::StudyOptions options;
+    options.cache_dir = dir;
+    pipeline::Study cold(options);
+    for (const auto& context : contexts) {
+      cold_makespans.push_back(cold.makespan(context));
+    }
+  }
+  make_tmp_unwritable(dir);
+
+  pipeline::StudyOptions options;
+  options.cache_dir = dir;
+  pipeline::Study warm(options);
+  for (std::size_t i = 0; i < contexts.size(); ++i) {
+    EXPECT_EQ(warm.makespan(contexts[i]), cold_makespans[i]) << i;
+  }
+  EXPECT_EQ(warm.disk_hits(), contexts.size());
+  EXPECT_EQ(warm.cache_misses(), 0u);
 }
 
 TEST(StudyDiskTier, NoCacheDirMeansNoStore) {

@@ -8,17 +8,24 @@
 //   osim_cache verify --cache-dir DIR            # full integrity scan
 //   osim_cache gc     --cache-dir DIR --max-bytes N [--max-objects M]
 //
-// verify decodes every object (magic, version, CRC, address) and checks
-// the index; it exits 0 only on a fully intact store, 1 otherwise. gc
-// removes corrupt objects unconditionally and then evicts least-recently-
-// used objects until the store fits the given budget; study journals
+// verify decodes every object (magic, version, CRC, address); it exits 0
+// only on a fully intact store, 1 otherwise. gc removes corrupt objects
+// unconditionally and then evicts least-recently-used objects (oldest
+// mtime first) until the store fits the given budget; study journals
 // (supervise/journal.hpp) whose study completed — or whose file no longer
 // parses — are evicted too, while in-progress journals are kept so a
 // later --resume still finds them.
 //
+// Each command reads only its own flags: any other flag (and --jobs,
+// which no command reads) is a usage error naming it, as is a negative
+// --max-bytes or --max-objects.
+//
 // Exit codes follow common/exit_codes.hpp: 0 OK, 1 verification failures,
 // 2 bad command line.
+#include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -73,6 +80,29 @@ int main(int argc, char** argv) try {
     throw UsageError("missing command: expected stats, verify or gc\n" +
                      flags.usage());
   }
+  if (command != "stats" && command != "verify" && command != "gc") {
+    throw UsageError("unknown command '" + command +
+                     "': expected stats, verify or gc");
+  }
+  // The one command each flag applies to; --jobs applies to none.
+  const std::map<std::string, std::string> flag_command = {
+      {"jobs", ""},
+      {"journals", "stats"},
+      {"json", "stats"},
+      {"max-bytes", "gc"},
+      {"max-objects", "gc"},
+  };
+  for (const auto& [name, owner] : flag_command) {
+    if (flags.given(name) && owner != command) {
+      throw UsageError(strprintf("--%s does not apply to osim_cache %s",
+                                 name.c_str(), command.c_str()));
+    }
+  }
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  if (flags.given("max-bytes")) {
+    require_flag_range("max-bytes", max_bytes, 0, kMax);
+  }
+  require_flag_range("max-objects", max_objects, 0, kMax);
   const std::string dir = store::resolve_cache_dir(run.cache_dir);
   if (dir.empty()) {
     throw UsageError("no store: pass --cache-dir or set $OSIM_CACHE_DIR");
@@ -97,14 +127,6 @@ int main(int argc, char** argv) try {
     std::printf("bytes: %llu (%s)\n",
                 static_cast<unsigned long long>(stats.bytes),
                 format_bytes(static_cast<double>(stats.bytes)).c_str());
-    std::printf("recorded hits: %llu\n",
-                static_cast<unsigned long long>(stats.total_hits));
-    std::printf("lru clock: %llu\n",
-                static_cast<unsigned long long>(stats.clock));
-    if (stats.index_rebuilt) {
-      std::printf("index: rebuilt from an object scan (was missing or "
-                  "damaged)\n");
-    }
     const std::vector<supervise::JournalInfo> journals =
         supervise::list_journals(dir);
     std::size_t complete = 0;
@@ -148,7 +170,9 @@ int main(int argc, char** argv) try {
   }
 
   if (command == "gc") {
-    if (max_bytes < 0) throw UsageError("gc requires --max-bytes");
+    if (!flags.given("max-bytes")) {
+      throw UsageError("gc requires --max-bytes");
+    }
     const store::GcReport report =
         cache.gc(static_cast<std::uint64_t>(max_bytes),
                  static_cast<std::uint64_t>(max_objects));
@@ -164,9 +188,7 @@ int main(int argc, char** argv) try {
     }
     return finish(kExitOk);
   }
-
-  throw UsageError("unknown command '" + command +
-                   "': expected stats, verify or gc");
+  OSIM_UNREACHABLE("osim_cache command not dispatched");
 } catch (const osim::UsageError& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return osim::kExitUsage;
