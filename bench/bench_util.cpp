@@ -1,5 +1,7 @@
 #include "bench_util.hpp"
 
+#include <limits>
+
 #include "common/exit_codes.hpp"
 #include "common/expect.hpp"
 #include "common/signals.hpp"
@@ -10,7 +12,6 @@ namespace osim::bench {
 
 bool BenchSetup::parse(const std::string& description, int argc,
                        const char* const* argv, Flags* extra) {
-  study_name = description;
   Flags own(description);
   Flags& flags = extra != nullptr ? *extra : own;
   flags.add("ranks", &ranks, "simulated MPI ranks (paper: 64)");
@@ -29,6 +30,11 @@ bool BenchSetup::parse(const std::string& description, int argc,
                      "wall times, cache behaviour) to this path");
   run.register_supervision_flags(flags);
   if (!flags.parse(argc, argv)) return false;
+  constexpr std::int64_t kMaxInt32 = std::numeric_limits<std::int32_t>::max();
+  require_flag_range("ranks", ranks, 1, kMaxInt32);
+  require_flag_range("iterations", iterations, 1, kMaxInt32);
+  require_flag_range("scale", scale, 1, kMaxInt32);
+  require_flag_range("chunks", chunks, 1, overlap::kMaxChunks);
   // Graceful shutdown is opt-in via the supervision flags: unsupervised
   // benches keep the stock Ctrl-C behaviour.
   if (run.supervision_requested()) install_graceful_shutdown();
@@ -84,18 +90,6 @@ pipeline::StudyOptions BenchSetup::study_options() const {
     options.scenario_timeout_s = run.scenario_timeout_s;
     options.study_deadline_s = run.study_deadline_s;
     options.memory_budget_bytes = run.memory_budget_bytes();
-    options.journal = run.journal || run.resume;
-    options.resume = run.resume;
-    // The journal key: this bench plus everything that shapes which
-    // scenarios the sweep evaluates. A rerun with different parameters is
-    // a different study and must not inherit this journal.
-    options.study_id = strprintf(
-        "%s|ranks=%lld|iterations=%lld|chunks=%lld|scale=%lld|apps=%s|"
-        "paper_buses=%d|progress=%s",
-        study_name.c_str(), static_cast<long long>(ranks),
-        static_cast<long long>(iterations), static_cast<long long>(chunks),
-        static_cast<long long>(scale), apps.c_str(),
-        use_paper_buses ? 1 : 0, progress.c_str());
     options.stop_flag = shutdown_flag();
   }
   return options;
@@ -172,6 +166,12 @@ AppScenarios scenarios(const BenchSetup& setup, const apps::MiniApp& app,
       pipeline::make_context(traced.annotated,
                              pipeline::TraceVariant::kOverlapIdeal, options,
                              platform, replay)};
+}
+
+int report_error(const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return dynamic_cast<const UsageError*>(&e) != nullptr ? kExitUsage
+                                                         : kExitError;
 }
 
 }  // namespace osim::bench

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -41,14 +42,11 @@ struct BenchSetup {
   /// --cache-dir, --perf-json, the report path (registered here as
   /// --study-report: per-scenario makespans, wall times, cache behaviour),
   /// and the supervision flags (--scenario-timeout, --study-deadline,
-  /// --memory-budget, --journal, --resume, --canonical-report).
+  /// --memory-budget, --canonical-report).
   RunOptions run;
   /// Wall-clock zero for --perf-json (constructed with the setup, so the
   /// record covers the whole bench including tracing).
   PerfRecorder perf{"bench"};
-  /// The description passed to parse(); with the sweep-shaping flags it
-  /// forms the study identity the journal is keyed by.
-  std::string study_name;
 
   /// Registers the shared flags and parses argv. Returns false on --help.
   /// When any supervision flag was given, installs the graceful-shutdown
@@ -71,9 +69,8 @@ struct BenchSetup {
 
   /// Study sized by --jobs; replay results are cached across a bench run.
   /// Scenario recording is on when --study-report was given. Supervision
-  /// flags flow through: timeouts, the study deadline, the memory budget,
-  /// journal/resume (keyed by study_name + the sweep-shaping flags) and
-  /// the SIGINT/SIGTERM stop flag.
+  /// flags flow through: timeouts, the study deadline, the memory budget
+  /// and the SIGINT/SIGTERM stop flag.
   pipeline::StudyOptions study_options() const;
 
   /// End-of-run bookkeeping: writes the study report if --study-report was
@@ -119,5 +116,10 @@ struct AppScenarios {
 
 AppScenarios scenarios(const BenchSetup& setup, const apps::MiniApp& app,
                        const tracer::TracedRun& traced);
+
+/// The catch-all of every bench main: prints `e` and returns the exit code,
+/// kExitUsage for a bad command line (unknown flag, out-of-range value),
+/// kExitError otherwise.
+int report_error(const std::exception& e);
 
 }  // namespace osim::bench

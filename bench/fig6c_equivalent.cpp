@@ -76,6 +76,5 @@ int main(int argc, char** argv) try {
               setup.out_path("fig6c_equivalent.csv").c_str());
   return setup.finish(study);
 } catch (const std::exception& e) {
-  std::fprintf(stderr, "error: %s\n", e.what());
-  return 1;
+  return osim::bench::report_error(e);
 }

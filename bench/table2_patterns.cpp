@@ -122,6 +122,5 @@ int main(int argc, char** argv) try {
               setup.out_path("table2_patterns.csv").c_str());
   return setup.finish();
 } catch (const std::exception& e) {
-  std::fprintf(stderr, "error: %s\n", e.what());
-  return 1;
+  return osim::bench::report_error(e);
 }

@@ -53,7 +53,7 @@ if grep -rn --include='*.cpp' --include='*.hpp' -F '[[deprecated' \
 fi
 echo "shims OK (no [[deprecated]] under src/analysis/)"
 
-# One byte codec: every binary format (store, journal, RPC, binary traces)
+# One byte codec: every binary format (store objects, RPC, binary traces)
 # encodes its fields through common/bytes.hpp.
 if grep -rnE --include='*.cpp' --include='*.hpp' '\(8 \* i\)' "$ROOT/src" |
      grep -vE '^[^:]*/src/common/bytes\.hpp:'; then

@@ -310,6 +310,39 @@ set -e
 [ "$rc" -eq 2 ] || { echo "osim_overlap --chunks -3: expected exit 2, got $rc" >&2; exit 1; }
 grep -q -- "--chunks must be in" "$OUT/badchunks.txt"
 
+# The benches range-check the same flags: --chunks -2, --chunks 300 and
+# --scale 0 used to abort (exit 134) and --chunks 0 printed speedups of 1.
+for bad in "--chunks -2" "--chunks 300" "--scale 0" "--chunks 0" \
+           "--ranks 0" "--iterations 0"; do
+  set +e
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  "$BUILD/bench/fig6a_speedup" --ranks 4 --apps nas_cg \
+      --out-dir "$OUT/bench" $bad > /dev/null 2> "$OUT/badbench.txt"
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || { echo "fig6a_speedup $bad: expected exit 2, got $rc" >&2; exit 1; }
+  grep -q -- "${bad% *} must be in" "$OUT/badbench.txt" \
+      || { cat "$OUT/badbench.txt" >&2; exit 1; }
+done
+
+# The study journal is gone (a rerun on the same --cache-dir is the
+# resume), and so are thread-mode service workers: their flags are
+# unknown flags, never silently ignored.
+for case in "bench/fig6a_speedup --resume" "bench/fig6a_speedup --journal" \
+            "tools/osim_serve --socket $OUT/none.sock --journal" \
+            "tools/osim_serve --socket $OUT/none.sock --worker-mode thread" \
+            "tools/osim_cache stats --cache-dir $OUT/none --journals"; do
+  set +e
+  # shellcheck disable=SC2086  # $case is a binary plus its flags
+  "$BUILD/"$case > /dev/null 2> "$OUT/removed_flag.txt"
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || { echo "$case: expected exit 2, got $rc" >&2; exit 1; }
+  flag="${case##*--}"
+  grep -q -- "unknown flag --${flag%% *}" "$OUT/removed_flag.txt" \
+      || { cat "$OUT/removed_flag.txt" >&2; exit 1; }
+done
+
 # Truncated binary trace: strict read refuses with exit 3...
 head -c 40 "$OUT/pop.original.btrace" > "$OUT/pop.cut.btrace"
 set +e
@@ -594,7 +627,7 @@ PY
 # errors naming the flag, not silently ignored or wrapped to 2^64 - N.
 for case in "gc --max-bytes 1024 --max-objects -5|--max-objects" \
             "gc --max-bytes -1|--max-bytes" \
-            "verify --max-bytes 7 --json --journals|--journals does not apply" \
+            "verify --max-bytes 7 --json|--json does not apply" \
             "stats --max-objects 3|--max-objects" \
             "stats --json --jobs 2|--jobs"; do
   args="${case%|*}"

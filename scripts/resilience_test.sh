@@ -1,15 +1,15 @@
 #!/bin/sh
 # Resilience contract of the study supervision layer, exercised end to end
 # at the CLI:
-#   1. a journaled sweep killed -9 mid-flight (via OSIM_CRASH_POINT) and
-#      then --resume'd produces a canonical study report bit-identical to
-#      an uninterrupted run, with the skipped work served from the journal;
+#   1. a sweep killed -9 mid-flight (via OSIM_CRASH_POINT) and then simply
+#      rerun on the same --cache-dir produces a canonical study report
+#      bit-identical to an uninterrupted run: the store holds exactly the
+#      scenarios that completed, and the rerun serves them from disk;
 #   2. --scenario-timeout records the stopped scenario and the sweep
 #      completes normally (exit 0);
 #   3. --study-deadline drains the sweep, flushes a partial report and
 #      exits 5;
-#   4. SIGINT does the same through the graceful-shutdown handler;
-#   5. osim_cache lists journals and gc evicts only finished studies.
+#   4. SIGINT does the same through the graceful-shutdown handler.
 # Usage: resilience_test.sh <build_dir>
 set -e
 BUILD="$1"
@@ -21,61 +21,43 @@ unset OSIM_CRASH_POINT
 BENCH="$BUILD/bench/fig6a_speedup"
 SWEEP="--ranks 4 --iterations 2 --apps nas_cg --out-dir $OUT/bench"
 
-# --- 1a. reference: an uninterrupted journaled sweep ------------------------
+# --- 1a. reference: an uninterrupted sweep ---------------------------------
 
-"$BENCH" $SWEEP --cache-dir "$OUT/ref_cache" --journal \
+"$BENCH" $SWEEP --cache-dir "$OUT/ref_cache" \
     --study-report "$OUT/ref.json" --canonical-report > /dev/null 2>&1
 grep -q '"schema":"osim.study_report.canonical"' "$OUT/ref.json"
 grep -q '"status":"complete"' "$OUT/ref.json"
 
-# The finished study left a complete journal; stats sees it and gc evicts
-# it (while keeping the scenario objects within budget).
-"$BUILD/tools/osim_cache" stats --cache-dir "$OUT/ref_cache" --journals \
-    > "$OUT/ref_stats.txt"
-grep -q "journals: 1 (1 complete, 0 in progress)" "$OUT/ref_stats.txt"
-"$BUILD/tools/osim_cache" gc --cache-dir "$OUT/ref_cache" \
-    --max-bytes 1073741824 > "$OUT/ref_gc.txt"
-grep -q "removed 1 finished-study journal" "$OUT/ref_gc.txt"
-"$BUILD/tools/osim_cache" stats --cache-dir "$OUT/ref_cache" \
-    | grep -q "journals: 0"
+# --- 1b. kill -9 mid-sweep, then rerun on the same store --------------------
 
-# --- 1b. kill -9 mid-sweep, then --resume -----------------------------------
-
-# The crash point SIGKILLs the bench at its second journal append — after
-# one scenario is durably recorded, before the sweep finishes.
+# The crash point SIGKILLs the bench right after its second store object
+# is renamed into place — two scenarios durably stored, the sweep not
+# finished.
 set +e
-OSIM_CRASH_POINT=journal.append:2 "$BENCH" $SWEEP \
-    --cache-dir "$OUT/kill_cache" --journal > /dev/null 2>&1
+OSIM_CRASH_POINT=store.publish.renamed:2 "$BENCH" $SWEEP \
+    --cache-dir "$OUT/kill_cache" > /dev/null 2>&1
 rc=$?
 set -e
 [ "$rc" -eq 137 ] || { echo "crash run: expected SIGKILL (137), got $rc" >&2; exit 1; }
-
-# The torn run left an in-progress journal...
-"$BUILD/tools/osim_cache" stats --cache-dir "$OUT/kill_cache" --journals \
-    > "$OUT/kill_stats.txt"
-grep -q "journals: 1 (0 complete, 1 in progress)" "$OUT/kill_stats.txt"
-# ...which gc must NOT evict (a --resume still needs it).
-"$BUILD/tools/osim_cache" gc --cache-dir "$OUT/kill_cache" \
-    --max-bytes 1073741824 > /dev/null
+"$BUILD/tools/osim_cache" verify --cache-dir "$OUT/kill_cache" > /dev/null
 "$BUILD/tools/osim_cache" stats --cache-dir "$OUT/kill_cache" \
-    | grep -q "journals: 1"
+    | grep -q "^objects: 2$"
 
-# Resume: the sweep completes and the canonical report is bit-identical
-# to the uninterrupted reference.
-"$BENCH" $SWEEP --cache-dir "$OUT/kill_cache" --resume \
+# A plain rerun is the resume: it completes the sweep, and its canonical
+# report is bit-identical to the uninterrupted reference.
+"$BENCH" $SWEEP --cache-dir "$OUT/kill_cache" \
     --study-report "$OUT/resumed.json" --canonical-report > /dev/null 2>&1
 cmp "$OUT/ref.json" "$OUT/resumed.json"
-# skipped-resume is a journal-only marker; resumed results read "ok".
-if grep -q "skipped-resume" "$OUT/resumed.json"; then
-  echo "resumed report leaked a skipped-resume status" >&2
+
+# A second rerun serves every scenario from the disk tier.
+"$BENCH" $SWEEP --cache-dir "$OUT/kill_cache" \
+    --study-report "$OUT/resumed2.json" > /dev/null 2>&1
+grep -q '"tier":"disk"' "$OUT/resumed2.json"
+grep -q '"disk_hits":3' "$OUT/resumed2.json"
+if grep -q '"tier":"miss"' "$OUT/resumed2.json"; then
+  echo "second rerun replayed a scenario the store holds" >&2
   exit 1
 fi
-
-# A second resume serves every scenario from the journal tier.
-"$BENCH" $SWEEP --cache-dir "$OUT/kill_cache" --resume \
-    --study-report "$OUT/resumed2.json" > /dev/null 2>&1
-grep -q '"tier":"journal"' "$OUT/resumed2.json"
-grep -q '"journal_hits":3' "$OUT/resumed2.json"
 
 # --- 2. per-scenario timeout: sweep completes, scenario reported ------------
 

@@ -11,8 +11,8 @@
 #   4. poll/fetch/cancel/stats round-trip against live tickets;
 #   5. a SIGKILLed worker (via OSIM_CRASH_POINT) is reaped and its job
 #      retried — the client still gets its report;
-#   6. a --journal server restarted on the same store answers recorded
-#      scenarios from disk without recomputing;
+#   6. a server restarted on the same store answers the scenarios it
+#      stored from disk without recomputing;
 #   7. SIGTERM drains the server with exit 5; the shutdown RPC exits 0.
 # Usage: serve_test.sh <build_dir>
 set -e
@@ -37,7 +37,7 @@ SOCK="$OUT/osim.sock"
 
 # --- 1. byte-identity: service report == batch report ------------------------
 
-"$SERVE" --socket "$SOCK" --workers 2 --cache-dir "$OUT/cache" --journal \
+"$SERVE" --socket "$SOCK" --workers 2 --cache-dir "$OUT/cache" \
     2> "$OUT/serve1.log" &
 SERVE_PID=$!
 
@@ -160,9 +160,9 @@ SERVE_PID=""
 [ "$rc" -eq 5 ] || { echo "SIGTERM drain: expected exit 5, got $rc" >&2; exit 1; }
 [ ! -e "$SOCK" ] || { echo "drained server left its socket" >&2; exit 1; }
 
-# --- 6. restart on the same journaled store: served from disk ---------------
+# --- 6. restart on the same store: served from disk -------------------------
 
-"$SERVE" --socket "$SOCK" --workers 2 --cache-dir "$OUT/cache" --journal \
+"$SERVE" --socket "$SOCK" --workers 2 --cache-dir "$OUT/cache" \
     2> "$OUT/serve2.log" &
 SERVE_PID=$!
 "$CLIENT" submit --socket "$SOCK" --trace "$OUT/cg.original.trace" \
@@ -171,7 +171,7 @@ grep -q "^ticket $TICKET served$" "$OUT/restart.txt"
 cmp "$OUT/via_restart.json" "$OUT/via_batch.json"
 "$CLIENT" stats --socket "$SOCK" > "$OUT/stats2.json"
 grep -q '"replays_completed":0' "$OUT/stats2.json"
-grep -q '"journal_hits":1' "$OUT/stats2.json"
+grep -q '"dedupe_served_store":1' "$OUT/stats2.json"
 
 # --- 5. a SIGKILLed worker is retried; the client still gets its report -----
 

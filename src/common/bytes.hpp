@@ -1,8 +1,8 @@
 // The byte codec shared by every binary format in the repository: store
-// objects and index (store/), the study journal (supervise/), the OSIMRPC1
-// protocol (serve/) and OSIMBT01 binary traces (trace/binary_io).
+// objects (store/), the OSIMRPC1 protocol (serve/) and OSIMBT01 binary
+// traces (trace/binary_io).
 //
-// Every fixed-width field is little-endian. The store and journal may be
+// Every fixed-width field is little-endian. The store may be
 // shared between machines over a network filesystem and RPC peers may
 // differ in host order, so the byte order is pinned rather than
 // host-native. Variable-width integers are LEB128 (varint), signed ones

@@ -1,11 +1,12 @@
 // Crash-point injection for durability tests. Cold code on the store's
-// publication and the journal's append paths calls maybe_crash("name");
+// publication path and in the service's workers calls maybe_crash("name");
 // setting OSIM_CRASH_POINT=name (or name:N for the Nth hit) makes that
 // call SIGKILL the process on the spot — the same abrupt death as a
 // kill -9 or power loss, with none of the destructor/atexit cleanup a
 // normal exit would run. Tests then assert the invariant the atomic
 // temp+rename protocol promises: after any crash, a reader sees either
-// a valid object or a clean miss, never a torn read.
+// a valid object or a clean miss, never a torn read — so the store holds
+// exactly the scenarios that completed, and a rerun on it is the resume.
 //
 // The environment is re-read on every call (these are cold paths — one
 // getenv per store publication is noise) so death tests can flip the

@@ -1,8 +1,7 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) for the integrity
-// footers of trace files (one CRC per rank's byte range), store objects,
-// the store index and journals. Header-only and one-shot: every
-// checksummed format covers a contiguous byte range, so there is no
-// incremental form. The tables are built at compile time so there is no
+// footers of trace files (one CRC per rank's byte range) and store
+// objects. Header-only and one-shot: every checksummed format covers a
+// contiguous byte range, so there is no incremental form. The tables are built at compile time so there is no
 // init-order dependency.
 //
 // Slicing-by-8: eight table lookups per eight input bytes, independent of

@@ -44,21 +44,16 @@ void RunOptions::register_supervision_flags(Flags& flags) {
             "in-memory replay-cache budget (e.g. 64M, 1G, or bytes; "
             "empty = unbounded); under pressure results evict to the "
             "disk store instead of growing the heap");
-  flags.add("journal", &journal,
-            "record per-scenario terminal status in a study journal "
-            "inside the scenario store (requires --cache-dir)");
-  flags.add("resume", &resume,
-            "skip scenarios an earlier (killed or interrupted) run "
-            "already journaled as done; implies --journal");
   flags.add("canonical-report", &canonical_report,
             "write the report with deterministic fields only (no wall "
-            "times or cache tiers), so resumed and uninterrupted runs "
-            "can be diffed byte for byte");
+            "times or cache tiers), so a killed run finished by a rerun "
+            "on the same --cache-dir and an uninterrupted run can be "
+            "diffed byte for byte");
 }
 
 bool RunOptions::supervision_requested() const {
   return scenario_timeout_s > 0.0 || study_deadline_s > 0.0 ||
-         !memory_budget.empty() || journal || resume || canonical_report;
+         !memory_budget.empty() || canonical_report;
 }
 
 int RunOptions::resolved_jobs() const {

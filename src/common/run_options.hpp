@@ -44,13 +44,9 @@ struct RunOptions {
   /// In-memory replay-cache budget, e.g. "64M", "1G", "4096" (bytes);
   /// empty = unbounded. Under pressure results evict to the disk store.
   std::string memory_budget;
-  /// Write a study journal so a killed run can be resumed (--journal).
-  bool journal = false;
-  /// Skip scenarios the journal already records as done (--resume;
-  /// implies --journal).
-  bool resume = false;
-  /// Emit the canonical study report (deterministic fields only), so an
-  /// interrupted+resumed run can be diffed against an uninterrupted one.
+  /// Emit the canonical study report (deterministic fields only), so a
+  /// killed run finished by a rerun on the same store can be diffed
+  /// against an uninterrupted one.
   bool canonical_report = false;
 
   /// Registers the shared flags. `report_flag` names this binary's report
@@ -60,7 +56,7 @@ struct RunOptions {
                       const std::string& report_help);
 
   /// Registers the supervision flags (--scenario-timeout, --study-deadline,
-  /// --memory-budget, --journal, --resume, --canonical-report). Separate
+  /// --memory-budget, --canonical-report). Separate
   /// from register_flags so binaries adopt supervision deliberately.
   void register_supervision_flags(Flags& flags);
 

@@ -104,10 +104,10 @@ struct Counts {
   friend bool operator==(const Counts&, const Counts&) = default;
 };
 
-/// The one persisted form of Counts, shared by store objects and journal
-/// records: u8 enabled, the eight u64 counters in declaration order, then
-/// the two f64 totals. Header-only so the journal (osim_supervise) can use
-/// it without linking this library.
+/// The one persisted form of Counts, in store objects: u8 enabled, the
+/// eight u64 counters in declaration order, then the two f64 totals.
+/// Header-only so the store (osim_store) can use it without linking this
+/// library.
 inline void write_counts(bytes::Writer& out, const Counts& c) {
   out.boolean(c.enabled);
   out.u64(c.seed);

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/expect.hpp"
+#include "common/strings.hpp"
 
 namespace osim::metrics {
 
@@ -70,6 +71,13 @@ JsonWriter& JsonWriter::value(double number) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.17g", number);
   out_.append(buffer);
+  return *this;
+}
+
+JsonWriter& JsonWriter::fixed(double number, int decimals) {
+  if (!std::isfinite(number)) return null();
+  comma();
+  out_.append(strprintf("%.*f", decimals, number));
   return *this;
 }
 

@@ -33,6 +33,9 @@ class JsonWriter {
     return value(static_cast<std::int64_t>(number));
   }
   JsonWriter& value(bool boolean);
+  /// `number` with exactly `decimals` digits after the point (%.*f), for
+  /// measured values whose width should not depend on their magnitude.
+  JsonWriter& fixed(double number, int decimals);
   JsonWriter& null();
 
   /// The finished document. Valid once every begin_* has been closed.

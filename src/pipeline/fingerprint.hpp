@@ -29,7 +29,7 @@ struct Fingerprint {
 /// Two-lane FNV-1a with distinct offset bases; both lanes see the same byte
 /// stream, so a collision requires both 64-bit hashes to collide at once.
 /// Every fingerprint in the repository (scenario contexts, lint keys,
-/// report addresses, study journals) is built with this one hasher, over
+/// report addresses) is built with this one hasher, over
 /// the little-endian bytes of its fields.
 class FingerprintHasher {
  public:

@@ -256,8 +256,6 @@ std::string study_report_json(const Study& study,
   w.key("hits").value(static_cast<std::uint64_t>(study.cache_hits()));
   w.key("disk_hits").value(static_cast<std::uint64_t>(study.disk_hits()));
   if (study.supervised()) {
-    w.key("journal_hits")
-        .value(static_cast<std::uint64_t>(study.journal_hits()));
     w.key("evictions")
         .value(static_cast<std::uint64_t>(study.cache_evictions()));
   }
@@ -270,11 +268,11 @@ std::string study_report_json(const Study& study,
     w.key("label").value(record.label);
     w.key("fingerprint").value(to_hex(record.fingerprint));
     w.key("makespan_s").value(record.makespan);
-    w.key("wall_s").value(record.wall_s);
+    w.key("wall_s").fixed(record.wall_s, 6);
     w.key("cache_hit").value(record.cache_hit);
     w.key("tier").value(cache_tier_name(record.cache_tier));
     if (study.supervised()) {
-      w.key("status").value(supervise::scenario_status_name(record.status));
+      w.key("status").value(scenario_status_name(record.status));
       if (record.partial_blocked_s != 0.0) {
         w.key("partial_blocked_s").value(record.partial_blocked_s);
       }
@@ -310,7 +308,7 @@ std::string study_report_canonical_json(const Study& study) {
     w.key("label").value(record.label);
     w.key("fingerprint").value(to_hex(record.fingerprint));
     w.key("makespan_s").value(record.makespan);
-    w.key("status").value(supervise::scenario_status_name(record.status));
+    w.key("status").value(scenario_status_name(record.status));
     if (record.fault_counts.enabled) {
       w.key("faults");
       write_fault_counts(w, record.fault_counts);

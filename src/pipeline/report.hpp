@@ -46,7 +46,9 @@ std::string run_report_json(const ReplayContext& context,
                             store::ScenarioStore* store, int lint_jobs = 1);
 
 /// JSON report for a sweep: cache statistics plus one record per evaluated
-/// scenario (requires StudyOptions::record_scenarios for the latter).
+/// scenario (requires StudyOptions::record_scenarios for the latter). Wall
+/// times are printed at a fixed microsecond precision, so the document's
+/// size does not depend on how fast the replays ran.
 std::string study_report_json(const Study& study);
 
 /// Same, with a "lint" block covering the study's input trace; nullptr is
@@ -65,8 +67,8 @@ std::string study_report_json(const Study& study,
 /// attribution — with wall times, cache tiers and hit counters omitted.
 /// Two runs that evaluated the same scenarios to the same results render
 /// byte-identically, regardless of --jobs, cache warmth, or how many
-/// kill/--resume round trips it took; scripts/resilience_test.sh diffs
-/// these documents with cmp.
+/// times a killed sweep was rerun on the same store to finish it;
+/// scripts/resilience_test.sh diffs these documents with cmp.
 std::string study_report_canonical_json(const Study& study);
 
 /// Writes `json` to `path`; throws osim::Error on I/O failure.

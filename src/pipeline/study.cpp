@@ -29,10 +29,22 @@ const char* cache_tier_name(CacheTier tier) {
       return "memory";
     case CacheTier::kDisk:
       return "disk";
-    case CacheTier::kJournal:
-      return "journal";
   }
   OSIM_UNREACHABLE("bad CacheTier");
+}
+
+const char* scenario_status_name(ScenarioStatus status) {
+  switch (status) {
+    case ScenarioStatus::kOk:
+      return "ok";
+    case ScenarioStatus::kTimeout:
+      return "timeout";
+    case ScenarioStatus::kCancelled:
+      return "cancelled";
+    case ScenarioStatus::kFailed:
+      return "failed";
+  }
+  OSIM_UNREACHABLE("bad ScenarioStatus");
 }
 
 Study::Study(StudyOptions options)
@@ -43,30 +55,10 @@ Study::Study(StudyOptions options)
   }
   supervised_ = options_.scenario_timeout_s > 0.0 ||
                 options_.study_deadline_s > 0.0 ||
-                options_.memory_budget_bytes > 0 || options_.journal ||
-                options_.resume || options_.stop_flag != nullptr;
+                options_.memory_budget_bytes > 0 ||
+                options_.stop_flag != nullptr;
   if (options_.study_deadline_s > 0.0) {
     study_deadline_ = deadline_after(options_.study_deadline_s);
-  }
-  if (options_.journal || options_.resume) {
-    if (cache_dir.empty()) {
-      throw Error(
-          "study journal requires a scenario store: pass --cache-dir or "
-          "set $OSIM_CACHE_DIR");
-    }
-    journal_ = std::make_unique<supervise::StudyJournal>(
-        cache_dir, supervise::study_fingerprint(options_.study_id));
-    if (options_.resume) {
-      // Completed entries (including ones an earlier resume itself served)
-      // become the resume tier; timeout/cancelled/failed entries are NOT
-      // resumable — a rerun should retry them.
-      for (const supervise::JournalEntry& entry : journal_->recovered()) {
-        if (entry.status == supervise::ScenarioStatus::kOk ||
-            entry.status == supervise::ScenarioStatus::kSkippedResume) {
-          resume_map_[entry.fingerprint] = entry;
-        }
-      }
-    }
   }
   // jobs_ - 1 workers: in map(), the calling thread is the remaining lane.
   workers_.reserve(static_cast<std::size_t>(jobs_ > 1 ? jobs_ - 1 : 0));
@@ -86,16 +78,6 @@ Study::~Study() {
   // disk, flaky mount): anything still failing is abandoned — the store
   // is a cache, never a correctness dependency.
   drain_pending_writes(/*force=*/true);
-  if (journal_ != nullptr && !interrupted()) {
-    // The sweep ran to its natural end (timeouts and failures included):
-    // mark the journal finished so osim_cache gc may evict it. An
-    // interrupted study keeps an open journal for --resume.
-    try {
-      journal_->append_complete();
-    } catch (const Error&) {
-      // Destructor: an unwritable journal only costs the gc eligibility.
-    }
-  }
 }
 
 void Study::enqueue(std::function<void()> task) {
@@ -130,69 +112,26 @@ double Study::makespan(const ReplayContext& context, std::string_view label) {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     if (const auto it = cache_.find(key); it != cache_.end()) {
       ++hits_;
-      ScenarioRecord record{key,   it->second.makespan,
-                            0.0,   true,
-                            std::string(label), it->second.fault_counts,
-                            it->second.fault_wait_s,
-                            it->second.progress_wait_s, CacheTier::kMemory};
-      record_scenario(std::move(record));
+      record_completed(key, label, it->second, 0.0, CacheTier::kMemory);
       return it->second.makespan;
-    }
-  }
-  // Resume tier: a previous (killed or interrupted) run of this study
-  // journaled the scenario as completed, entry values included, so it is
-  // served without replaying and without even needing the store object to
-  // still exist. The journal gets a skipped-resume entry — the record
-  // itself stays status ok, because the *result* is a completed one.
-  if (!resume_map_.empty()) {
-    if (const auto it = resume_map_.find(key); it != resume_map_.end()) {
-      CachedRun cached;
-      cached.makespan = it->second.makespan;
-      cached.fault_counts = it->second.fault_counts;
-      cached.fault_wait_s = it->second.fault_wait_s;
-      cached.progress_wait_s = it->second.progress_wait_s;
-      {
-        std::lock_guard<std::mutex> lock(cache_mutex_);
-        ++journal_hits_;
-        cache_insert(key, cached);
-      }
-      journal_append(key, supervise::ScenarioStatus::kSkippedResume, cached,
-                     0.0);
-      ScenarioRecord record{key,   cached.makespan,
-                            0.0,   true,
-                            std::string(label), cached.fault_counts,
-                            cached.fault_wait_s,
-                            cached.progress_wait_s, CacheTier::kJournal};
-      record_scenario(std::move(record));
-      return cached.makespan;
     }
   }
   // Disk tier: read through the persistent store before paying for a
   // replay. Because the fingerprint covers the full (trace, platform,
   // options) content and replay is pure, a stored artifact is bit-identical
-  // to what a cold evaluation would produce.
+  // to what a cold evaluation would produce. The store holds exactly the
+  // scenarios that completed, so this tier is also what makes a rerun of
+  // a killed or interrupted sweep on the same store a resume.
   if (store_ != nullptr) {
     if (const std::optional<store::ScenarioArtifact> artifact =
             store_->load(key)) {
-      CachedRun cached;
-      cached.makespan = artifact->makespan;
-      cached.fault_counts = artifact->fault_counts;
-      cached.fault_wait_s = artifact->fault_wait_s;
-      cached.progress_wait_s = artifact->progress_wait_s;
+      const CachedRun cached = CachedRun::of(*artifact);
       {
         std::lock_guard<std::mutex> lock(cache_mutex_);
         ++disk_hits_;
         cache_insert(key, cached);  // promote into the memory tier
       }
-      if (supervised_) {
-        journal_append(key, supervise::ScenarioStatus::kOk, cached, 0.0);
-      }
-      ScenarioRecord record{key,   cached.makespan,
-                            0.0,   true,
-                            std::string(label), cached.fault_counts,
-                            cached.fault_wait_s,
-                            cached.progress_wait_s, CacheTier::kDisk};
-      record_scenario(std::move(record));
+      record_completed(key, label, cached, 0.0, CacheTier::kDisk);
       return cached.makespan;
     }
   }
@@ -229,15 +168,13 @@ double Study::makespan(const ReplayContext& context, std::string_view label) {
       return record_stopped(key, label, e.cause(), e.partial(), wall_s);
     } catch (const Error& e) {
       // Under supervision a bad scenario (malformed trace, deadlock) is a
-      // journaled terminal status, not a sweep abort.
+      // recorded terminal status, not a sweep abort.
       std::fprintf(stderr, "warning: scenario %s failed: %s\n",
                    to_hex(key).c_str(), e.what());
-      journal_append(key, supervise::ScenarioStatus::kFailed, CachedRun{},
-                     0.0);
       ScenarioRecord record;
       record.fingerprint = key;
       record.label = std::string(label);
-      record.status = supervise::ScenarioStatus::kFailed;
+      record.status = ScenarioStatus::kFailed;
       record_scenario(std::move(record));
       return 0.0;
     }
@@ -247,11 +184,7 @@ double Study::makespan(const ReplayContext& context, std::string_view label) {
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - wall_begin).count();
   const store::ScenarioArtifact artifact = store::make_artifact(result);
-  CachedRun cached;
-  cached.makespan = artifact.makespan;
-  cached.fault_counts = artifact.fault_counts;
-  cached.fault_wait_s = artifact.fault_wait_s;
-  cached.progress_wait_s = artifact.progress_wait_s;
+  const CachedRun cached = CachedRun::of(artifact);
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
     cache_insert(key, cached);
@@ -259,14 +192,18 @@ double Study::makespan(const ReplayContext& context, std::string_view label) {
   if (store_ != nullptr) {
     store_save(key, artifact);  // write-behind, queued for retry on failure
   }
-  journal_append(key, supervise::ScenarioStatus::kOk, cached, 0.0);
-  ScenarioRecord record{key,   cached.makespan,
-                        wall_s, false,
-                        std::string(label), cached.fault_counts,
-                        cached.fault_wait_s,
-                        cached.progress_wait_s, CacheTier::kMiss};
-  record_scenario(std::move(record));
+  record_completed(key, label, cached, wall_s, CacheTier::kMiss);
   return cached.makespan;
+}
+
+void Study::record_completed(const Fingerprint& key, std::string_view label,
+                             const CachedRun& run, double wall_s,
+                             CacheTier tier) {
+  if (!options_.record_scenarios) return;
+  record_scenario(ScenarioRecord{key, run.makespan, wall_s,
+                                 tier != CacheTier::kMiss, std::string(label),
+                                 run.fault_counts, run.fault_wait_s,
+                                 run.progress_wait_s, tier});
 }
 
 void Study::cache_insert(const Fingerprint& key, const CachedRun& run) {
@@ -295,43 +232,15 @@ void Study::cache_insert(const Fingerprint& key, const CachedRun& run) {
   }
 }
 
-void Study::journal_append(const Fingerprint& key,
-                           supervise::ScenarioStatus status,
-                           const CachedRun& run, double partial_blocked_s) {
-  if (journal_ == nullptr) return;
-  supervise::JournalEntry entry;
-  entry.fingerprint = key;
-  entry.status = status;
-  entry.makespan = run.makespan;
-  entry.fault_wait_s = run.fault_wait_s;
-  entry.progress_wait_s = run.progress_wait_s;
-  entry.partial_blocked_s = partial_blocked_s;
-  entry.fault_counts = run.fault_counts;
-  try {
-    journal_->append(entry);
-  } catch (const Error& e) {
-    if (!warned_store_write_.exchange(true)) {
-      std::fprintf(stderr,
-                   "warning: study journal write failed (%s); resume "
-                   "coverage will be incomplete\n",
-                   e.what());
-    }
-  }
-}
-
 double Study::record_stopped(const Fingerprint& key, std::string_view label,
                              StopCause cause, const PartialProgress& partial,
                              double wall_s) {
-  const supervise::ScenarioStatus status =
-      cause == StopCause::kScenarioTimeout
-          ? supervise::ScenarioStatus::kTimeout
-          : supervise::ScenarioStatus::kCancelled;
+  const ScenarioStatus status = cause == StopCause::kScenarioTimeout
+                                   ? ScenarioStatus::kTimeout
+                                   : ScenarioStatus::kCancelled;
   if (cause != StopCause::kScenarioTimeout) {
     interrupted_.store(true, std::memory_order_relaxed);
   }
-  CachedRun partial_run;
-  partial_run.makespan = partial.sim_time_s;
-  journal_append(key, status, partial_run, partial.blocked_s);
   ScenarioRecord record;
   record.fingerprint = key;
   record.makespan = partial.sim_time_s;
@@ -440,11 +349,6 @@ std::size_t Study::cache_size() const {
 std::size_t Study::disk_hits() const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   return disk_hits_;
-}
-
-std::size_t Study::journal_hits() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  return journal_hits_;
 }
 
 std::size_t Study::cache_evictions() const {

@@ -39,7 +39,6 @@
 #include "faults/model.hpp"
 #include "pipeline/context.hpp"
 #include "store/store.hpp"
-#include "supervise/journal.hpp"
 
 namespace osim::pipeline {
 
@@ -75,18 +74,6 @@ struct StudyOptions {
   /// computed result is written behind to) keeps serving them, so long
   /// sweeps degrade to warm-disk speed instead of growing the heap.
   std::int64_t memory_budget_bytes = 0;
-  /// Maintain a write-ahead study journal (supervise::StudyJournal) under
-  /// the store root, recording each scenario's terminal status. Requires
-  /// a cache_dir (or $OSIM_CACHE_DIR).
-  bool journal = false;
-  /// Serve scenarios an earlier run's journal recorded as completed
-  /// without replaying them (their journal entries carry the results).
-  /// Implies journal.
-  bool resume = false;
-  /// Identity string naming this study for the journal key — the bench
-  /// name plus every sweep-shaping parameter. Two runs that would evaluate
-  /// the same scenario set must use the same id.
-  std::string study_id;
   /// External stop flag (typically common/signals.hpp's shutdown_flag());
   /// when it goes true, in-flight replays stop cooperatively and pending
   /// scenarios are recorded as cancelled. Null = no external stop source.
@@ -95,11 +82,23 @@ struct StudyOptions {
 
 /// Which tier answered a makespan() evaluation. kMiss means the scenario
 /// was actually replayed (and written behind to the store when one is
-/// configured); kJournal means a previous run's journal entry served it
-/// (--resume) without touching the object store.
-enum class CacheTier { kMiss, kMemory, kDisk, kJournal };
+/// configured).
+enum class CacheTier { kMiss, kMemory, kDisk };
 
 const char* cache_tier_name(CacheTier tier);
+
+/// Terminal status of one scenario within a supervised study. Only kOk
+/// results are cached or stored, so a rerun on the same store serves the
+/// completed scenarios and retries every other one.
+enum class ScenarioStatus : std::uint8_t {
+  kOk = 0,         ///< replay completed; result is cached/cacheable
+  kTimeout = 1,    ///< stopped by --scenario-timeout; partial result
+  kCancelled = 2,  ///< stopped by SIGINT/SIGTERM or --study-deadline
+  kFailed = 3,     ///< replay threw (bad trace, deadlock, ...)
+};
+
+/// Stable report names: ok|timeout|cancelled|failed.
+const char* scenario_status_name(ScenarioStatus status);
 
 /// One evaluated sweep scenario: what was replayed, the result, and what it
 /// cost. Records accumulate in completion order, which depends on thread
@@ -124,9 +123,8 @@ struct ScenarioRecord {
   /// Tier that served this evaluation; cache_hit == (tier != kMiss).
   CacheTier cache_tier = CacheTier::kMiss;
   /// Terminal status under supervision. Always kOk for unsupervised
-  /// studies — and for resumed scenarios, which carry completed results
-  /// (the skipped-resume marker lives only in the journal).
-  supervise::ScenarioStatus status = supervise::ScenarioStatus::kOk;
+  /// studies and for every cache hit.
+  ScenarioStatus status = ScenarioStatus::kOk;
   /// For kTimeout/kCancelled: total per-rank blocked time at the stop
   /// (partial wait attribution). 0 otherwise.
   double partial_blocked_s = 0.0;
@@ -160,8 +158,6 @@ class Study {
   std::size_t cache_size() const;
   /// Scenarios served from the persistent store (0 without a cache_dir).
   std::size_t disk_hits() const;
-  /// Scenarios served from a previous run's journal (--resume).
-  std::size_t journal_hits() const;
   /// Memory-tier entries dropped under --memory-budget pressure.
   std::size_t cache_evictions() const;
 
@@ -174,9 +170,6 @@ class Study {
   bool interrupted() const {
     return interrupted_.load(std::memory_order_relaxed);
   }
-  /// The journal backing --journal/--resume, or nullptr.
-  supervise::StudyJournal* journal() const { return journal_.get(); }
-
   /// Store writes queued for retry after a failed write-behind (retried
   /// with exponential backoff as the sweep progresses; flushed again at
   /// destruction). Non-zero only while the store is misbehaving.
@@ -210,17 +203,23 @@ class Study {
     faults::Counts fault_counts;
     double fault_wait_s = 0.0;
     double progress_wait_s = 0.0;
+
+    static CachedRun of(const store::ScenarioArtifact& artifact) {
+      return {artifact.makespan, artifact.fault_counts, artifact.fault_wait_s,
+              artifact.progress_wait_s};
+    }
   };
 
   /// Inserts under the memory budget, evicting oldest-first when over
   /// (cache_mutex_ must be held).
   void cache_insert(const Fingerprint& key, const CachedRun& run);
-  /// Journals `status` for `key` when a journal is configured.
-  void journal_append(const Fingerprint& key, supervise::ScenarioStatus status,
-                      const CachedRun& run, double partial_blocked_s);
-  /// The stopped-replay tail of makespan(): records/journals the scenario
-  /// with its partial progress and flags the study interrupted for
-  /// non-timeout causes. Returns the partial simulated time.
+  /// Records a completed run as served by `tier`.
+  void record_completed(const Fingerprint& key, std::string_view label,
+                        const CachedRun& run, double wall_s, CacheTier tier);
+  /// The stopped-replay tail of makespan(): records the scenario with its
+  /// partial progress (nothing is cached or stored, so a rerun retries
+  /// it) and flags the study interrupted for non-timeout causes. Returns
+  /// the partial simulated time.
   double record_stopped(const Fingerprint& key, std::string_view label,
                         StopCause cause, const PartialProgress& partial,
                         double wall_s);
@@ -237,7 +236,6 @@ class Study {
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::size_t disk_hits_ = 0;
-  std::size_t journal_hits_ = 0;
   std::size_t evictions_ = 0;
   /// Insertion order for budget eviction (tracked only under a budget).
   std::deque<Fingerprint> insertion_order_;
@@ -265,10 +263,6 @@ class Study {
   /// Absolute study deadline (Clock::time_point::max() = unbounded).
   Clock::time_point study_deadline_ = Clock::time_point::max();
   std::atomic<bool> interrupted_ = false;
-  std::unique_ptr<supervise::StudyJournal> journal_;
-  /// Completed scenarios recovered from the journal, served on --resume.
-  std::unordered_map<Fingerprint, supervise::JournalEntry, FingerprintHash>
-      resume_map_;
 
   mutable std::mutex scenario_mutex_;
   std::vector<ScenarioRecord> scenarios_;

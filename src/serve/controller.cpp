@@ -23,7 +23,6 @@
 #include "serve/stats.hpp"
 #include "serve/worker.hpp"
 #include "store/store.hpp"
-#include "supervise/journal.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define OSIM_HAVE_SERVE_POSIX 1
@@ -55,7 +54,6 @@ struct Controller::Impl {
 
   ControllerOptions options;
   std::unique_ptr<store::ScenarioStore> store;
-  std::unique_ptr<supervise::StudyJournal> journal;
   std::unique_ptr<WorkerPool> pool;
   int unix_listen_fd = -1;
   int tcp_listen_fd = -1;
@@ -112,17 +110,12 @@ struct Controller::Impl {
   };
   std::map<std::string, ProbedTrace> trace_cache;
 
-  /// Scenario fingerprints recovered from the journal at startup: the
-  /// restart-resume set.
-  std::set<std::string> journal_completed;  // hex, set ordering is cheap
-
   // --- counters (server-stats) ---------------------------------------------
 
   std::uint64_t submits = 0;
   std::uint64_t dedupe_shared = 0;
   std::uint64_t dedupe_served_memory = 0;
   std::uint64_t dedupe_served_store = 0;
-  std::uint64_t journal_hits = 0;
   std::uint64_t busy_rejects = 0;
   std::uint64_t bad_requests = 0;
   std::uint64_t replays_completed = 0;
@@ -132,23 +125,9 @@ struct Controller::Impl {
 
   // --- setup ----------------------------------------------------------------
 
-  void open_store_and_journal() {
+  void open_store() {
     if (options.cache_dir.empty()) return;
     store = std::make_unique<store::ScenarioStore>(options.cache_dir);
-    if (!options.journal) return;
-    // The service's journal identity is its socket path: the same service
-    // restarted resumes its own record, two services on different sockets
-    // keep separate ones. Deliberately never append_complete() — an
-    // always-on service is never "finished", which keeps gc from evicting
-    // the journal out from under the next restart.
-    journal = std::make_unique<supervise::StudyJournal>(
-        options.cache_dir,
-        supervise::study_fingerprint("osim_serve:" + options.socket_path));
-    for (const supervise::JournalEntry& entry : journal->recovered()) {
-      if (entry.status == supervise::ScenarioStatus::kOk) {
-        journal_completed.insert(pipeline::to_hex(entry.fingerprint));
-      }
-    }
   }
 
   void open_listeners() {
@@ -339,13 +318,6 @@ struct Controller::Impl {
           // the next restart a recompute.
         }
       }
-      if (journal) {
-        supervise::JournalEntry entry;
-        entry.fingerprint = job.ticket;
-        entry.status = supervise::ScenarioStatus::kOk;
-        journal->append(entry);
-        journal_completed.insert(pipeline::to_hex(job.ticket));
-      }
       done_order.push_back(job.ticket);
     } else {
       job.state = JobState::kFailed;
@@ -455,9 +427,6 @@ struct Controller::Impl {
         job.report_json = std::move(*report);
         done_order.push_back(ticket);
         ++dedupe_served_store;
-        if (journal_completed.count(pipeline::to_hex(ticket)) != 0) {
-          ++journal_hits;
-        }
         trim_done();
         return TicketInfo{ticket, SubmitDisposition::kServed};
       }
@@ -871,7 +840,7 @@ struct Controller::Impl {
     metrics::JsonWriter writer;
     writer.begin_object();
     writer.key("schema").value("osim.serve_stats");
-    writer.key("version").value(std::int64_t{2});
+    writer.key("version").value(std::int64_t{3});
     writer.key("socket").value(options.socket_path);
     writer.key("draining").value(draining);
     writer.key("clients").value(
@@ -905,7 +874,6 @@ struct Controller::Impl {
     writer.key("dedupe_shared").value(dedupe_shared);
     writer.key("dedupe_served_memory").value(dedupe_served_memory);
     writer.key("dedupe_served_store").value(dedupe_served_store);
-    writer.key("journal_hits").value(journal_hits);
     writer.key("busy_rejects").value(busy_rejects);
     writer.key("bad_requests").value(bad_requests);
     writer.key("replays_completed").value(replays_completed);
@@ -934,16 +902,9 @@ struct Controller::Impl {
     writer.end_array();
     writer.end_object();
 
-    writer.key("journal").begin_object();
-    writer.key("enabled").value(journal != nullptr);
-    writer.key("recovered")
-        .value(static_cast<std::uint64_t>(journal_completed.size()));
-    writer.end_object();
-
     if (store) {
       writer.key("store").begin_object();
-      write_store_stats_fields(writer, *store,
-                               supervise::list_journals(store->root()));
+      write_store_stats_fields(writer, *store);
       writer.end_object();
     } else {
       writer.key("store").null();
@@ -958,11 +919,10 @@ struct Controller::Impl {
     ignore_sigpipe();
     install_graceful_shutdown();
     install_child_reaper();
-    open_store_and_journal();
+    open_store();
     open_listeners();
     WorkerOptions worker_options;
     worker_options.count = options.workers;
-    worker_options.use_fork = options.fork_workers;
     worker_options.serve_binary = options.serve_binary;
     worker_options.cache_dir = options.cache_dir;
     pool = std::make_unique<WorkerPool>(worker_options);

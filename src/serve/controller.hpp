@@ -26,10 +26,10 @@
 //   retries     a worker death (SIGKILL, OOM, crash) requeues its in-
 //               flight jobs at the front; a job that kills max_retries+1
 //               workers in a row is failed, not retried forever.
-//   durability  with a store and --journal, finished reports persist as
-//               store objects (kind "OSIMRPT1") and the service's journal
-//               records the fingerprints — a restarted controller answers
-//               those scenarios from disk without recomputing.
+//   durability  with a store, finished reports persist as store objects
+//               (kind "OSIMRPT1", addressed by ticket) — a restarted
+//               controller answers those scenarios from disk without
+//               recomputing.
 //   drain       SIGTERM/SIGINT stop intake, let running jobs finish,
 //               cancel the queue, answer every waiter, and exit with code
 //               5 (common/exit_codes.hpp); the shutdown RPC does the same
@@ -43,21 +43,16 @@
 namespace osim::serve {
 
 struct ControllerOptions {
-  /// Unix-domain socket path (required; also the service's durable
-  /// identity — the journal key hashes it).
+  /// Unix-domain socket path (required).
   std::string socket_path;
   /// Additionally listen on 127.0.0.1:<tcp_port> (0 = Unix socket only).
   int tcp_port = 0;
   int workers = 2;
-  /// fork+exec worker processes (needs serve_binary); false = in-process
-  /// thread workers (unit tests, non-POSIX builds).
-  bool fork_workers = true;
+  /// This binary's path: every worker is a fork+exec of it.
   std::string serve_binary;
   /// Scenario store root ('' = no disk tier: no report objects, no lint
-  /// cache, no journal).
+  /// cache).
   std::string cache_dir;
-  /// Journal completed scenarios so a controller restart resumes cleanly.
-  bool journal = false;
   /// Admission control: refuse submits beyond this many queued jobs...
   std::int64_t max_queue = 64;
   /// ...or once the queued jobs' trace files sum past this many bytes.

@@ -12,7 +12,7 @@
 //               before any allocation happens.
 //
 // Decoding is strict and total, like every other format in this repo
-// (store objects, journals, binary traces): decode_client_message() /
+// (store objects, binary traces): decode_client_message() /
 // decode_server_message() return nullopt on anything malformed — unknown
 // type, short body, trailing bytes, oversized string — and never throw on
 // content. The framing fuzzer in tests/serve_test.cpp holds them to that.

@@ -5,25 +5,20 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "metrics/json.hpp"
 #include "store/store.hpp"
-#include "supervise/journal.hpp"
 
 namespace osim::serve {
 
-/// Writes the store-statistics object body — totals, process-local probe
-/// counters, journal summary — into an already-open JSON object scope on
-/// `writer` (no begin/end_object, so callers embed it in their own
-/// documents). `journals` comes from supervise::list_journals(root).
-void write_store_stats_fields(
-    metrics::JsonWriter& writer, store::ScenarioStore& store,
-    const std::vector<supervise::JournalInfo>& journals);
+/// Writes the store-statistics object body — totals and process-local
+/// probe counters — into an already-open JSON object scope on `writer`
+/// (no begin/end_object, so callers embed it in their own documents).
+void write_store_stats_fields(metrics::JsonWriter& writer,
+                              store::ScenarioStore& store);
 
 /// The standalone document `osim_cache stats --json` prints: schema
-/// "osim.cache_stats" version 2 wrapping the shared fields.
-std::string cache_stats_json(store::ScenarioStore& store,
-                             const std::vector<supervise::JournalInfo>& journals);
+/// "osim.cache_stats" version 3 wrapping the shared fields.
+std::string cache_stats_json(store::ScenarioStore& store);
 
 }  // namespace osim::serve

@@ -142,59 +142,46 @@ void WorkerPool::start() {
 }
 
 void WorkerPool::spawn(Worker& worker) {
+  if (options_.serve_binary.empty()) {
+    throw Error("workers need the server binary path");
+  }
   int sv[2] = {-1, -1};
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
     throw Error(strprintf("socketpair failed: %s", std::strerror(errno)));
   }
-  if (options_.use_fork) {
-    if (options_.serve_binary.empty()) {
-      ::close(sv[0]);
-      ::close(sv[1]);
-      throw Error("fork-mode workers need the server binary path");
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(sv[0]);
-      ::close(sv[1]);
-      throw Error(strprintf("fork failed: %s", std::strerror(errno)));
-    }
-    if (pid == 0) {
-      // Child: job socket on a fixed fd, then a fresh address space.
-      ::close(sv[0]);
-      if (::dup2(sv[1], 3) < 0) _exit(127);
-      if (sv[1] != 3) ::close(sv[1]);
-      const char* argv[8];
-      int argc = 0;
-      argv[argc++] = options_.serve_binary.c_str();
-      argv[argc++] = "--worker";
-      argv[argc++] = "--worker-fd";
-      argv[argc++] = "3";
-      if (!options_.cache_dir.empty()) {
-        argv[argc++] = "--cache-dir";
-        argv[argc++] = options_.cache_dir.c_str();
-      }
-      argv[argc] = nullptr;
-      ::execv(options_.serve_binary.c_str(),
-              const_cast<char* const*>(argv));
-      _exit(127);
-    }
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(sv[0]);
     ::close(sv[1]);
-    // The controller's end must not leak into later workers' exec images,
-    // and its reads must never block the event loop.
-    ::fcntl(sv[0], F_SETFD, FD_CLOEXEC);
-    ::fcntl(sv[0], F_SETFL, O_NONBLOCK);
-    worker.fd = sv[0];
-    worker.pid = static_cast<int>(pid);
-  } else {
-    ::fcntl(sv[0], F_SETFD, FD_CLOEXEC);
-    ::fcntl(sv[0], F_SETFL, O_NONBLOCK);
-    const int child_fd = sv[1];
-    const std::string cache_dir = options_.cache_dir;
-    worker.thread = std::make_unique<std::thread>(
-        [child_fd, cache_dir]() { run_worker_loop(child_fd, cache_dir); });
-    worker.fd = sv[0];
-    worker.pid = -1;
+    throw Error(strprintf("fork failed: %s", std::strerror(errno)));
   }
+  if (pid == 0) {
+    // Child: job socket on a fixed fd, then a fresh address space.
+    ::close(sv[0]);
+    if (::dup2(sv[1], 3) < 0) _exit(127);
+    if (sv[1] != 3) ::close(sv[1]);
+    const char* argv[8];
+    int argc = 0;
+    argv[argc++] = options_.serve_binary.c_str();
+    argv[argc++] = "--worker";
+    argv[argc++] = "--worker-fd";
+    argv[argc++] = "3";
+    if (!options_.cache_dir.empty()) {
+      argv[argc++] = "--cache-dir";
+      argv[argc++] = options_.cache_dir.c_str();
+    }
+    argv[argc] = nullptr;
+    ::execv(options_.serve_binary.c_str(),
+            const_cast<char* const*>(argv));
+    _exit(127);
+  }
+  ::close(sv[1]);
+  // The controller's end must not leak into later workers' exec images,
+  // and its reads must never block the event loop.
+  ::fcntl(sv[0], F_SETFD, FD_CLOEXEC);
+  ::fcntl(sv[0], F_SETFL, O_NONBLOCK);
+  worker.fd = sv[0];
+  worker.pid = static_cast<int>(pid);
   worker.reader = FrameReader();
   worker.inflight.clear();
   ++spawned_;
@@ -295,10 +282,6 @@ void WorkerPool::mark_dead(int i) {
     ::close(worker.fd);
     worker.fd = -1;
   }
-  if (worker.thread) {
-    worker.thread->join();
-    worker.thread = nullptr;
-  }
   worker.pid = -1;
   ++deaths_;
 }
@@ -314,10 +297,6 @@ void WorkerPool::shutdown() {
     if (worker->fd >= 0) {
       ::close(worker->fd);
       worker->fd = -1;
-    }
-    if (worker->thread) {
-      worker->thread->join();
-      worker->thread = nullptr;
     }
     worker->inflight.clear();
   }

@@ -4,16 +4,10 @@
 // A worker is a crash domain: it runs the replay pipeline (the part that
 // can be OOM-killed, crash-injected, or wedged by a pathological trace)
 // across a socketpair from the controller, which holds only bookkeeping.
-// Two spawn modes share one loop:
-//
-//   fork+exec   the production mode. The controller re-execs its own
-//               binary with --worker --worker-fd 3, so the child gets a
-//               fresh address space (no inherited malloc/lock state, the
-//               classic fork-without-exec hazard) and a SIGKILL kills
-//               exactly one scenario attempt.
-//   thread      run_worker_loop() on a std::thread inside the controller
-//               process; no isolation, but no binary path either — the
-//               mode unit tests and non-unix builds use.
+// Every worker is a fork+exec child: the controller re-execs its own
+// binary with --worker --worker-fd 3, so the child gets a fresh address
+// space (no inherited malloc/lock state, the classic fork-without-exec
+// hazard) and a SIGKILL kills exactly one scenario attempt.
 //
 // The wire between them is the same u32-length framing as the client RPC
 // (serve/protocol.hpp) with the JobRequest/JobResult vocabulary from
@@ -24,7 +18,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "serve/job.hpp"
@@ -41,8 +34,7 @@ int run_worker_loop(int fd, const std::string& cache_dir);
 
 struct WorkerOptions {
   int count = 2;
-  bool use_fork = true;       // false: in-process thread workers
-  std::string serve_binary;   // this binary's path (fork mode)
+  std::string serve_binary;   // this binary's path, re-exec'd per worker
   std::string cache_dir;      // store root forwarded to workers ('' = none)
 };
 
@@ -64,7 +56,7 @@ class WorkerPool {
   int size() const { return static_cast<int>(workers_.size()); }
   /// Poll fd for worker `i`; -1 while the slot is dead.
   int fd(int i) const { return workers_[static_cast<std::size_t>(i)]->fd; }
-  /// Child pid for worker `i`; -1 in thread mode or while dead.
+  /// Child pid for worker `i`; -1 while dead.
   int pid(int i) const { return workers_[static_cast<std::size_t>(i)]->pid; }
   bool alive(int i) const {
     return workers_[static_cast<std::size_t>(i)]->fd >= 0;
@@ -88,18 +80,17 @@ class WorkerPool {
   /// what a death loses and the controller must requeue.
   std::vector<JobRequest> take_inflight(int i);
 
-  /// Worker slot owning child `pid`, or -1 (fork mode; SIGCHLD path).
+  /// Worker slot owning child `pid`, or -1 (SIGCHLD path).
   int worker_by_pid(int pid) const;
 
-  /// Marks worker `i` dead (closes the fd, joins a thread worker).
+  /// Marks worker `i` dead (closes the fd).
   void mark_dead(int i);
 
   /// Re-spawns a dead slot. Throws osim::Error on spawn failure.
   void respawn(int i);
 
-  /// Closes every worker fd (workers see EOF and exit) and, in fork mode,
-  /// leaves the children to be reaped by the caller's SIGCHLD path; in
-  /// thread mode joins them.
+  /// Closes every worker fd (workers see EOF and exit) and leaves the
+  /// children to be reaped by the caller's SIGCHLD path.
   void shutdown();
 
   std::uint64_t spawned() const { return spawned_; }
@@ -109,7 +100,6 @@ class WorkerPool {
   struct Worker {
     int fd = -1;
     int pid = -1;
-    std::unique_ptr<std::thread> thread;
     FrameReader reader;
     std::deque<JobRequest> inflight;
   };

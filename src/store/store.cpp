@@ -23,12 +23,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Maps the file at `path`; one that cannot be opened is nullopt. Objects
-/// are renamed into place and only ever unlinked, never rewritten, so a
+/// Maps the file at `path`; one that is absent or cannot be opened is
+/// nullopt. An absent file — every miss — costs no exception. Objects are
+/// renamed into place and only ever unlinked, never rewritten, so a
 /// mapping never sees a torn file.
 std::optional<trace::MappedFile> map_file(const fs::path& path) {
   try {
-    return trace::MappedFile::open(path.string());
+    return trace::MappedFile::open_if_exists(path.string());
   } catch (const Error&) {
     return std::nullopt;
   }

@@ -23,8 +23,14 @@
 // So a gc'd, hand-pruned or concurrently collected store is merely slower,
 // never wrong. Damage never propagates: a corrupt or
 // version-skewed object decodes to a miss (strict CRC, see
-// store/format.hpp). The LRU index and `lock` file that older versions
-// kept at the root are inert and may be deleted.
+// store/format.hpp). The LRU index, `lock` file and study journals
+// (`journals/`) that older versions kept at the root are inert and may be
+// deleted.
+//
+// Because a replay is a pure function of its fingerprinted inputs, the
+// object tree is also the complete record of finished work: after a crash
+// it holds exactly the scenarios whose publication completed, and a rerun
+// on the same root serves those and replays the rest.
 #pragma once
 
 #include <chrono>

@@ -1,6 +1,7 @@
 #include "trace/mmap_file.hpp"
 
 #include <cerrno>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -55,10 +56,19 @@ std::string read_whole_fd(int fd, const std::string& path) {
 }  // namespace
 
 MappedFile MappedFile::open(const std::string& path) {
+  std::optional<MappedFile> file = open_if_exists(path);
+  if (!file.has_value()) throw Error("cannot open file: " + path);
+  return std::move(*file);
+}
+
+std::optional<MappedFile> MappedFile::open_if_exists(const std::string& path) {
   MappedFile file;
 #if OSIM_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) throw Error("cannot open file: " + path);
+  if (fd < 0) {
+    if (errno == ENOENT) return std::nullopt;
+    throw Error("cannot open file: " + path);
+  }
   struct stat st = {};
   if (::fstat(fd, &st) != 0) {
     ::close(fd);
@@ -87,6 +97,8 @@ MappedFile MappedFile::open(const std::string& path) {
   }
   ::close(fd);
 #else
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec) && !ec) return std::nullopt;
   file.fallback_ = read_whole_file(path);
 #endif
   file.data_ = file.fallback_.data();

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -20,6 +21,11 @@ class MappedFile {
   /// opened or its size determined; falls back to buffered reading if the
   /// mapping itself fails.
   static MappedFile open(const std::string& path);
+
+  /// Same, but an absent file (ENOENT) is nullopt instead of an exception:
+  /// the cheap miss of a probe that expects most paths not to exist.
+  /// Every other failure still throws osim::Error.
+  static std::optional<MappedFile> open_if_exists(const std::string& path);
 
   MappedFile() = default;
   MappedFile(MappedFile&& other) noexcept;

@@ -1,10 +1,11 @@
 // Byte-level golden for every binary format the repository persists or
 // sends: the three store object kinds (OSIMSTO1, OSIMLNT1, OSIMRPT1), the
-// study journal (OSIMJRN1), the OSIMRPC1 handshake plus one frame of every
-// message type, and OSIMBT01 binary traces.
+// OSIMRPC1 handshake plus one frame of every message type, and OSIMBT01
+// binary traces.
 //
 // tests/golden/codec_store/ is a complete store directory (its index.osim
-// is the LRU index older versions kept; the store now ignores it),
+// is the LRU index and journals/ the study journal older versions kept;
+// the store now ignores both),
 // tests/golden/rpc_frames.hex one hex-encoded frame per line and
 // tests/golden/trace_codec.btrace one binary trace (with its text
 // rendering, trace_codec.trace). All were written by trees that predate
@@ -28,7 +29,6 @@
 #include "serve/protocol.hpp"
 #include "store/format.hpp"
 #include "store/store.hpp"
-#include "supervise/journal.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/io.hpp"
 
@@ -51,7 +51,6 @@ const pipeline::Fingerprint kLintKey{0x1111222233334444ULL,
                                      0x5555666677778888ULL};
 const pipeline::Fingerprint kReportScenario{0x0f1e2d3c4b5a6978ULL,
                                             0x8796a5b4c3d2e1f0ULL};
-constexpr const char* kStudyId = "codec-golden study";
 
 store::ScenarioArtifact golden_artifact() {
   store::ScenarioArtifact a;
@@ -120,29 +119,6 @@ lint::Report golden_lint_report() {
 std::string golden_report_json() {
   return "{\"schema\":\"osim.run_report\",\"version\":1,"
          "\"app\":\"golden\",\"makespan\":0.3333333333333333}\n";
-}
-
-std::vector<supervise::JournalEntry> golden_journal_entries() {
-  std::vector<supervise::JournalEntry> entries;
-  supervise::JournalEntry ok;
-  ok.fingerprint = kArtifactKey;
-  ok.status = supervise::ScenarioStatus::kOk;
-  ok.makespan = 1.0 / 3.0;
-  ok.fault_wait_s = 0.015625;
-  ok.progress_wait_s = 2.0 / 7.0;
-  ok.fault_counts = golden_artifact().fault_counts;
-  entries.push_back(ok);
-  supervise::JournalEntry timeout;
-  timeout.fingerprint = pipeline::Fingerprint{42, 43};
-  timeout.status = supervise::ScenarioStatus::kTimeout;
-  timeout.makespan = 0.75;
-  timeout.partial_blocked_s = 0.125;
-  entries.push_back(timeout);
-  supervise::JournalEntry skipped = ok;
-  skipped.fingerprint = pipeline::Fingerprint{44, 45};
-  skipped.status = supervise::ScenarioStatus::kSkippedResume;
-  entries.push_back(skipped);
-  return entries;
 }
 
 /// Every record kind, both send flags (a blocking synchronous send and an
@@ -272,11 +248,6 @@ std::string copy_of_golden_store(const std::string& name) {
   return dir;
 }
 
-std::string journal_path(const std::string& root) {
-  return supervise::StudyJournal::path_for(
-      root, supervise::study_fingerprint(kStudyId));
-}
-
 /// Payload of a single-frame stream, via the real incremental reader.
 std::optional<std::string> unframe(const std::string& frame) {
   serve::FrameReader reader;
@@ -391,41 +362,29 @@ TEST(CodecGolden, LegacyIndexedStoreServesItsObjects) {
   expect_served();
 }
 
-// --- journal ----------------------------------------------------------------
+// --- legacy journal ---------------------------------------------------------
 
-TEST(CodecGolden, JournalDecodesAndReencodes) {
-  const std::string root = copy_of_golden_store("journal");
-  const std::string golden = read_file(journal_path(kStoreDir));
+TEST(CodecGolden, LegacyJournalIsInert) {
+  // A store written by a version that kept study journals (journals/,
+  // format OSIMJRN1) serves its objects as before; the journal file is
+  // never read, rewritten or removed by any store operation.
+  const std::string root = copy_of_golden_store("legacy_journal");
+  const std::string journal =
+      "/journals/86eb408b45f4f3dd99a4fdaf01704aae.osimjrn";
+  const std::string golden = read_file(kStoreDir + journal);
   ASSERT_FALSE(golden.empty());
-  {
-    supervise::StudyJournal journal(root,
-                                    supervise::study_fingerprint(kStudyId));
-    EXPECT_EQ(journal.recovered(), golden_journal_entries());
-    EXPECT_TRUE(journal.recovered_complete());
-  }
-  EXPECT_EQ(read_file(journal_path(root)), golden);  // nothing truncated
-
-  const std::vector<supervise::JournalInfo> infos =
-      supervise::list_journals(root);
-  ASSERT_EQ(infos.size(), 1u);
-  EXPECT_TRUE(infos[0].valid);
-  EXPECT_TRUE(infos[0].complete);
-  EXPECT_EQ(infos[0].entries, 3u);
-  EXPECT_EQ(infos[0].ok, 1u);
-
-  // Re-encode: the same appends into a fresh root give the same bytes.
-  const std::string fresh =
-      ::testing::TempDir() + "/osim_codec_golden_journal_fresh";
-  fs::remove_all(fresh);
-  {
-    supervise::StudyJournal journal(fresh,
-                                    supervise::study_fingerprint(kStudyId));
-    for (const supervise::JournalEntry& entry : golden_journal_entries()) {
-      journal.append(entry);
-    }
-    journal.append_complete();
-  }
-  EXPECT_EQ(read_file(journal_path(fresh)), golden);
+  store::ScenarioStore store(root);
+  EXPECT_TRUE(store.load(kArtifactKey).has_value());
+  EXPECT_TRUE(store.load_lint(kLintKey).has_value());
+  EXPECT_EQ(store.load_report(kReportScenario), golden_report_json());
+  EXPECT_EQ(store.stats().objects, 3u);
+  const store::VerifyReport report = store.verify();
+  EXPECT_TRUE(report.clean()) << report.render_text();
+  EXPECT_EQ(store.gc(1u << 20).objects_kept, 3u);
+  EXPECT_EQ(read_file(root + journal), golden);
+  // Even a gc that empties the store leaves the journal alone.
+  EXPECT_EQ(store.gc(0).objects_kept, 0u);
+  EXPECT_EQ(read_file(root + journal), golden);
 }
 
 // --- RPC --------------------------------------------------------------------

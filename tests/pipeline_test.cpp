@@ -21,6 +21,7 @@
 #include "dimemas/progress.hpp"
 #include "faults/spec.hpp"
 #include "lint/lint.hpp"
+#include "metrics/json.hpp"
 #include "metrics/replay_metrics.hpp"
 #include "pipeline/context.hpp"
 #include "pipeline/lint_cache.hpp"
@@ -556,6 +557,38 @@ TEST(Report, StudyReportRecordsScenarios) {
   EXPECT_NE(json.find("\"cache_hit\":true"), std::string::npos);
 }
 
+// Wall times are measurements: printed at a fixed microsecond precision,
+// a record's bytes do not depend on how fast its replay ran.
+TEST(Report, StudyReportWallTimesHaveFixedWidth) {
+  metrics::JsonWriter fast;
+  fast.begin_array().fixed(0.09, 6).end_array();
+  metrics::JsonWriter slow;
+  slow.begin_array().fixed(0.11, 6).end_array();
+  EXPECT_EQ(fast.str(), "[0.090000]");
+  EXPECT_EQ(slow.str(), "[0.110000]");
+
+  StudyOptions options;
+  options.record_scenarios = true;
+  Study study(options);
+  const ReplayContext context(ring_trace(4, 3), ring_platform(4));
+  study.makespan(context, "miss");
+  study.makespan(context, "hit");
+  study.makespan(context.with_bandwidth(50.0), "other");
+  const std::string json = study_report_json(study);
+  std::size_t fields = 0;
+  for (std::size_t at = json.find("\"wall_s\":"); at != std::string::npos;
+       at = json.find("\"wall_s\":", at + 1)) {
+    const std::size_t begin = at + std::string_view("\"wall_s\":").size();
+    const std::size_t end = json.find(',', begin);
+    const std::string digits = json.substr(begin, end - begin);
+    const std::size_t point = digits.find('.');
+    ASSERT_NE(point, std::string::npos) << digits;
+    EXPECT_EQ(digits.size() - point - 1, 6u) << digits;
+    ++fields;
+  }
+  EXPECT_EQ(fields, 3u) << json;
+}
+
 // --- supervision -------------------------------------------------------------
 
 namespace fs = std::filesystem;
@@ -571,12 +604,10 @@ TEST(StudySupervision, OffByDefault) {
   Study study;
   EXPECT_FALSE(study.supervised());
   EXPECT_FALSE(study.interrupted());
-  EXPECT_EQ(study.journal(), nullptr);
   const std::string json = study_report_json(study);
   // The unsupervised report must not grow status fields (bit-identity
   // with pre-supervision reports; perf_identity_test pins the CRC).
   EXPECT_EQ(json.find("\"status\""), std::string::npos);
-  EXPECT_EQ(json.find("\"journal_hits\""), std::string::npos);
 }
 
 TEST(StudySupervision, ScenarioTimeoutRecordsPartialAndContinues) {
@@ -591,7 +622,7 @@ TEST(StudySupervision, ScenarioTimeoutRecordsPartialAndContinues) {
   EXPECT_FALSE(study.interrupted());
   const std::vector<ScenarioRecord> records = study.scenarios();
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].status, supervise::ScenarioStatus::kTimeout);
+  EXPECT_EQ(records[0].status, ScenarioStatus::kTimeout);
   EXPECT_FALSE(records[0].cache_hit);
   const std::string json = study_report_json(study);
   EXPECT_NE(json.find("\"status\":\"timeout\""), std::string::npos) << json;
@@ -607,7 +638,7 @@ TEST(StudySupervision, StopFlagCancelsWithoutReplaying) {
   EXPECT_TRUE(study.interrupted());
   const std::vector<ScenarioRecord> records = study.scenarios();
   ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].status, supervise::ScenarioStatus::kCancelled);
+  EXPECT_EQ(records[0].status, ScenarioStatus::kCancelled);
   EXPECT_EQ(records[0].wall_s, 0.0);
   const std::string json = study_report_json(study);
   EXPECT_NE(json.find("\"status\":\"interrupted\""), std::string::npos)
@@ -624,96 +655,74 @@ TEST(StudySupervision, StudyDeadlineInterruptsTheSweep) {
   study.makespan(ReplayContext(ring_trace(2, 3), ring_platform(2)), "b");
   EXPECT_TRUE(study.interrupted());
   for (const ScenarioRecord& record : study.scenarios()) {
-    EXPECT_EQ(record.status, supervise::ScenarioStatus::kCancelled);
+    EXPECT_EQ(record.status, ScenarioStatus::kCancelled);
   }
 }
 
-TEST(StudySupervision, JournalRequiresACacheDir) {
+// A killed or interrupted sweep is resumed by rerunning it on the same
+// store: the store holds exactly the scenarios that completed, so the
+// rerun serves those from the disk tier and replays the rest — including
+// a scenario the earlier run stopped at its timeout, which stored nothing.
+TEST(StudySupervision, RerunOnTheSameStoreResumes) {
   unsetenv("OSIM_CACHE_DIR");
-  StudyOptions options;
-  options.journal = true;
-  EXPECT_THROW({ Study study(options); }, Error);
-}
-
-TEST(StudySupervision, ResumeServesFromJournalBitIdentically) {
   const std::string dir = fresh_dir("resume");
-  const trace::Trace t = ring_trace(4, 3);
-  const ReplayContext base(t, ring_platform(4));
+  const ReplayContext base(ring_trace(4, 3), ring_platform(4));
   std::vector<ReplayContext> contexts;
   for (const double bw : {100.0, 250.0, 500.0}) {
     contexts.push_back(base.with_bandwidth(bw));
   }
+  const auto label = [](std::size_t i) { return "bw" + std::to_string(i); };
   std::vector<double> cold;
   std::string cold_report;
   {
     StudyOptions options;
-    options.cache_dir = dir;
-    options.journal = true;
     options.record_scenarios = true;
-    options.study_id = "resume-test";
     Study study(options);
     for (std::size_t i = 0; i < contexts.size(); ++i) {
-      cold.push_back(study.makespan(contexts[i], "bw" + std::to_string(i)));
+      cold.push_back(study.makespan(contexts[i], label(i)));
     }
     cold_report = study_report_canonical_json(study);
   }
-  // Wipe the object store: resume must be journal-only, proving the
-  // journal entries carry complete results rather than store pointers.
-  fs::remove_all(dir + "/objects");
-
-  StudyOptions options;
-  options.cache_dir = dir;
-  options.journal = true;
-  options.resume = true;
-  options.record_scenarios = true;
-  options.study_id = "resume-test";
-  Study resumed(options);
-  std::vector<double> warm;
-  for (std::size_t i = 0; i < contexts.size(); ++i) {
-    warm.push_back(resumed.makespan(contexts[i], "bw" + std::to_string(i)));
-  }
-  EXPECT_EQ(resumed.journal_hits(), contexts.size());
-  EXPECT_EQ(resumed.cache_misses(), 0u);
-  EXPECT_EQ(resumed.disk_hits(), 0u);
-  for (const ScenarioRecord& record : resumed.scenarios()) {
-    EXPECT_EQ(record.cache_tier, CacheTier::kJournal);
-    // Resumed scenarios carry completed results: the skipped-resume
-    // marker lives in the journal, never in the report.
-    EXPECT_EQ(record.status, supervise::ScenarioStatus::kOk);
-  }
-  ASSERT_EQ(warm.size(), cold.size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    EXPECT_EQ(warm[i], cold[i]) << "scenario " << i;
-  }
-  // The acceptance property at unit scale: the canonical study report
-  // after a resume is byte-identical to the uninterrupted run's.
-  EXPECT_EQ(study_report_canonical_json(resumed), cold_report);
-}
-
-TEST(StudySupervision, ResumeDoesNotServeStoppedScenarios) {
-  const std::string dir = fresh_dir("resume_retry");
-  const ReplayContext context(ring_trace(2, 2), ring_platform(2));
+  // The first run completes two scenarios; the third times out.
   {
     StudyOptions options;
     options.cache_dir = dir;
-    options.journal = true;
-    options.scenario_timeout_s = 1e-9;
-    options.study_id = "retry-test";
     Study study(options);
-    study.makespan(context, "victim");  // journaled as timeout
+    study.makespan(contexts[0], label(0));
+    study.makespan(contexts[1], label(1));
   }
+  {
+    StudyOptions options;
+    options.cache_dir = dir;
+    options.record_scenarios = true;
+    options.scenario_timeout_s = 1e-9;  // expires before the first poll
+    Study study(options);
+    study.makespan(contexts[2], label(2));
+    ASSERT_EQ(study.scenarios().size(), 1u);
+    EXPECT_EQ(study.scenarios()[0].status, ScenarioStatus::kTimeout);
+  }
+
   StudyOptions options;
   options.cache_dir = dir;
-  options.resume = true;
-  options.journal = true;
   options.record_scenarios = true;
-  options.study_id = "retry-test";
-  Study resumed(options);
-  const double makespan = resumed.makespan(context, "victim");
-  EXPECT_GT(makespan, 0.0);  // actually replayed this time
-  EXPECT_EQ(resumed.journal_hits(), 0u);
-  ASSERT_EQ(resumed.scenarios().size(), 1u);
-  EXPECT_EQ(resumed.scenarios()[0].status, supervise::ScenarioStatus::kOk);
+  options.scenario_timeout_s = 3600.0;  // supervised, like a bench rerun
+  Study rerun(options);
+  std::vector<double> warm;
+  for (std::size_t i = 0; i < contexts.size(); ++i) {
+    warm.push_back(rerun.makespan(contexts[i], label(i)));
+  }
+  EXPECT_EQ(rerun.disk_hits(), 2u);
+  EXPECT_EQ(rerun.cache_misses(), 1u);  // the timed-out scenario, retried
+  for (const ScenarioRecord& record : rerun.scenarios()) {
+    EXPECT_EQ(record.status, ScenarioStatus::kOk) << record.label;
+    EXPECT_EQ(record.cache_tier,
+              record.label == label(2) ? CacheTier::kMiss : CacheTier::kDisk)
+        << record.label;
+  }
+  EXPECT_EQ(warm, cold);
+  // The acceptance property at unit scale: the canonical study report of
+  // the rerun is byte-identical to an uninterrupted cold run's.
+  EXPECT_EQ(study_report_canonical_json(rerun), cold_report);
 }
 
 TEST(StudySupervision, MemoryBudgetEvictsOldestFirst) {

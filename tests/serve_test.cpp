@@ -3,8 +3,9 @@
 // controller/worker life cycle, and the service-level acceptance
 // properties — concurrent clients deduped onto one replay with
 // byte-identical reports, admission-control rejection, worker-death
-// retries, a journaled restart that answers from the store without
+// retries, a restart on the same store that answers from it without
 // recomputing, and one that replays what an older report format left.
+// Every service here runs fork+exec workers of the osim_serve binary.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -457,11 +458,11 @@ class TestService {
   std::string startup_error_;
 };
 
-ControllerOptions thread_mode_options(const std::string& dir) {
+ControllerOptions service_options(const std::string& dir) {
   ControllerOptions options;
   options.socket_path = dir + "/osim.sock";
   options.workers = 2;
-  options.fork_workers = false;
+  options.serve_binary = OSIM_SERVE_BIN;
   return options;
 }
 
@@ -503,7 +504,7 @@ TEST(Service, SubmitFetchMatchesDirectRun) {
   const std::string trace_path = write_ring_trace(dir, 4, 3);
   const ScenarioSpec spec = sample_spec(trace_path, 250.0);
 
-  TestService service(thread_mode_options(dir));
+  TestService service(service_options(dir));
   ClientConnection connection = service.connect();
   SubmitDisposition disposition = SubmitDisposition::kServed;
   const std::string via_service =
@@ -529,7 +530,7 @@ TEST(Service, ConcurrentClientsShareOneReplay) {
   const std::string trace_path = write_ring_trace(dir, 4, 4);
   const ScenarioSpec spec = sample_spec(trace_path, 250.0);
 
-  TestService service(thread_mode_options(dir));
+  TestService service(service_options(dir));
   constexpr int kClients = 6;
   std::vector<std::string> reports(kClients);
   std::vector<SubmitDisposition> dispositions(kClients);
@@ -572,7 +573,7 @@ TEST(Service, MalformedSubmitsAreBadRequests) {
   const std::string dir = fresh_dir("badreq");
   const std::string trace_path = write_ring_trace(dir, 2, 1);
 
-  TestService service(thread_mode_options(dir));
+  TestService service(service_options(dir));
   ClientConnection connection = service.connect();
 
   // Unreadable trace.
@@ -622,7 +623,7 @@ TEST(Service, OutOfRangePlatformValuesAreBadRequests) {
 
   // ...so spec_fingerprint refuses at submit, before any job exists (a
   // worker would abort on these values and the job would be retried).
-  TestService service(thread_mode_options(dir));
+  TestService service(service_options(dir));
   ClientConnection connection = service.connect();
   std::vector<ScenarioSpec> bad(5, sample_spec(trace_path, 250.0));
   bad[0].bandwidth = 0.0;
@@ -651,7 +652,7 @@ TEST(Service, AdmissionControlRefusesWithBusy) {
   const std::string dir = fresh_dir("busy");
   const std::string trace_path = write_ring_trace(dir, 2, 1);
 
-  ControllerOptions options = thread_mode_options(dir);
+  ControllerOptions options = service_options(dir);
   options.max_queue = 0;  // no queue capacity: every fresh submit refused
   TestService service(options);
   ClientConnection connection = service.connect();
@@ -671,7 +672,7 @@ TEST(Service, StudySweepsAndTicketCommands) {
   const std::string dir = fresh_dir("study");
   const std::string trace_path = write_ring_trace(dir, 4, 2);
 
-  TestService service(thread_mode_options(dir));
+  TestService service(service_options(dir));
   ClientConnection connection = service.connect();
 
   // Unknown tickets answer kNotFound, and the connection survives.
@@ -721,14 +722,13 @@ TEST(Service, StudySweepsAndTicketCommands) {
   EXPECT_EQ(service.shutdown(), kExitOk);
 }
 
-TEST(Service, JournaledRestartServesFromStoreWithoutRecompute) {
-  const std::string dir = fresh_dir("journal");
+TEST(Service, RestartOnTheSameStoreServesWithoutRecompute) {
+  const std::string dir = fresh_dir("restart");
   const std::string trace_path = write_ring_trace(dir, 4, 2);
   const ScenarioSpec spec = sample_spec(trace_path, 250.0);
 
-  ControllerOptions options = thread_mode_options(dir);
+  ControllerOptions options = service_options(dir);
   options.cache_dir = dir + "/cache";
-  options.journal = true;
 
   std::string first_report;
   {
@@ -738,9 +738,9 @@ TEST(Service, JournaledRestartServesFromStoreWithoutRecompute) {
     EXPECT_EQ(service.shutdown(), kExitOk);
   }
 
-  // Same socket, same store: the restarted controller recovers the
-  // journal and answers the scenario from the disk tier — disposition
-  // kServed on the very first submit, zero replays run.
+  // Same store: the restarted controller answers the scenario from the
+  // report object the first one stored — disposition kServed on the very
+  // first submit, zero replays run.
   {
     TestService service(options);
     ClientConnection connection = service.connect();
@@ -752,8 +752,8 @@ TEST(Service, JournaledRestartServesFromStoreWithoutRecompute) {
     const std::string stats = fetch_stats(connection);
     EXPECT_NE(stats.find("\"replays_completed\":0"), std::string::npos)
         << stats;
-    EXPECT_NE(stats.find("\"journal_hits\":1"), std::string::npos) << stats;
-    EXPECT_NE(stats.find("\"enabled\":true"), std::string::npos) << stats;
+    EXPECT_NE(stats.find("\"dedupe_served_store\":1"), std::string::npos)
+        << stats;
     EXPECT_EQ(service.shutdown(), kExitOk);
   }
 }
@@ -765,18 +765,16 @@ TEST(Service, ReportsOfAnOlderFormatAreReplayedNotServed) {
   const TraceInfo info = probe_trace(trace_path);
   const pipeline::Fingerprint ticket = spec_fingerprint(spec, info);
 
-  ControllerOptions options = thread_mode_options(dir);
+  ControllerOptions options = service_options(dir);
   options.cache_dir = dir + "/cache";
-  options.journal = true;
   {
     TestService service(options);
     ClientConnection connection = service.connect();
     submit_and_fetch(connection, spec);
     EXPECT_EQ(service.shutdown(), kExitOk);
   }
-  // The journal now records the ticket as completed. Age the store: drop
-  // the ticket's report (as a version bump leaves it: recorded, but no
-  // object under the new key) and plant a stale document under the bare
+  // Age the store: drop the ticket's report (as a version bump leaves it:
+  // no object under the new key) and plant a stale document under the bare
   // scenario fingerprint, the key reports were stored under before the
   // format versions were folded into tickets.
   {
@@ -803,11 +801,10 @@ TEST(Service, ReportsOfAnOlderFormatAreReplayedNotServed) {
   const std::string stats = fetch_stats(connection);
   EXPECT_NE(stats.find("\"replays_completed\":1"), std::string::npos)
       << stats;
-  EXPECT_NE(stats.find("\"journal_hits\":0"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"dedupe_served_store\":0"), std::string::npos)
+      << stats;
   EXPECT_EQ(service.shutdown(), kExitOk);
 }
-
-#ifdef OSIM_SERVE_BIN
 
 // Restores OSIM_CRASH_POINT on scope exit so a failing assertion cannot
 // leak the crash point into later tests.
@@ -822,17 +819,14 @@ TEST(Service, WorkerSigkillIsRetriedOnAFreshWorker) {
   const std::string dir = fresh_dir("deaths");
   const std::string trace_path = write_ring_trace(dir, 4, 2);
 
-  // Fork-mode workers inherit the environment, and the crash point fires
+  // Workers inherit the environment, and the crash point fires
   // on the *second* job a worker process runs: with one worker and a
   // batch of two, the worker finishes job 1 and is SIGKILLed entering
   // job 2. The controller must reap it, requeue job 2 and answer both.
   CrashPointGuard crash("serve.worker.job:2");
-  ControllerOptions options;
-  options.socket_path = dir + "/osim.sock";
+  ControllerOptions options = service_options(dir);
   options.workers = 1;
   options.max_batch = 2;
-  options.fork_workers = true;
-  options.serve_binary = OSIM_SERVE_BIN;
   TestService service(options);
   ClientConnection connection = service.connect();
 
@@ -861,8 +855,6 @@ TEST(Service, WorkerSigkillIsRetriedOnAFreshWorker) {
   EXPECT_NE(stats.find("\"replays_completed\":2"), std::string::npos) << stats;
   EXPECT_EQ(service.shutdown(), kExitOk);
 }
-
-#endif  // OSIM_SERVE_BIN
 
 #endif  // __unix__ || __APPLE__
 

@@ -2,8 +2,7 @@
 // (src/store): the on-disk, content-addressed cache behind Study's
 // --cache-dir / $OSIM_CACHE_DIR disk tier.
 //
-//   osim_cache stats  --cache-dir DIR            # object/byte/hit totals
-//   osim_cache stats  --cache-dir DIR --journals # + per-study journals
+//   osim_cache stats  --cache-dir DIR            # object/byte totals
 //   osim_cache stats  --cache-dir DIR --json     # machine-readable document
 //   osim_cache verify --cache-dir DIR            # full integrity scan
 //   osim_cache gc     --cache-dir DIR --max-bytes N [--max-objects M]
@@ -11,10 +10,9 @@
 // verify decodes every object (magic, version, CRC, address); it exits 0
 // only on a fully intact store, 1 otherwise. gc removes corrupt objects
 // unconditionally and then evicts least-recently-used objects (oldest
-// mtime first) until the store fits the given budget; study journals
-// (supervise/journal.hpp) whose study completed — or whose file no longer
-// parses — are evicted too, while in-progress journals are kept so a
-// later --resume still finds them.
+// mtime first) until the store fits the given budget. Files outside
+// objects/ and tmp/ (an older build's index.osim or journals/) are never
+// read, written or removed; they may be deleted by hand.
 //
 // Each command reads only its own flags: any other flag (and --jobs,
 // which no command reads) is a usage error naming it, as is a negative
@@ -34,10 +32,8 @@
 #include "common/flags.hpp"
 #include "common/run_options.hpp"
 #include "common/strings.hpp"
-#include "pipeline/fingerprint.hpp"
 #include "serve/stats.hpp"
 #include "store/store.hpp"
-#include "supervise/journal.hpp"
 
 int main(int argc, char** argv) try {
   using namespace osim;
@@ -58,14 +54,11 @@ int main(int argc, char** argv) try {
   RunOptions run;
   std::int64_t max_bytes = -1;
   std::int64_t max_objects = 0;
-  bool show_journals = false;
   bool json = false;
   Flags flags(
       "osim_cache <stats|verify|gc>: inspect and maintain a persistent "
       "scenario store");
   run.register_flags(flags, nullptr, "");
-  flags.add("journals", &show_journals,
-            "stats: list each study journal (path, entries, status)");
   flags.add("json", &json,
             "stats: print the machine-readable osim.cache_stats document "
             "(the same body the analysis service's server-stats embeds)");
@@ -87,7 +80,6 @@ int main(int argc, char** argv) try {
   // The one command each flag applies to; --jobs applies to none.
   const std::map<std::string, std::string> flag_command = {
       {"jobs", ""},
-      {"journals", "stats"},
       {"json", "stats"},
       {"max-bytes", "gc"},
       {"max-objects", "gc"},
@@ -115,9 +107,7 @@ int main(int argc, char** argv) try {
 
   if (command == "stats") {
     if (json) {
-      const std::vector<supervise::JournalInfo> journals =
-          supervise::list_journals(dir);
-      std::printf("%s\n", serve::cache_stats_json(cache, journals).c_str());
+      std::printf("%s\n", serve::cache_stats_json(cache).c_str());
       return finish(kExitOk);
     }
     const store::StoreStats stats = cache.stats();
@@ -127,33 +117,6 @@ int main(int argc, char** argv) try {
     std::printf("bytes: %llu (%s)\n",
                 static_cast<unsigned long long>(stats.bytes),
                 format_bytes(static_cast<double>(stats.bytes)).c_str());
-    const std::vector<supervise::JournalInfo> journals =
-        supervise::list_journals(dir);
-    std::size_t complete = 0;
-    std::size_t invalid = 0;
-    for (const supervise::JournalInfo& j : journals) {
-      if (!j.valid) ++invalid;
-      else if (j.complete) ++complete;
-    }
-    std::printf("journals: %zu (%zu complete, %zu in progress%s)\n",
-                journals.size(), complete,
-                journals.size() - complete - invalid,
-                invalid != 0
-                    ? strprintf(", %zu unreadable", invalid).c_str()
-                    : "");
-    if (show_journals) {
-      for (const supervise::JournalInfo& j : journals) {
-        const char* state = !j.valid      ? "unreadable"
-                            : j.complete  ? "complete"
-                                          : "in progress";
-        std::printf("  %s  %zu entr%s (%zu ok)  %s  %s\n",
-                    j.valid ? pipeline::to_hex(j.study).c_str()
-                            : j.path.c_str(),
-                    j.entries, j.entries == 1 ? "y" : "ies", j.ok,
-                    format_bytes(static_cast<double>(j.bytes)).c_str(),
-                    state);
-      }
-    }
     return finish(kExitOk);
   }
 
@@ -181,11 +144,6 @@ int main(int argc, char** argv) try {
                 format_bytes(static_cast<double>(report.bytes_removed)).c_str(),
                 static_cast<unsigned long long>(report.objects_kept),
                 format_bytes(static_cast<double>(report.bytes_kept)).c_str());
-    const std::size_t journals_removed = supervise::gc_journals(dir);
-    if (journals_removed != 0) {
-      std::printf("gc: removed %zu finished-study journal(s)\n",
-                  journals_removed);
-    }
     return finish(kExitOk);
   }
   OSIM_UNREACHABLE("osim_cache command not dispatched");

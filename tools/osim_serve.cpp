@@ -8,7 +8,9 @@
 // warm tier.
 //
 //   osim_serve --socket /tmp/osim.sock --workers 4 --cache-dir ~/.cache/osim
-//   osim_serve --socket /tmp/osim.sock --journal --cache-dir DIR   # durable
+//
+// With a store, finished reports persist as store objects: a restarted
+// service on the same --cache-dir answers them without recomputing.
 //   osim_serve --socket /tmp/osim.sock --tcp-port 7077             # + TCP
 //
 // Exit codes follow common/exit_codes.hpp: 0 after a shutdown RPC, 2 bad
@@ -54,9 +56,7 @@ int main(int argc, char** argv) try {
   std::string socket_path;
   std::int64_t tcp_port = 0;
   std::int64_t workers = 2;
-  std::string worker_mode = "fork";
   std::string cache_dir;
-  bool journal = false;
   std::int64_t max_queue = 64;
   std::int64_t max_inflight_bytes = std::int64_t{256} << 20;
   std::int64_t max_retries = 2;
@@ -73,14 +73,9 @@ int main(int argc, char** argv) try {
   flags.add("tcp-port", &tcp_port,
             "additionally listen on 127.0.0.1:<port> (0 = off)");
   flags.add("workers", &workers, "worker processes");
-  flags.add("worker-mode", &worker_mode,
-            "worker isolation: fork (processes) | thread (in-process)");
   flags.add("cache-dir", &cache_dir,
             "scenario store directory (default: $OSIM_CACHE_DIR; the "
             "service's durable tier)");
-  flags.add("journal", &journal,
-            "journal completed scenarios so a restart resumes without "
-            "recomputing (requires a cache dir)");
   flags.add("max-queue", &max_queue,
             "admission control: refuse submits beyond this many queued "
             "jobs (exit code 6 at the client)");
@@ -106,18 +101,13 @@ int main(int argc, char** argv) try {
   }
 
   if (socket_path.empty()) throw UsageError("--socket is required");
-  if (worker_mode != "fork" && worker_mode != "thread") {
-    throw UsageError("--worker-mode must be fork or thread");
-  }
 
   serve::ControllerOptions options;
   options.socket_path = socket_path;
   options.tcp_port = static_cast<int>(tcp_port);
   options.workers = static_cast<int>(workers);
-  options.fork_workers = worker_mode == "fork";
   options.serve_binary = self_binary(argc > 0 ? argv[0] : nullptr);
   options.cache_dir = store::resolve_cache_dir(cache_dir);
-  options.journal = journal && !options.cache_dir.empty();
   options.max_queue = max_queue;
   options.max_inflight_bytes = max_inflight_bytes;
   options.max_retries = static_cast<int>(max_retries);
@@ -125,9 +115,8 @@ int main(int argc, char** argv) try {
   options.report_cache_entries = report_cache;
 
   std::fprintf(stderr,
-               "osim_serve: listening on %s (%lld %s worker(s)%s%s)\n",
+               "osim_serve: listening on %s (%lld worker(s)%s%s)\n",
                socket_path.c_str(), static_cast<long long>(workers),
-               worker_mode.c_str(),
                options.cache_dir.empty() ? "" : ", store ",
                options.cache_dir.c_str());
 
