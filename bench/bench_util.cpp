@@ -89,7 +89,6 @@ pipeline::StudyOptions BenchSetup::study_options() const {
   if (run.supervision_requested()) {
     options.scenario_timeout_s = run.scenario_timeout_s;
     options.study_deadline_s = run.study_deadline_s;
-    options.memory_budget_bytes = run.memory_budget_bytes();
     options.stop_flag = shutdown_flag();
   }
   return options;

@@ -42,7 +42,7 @@ struct BenchSetup {
   /// --cache-dir, --perf-json, the report path (registered here as
   /// --study-report: per-scenario makespans, wall times, cache behaviour),
   /// and the supervision flags (--scenario-timeout, --study-deadline,
-  /// --memory-budget, --canonical-report).
+  /// --canonical-report).
   RunOptions run;
   /// Wall-clock zero for --perf-json (constructed with the setup, so the
   /// record covers the whole bench including tracing).
@@ -69,8 +69,8 @@ struct BenchSetup {
 
   /// Study sized by --jobs; replay results are cached across a bench run.
   /// Scenario recording is on when --study-report was given. Supervision
-  /// flags flow through: timeouts, the study deadline, the memory budget
-  /// and the SIGINT/SIGTERM stop flag.
+  /// flags flow through: timeouts, the study deadline and the
+  /// SIGINT/SIGTERM stop flag.
   pipeline::StudyOptions study_options() const;
 
   /// End-of-run bookkeeping: writes the study report if --study-report was

@@ -6,8 +6,6 @@
 set -e
 BUILD="$1"
 OUT="$(mktemp -d)"
-# Every cache directory below is explicit; a caller's store stays out.
-unset OSIM_CACHE_DIR
 trap 'rm -rf "$OUT"' EXIT
 
 "$BUILD/tools/osim_trace" --app nas_cg --ranks 4 --iterations 2 \
@@ -326,9 +324,10 @@ for bad in "--chunks -2" "--chunks 300" "--scale 0" "--chunks 0" \
 done
 
 # The study journal is gone (a rerun on the same --cache-dir is the
-# resume), and so are thread-mode service workers: their flags are
-# unknown flags, never silently ignored.
+# resume), and so are thread-mode service workers and the memory-tier
+# budget: their flags are unknown flags, never silently ignored.
 for case in "bench/fig6a_speedup --resume" "bench/fig6a_speedup --journal" \
+            "bench/fig6a_speedup --memory-budget 64M" \
             "tools/osim_serve --socket $OUT/none.sock --journal" \
             "tools/osim_serve --socket $OUT/none.sock --worker-mode thread" \
             "tools/osim_cache stats --cache-dir $OUT/none --journals"; do
@@ -525,6 +524,41 @@ if grep -q "served from" "$OUT/cache_cold.err"; then
   exit 1
 fi
 
+# A store that cannot be written costs the write-behind, never the run:
+# with tmp/ replaced by a plain file, a cold replay warns once, prints its
+# makespan and exits 0.
+BROKEN="$OUT/broken_store"
+mkdir -p "$BROKEN/objects"
+: > "$BROKEN/tmp"
+"$BUILD/tools/osim_replay" --trace "$OUT/cg.original.trace" \
+    --platform "$OUT/platform.cfg" --cache-dir "$BROKEN" \
+    > "$OUT/broken_store.txt" 2> "$OUT/broken_store.err" \
+    || { cat "$OUT/broken_store.err" >&2; exit 1; }
+cmp "$OUT/cache_cold.txt" "$OUT/broken_store.txt"
+[ "$(grep -c "warning: scenario store write failed" \
+     "$OUT/broken_store.err")" -eq 1 ] \
+    || { cat "$OUT/broken_store.err" >&2; exit 1; }
+
+# Only --cache-dir names a store; an exported $OSIM_CACHE_DIR is inert.
+# A bench neither creates nor fills it, and osim_cache without
+# --cache-dir is a usage error.
+OSIM_CACHE_DIR="$OUT/envstore" "$BUILD/bench/fig6a_speedup" --ranks 4 \
+    --iterations 1 --apps nas_cg --out-dir "$OUT/bench" \
+    --study-report "$OUT/envstore_report.json" > /dev/null 2>&1
+grep -q '"disk_hits":0' "$OUT/envstore_report.json"
+if [ -e "$OUT/envstore" ]; then
+  echo "\$OSIM_CACHE_DIR opened a store" >&2
+  exit 1
+fi
+set +e
+OSIM_CACHE_DIR="$CACHE" "$BUILD/tools/osim_cache" stats \
+    > /dev/null 2> "$OUT/nostore.txt"
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || { echo "osim_cache without --cache-dir: expected exit 2, got $rc" >&2; exit 1; }
+grep -q "no store: pass --cache-dir" "$OUT/nostore.txt" \
+    || { cat "$OUT/nostore.txt" >&2; exit 1; }
+
 # osim_inspect --fingerprint prints the scenario's content address and
 # finds the object the warm replay was served from.
 "$BUILD/tools/osim_inspect" --trace "$OUT/cg.original.trace" --fingerprint \
@@ -673,19 +707,12 @@ check_perf_record "$OUT/perf_cache_gc.json" osim_cache
     --sweep-points 1 --out "$OUT/bench_replay.json" \
     --perf-json "$OUT/perf_perf.json" > /dev/null 2>&1
 check_perf_record "$OUT/perf_perf.json" osim_perf
-# osim_perf times uncached work only: a store directory, given by flag or
-# by environment, is a usage error.
+# osim_perf times uncached work only: a store directory is a usage error.
 set +e
 "$BUILD/tools/osim_perf" --cache-dir "$OUT/nostore" > /dev/null 2>&1
 rc=$?
-OSIM_CACHE_DIR="$OUT/nostore" "$BUILD/tools/osim_perf" > /dev/null 2>&1
-env_rc=$?
 set -e
-if [ "$rc" -ne 2 ] || [ "$env_rc" -ne 2 ]; then
-  echo "osim_perf with a store: expected exit 2 (flag, env), got" \
-       "$rc, $env_rc" >&2
-  exit 1
-fi
+[ "$rc" -eq 2 ] || { echo "osim_perf --cache-dir: expected exit 2, got $rc" >&2; exit 1; }
 
 # Offline transformation from the annotated trace reproduces the
 # tracer-emitted original trace byte for byte.

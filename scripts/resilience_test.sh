@@ -15,7 +15,6 @@ set -e
 BUILD="$1"
 OUT="$(mktemp -d)"
 trap 'rm -rf "$OUT"' EXIT
-unset OSIM_CACHE_DIR
 unset OSIM_CRASH_POINT
 
 BENCH="$BUILD/bench/fig6a_speedup"

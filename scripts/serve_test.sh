@@ -25,7 +25,6 @@ cleanup() {
   rm -rf "$OUT"
 }
 trap cleanup EXIT
-unset OSIM_CACHE_DIR
 unset OSIM_CRASH_POINT
 
 SERVE="$BUILD/tools/osim_serve"

@@ -1,17 +1,12 @@
 #include "common/run_options.hpp"
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <thread>
 
 #include "common/expect.hpp"
 #include "common/strings.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define OSIM_HAVE_RUSAGE 1
-#include <sys/resource.h>
-#else
-#define OSIM_HAVE_RUSAGE 0
-#endif
 
 namespace osim {
 
@@ -21,8 +16,8 @@ void RunOptions::register_flags(Flags& flags, const char* report_flag,
             "parallel jobs: a sweep's replays, or the lint passes of one "
             "trace (0 = one per hardware thread)");
   flags.add("cache-dir", &cache_dir,
-            "persistent scenario store directory (default: $OSIM_CACHE_DIR; "
-            "warm reruns are served from the disk store — see osim_cache)");
+            "persistent scenario store directory (default: none; warm "
+            "reruns are served from the disk store — see osim_cache)");
   flags.add("perf-json", &perf_json,
             "write a JSON performance record of this invocation (wall "
             "clock, CPU time, peak RSS, tool counters) to this path");
@@ -40,10 +35,6 @@ void RunOptions::register_supervision_flags(Flags& flags) {
             "wall-clock budget for the whole run in seconds (0 = "
             "unbounded); at the deadline in-flight scenarios stop, a "
             "partial report is flushed and the run exits 5");
-  flags.add("memory-budget", &memory_budget,
-            "in-memory replay-cache budget (e.g. 64M, 1G, or bytes; "
-            "empty = unbounded); under pressure results evict to the "
-            "disk store instead of growing the heap");
   flags.add("canonical-report", &canonical_report,
             "write the report with deterministic fields only (no wall "
             "times or cache tiers), so a killed run finished by a rerun "
@@ -53,7 +44,7 @@ void RunOptions::register_supervision_flags(Flags& flags) {
 
 bool RunOptions::supervision_requested() const {
   return scenario_timeout_s > 0.0 || study_deadline_s > 0.0 ||
-         !memory_budget.empty() || canonical_report;
+         canonical_report;
 }
 
 int RunOptions::resolved_jobs() const {
@@ -63,38 +54,6 @@ int RunOptions::resolved_jobs() const {
     return hw == 0 ? 1 : static_cast<int>(hw);
   }
   return static_cast<int>(jobs);
-}
-
-std::int64_t RunOptions::memory_budget_bytes() const {
-  if (memory_budget.empty()) return 0;
-  std::size_t pos = 0;
-  unsigned long long value = 0;
-  try {
-    value = std::stoull(memory_budget, &pos);
-  } catch (const std::exception&) {
-    throw UsageError("--memory-budget: cannot parse '" + memory_budget +
-                     "' (expected e.g. 64M, 1G, or a byte count)");
-  }
-  std::int64_t multiplier = 1;
-  if (pos < memory_budget.size()) {
-    if (pos + 1 != memory_budget.size()) {
-      throw UsageError("--memory-budget: trailing garbage in '" +
-                       memory_budget + "'");
-    }
-    switch (memory_budget[pos]) {
-      case 'k': case 'K': multiplier = 1024; break;
-      case 'm': case 'M': multiplier = 1024 * 1024; break;
-      case 'g': case 'G': multiplier = 1024 * 1024 * 1024; break;
-      default:
-        throw UsageError("--memory-budget: unknown suffix in '" +
-                         memory_budget + "' (use K, M, or G)");
-    }
-  }
-  const auto bytes = static_cast<std::int64_t>(value) * multiplier;
-  if (bytes <= 0) {
-    throw UsageError("--memory-budget must be positive: " + memory_budget);
-  }
-  return bytes;
 }
 
 PerfRecorder::PerfRecorder(std::string tool)
@@ -112,7 +71,6 @@ void PerfRecorder::write_if(const std::string& path) const {
   double user_s = 0.0;
   double sys_s = 0.0;
   double max_rss_kb = 0.0;
-#if OSIM_HAVE_RUSAGE
   struct rusage usage = {};
   if (getrusage(RUSAGE_SELF, &usage) == 0) {
     user_s = static_cast<double>(usage.ru_utime.tv_sec) +
@@ -121,7 +79,6 @@ void PerfRecorder::write_if(const std::string& path) const {
             static_cast<double>(usage.ru_stime.tv_usec) * 1e-6;
     max_rss_kb = static_cast<double>(usage.ru_maxrss);
   }
-#endif
   // The record is flat and numeric apart from the tool name, so it is
   // written by hand (common/ sits below the JSON writer in metrics/).
   std::string out = "{\n";

@@ -27,7 +27,7 @@ namespace osim {
 struct RunOptions {
   /// Parallel jobs for Study / lint pools (0 = one per hardware thread).
   std::int64_t jobs = 1;
-  /// Persistent scenario store directory ($OSIM_CACHE_DIR when empty).
+  /// Persistent scenario store directory (empty = no disk tier).
   std::string cache_dir;
   /// JSON report path; the flag name is per-binary (see register_flags).
   std::string report;
@@ -41,9 +41,6 @@ struct RunOptions {
   double scenario_timeout_s = 0.0;
   /// Whole-run wall-clock budget in seconds (0 = unbounded).
   double study_deadline_s = 0.0;
-  /// In-memory replay-cache budget, e.g. "64M", "1G", "4096" (bytes);
-  /// empty = unbounded. Under pressure results evict to the disk store.
-  std::string memory_budget;
   /// Emit the canonical study report (deterministic fields only), so a
   /// killed run finished by a rerun on the same store can be diffed
   /// against an uninterrupted one.
@@ -56,8 +53,8 @@ struct RunOptions {
                       const std::string& report_help);
 
   /// Registers the supervision flags (--scenario-timeout, --study-deadline,
-  /// --memory-budget, --canonical-report). Separate
-  /// from register_flags so binaries adopt supervision deliberately.
+  /// --canonical-report). Separate from register_flags so binaries adopt
+  /// supervision deliberately.
   void register_supervision_flags(Flags& flags);
 
   /// True when any supervision flag was set — callers use this to decide
@@ -66,10 +63,6 @@ struct RunOptions {
 
   /// --jobs with the 0 = hardware-threads convention resolved.
   int resolved_jobs() const;
-
-  /// --memory-budget parsed to bytes (suffixes K/M/G, base 1024; plain
-  /// number = bytes). 0 = unbounded. Throws UsageError on bad syntax.
-  std::int64_t memory_budget_bytes() const;
 };
 
 /// Wall-clock + rusage performance record written by --perf-json. Construct

@@ -1,23 +1,16 @@
 #include "common/signals.hpp"
 
-#include <csignal>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define OSIM_HAVE_SIGNALS 1
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#else
-#define OSIM_HAVE_SIGNALS 0
-#endif
+
+#include <csignal>
 
 namespace osim {
 namespace {
 
 std::atomic<bool> g_shutdown{false};
 std::atomic<bool> g_child_exited{false};
-
-#if OSIM_HAVE_SIGNALS
 
 // Self-pipe shared by every handler in this module. -1 until
 // signal_wake_fd() creates it; the write is skipped while unset, so
@@ -62,12 +55,9 @@ void make_wake_pipe() {
   g_wake_write_fd.store(fds[1], std::memory_order_relaxed);
 }
 
-#endif
-
 }  // namespace
 
 void install_graceful_shutdown() {
-#if OSIM_HAVE_SIGNALS
   struct sigaction action = {};
   action.sa_handler = &osim_shutdown_handler;
   sigemptyset(&action.sa_mask);
@@ -76,7 +66,6 @@ void install_graceful_shutdown() {
   action.sa_flags = 0;
   sigaction(SIGINT, &action, nullptr);
   sigaction(SIGTERM, &action, nullptr);
-#endif
 }
 
 const std::atomic<bool>* shutdown_flag() { return &g_shutdown; }
@@ -86,34 +75,25 @@ bool shutdown_requested() {
 }
 
 void ignore_sigpipe() {
-#if OSIM_HAVE_SIGNALS
   struct sigaction action = {};
   action.sa_handler = SIG_IGN;
   sigemptyset(&action.sa_mask);
   sigaction(SIGPIPE, &action, nullptr);
-#endif
 }
 
 int signal_wake_fd() {
-#if OSIM_HAVE_SIGNALS
   if (g_wake_read_fd < 0) make_wake_pipe();
   return g_wake_read_fd;
-#else
-  return -1;
-#endif
 }
 
 void drain_signal_wake_fd() {
-#if OSIM_HAVE_SIGNALS
   if (g_wake_read_fd < 0) return;
   char buf[64];
   while (read(g_wake_read_fd, buf, sizeof(buf)) > 0) {
   }
-#endif
 }
 
 void install_child_reaper() {
-#if OSIM_HAVE_SIGNALS
   struct sigaction action = {};
   action.sa_handler = &osim_sigchld_handler;
   sigemptyset(&action.sa_mask);
@@ -121,7 +101,6 @@ void install_child_reaper() {
   // No SA_RESTART, same reasoning as the shutdown handler.
   action.sa_flags = SA_NOCLDSTOP;
   sigaction(SIGCHLD, &action, nullptr);
-#endif
 }
 
 bool child_exit_pending() {
@@ -130,7 +109,6 @@ bool child_exit_pending() {
 
 std::vector<ReapedChild> reap_children() {
   std::vector<ReapedChild> reaped;
-#if OSIM_HAVE_SIGNALS
   // Clear the flag before reaping: a SIGCHLD that lands mid-loop re-raises
   // it, and the already-exited child is still collected by this WNOHANG
   // sweep — so an exit is never lost between the flag and the wait.
@@ -141,7 +119,6 @@ std::vector<ReapedChild> reap_children() {
     if (pid <= 0) break;
     reaped.push_back(ReapedChild{static_cast<int>(pid), status});
   }
-#endif
   return reaped;
 }
 

@@ -218,10 +218,6 @@ std::string run_report_json(const ReplayContext& context,
                             app.empty() ? "app" : app, &lint_report);
 }
 
-std::string study_report_json(const Study& study) {
-  return study_report_json(study, nullptr);
-}
-
 namespace {
 
 /// Study records sorted by (label, fingerprint): records accumulate in
@@ -240,8 +236,7 @@ std::vector<ScenarioRecord> sorted_scenarios(const Study& study) {
 
 }  // namespace
 
-std::string study_report_json(const Study& study,
-                              const lint::Report* lint_report) {
+std::string study_report_json(const Study& study) {
   JsonWriter w;
   w.begin_object();
   w.key("schema").value("osim.study_report");
@@ -255,10 +250,6 @@ std::string study_report_json(const Study& study,
   w.key("cache").begin_object();
   w.key("hits").value(static_cast<std::uint64_t>(study.cache_hits()));
   w.key("disk_hits").value(static_cast<std::uint64_t>(study.disk_hits()));
-  if (study.supervised()) {
-    w.key("evictions")
-        .value(static_cast<std::uint64_t>(study.cache_evictions()));
-  }
   w.key("misses").value(static_cast<std::uint64_t>(study.cache_misses()));
   w.key("size").value(static_cast<std::uint64_t>(study.cache_size()));
   w.end_object();
@@ -288,10 +279,6 @@ std::string study_report_json(const Study& study,
     w.end_object();
   }
   w.end_array();
-  if (lint_report != nullptr) {
-    w.key("lint");
-    lint_report->write_json(w);
-  }
   w.end_object();
   return w.str();
 }

@@ -49,18 +49,13 @@ std::string run_report_json(const ReplayContext& context,
 /// scenario (requires StudyOptions::record_scenarios for the latter). Wall
 /// times are printed at a fixed microsecond precision, so the document's
 /// size does not depend on how fast the replays ran.
-std::string study_report_json(const Study& study);
-
-/// Same, with a "lint" block covering the study's input trace; nullptr is
-/// byte-identical to the one-argument overload.
 ///
 /// Supervised studies (Study::supervised()) additionally carry a
 /// study-level "status" ("complete" or "interrupted") and a per-scenario
 /// "status" (ok|timeout|cancelled|failed) with partial wait attribution
 /// for stopped scenarios; unsupervised output is byte-identical to
 /// pre-supervision builds.
-std::string study_report_json(const Study& study,
-                              const lint::Report* lint_report);
+std::string study_report_json(const Study& study);
 
 /// Canonical study report: only fields that are a pure function of the
 /// scenario set — label, fingerprint, makespan, status, fault/progress

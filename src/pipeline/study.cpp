@@ -49,13 +49,11 @@ const char* scenario_status_name(ScenarioStatus status) {
 
 Study::Study(StudyOptions options)
     : jobs_(resolve_jobs(options.jobs)), options_(options) {
-  const std::string cache_dir = store::resolve_cache_dir(options_.cache_dir);
-  if (!cache_dir.empty()) {
-    store_ = std::make_unique<store::ScenarioStore>(cache_dir);
+  if (!options_.cache_dir.empty()) {
+    store_ = std::make_unique<store::ScenarioStore>(options_.cache_dir);
   }
   supervised_ = options_.scenario_timeout_s > 0.0 ||
                 options_.study_deadline_s > 0.0 ||
-                options_.memory_budget_bytes > 0 ||
                 options_.stop_flag != nullptr;
   if (options_.study_deadline_s > 0.0) {
     study_deadline_ = deadline_after(options_.study_deadline_s);
@@ -129,7 +127,7 @@ double Study::makespan(const ReplayContext& context, std::string_view label) {
       {
         std::lock_guard<std::mutex> lock(cache_mutex_);
         ++disk_hits_;
-        cache_insert(key, cached);  // promote into the memory tier
+        cache_.emplace(key, cached);  // promote into the memory tier
       }
       record_completed(key, label, cached, 0.0, CacheTier::kDisk);
       return cached.makespan;
@@ -187,7 +185,7 @@ double Study::makespan(const ReplayContext& context, std::string_view label) {
   const CachedRun cached = CachedRun::of(artifact);
   {
     std::lock_guard<std::mutex> lock(cache_mutex_);
-    cache_insert(key, cached);
+    cache_.emplace(key, cached);
   }
   if (store_ != nullptr) {
     store_save(key, artifact);  // write-behind, queued for retry on failure
@@ -204,32 +202,6 @@ void Study::record_completed(const Fingerprint& key, std::string_view label,
                                  tier != CacheTier::kMiss, std::string(label),
                                  run.fault_counts, run.fault_wait_s,
                                  run.progress_wait_s, tier});
-}
-
-void Study::cache_insert(const Fingerprint& key, const CachedRun& run) {
-  const auto [it, inserted] = cache_.emplace(key, run);
-  (void)it;
-  if (!inserted || options_.memory_budget_bytes <= 0) return;
-  insertion_order_.push_back(key);
-  // Approximate per-entry footprint: the node itself plus hash-table and
-  // bookkeeping overhead. The point is a stable, monotone bound, not an
-  // exact heap accounting.
-  constexpr std::size_t kEntryBytes =
-      sizeof(std::pair<const Fingerprint, CachedRun>) + 64;
-  const auto budget = static_cast<std::size_t>(options_.memory_budget_bytes);
-  while (cache_.size() > 1 && cache_.size() * kEntryBytes > budget &&
-         !insertion_order_.empty()) {
-    const Fingerprint oldest = insertion_order_.front();
-    insertion_order_.pop_front();
-    if (oldest == key) {
-      // Never evict what we just inserted — with a budget below one entry
-      // the cache still holds the newest result.
-      insertion_order_.push_back(oldest);
-      if (insertion_order_.size() <= 1) break;
-      continue;
-    }
-    if (cache_.erase(oldest) > 0) ++evictions_;
-  }
 }
 
 double Study::record_stopped(const Fingerprint& key, std::string_view label,
@@ -349,11 +321,6 @@ std::size_t Study::cache_size() const {
 std::size_t Study::disk_hits() const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   return disk_hits_;
-}
-
-std::size_t Study::cache_evictions() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  return evictions_;
 }
 
 std::vector<ScenarioRecord> Study::scenarios() const {

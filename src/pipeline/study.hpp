@@ -52,9 +52,8 @@ struct StudyOptions {
   /// Root of the persistent scenario store (store::ScenarioStore), the
   /// disk tier behind the in-memory cache: makespan() reads through it and
   /// writes computed results behind, so identical scenarios are served
-  /// across processes and sessions. Empty = $OSIM_CACHE_DIR, or no disk
-  /// tier when that is unset too — in which case behavior and results are
-  /// bit-identical to a store-less build.
+  /// across processes and sessions. Empty = no disk tier, in which case
+  /// behavior and results are bit-identical to a store-less build.
   std::string cache_dir;
 
   // --- Supervision (all off by default; when every field below is at its
@@ -69,11 +68,6 @@ struct StudyOptions {
   /// construction (0 = unbounded). Past the deadline every replay stops
   /// cooperatively and the study reports interrupted.
   double study_deadline_s = 0.0;
-  /// Byte budget for the in-memory result cache (0 = unbounded). Under
-  /// pressure the oldest entries are dropped; the disk store (which every
-  /// computed result is written behind to) keeps serving them, so long
-  /// sweeps degrade to warm-disk speed instead of growing the heap.
-  std::int64_t memory_budget_bytes = 0;
   /// External stop flag (typically common/signals.hpp's shutdown_flag());
   /// when it goes true, in-flight replays stop cooperatively and pending
   /// scenarios are recorded as cancelled. Null = no external stop source.
@@ -158,8 +152,6 @@ class Study {
   std::size_t cache_size() const;
   /// Scenarios served from the persistent store (0 without a cache_dir).
   std::size_t disk_hits() const;
-  /// Memory-tier entries dropped under --memory-budget pressure.
-  std::size_t cache_evictions() const;
 
   /// True when any supervision option is active. Reports key their status
   /// fields off this so unsupervised output stays byte-identical.
@@ -210,9 +202,6 @@ class Study {
     }
   };
 
-  /// Inserts under the memory budget, evicting oldest-first when over
-  /// (cache_mutex_ must be held).
-  void cache_insert(const Fingerprint& key, const CachedRun& run);
   /// Records a completed run as served by `tier`.
   void record_completed(const Fingerprint& key, std::string_view label,
                         const CachedRun& run, double wall_s, CacheTier tier);
@@ -236,9 +225,6 @@ class Study {
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::size_t disk_hits_ = 0;
-  std::size_t evictions_ = 0;
-  /// Insertion order for budget eviction (tracked only under a budget).
-  std::deque<Fingerprint> insertion_order_;
 
   /// Disk tier; nullptr when no cache_dir is configured.
   std::unique_ptr<store::ScenarioStore> store_;

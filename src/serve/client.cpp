@@ -1,5 +1,10 @@
 #include "serve/client.hpp"
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -9,17 +14,7 @@
 #include "common/expect.hpp"
 #include "common/strings.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define OSIM_HAVE_SERVE_POSIX 1
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#endif
-
 namespace osim::serve {
-
-#if OSIM_HAVE_SERVE_POSIX
 
 namespace {
 
@@ -179,29 +174,5 @@ ServerMessage ClientConnection::read_reply() {
     reader_.feed(std::string_view(buffer, static_cast<std::size_t>(n)));
   }
 }
-
-#else  // !OSIM_HAVE_SERVE_POSIX
-
-ClientConnection ClientConnection::connect_unix(const std::string&, int) {
-  throw Error("the analysis service requires a POSIX platform");
-}
-ClientConnection ClientConnection::connect_tcp(int, int) {
-  throw Error("the analysis service requires a POSIX platform");
-}
-ClientConnection::ClientConnection(int fd) : fd_(fd) {}
-ClientConnection::ClientConnection(ClientConnection&&) noexcept {}
-ClientConnection& ClientConnection::operator=(ClientConnection&&) noexcept {
-  return *this;
-}
-ClientConnection::~ClientConnection() = default;
-void ClientConnection::handshake() {}
-ServerMessage ClientConnection::call(const ClientMessage&) {
-  throw Error("the analysis service requires a POSIX platform");
-}
-ServerMessage ClientConnection::read_reply() {
-  throw Error("the analysis service requires a POSIX platform");
-}
-
-#endif
 
 }  // namespace osim::serve

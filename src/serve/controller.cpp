@@ -1,5 +1,12 @@
 #include "serve/controller.hpp"
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
@@ -24,19 +31,7 @@
 #include "serve/worker.hpp"
 #include "store/store.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define OSIM_HAVE_SERVE_POSIX 1
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-#endif
-
 namespace osim::serve {
-
-#if OSIM_HAVE_SERVE_POSIX
 
 namespace {
 
@@ -1025,18 +1020,5 @@ Controller::Controller(ControllerOptions options)
 Controller::~Controller() = default;
 
 int Controller::run() { return impl_->run(); }
-
-#else  // !OSIM_HAVE_SERVE_POSIX
-
-struct Controller::Impl {};
-
-Controller::Controller(ControllerOptions) {}
-Controller::~Controller() = default;
-
-int Controller::run() {
-  throw Error("the analysis service requires a POSIX platform");
-}
-
-#endif
 
 }  // namespace osim::serve

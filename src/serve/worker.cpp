@@ -1,5 +1,10 @@
 #include "serve/worker.hpp"
 
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -8,17 +13,7 @@
 #include "common/strings.hpp"
 #include "trace/binary_io.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define OSIM_HAVE_SERVE_POSIX 1
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
-
 namespace osim::serve {
-
-#if OSIM_HAVE_SERVE_POSIX
 
 namespace {
 
@@ -301,30 +296,5 @@ void WorkerPool::shutdown() {
     worker->inflight.clear();
   }
 }
-
-#else  // !OSIM_HAVE_SERVE_POSIX
-
-int run_worker_loop(int, const std::string&) { return 1; }
-
-WorkerPool::WorkerPool(WorkerOptions options) : options_(std::move(options)) {}
-WorkerPool::~WorkerPool() = default;
-void WorkerPool::start() {
-  throw Error("the analysis service requires a POSIX platform");
-}
-void WorkerPool::spawn(Worker&) {}
-int WorkerPool::idle_worker() const { return -1; }
-int WorkerPool::busy_workers() const { return 0; }
-void WorkerPool::assign(int, const std::vector<JobRequest>&) {}
-std::vector<JobResult> WorkerPool::on_readable(int, bool& dead) {
-  dead = true;
-  return {};
-}
-std::vector<JobRequest> WorkerPool::take_inflight(int) { return {}; }
-int WorkerPool::worker_by_pid(int) const { return -1; }
-void WorkerPool::mark_dead(int) {}
-void WorkerPool::respawn(int) {}
-void WorkerPool::shutdown() {}
-
-#endif
 
 }  // namespace osim::serve

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <tuple>
 #include <utility>
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 #include "common/crash_point.hpp"
 #include "common/expect.hpp"
@@ -27,9 +24,9 @@ namespace {
 /// nullopt. An absent file — every miss — costs no exception. Objects are
 /// renamed into place and only ever unlinked, never rewritten, so a
 /// mapping never sees a torn file.
-std::optional<trace::MappedFile> map_file(const fs::path& path) {
+std::optional<trace::MappedFile> map_file(const std::string& path) {
   try {
-    return trace::MappedFile::open_if_exists(path.string());
+    return trace::MappedFile::open_if_exists(path);
   } catch (const Error&) {
     return std::nullopt;
   }
@@ -51,11 +48,7 @@ void write_file_atomic(const fs::path& path, const std::string& bytes,
   static std::atomic<std::uint64_t> sequence{0};
   const fs::path tmp =
       tmp_dir / strprintf("%s.%ld.%llu.tmp", path.filename().c_str(),
-#ifndef _WIN32
                           static_cast<long>(::getpid()),
-#else
-                          0L,
-#endif
                           static_cast<unsigned long long>(
                               sequence.fetch_add(1)));
   {
@@ -157,15 +150,22 @@ std::size_t ScenarioStore::sweep_stale_tmp(const std::string& root,
 }
 
 std::string ScenarioStore::object_path(const pipeline::Fingerprint& fp) const {
+  // One string and no fs::path temporaries: every miss pays this before
+  // its open(). Layout: <root>/objects/<first two hex digits>/<hex>.
   const std::string hex = pipeline::to_hex(fp);
-  return (fs::path(root_) / "objects" / hex.substr(0, 2) / hex).string();
+  std::string path;
+  path.reserve(root_.size() + sizeof("/objects/xx/") + hex.size());
+  path.append(root_);
+  if (path.back() != '/') path += '/';
+  path.append("objects/").append(hex, 0, 2).append(1, '/').append(hex);
+  return path;
 }
 
 template <class Decoded>
 std::optional<Decoded> ScenarioStore::fetch(
     const pipeline::Fingerprint& fp,
     std::optional<Decoded> (*decode)(std::string_view)) {
-  const fs::path path(object_path(fp));
+  const std::string path = object_path(fp);
   const std::optional<trace::MappedFile> file = map_file(path);
   std::optional<Decoded> decoded;
   if (file.has_value()) decoded = decode(file->view());
@@ -348,12 +348,6 @@ std::string VerifyReport::render_text() const {
     out += "  " + issue.path + ": " + issue.message + "\n";
   }
   return out;
-}
-
-std::string resolve_cache_dir(std::string explicit_dir) {
-  if (!explicit_dir.empty()) return explicit_dir;
-  const char* env = std::getenv("OSIM_CACHE_DIR");
-  return env != nullptr ? std::string(env) : std::string();
 }
 
 }  // namespace osim::store

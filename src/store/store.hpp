@@ -169,9 +169,4 @@ class ScenarioStore {
   std::uint64_t rejects_ = 0;
 };
 
-/// Cache-directory resolution shared by StudyOptions::cache_dir and the
-/// CLI --cache-dir flags: the explicit value wins, then $OSIM_CACHE_DIR,
-/// then "" (disk tier off).
-std::string resolve_cache_dir(std::string explicit_dir);
-
 }  // namespace osim::store

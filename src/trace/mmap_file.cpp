@@ -1,39 +1,19 @@
 #include "trace/mmap_file.hpp"
 
-#include <cerrno>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <utility>
-
-#include "common/expect.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define OSIM_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define OSIM_HAVE_MMAP 0
-#endif
+
+#include <cerrno>
+#include <utility>
+
+#include "common/expect.hpp"
 
 namespace osim::trace {
 
 namespace {
 
-#if !OSIM_HAVE_MMAP
-std::string read_whole_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) throw Error("error reading file: " + path);
-  return std::move(buf).str();
-}
-#endif
-
-#if OSIM_HAVE_MMAP
 /// Drains an already-open descriptor. Used for everything mmap cannot take
 /// (pipes, devices, zero-length files): re-opening the path — as the old
 /// fallback did — consumes nothing from a regular file but loses data or
@@ -51,7 +31,6 @@ std::string read_whole_fd(int fd, const std::string& path) {
     out.append(chunk, static_cast<std::size_t>(n));
   }
 }
-#endif
 
 }  // namespace
 
@@ -63,7 +42,6 @@ MappedFile MappedFile::open(const std::string& path) {
 
 std::optional<MappedFile> MappedFile::open_if_exists(const std::string& path) {
   MappedFile file;
-#if OSIM_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     if (errno == ENOENT) return std::nullopt;
@@ -96,11 +74,6 @@ std::optional<MappedFile> MappedFile::open_if_exists(const std::string& path) {
     throw;
   }
   ::close(fd);
-#else
-  std::error_code ec;
-  if (!std::filesystem::exists(path, ec) && !ec) return std::nullopt;
-  file.fallback_ = read_whole_file(path);
-#endif
   file.data_ = file.fallback_.data();
   file.size_ = file.fallback_.size();
   file.mapped_ = false;
@@ -127,11 +100,9 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
 }
 
 MappedFile::~MappedFile() {
-#if OSIM_HAVE_MMAP
   if (mapped_ && data_ != nullptr) {
     ::munmap(const_cast<char*>(data_), size_);
   }
-#endif
 }
 
 }  // namespace osim::trace

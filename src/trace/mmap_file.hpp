@@ -3,9 +3,9 @@
 // MappedFile maps an input file read-only — a trace in either format, an
 // annotated trace, a platform file — so its parser (a bytes::Reader or a
 // LineCursor over view()) walks the page cache directly, with no read()
-// copy. When mmap is unavailable (non-POSIX host,
-// pipes and FIFOs, zero-length files), the class degrades to reading the
-// file into an owned buffer — callers see the same view() either way.
+// copy. When mmap is unavailable (pipes and FIFOs, zero-length files), the
+// class degrades to reading the descriptor into an owned buffer — callers
+// see the same view() either way.
 #pragma once
 
 #include <cstddef>

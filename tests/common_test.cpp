@@ -2,16 +2,14 @@
 // CSV, flags, logging.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <set>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <cerrno>
-#include <csignal>
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
+
+#include <cerrno>
+#include <cmath>
+#include <csignal>
+#include <set>
 
 #include "common/bytes.hpp"
 #include "common/cancel.hpp"
@@ -538,8 +536,6 @@ TEST(Log, CaptureAndLevels) {
 
 // --- signals: the daemon-side child reaper ----------------------------------
 
-#if defined(__unix__) || defined(__APPLE__)
-
 // A worker killed with SIGKILL must surface through the reaper: SIGCHLD
 // wakes the self-pipe, and reap_children() returns the pid with the
 // signal-death status — the exact path osim_serve uses to requeue a dead
@@ -600,8 +596,6 @@ TEST(Signals, IgnoreSigpipeSurvivesClosedPipeWrite) {
   EXPECT_EQ(errno, EPIPE);
   close(fds[1]);
 }
-
-#endif
 
 // --- byte codec varints -----------------------------------------------------
 

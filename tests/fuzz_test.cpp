@@ -13,11 +13,9 @@
 #include <thread>
 #include <tuple>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
-#endif
 
 #include "common/expect.hpp"
 #include "common/rng.hpp"
@@ -712,7 +710,6 @@ TEST(MappedFileEdgeCases, EmptyFileSalvagesToUnusableNotCrash) {
   std::filesystem::remove(path);
 }
 
-#if defined(__unix__) || defined(__APPLE__)
 TEST(MappedFileEdgeCases, FifoIsReadOnceNotReopened) {
   // A FIFO's bytes exist once: the old fallback closed the descriptor and
   // re-opened the *path*, which blocks forever once the writer has hung up.
@@ -750,7 +747,6 @@ TEST(MappedFileEdgeCases, GarbageOnFifoDegradesToUnusable) {
   EXPECT_TRUE(recovered.damage.unusable);
   ::unlink(path.c_str());
 }
-#endif
 
 }  // namespace
 }  // namespace osim

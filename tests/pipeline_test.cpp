@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
@@ -600,7 +599,6 @@ std::string fresh_dir(const std::string& name) {
 }
 
 TEST(StudySupervision, OffByDefault) {
-  unsetenv("OSIM_CACHE_DIR");
   Study study;
   EXPECT_FALSE(study.supervised());
   EXPECT_FALSE(study.interrupted());
@@ -664,7 +662,6 @@ TEST(StudySupervision, StudyDeadlineInterruptsTheSweep) {
 // rerun serves those from the disk tier and replays the rest — including
 // a scenario the earlier run stopped at its timeout, which stored nothing.
 TEST(StudySupervision, RerunOnTheSameStoreResumes) {
-  unsetenv("OSIM_CACHE_DIR");
   const std::string dir = fresh_dir("resume");
   const ReplayContext base(ring_trace(4, 3), ring_platform(4));
   std::vector<ReplayContext> contexts;
@@ -725,44 +722,10 @@ TEST(StudySupervision, RerunOnTheSameStoreResumes) {
   EXPECT_EQ(study_report_canonical_json(rerun), cold_report);
 }
 
-TEST(StudySupervision, MemoryBudgetEvictsOldestFirst) {
-  StudyOptions options;
-  options.memory_budget_bytes = 1;  // below one entry: keep only the newest
-  Study study(options);
-  const ReplayContext base(ring_trace(2, 2), ring_platform(2));
-  const std::vector<double> bandwidths = {100.0, 250.0, 500.0};
-  std::vector<double> first_pass;
-  for (const double bw : bandwidths) {
-    first_pass.push_back(study.makespan(base.with_bandwidth(bw)));
-  }
-  EXPECT_EQ(study.cache_size(), 1u);
-  EXPECT_EQ(study.cache_evictions(), bandwidths.size() - 1);
-  // Evicted entries replay again — degradation costs time, never results.
-  EXPECT_EQ(study.makespan(base.with_bandwidth(bandwidths[0])),
-            first_pass[0]);
-  EXPECT_EQ(study.cache_hits(), 0u);
-  // The newest entry is still resident and served from memory.
-  EXPECT_EQ(study.cache_size(), 1u);
-}
-
-TEST(StudySupervision, MemoryBudgetWithDiskTierDegradesToWarmDisk) {
-  StudyOptions options;
-  options.cache_dir = fresh_dir("budget_disk");
-  options.memory_budget_bytes = 1;
-  Study study(options);
-  const ReplayContext base(ring_trace(2, 2), ring_platform(2));
-  const double first = study.makespan(base.with_bandwidth(100.0));
-  study.makespan(base.with_bandwidth(250.0));  // evicts the first entry
-  EXPECT_EQ(study.makespan(base.with_bandwidth(100.0)), first);
-  EXPECT_EQ(study.disk_hits(), 1u);      // the store answered the re-probe
-  EXPECT_EQ(study.cache_misses(), 2u);   // no third replay happened
-}
-
 TEST(StudySupervision, WriteBehindQueuesAndRetries) {
   const std::string dir = fresh_dir("write_behind");
   StudyOptions options;
   options.cache_dir = dir;
-  options.memory_budget_bytes = 1 << 20;  // any supervision flag works
   Study study(options);
   ASSERT_NE(study.store(), nullptr);
   // Break publication: replace the store's tmp directory with a file so

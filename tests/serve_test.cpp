@@ -385,8 +385,6 @@ TEST(Fuzz, RandomGarbageStreamsNeverCrash) {
 
 // --- the service ------------------------------------------------------------
 
-#if defined(__unix__) || defined(__APPLE__)
-
 std::string fresh_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/osim_serve_" + name;
   fs::remove_all(dir);
@@ -855,8 +853,6 @@ TEST(Service, WorkerSigkillIsRetriedOnAFreshWorker) {
   EXPECT_NE(stats.find("\"replays_completed\":2"), std::string::npos) << stats;
   EXPECT_EQ(service.shutdown(), kExitOk);
 }
-
-#endif  // __unix__ || __APPLE__
 
 }  // namespace
 }  // namespace osim::serve

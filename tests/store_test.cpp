@@ -651,13 +651,17 @@ TEST(StudyDiskTier, WarmRunNeedsNoWritableStore) {
   EXPECT_EQ(warm.cache_misses(), 0u);
 }
 
+// The disk tier is the caller's choice alone: an exported $OSIM_CACHE_DIR
+// neither opens nor creates a store.
 TEST(StudyDiskTier, NoCacheDirMeansNoStore) {
-  // Guard $OSIM_CACHE_DIR leaking into the test environment.
-  unsetenv("OSIM_CACHE_DIR");
+  const std::string dir = fresh_dir("environment");
+  setenv("OSIM_CACHE_DIR", dir.c_str(), 1);
   pipeline::Study study;
   EXPECT_EQ(study.store(), nullptr);
   study.makespan(pipeline::ReplayContext(ring_trace(2, 1), ring_platform(2)));
   EXPECT_EQ(study.disk_hits(), 0u);
+  EXPECT_FALSE(fs::exists(dir));
+  unsetenv("OSIM_CACHE_DIR");
 }
 
 TEST(StudyDiskTier, MemoryTierIsPreferredWithinAStudy) {

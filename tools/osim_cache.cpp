@@ -1,6 +1,6 @@
 // osim_cache — maintenance surface for the persistent scenario store
 // (src/store): the on-disk, content-addressed cache behind Study's
-// --cache-dir / $OSIM_CACHE_DIR disk tier.
+// --cache-dir disk tier.
 //
 //   osim_cache stats  --cache-dir DIR            # object/byte totals
 //   osim_cache stats  --cache-dir DIR --json     # machine-readable document
@@ -95,11 +95,8 @@ int main(int argc, char** argv) try {
     require_flag_range("max-bytes", max_bytes, 0, kMax);
   }
   require_flag_range("max-objects", max_objects, 0, kMax);
-  const std::string dir = store::resolve_cache_dir(run.cache_dir);
-  if (dir.empty()) {
-    throw UsageError("no store: pass --cache-dir or set $OSIM_CACHE_DIR");
-  }
-  store::ScenarioStore cache(dir);
+  if (run.cache_dir.empty()) throw UsageError("no store: pass --cache-dir");
+  store::ScenarioStore cache(run.cache_dir);
   const auto finish = [&](int code) {
     perf.write_if(run.perf_json);
     return code;

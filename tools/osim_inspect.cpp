@@ -153,9 +153,8 @@ int main(int argc, char** argv) try {
     options.collect_metrics = false;
     const pipeline::ReplayContext context(std::move(t), platform, options);
     std::printf("%s\n", pipeline::to_hex(context.fingerprint()).c_str());
-    const std::string dir = store::resolve_cache_dir(cache_dir);
-    if (!dir.empty()) {
-      store::ScenarioStore cache(dir);
+    if (!cache_dir.empty()) {
+      store::ScenarioStore cache(cache_dir);
       const std::string path = cache.object_path(context.fingerprint());
       const bool present = std::filesystem::exists(path);
       std::printf("object: %s (%s)\n", path.c_str(),

@@ -121,10 +121,8 @@ int main(int argc, char** argv) try {
   };
 
   std::unique_ptr<store::ScenarioStore> cache;
-  const std::string resolved_cache_dir =
-      store::resolve_cache_dir(run.cache_dir);
-  if (!resolved_cache_dir.empty()) {
-    cache = std::make_unique<store::ScenarioStore>(resolved_cache_dir);
+  if (!run.cache_dir.empty()) {
+    cache = std::make_unique<store::ScenarioStore>(run.cache_dir);
   }
 
   lint::Report report;

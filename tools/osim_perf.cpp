@@ -23,8 +23,8 @@
 //   osim_perf --jobs 8 --ranks 32 --iterations 16   # a bigger workload
 //
 // --perf-json writes the harness's own record (wall, CPU, peak RSS and the
-// four medians). A store directory, from --cache-dir or $OSIM_CACHE_DIR,
-// is refused with exit 2: every path here times uncached work.
+// four medians). A store directory (--cache-dir) is refused with exit 2:
+// every path here times uncached work.
 //
 // This tool calls dimemas::replay directly on purpose: it times the
 // engine, not the pipeline wrapper (the layering rule in scripts/check.sh
@@ -52,7 +52,6 @@
 #include "pipeline/context.hpp"
 #include "pipeline/scenario.hpp"
 #include "pipeline/study.hpp"
-#include "store/store.hpp"
 #include "trace/binary_io.hpp"
 
 namespace {
@@ -103,12 +102,11 @@ int main(int argc, char** argv) try {
   run.register_flags(flags, nullptr, "");
   if (!flags.parse(argc, argv)) return 0;
   if (repetitions < 1) throw UsageError("--repetitions must be >= 1");
-  if (!store::resolve_cache_dir(run.cache_dir).empty()) {
-    // The study path must replay every scenario; a disk tier (which
-    // pipeline::Study would also pick up from $OSIM_CACHE_DIR) would turn
+  if (!run.cache_dir.empty()) {
+    // The study path must replay every scenario; a disk tier would turn
     // the measurement into a store benchmark.
-    throw UsageError("--cache-dir / $OSIM_CACHE_DIR is not supported: "
-                     "osim_perf times uncached replays");
+    throw UsageError("--cache-dir is not supported: osim_perf times "
+                     "uncached replays");
   }
 
   // --- workload: trace every bundled app once ----------------------------

@@ -155,10 +155,8 @@ int main(int argc, char** argv) try {
   // cache when this exact (trace, platform, options) fingerprint has been
   // replayed before, by any process.
   std::unique_ptr<store::ScenarioStore> cache;
-  const std::string resolved_cache_dir =
-      store::resolve_cache_dir(run.cache_dir);
-  if (!resolved_cache_dir.empty()) {
-    cache = std::make_unique<store::ScenarioStore>(resolved_cache_dir);
+  if (!run.cache_dir.empty()) {
+    cache = std::make_unique<store::ScenarioStore>(run.cache_dir);
   }
   const bool cacheable = !options.record_timeline && !options.record_comms &&
                          !options.collect_metrics;
@@ -192,7 +190,13 @@ int main(int argc, char** argv) try {
       return kExitInterrupted;
     }
     if (cache != nullptr && cacheable) {
-      cache->save(context.fingerprint(), store::make_artifact(result));
+      // Write-behind is best effort: the result is already computed.
+      try {
+        cache->save(context.fingerprint(), store::make_artifact(result));
+      } catch (const Error& e) {
+        std::fprintf(stderr, "warning: scenario store write failed (%s)\n",
+                     e.what());
+      }
     }
   }
 

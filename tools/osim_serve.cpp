@@ -19,12 +19,10 @@
 //
 // The --worker mode is internal: the controller re-execs this binary with
 // --worker --worker-fd 3 to spawn each worker process.
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 #include "common/exit_codes.hpp"
 #include "common/expect.hpp"
@@ -32,7 +30,6 @@
 #include "common/signals.hpp"
 #include "serve/controller.hpp"
 #include "serve/worker.hpp"
-#include "store/store.hpp"
 
 namespace {
 
@@ -74,8 +71,8 @@ int main(int argc, char** argv) try {
             "additionally listen on 127.0.0.1:<port> (0 = off)");
   flags.add("workers", &workers, "worker processes");
   flags.add("cache-dir", &cache_dir,
-            "scenario store directory (default: $OSIM_CACHE_DIR; the "
-            "service's durable tier)");
+            "scenario store directory (default: none; the service's "
+            "durable tier)");
   flags.add("max-queue", &max_queue,
             "admission control: refuse submits beyond this many queued "
             "jobs (exit code 6 at the client)");
@@ -96,8 +93,7 @@ int main(int argc, char** argv) try {
   if (worker) {
     if (worker_fd < 0) throw UsageError("--worker requires --worker-fd");
     ignore_sigpipe();
-    return serve::run_worker_loop(static_cast<int>(worker_fd),
-                                  store::resolve_cache_dir(cache_dir));
+    return serve::run_worker_loop(static_cast<int>(worker_fd), cache_dir);
   }
 
   if (socket_path.empty()) throw UsageError("--socket is required");
@@ -107,7 +103,7 @@ int main(int argc, char** argv) try {
   options.tcp_port = static_cast<int>(tcp_port);
   options.workers = static_cast<int>(workers);
   options.serve_binary = self_binary(argc > 0 ? argv[0] : nullptr);
-  options.cache_dir = store::resolve_cache_dir(cache_dir);
+  options.cache_dir = cache_dir;
   options.max_queue = max_queue;
   options.max_inflight_bytes = max_inflight_bytes;
   options.max_retries = static_cast<int>(max_retries);
