@@ -2,6 +2,9 @@
 # Pins the paper's evaluation: runs every bench at its defaults into a
 # temp directory and requires each output file to be byte-identical to
 # the committed one under bench_results/, and the two file sets to match.
+# It then asserts EXPERIMENTS.md's Fig. 6 shape claims on the files it
+# has just produced (the benches' default scale, 16 ranks), so a
+# regenerated bench_results/ cannot quietly break them.
 # A change that moves a result on purpose regenerates bench_results/ by
 # running the benches below with --out-dir bench_results.
 # Usage: paper_results_test.sh <build_dir> <bench_results_dir>
@@ -33,4 +36,68 @@ status=0
 while read -r name; do
   cmp "$EXPECTED/$name" "$OUT/results/$name" || status=1
 done < "$OUT/produced"
+
+# Fig. 6(a): nas_cg has the highest real speedup, sweep3d the highest
+# ideal one, alya is exactly 1/1, and speedup_ideal >= speedup_real >= 1.
+awk -F, 'NR > 1 {
+  real[$1] = $5 + 0; ideal[$1] = $6 + 0
+  if (!(ideal[$1] >= real[$1] && real[$1] >= 1)) {
+    printf "fig6a_speedup at 16 ranks: %s breaks speedup_ideal >= " \
+           "speedup_real >= 1 (ideal %s, real %s)\n", $1, $6, $5; bad = 1
+  }
+  if ($1 == "alya" && !($5 == "1" && $6 == "1")) {
+    printf "fig6a_speedup at 16 ranks: alya must be exactly 1/1 " \
+           "(real %s, ideal %s)\n", $5, $6; bad = 1
+  }
+}
+END {
+  if (!("nas_cg" in real) || !("sweep3d" in real) || !("alya" in real)) {
+    print "fig6a_speedup at 16 ranks: missing nas_cg, sweep3d or alya"
+    exit 1
+  }
+  for (app in real) {
+    if (real[app] > real["nas_cg"]) {
+      printf "fig6a_speedup at 16 ranks: %s has a higher real speedup " \
+             "than nas_cg (%g > %g)\n", app, real[app], real["nas_cg"]
+      bad = 1
+    }
+    if (ideal[app] > ideal["sweep3d"]) {
+      printf "fig6a_speedup at 16 ranks: %s has a higher ideal speedup " \
+             "than sweep3d (%g > %g)\n", app, ideal[app], ideal["sweep3d"]
+      bad = 1
+    }
+  }
+  exit bad
+}' "$OUT/results/fig6a_speedup.csv" >&2 || status=1
+
+# Fig. 6(b): alya cannot relax, nas_cg relaxes the most under real
+# patterns, and sweep3d relaxes by at least an order of magnitude under
+# ideal ones.
+awk -F, 'NR > 1 {
+  relaxed_real[$1] = $2 + 0
+  if ($1 == "alya" && !($2 + 0 == $4 + 0 && $3 + 0 == $4 + 0)) {
+    printf "fig6b_relaxation at 16 ranks: alya must not relax " \
+           "(real %s, ideal %s, nominal %s MB/s)\n", $2, $3, $4; bad = 1
+  }
+  if ($1 == "sweep3d" && !($3 * 10 <= $4 + 0)) {
+    printf "fig6b_relaxation at 16 ranks: sweep3d ideal relaxes to %s " \
+           "MB/s, more than a tenth of nominal %s MB/s\n", $3, $4; bad = 1
+  }
+}
+END {
+  if (!("nas_cg" in relaxed_real) || !("sweep3d" in relaxed_real) ||
+      !("alya" in relaxed_real)) {
+    print "fig6b_relaxation at 16 ranks: missing nas_cg, sweep3d or alya"
+    exit 1
+  }
+  for (app in relaxed_real) {
+    if (relaxed_real[app] < relaxed_real["nas_cg"]) {
+      printf "fig6b_relaxation at 16 ranks: %s relaxes further than " \
+             "nas_cg under real patterns (%g < %g MB/s)\n", app,
+             relaxed_real[app], relaxed_real["nas_cg"]
+      bad = 1
+    }
+  }
+  exit bad
+}' "$OUT/results/fig6b_relaxation.csv" >&2 || status=1
 exit $status

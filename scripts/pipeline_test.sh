@@ -324,22 +324,52 @@ for bad in "--chunks -2" "--chunks 300" "--scale 0" "--chunks 0" \
 done
 
 # The study journal is gone (a rerun on the same --cache-dir is the
-# resume), and so are thread-mode service workers and the memory-tier
-# budget: their flags are unknown flags, never silently ignored.
+# resume), and so are thread-mode service workers, the memory-tier
+# budget, the service's same-trace batching and its loopback TCP
+# listener: their flags are unknown flags, never silently ignored.
 for case in "bench/fig6a_speedup --resume" "bench/fig6a_speedup --journal" \
             "bench/fig6a_speedup --memory-budget 64M" \
             "tools/osim_serve --socket $OUT/none.sock --journal" \
             "tools/osim_serve --socket $OUT/none.sock --worker-mode thread" \
+            "tools/osim_serve --socket $OUT/none.sock --max-batch 2" \
+            "tools/osim_serve --socket $OUT/none.sock --tcp-port 7077" \
+            "tools/osim_client stats --tcp-port 7077" \
             "tools/osim_cache stats --cache-dir $OUT/none --journals"; do
   set +e
   # shellcheck disable=SC2086  # $case is a binary plus its flags
-  "$BUILD/"$case > /dev/null 2> "$OUT/removed_flag.txt"
+  timeout 20 "$BUILD/"$case > /dev/null 2> "$OUT/removed_flag.txt"
   rc=$?
   set -e
   [ "$rc" -eq 2 ] || { echo "$case: expected exit 2, got $rc" >&2; exit 1; }
   flag="${case##*--}"
   grep -q -- "unknown flag --${flag%% *}" "$OUT/removed_flag.txt" \
       || { cat "$OUT/removed_flag.txt" >&2; exit 1; }
+done
+
+# The service's integer flags are range-checked before anything starts,
+# because each bad value would otherwise be misread silently: --workers 0
+# and --workers 4294967297 would run one worker, --max-retries -1 would
+# fail a job at its first worker death and --report-cache -1 would evict
+# every finished report from memory. (A server that wrongly starts is
+# stopped by the timeout and fails the check.)
+for case in "tools/osim_serve --workers 0" "tools/osim_serve --workers -1" \
+            "tools/osim_serve --workers 4294967297" \
+            "tools/osim_serve --max-retries -1" \
+            "tools/osim_serve --max-queue -1" \
+            "tools/osim_serve --max-inflight-bytes -1" \
+            "tools/osim_serve --report-cache -1" \
+            "tools/osim_client stats --connect-retry-ms -1" \
+            "tools/osim_client stats --connect-retry-ms 4294967297"; do
+  set +e
+  # shellcheck disable=SC2086  # $case is a binary plus its flags
+  timeout 20 "$BUILD/"$case --socket "$OUT/none.sock" \
+      > /dev/null 2> "$OUT/bad_serve_flag.txt"
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || { echo "$case: expected exit 2, got $rc" >&2; exit 1; }
+  flag="${case##*--}"
+  grep -q -- "--${flag%% *} must be in" "$OUT/bad_serve_flag.txt" \
+      || { cat "$OUT/bad_serve_flag.txt" >&2; exit 1; }
 done
 
 # Truncated binary trace: strict read refuses with exit 3...

@@ -174,14 +174,15 @@ grep -q '"dedupe_served_store":1' "$OUT/stats2.json"
 
 # --- 5. a SIGKILLed worker is retried; the client still gets its report -----
 
-# The crash point fires on the second job a worker process runs: with one
-# worker and a batch of two, job 2 kills the worker mid-assignment and
-# must come back on the respawned one.
+# The crash point fires on the second job a worker process runs. One
+# worker takes the study's two jobs one at a time, so job 2 kills the
+# worker that finished job 1 and must come back on the respawned one,
+# where it is the first job.
 "$CLIENT" shutdown --socket "$SOCK" > /dev/null
 wait "$SERVE_PID" || true
 SERVE_PID=""
 OSIM_CRASH_POINT=serve.worker.job:2 "$SERVE" --socket "$SOCK" \
-    --workers 1 --max-batch 2 2> "$OUT/serve3.log" &
+    --workers 1 2> "$OUT/serve3.log" &
 SERVE_PID=$!
 "$CLIENT" study --socket "$SOCK" --trace "$OUT/cg.overlap_ideal.trace" \
     --bandwidths 125,500 --wait > "$OUT/crash.txt"

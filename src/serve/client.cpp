@@ -1,6 +1,5 @@
 #include "serve/client.hpp"
 
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -31,18 +30,16 @@ bool write_all(int fd, std::string_view bytes) {
   return true;
 }
 
-/// Retries `try_connect` (returning a connected fd or -1) until it
-/// succeeds or `retry_ms` elapses.
-template <typename F>
-int connect_with_retry(F try_connect, int retry_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(retry_ms);
-  for (;;) {
-    const int fd = try_connect();
-    if (fd >= 0) return fd;
-    if (std::chrono::steady_clock::now() >= deadline) return -1;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+/// A socket connected to `addr`, or -1.
+int try_connect(const sockaddr_un& addr) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) == 0) {
+    return fd;
   }
+  ::close(fd);
+  return -1;
 }
 
 }  // namespace
@@ -55,46 +52,15 @@ ClientConnection ClientConnection::connect_unix(const std::string& path,
   }
   addr.sun_family = AF_UNIX;
   std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  const int fd = connect_with_retry(
-      [&addr]() {
-        const int s = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (s < 0) return -1;
-        if (::connect(s, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)) == 0) {
-          return s;
-        }
-        ::close(s);
-        return -1;
-      },
-      retry_ms);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(retry_ms);
+  int fd = try_connect(addr);
+  while (fd < 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    fd = try_connect(addr);
+  }
   if (fd < 0) {
     throw Error(strprintf("cannot connect to %s: %s", path.c_str(),
-                          std::strerror(errno)));
-  }
-  ClientConnection connection(fd);
-  connection.handshake();
-  return connection;
-}
-
-ClientConnection ClientConnection::connect_tcp(int port, int retry_ms) {
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  const int fd = connect_with_retry(
-      [&addr]() {
-        const int s = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (s < 0) return -1;
-        if (::connect(s, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)) == 0) {
-          return s;
-        }
-        ::close(s);
-        return -1;
-      },
-      retry_ms);
-  if (fd < 0) {
-    throw Error(strprintf("cannot connect to 127.0.0.1:%d: %s", port,
                           std::strerror(errno)));
   }
   ClientConnection connection(fd);

@@ -17,8 +17,6 @@ class ClientConnection {
   /// mismatch.
   static ClientConnection connect_unix(const std::string& path,
                                        int retry_ms = 0);
-  /// Same over TCP to 127.0.0.1:<port>.
-  static ClientConnection connect_tcp(int port, int retry_ms = 0);
 
   ClientConnection(ClientConnection&& other) noexcept;
   ClientConnection& operator=(ClientConnection&& other) noexcept;

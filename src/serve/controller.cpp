@@ -1,7 +1,6 @@
 #include "serve/controller.hpp"
 
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -50,8 +49,7 @@ struct Controller::Impl {
   ControllerOptions options;
   std::unique_ptr<store::ScenarioStore> store;
   std::unique_ptr<WorkerPool> pool;
-  int unix_listen_fd = -1;
-  int tcp_listen_fd = -1;
+  int listen_fd = -1;
   bool draining = false;
   int exit_code = kExitOk;
 
@@ -125,15 +123,15 @@ struct Controller::Impl {
     store = std::make_unique<store::ScenarioStore>(options.cache_dir);
   }
 
-  void open_listeners() {
+  void open_listener() {
     if (options.socket_path.empty()) {
       throw UsageError("the analysis service requires --socket");
     }
     if (options.socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {
       throw UsageError("--socket path too long for a Unix socket");
     }
-    unix_listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (unix_listen_fd < 0) {
+    listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (listen_fd < 0) {
       throw Error(strprintf("socket: %s", std::strerror(errno)));
     }
     // A stale socket file from a dead server would make bind fail; probe
@@ -142,7 +140,7 @@ struct Controller::Impl {
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, options.socket_path.c_str(),
                  sizeof(addr.sun_path) - 1);
-    if (::bind(unix_listen_fd, reinterpret_cast<sockaddr*>(&addr),
+    if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
                sizeof(addr)) != 0 &&
         errno == EADDRINUSE) {
       const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -151,48 +149,27 @@ struct Controller::Impl {
                                   sizeof(addr)) == 0;
       if (probe >= 0) ::close(probe);
       if (live) {
-        ::close(unix_listen_fd);
+        ::close(listen_fd);
         throw Error(strprintf("another server is live on %s",
                               options.socket_path.c_str()));
       }
       ::unlink(options.socket_path.c_str());
-      if (::bind(unix_listen_fd, reinterpret_cast<sockaddr*>(&addr),
+      if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
                  sizeof(addr)) != 0) {
-        ::close(unix_listen_fd);
+        ::close(listen_fd);
         throw Error(strprintf("bind %s: %s", options.socket_path.c_str(),
                               std::strerror(errno)));
       }
     }
-    if (::listen(unix_listen_fd, 64) != 0) {
+    if (::listen(listen_fd, 64) != 0) {
       throw Error(strprintf("listen: %s", std::strerror(errno)));
     }
-    set_nonblock_cloexec(unix_listen_fd);
-
-    if (options.tcp_port > 0) {
-      tcp_listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (tcp_listen_fd < 0) {
-        throw Error(strprintf("socket: %s", std::strerror(errno)));
-      }
-      const int one = 1;
-      ::setsockopt(tcp_listen_fd, SOL_SOCKET, SO_REUSEADDR, &one,
-                   sizeof(one));
-      sockaddr_in tcp = {};
-      tcp.sin_family = AF_INET;
-      tcp.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      tcp.sin_port = htons(static_cast<std::uint16_t>(options.tcp_port));
-      if (::bind(tcp_listen_fd, reinterpret_cast<sockaddr*>(&tcp),
-                 sizeof(tcp)) != 0 ||
-          ::listen(tcp_listen_fd, 64) != 0) {
-        throw Error(strprintf("tcp port %d: %s", options.tcp_port,
-                              std::strerror(errno)));
-      }
-      set_nonblock_cloexec(tcp_listen_fd);
-    }
+    set_nonblock_cloexec(listen_fd);
   }
 
   // --- client plumbing ------------------------------------------------------
 
-  void accept_clients(int listen_fd) {
+  void accept_clients() {
     for (;;) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0) return;  // EAGAIN/EINTR: done for now
@@ -323,28 +300,43 @@ struct Controller::Impl {
     trim_done();
   }
 
-  /// A worker died with these jobs in flight: requeue (front of the line)
-  /// or fail each, depending on how many deaths it has already survived.
-  void requeue_lost(const std::vector<JobRequest>& lost) {
-    for (const JobRequest& request : lost) {
-      const auto it = jobs.find(request.ticket);
-      if (it == jobs.end()) continue;
-      Job& job = it->second;
-      if (job.state != JobState::kRunning) continue;
-      ++job.attempts;
-      if (static_cast<int>(job.attempts) > options.max_retries) {
-        job.state = JobState::kFailed;
-        job.error = strprintf(
-            "worker died %u times running this scenario (retry limit %d)",
-            job.attempts, options.max_retries);
-        ++jobs_failed;
-        notify_waiters(job);
-      } else {
-        job.state = JobState::kQueued;
-        note_queued(job);
-        retries.push_back(job.ticket);
-      }
+  /// A worker died with this job in flight: requeue it (front of the
+  /// line) or fail it, depending on how many deaths it has already
+  /// survived.
+  void requeue_lost(const pipeline::Fingerprint& ticket) {
+    const auto it = jobs.find(ticket);
+    if (it == jobs.end()) return;
+    Job& job = it->second;
+    if (job.state != JobState::kRunning) return;
+    ++job.attempts;
+    if (static_cast<int>(job.attempts) > options.max_retries) {
+      job.state = JobState::kFailed;
+      job.error = strprintf(
+          "worker died %u times running this scenario (retry limit %d)",
+          job.attempts, options.max_retries);
+      ++jobs_failed;
+      notify_waiters(job);
+    } else {
+      job.state = JobState::kQueued;
+      note_queued(job);
+      retries.push_back(job.ticket);
     }
+  }
+
+  /// Adopts the store's report for `ticket` as a completed job (the newest
+  /// entry of the in-memory report LRU). False when there is no store or
+  /// it holds no report for the ticket.
+  bool adopt_stored_report(const pipeline::Fingerprint& ticket) {
+    if (!store) return false;
+    std::optional<std::string> report = store->load_report(ticket);
+    if (!report.has_value()) return false;
+    Job& job = jobs[ticket];
+    job.ticket = ticket;
+    job.state = JobState::kDone;
+    job.report_json = std::move(*report);
+    done_order.push_back(ticket);
+    trim_done();
+    return true;
   }
 
   // --- trace probing --------------------------------------------------------
@@ -414,17 +406,9 @@ struct Controller::Impl {
           break;
       }
     }
-    if (store) {
-      if (std::optional<std::string> report = store->load_report(ticket)) {
-        Job& job = jobs[ticket];
-        job.ticket = ticket;
-        job.state = JobState::kDone;
-        job.report_json = std::move(*report);
-        done_order.push_back(ticket);
-        ++dedupe_served_store;
-        trim_done();
-        return TicketInfo{ticket, SubmitDisposition::kServed};
-      }
+    if (adopt_stored_report(ticket)) {
+      ++dedupe_served_store;
+      return TicketInfo{ticket, SubmitDisposition::kServed};
     }
     return std::nullopt;
   }
@@ -534,19 +518,10 @@ struct Controller::Impl {
     if (it == jobs.end()) {
       // The job table forgets completed work under memory pressure; the
       // store tier still answers for it.
-      if (store) {
-        if (std::optional<std::string> report =
-                store->load_report(poll.ticket)) {
-          Job& job = jobs[poll.ticket];
-          job.ticket = poll.ticket;
-          job.state = JobState::kDone;
-          job.report_json = std::move(*report);
-          done_order.push_back(poll.ticket);
-          trim_done();
-          send_to(client, ServerMessage(StatusReply{poll.ticket,
-                                                    JobState::kDone, 0, ""}));
-          return;
-        }
+      if (adopt_stored_report(poll.ticket)) {
+        send_to(client, ServerMessage(
+                            StatusReply{poll.ticket, JobState::kDone, 0, ""}));
+        return;
       }
       send_to(client, ServerMessage(
                           ErrorReply{RpcErrorCode::kNotFound, "no such ticket"}));
@@ -627,13 +602,9 @@ struct Controller::Impl {
     if (draining) return;
     draining = true;
     exit_code = code;
-    if (unix_listen_fd >= 0) {
-      ::close(unix_listen_fd);
-      unix_listen_fd = -1;
-    }
-    if (tcp_listen_fd >= 0) {
-      ::close(tcp_listen_fd);
-      tcp_listen_fd = -1;
+    if (listen_fd >= 0) {
+      ::close(listen_fd);
+      listen_fd = -1;
     }
     // Cancel everything still queued; running jobs are allowed to finish.
     for (auto& [ticket, job] : jobs) {
@@ -765,22 +736,7 @@ struct Controller::Impl {
     return std::nullopt;
   }
 
-  /// Steals additional queued jobs over the same trace for one worker
-  /// assignment (they validate the trace once between them).
-  std::vector<JobRequest> batch_for(const pipeline::Fingerprint& first) {
-    std::vector<JobRequest> batch;
-    Job& lead = jobs.at(first);
-    batch.push_back(JobRequest{first, lead.spec});
-    if (options.max_batch <= 1) return batch;
-    for (auto& [ticket, job] : jobs) {
-      if (static_cast<int>(batch.size()) >= options.max_batch) break;
-      if (job.state != JobState::kQueued || ticket == first) continue;
-      if (job.spec.trace_path != lead.spec.trace_path) continue;
-      batch.push_back(JobRequest{ticket, job.spec});
-    }
-    return batch;
-  }
-
+  /// Hands each idle worker the next queued scenario.
   void schedule() {
     if (draining) return;
     for (;;) {
@@ -788,13 +744,10 @@ struct Controller::Impl {
       if (worker < 0) return;
       const std::optional<pipeline::Fingerprint> next = pop_next();
       if (!next.has_value()) return;
-      const std::vector<JobRequest> batch = batch_for(*next);
-      for (const JobRequest& request : batch) {
-        Job& job = jobs.at(request.ticket);
-        note_unqueued(job);
-        job.state = JobState::kRunning;
-      }
-      pool->assign(worker, batch);
+      Job& job = jobs.at(*next);
+      note_unqueued(job);
+      job.state = JobState::kRunning;
+      pool->assign(worker, JobRequest{job.ticket, job.spec});
     }
   }
 
@@ -802,14 +755,17 @@ struct Controller::Impl {
 
   void worker_died(int worker) {
     if (!pool->alive(worker)) return;
-    // Results the worker wrote before dying are still buffered in the
-    // socketpair; drain them first so finished work is completed, not
-    // needlessly retried. Only the genuinely unfinished jobs requeue.
+    // A result the worker wrote before dying is still buffered in the
+    // socketpair; drain it first so finished work is completed, not
+    // needlessly retried. Only a genuinely unfinished job requeues.
     bool dead = false;
     for (const JobResult& result : pool->on_readable(worker, dead)) {
       complete_job(result);
     }
-    requeue_lost(pool->take_inflight(worker));
+    if (const std::optional<pipeline::Fingerprint> lost =
+            pool->take_inflight(worker)) {
+      requeue_lost(*lost);
+    }
     pool->mark_dead(worker);
     if (!draining) {
       try {
@@ -915,7 +871,7 @@ struct Controller::Impl {
     install_graceful_shutdown();
     install_child_reaper();
     open_store();
-    open_listeners();
+    open_listener();
     WorkerOptions worker_options;
     worker_options.count = options.workers;
     worker_options.serve_binary = options.serve_binary;
@@ -932,8 +888,7 @@ struct Controller::Impl {
       worker_slots.clear();
       client_fds.clear();
       pfds.push_back({wake_fd, POLLIN, 0});
-      if (unix_listen_fd >= 0) pfds.push_back({unix_listen_fd, POLLIN, 0});
-      if (tcp_listen_fd >= 0) pfds.push_back({tcp_listen_fd, POLLIN, 0});
+      if (listen_fd >= 0) pfds.push_back({listen_fd, POLLIN, 0});
       const std::size_t first_worker = pfds.size();
       for (int i = 0; i < pool->size(); ++i) {
         if (pool->fd(i) < 0) continue;
@@ -983,8 +938,10 @@ struct Controller::Impl {
             flush_client(it->second);
           }
         }
-        for (std::size_t i = 1; i < first_worker; ++i) {
-          if ((pfds[i].revents & POLLIN) != 0) accept_clients(pfds[i].fd);
+        // pfds[1] is the listener whenever it is still open (a drain
+        // closes it for good).
+        if (listen_fd >= 0 && (pfds[1].revents & POLLIN) != 0) {
+          accept_clients();
         }
       }
 

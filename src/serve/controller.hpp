@@ -1,11 +1,11 @@
 // The controller of the analysis service — the slurmctld side.
 //
 // One single-threaded poll() event loop owns every piece of state: client
-// connections (Unix-domain socket, optionally a loopback TCP port), the
-// job table, the per-client round-robin queues, and the worker pool. No
-// replay runs in this process — workers do the heavy lifting across
-// socketpairs — so the controller stays responsive at any queue depth and
-// a worker death never takes the bookkeeping with it.
+// connections (on one Unix-domain socket), the job table, the per-client
+// round-robin queues, and the worker pool. No replay runs in this process
+// — workers do the heavy lifting across socketpairs, one scenario at a
+// time each — so the controller stays responsive at any queue depth and a
+// worker death never takes the bookkeeping with it.
 //
 // What the loop guarantees:
 //
@@ -16,15 +16,12 @@
 //   fairness    each client has its own FIFO; the scheduler round-robins
 //               across clients, so one client's thousand submits cannot
 //               starve another's one.
-//   batching    when a worker goes idle it receives up to max_batch queued
-//               jobs over the same trace file in one assignment — the
-//               worker validates the trace once and sweeps.
 //   admission   submits beyond max_queue queued jobs or max_inflight_bytes
 //               of queued trace bytes are refused with kBusy (the client
 //               exits with code 6 and may retry later) instead of growing
 //               the queue without bound.
 //   retries     a worker death (SIGKILL, OOM, crash) requeues its in-
-//               flight jobs at the front; a job that kills max_retries+1
+//               flight job at the front; a job that kills max_retries+1
 //               workers in a row is failed, not retried forever.
 //   durability  with a store, finished reports persist as store objects
 //               (kind "OSIMRPT1", addressed by ticket) — a restarted
@@ -45,8 +42,7 @@ namespace osim::serve {
 struct ControllerOptions {
   /// Unix-domain socket path (required).
   std::string socket_path;
-  /// Additionally listen on 127.0.0.1:<tcp_port> (0 = Unix socket only).
-  int tcp_port = 0;
+  /// Worker processes; at least 1.
   int workers = 2;
   /// This binary's path: every worker is a fork+exec of it.
   std::string serve_binary;
@@ -59,8 +55,6 @@ struct ControllerOptions {
   std::int64_t max_inflight_bytes = std::int64_t{256} << 20;
   /// Worker deaths tolerated per job before it is failed.
   int max_retries = 2;
-  /// Max jobs handed to one worker in one assignment (same trace only).
-  int max_batch = 8;
   /// Completed jobs kept in memory; older ones fall back to the store.
   std::int64_t report_cache_entries = 64;
 };

@@ -93,9 +93,9 @@ void reject_network_flags_with_platform(const Flags& flags,
 /// happens.
 dimemas::ReplayOptions options_for(const ScenarioSpec& spec);
 
-/// What the controller needs to know about a trace file to fingerprint,
-/// batch and admission-check jobs against it without re-reading the file
-/// per request.
+/// What the controller needs to know about a trace file to fingerprint
+/// and admission-check jobs against it without re-reading the file per
+/// request.
 struct TraceInfo {
   pipeline::Fingerprint fingerprint;  // content fingerprint of the trace
   std::int32_t num_ranks = 0;
@@ -126,14 +126,14 @@ struct JobOutcome {
 };
 
 /// Runs one scenario to its JSON run report (pipeline::run_report_json,
-/// as osim_replay --report does). `store`, when non-null, serves and fills
+/// as osim_replay --report does); a service worker calls it once per job. `store`, when non-null, serves and fills
 /// the lint cache. Never throws: failures come back as JobOutcome::error.
 /// Crash point "serve.worker.job" fires at entry (worker-death injection
 /// for the retry tests).
 JobOutcome run_job(const ScenarioSpec& spec, store::ScenarioStore* store);
 
-/// Same, against a caller-cached validated trace (the batching path: a
-/// worker handed N scenarios over one trace validates it once).
+/// Same, against a trace the caller has already read (run_job reads
+/// spec.trace_path, then calls this).
 JobOutcome run_job_on_trace(const ScenarioSpec& spec,
                             const std::shared_ptr<const trace::Trace>& trace,
                             store::ScenarioStore* store);

@@ -1,6 +1,6 @@
 // OSIMRPC1 — the versioned binary RPC protocol of the analysis service.
 //
-// Connection layout (both Unix-domain and TCP):
+// Connection layout (over the service's Unix-domain socket):
 //
 //   handshake   each side sends magic "OSIMRPC1" (8 bytes) + u32 protocol
 //               version before any frame; a peer with the wrong magic or
@@ -107,8 +107,9 @@ struct SubmitScenario {
                          const SubmitScenario&) = default;
 };
 
-/// A bandwidth sweep over one trace — the batched form the controller
-/// hands to a single worker as one Study-shaped unit of work.
+/// A bandwidth sweep over one trace, submitted as one request: the
+/// controller admits it whole or not at all and queues one job per
+/// bandwidth, which idle workers take one at a time.
 struct SubmitStudy {
   ScenarioSpec base;
   std::vector<double> bandwidths;

@@ -11,7 +11,6 @@
 
 #include "common/expect.hpp"
 #include "common/strings.hpp"
-#include "trace/binary_io.hpp"
 
 namespace osim::serve {
 
@@ -57,11 +56,6 @@ int run_worker_loop(int fd, const std::string& cache_dir) {
     }
   }
 
-  // One-entry trace cache: batched jobs arrive grouped by trace, so the
-  // previous path is the only one worth keeping.
-  std::string cached_path;
-  std::shared_ptr<const trace::Trace> cached_trace;
-
   FrameReader reader;
   char buffer[64 * 1024];
   int exit_code = 0;
@@ -88,27 +82,10 @@ int run_worker_loop(int fd, const std::string& cache_dir) {
         exit_code = 1;
         goto out;
       }
-      JobResult result;
-      result.ticket = request->ticket;
-      if (request->spec.trace_path != cached_path || !cached_trace) {
-        cached_trace = nullptr;
-        cached_path.clear();
-        try {
-          cached_trace = std::make_shared<const trace::Trace>(
-              trace::read_any_file(request->spec.trace_path));
-          cached_path = request->spec.trace_path;
-        } catch (const std::exception& e) {
-          result.ok = false;
-          result.error = e.what();
-        }
-      }
-      if (cached_trace) {
-        const JobOutcome outcome =
-            run_job_on_trace(request->spec, cached_trace, store.get());
-        result.ok = outcome.ok;
-        result.report_json = outcome.report_json;
-        result.error = outcome.error;
-      }
+      JobOutcome outcome = run_job(request->spec, store.get());
+      const JobResult result{request->ticket, outcome.ok,
+                             std::move(outcome.report_json),
+                             std::move(outcome.error)};
       std::string frame;
       append_frame(frame, encode_job_result(result));
       if (!write_all(fd, frame)) {
@@ -123,7 +100,7 @@ out:
 }
 
 WorkerPool::WorkerPool(WorkerOptions options) : options_(std::move(options)) {
-  if (options_.count < 1) options_.count = 1;
+  OSIM_CHECK(options_.count >= 1);
 }
 
 WorkerPool::~WorkerPool() { shutdown(); }
@@ -178,13 +155,13 @@ void WorkerPool::spawn(Worker& worker) {
   worker.fd = sv[0];
   worker.pid = static_cast<int>(pid);
   worker.reader = FrameReader();
-  worker.inflight.clear();
+  worker.inflight.reset();
   ++spawned_;
 }
 
 int WorkerPool::idle_worker() const {
   for (std::size_t i = 0; i < workers_.size(); ++i) {
-    if (workers_[i]->fd >= 0 && workers_[i]->inflight.empty()) {
+    if (workers_[i]->fd >= 0 && !workers_[i]->inflight.has_value()) {
       return static_cast<int>(i);
     }
   }
@@ -194,21 +171,20 @@ int WorkerPool::idle_worker() const {
 int WorkerPool::busy_workers() const {
   int busy = 0;
   for (const auto& worker : workers_) {
-    if (worker->fd >= 0 && !worker->inflight.empty()) ++busy;
+    if (worker->fd >= 0 && worker->inflight.has_value()) ++busy;
   }
   return busy;
 }
 
-void WorkerPool::assign(int i, const std::vector<JobRequest>& batch) {
+void WorkerPool::assign(int i, const JobRequest& request) {
   Worker& worker = *workers_[static_cast<std::size_t>(i)];
-  std::string frames;
-  for (const JobRequest& request : batch) {
-    append_frame(frames, encode_job_request(request));
-    worker.inflight.push_back(request);
-  }
-  if (!write_all(worker.fd, frames)) {
+  OSIM_CHECK(!worker.inflight.has_value());
+  std::string frame;
+  append_frame(frame, encode_job_request(request));
+  worker.inflight = request.ticket;
+  if (!write_all(worker.fd, frame)) {
     // A dead worker at assign time surfaces through on_readable/reap; the
-    // jobs stay in `inflight` so take_inflight() requeues them.
+    // job stays in `inflight` so take_inflight() requeues it.
   }
 }
 
@@ -241,27 +217,16 @@ std::vector<JobResult> WorkerPool::on_readable(int i, bool& dead) {
       dead = true;  // protocol violation: treat as a worker death
       break;
     }
-    // Results arrive in assignment order; drop the matching in-flight
-    // entry (front in the common case, scan to be safe).
-    for (auto it = worker.inflight.begin(); it != worker.inflight.end();
-         ++it) {
-      if (it->ticket == result->ticket) {
-        worker.inflight.erase(it);
-        break;
-      }
-    }
+    if (worker.inflight == result->ticket) worker.inflight.reset();
     results.push_back(*result);
   }
   if (worker.reader.error()) dead = true;
   return results;
 }
 
-std::vector<JobRequest> WorkerPool::take_inflight(int i) {
+std::optional<pipeline::Fingerprint> WorkerPool::take_inflight(int i) {
   Worker& worker = *workers_[static_cast<std::size_t>(i)];
-  std::vector<JobRequest> lost(worker.inflight.begin(),
-                               worker.inflight.end());
-  worker.inflight.clear();
-  return lost;
+  return std::exchange(worker.inflight, std::nullopt);
 }
 
 int WorkerPool::worker_by_pid(int pid) const {
@@ -293,7 +258,7 @@ void WorkerPool::shutdown() {
       ::close(worker->fd);
       worker->fd = -1;
     }
-    worker->inflight.clear();
+    worker->inflight.reset();
   }
 }
 

@@ -15,8 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,23 +26,24 @@
 namespace osim::serve {
 
 /// The worker side: reads job frames from `fd` until EOF or protocol
-/// error, replays each, writes result frames back. Owns (and closes) `fd`.
-/// Returns a process exit code (0 on clean EOF). Traces are cached across
-/// consecutive jobs on the same path, so a batched sweep validates its
-/// trace once.
+/// error, runs each through run_job (serve/job.hpp), writes result frames
+/// back. Owns (and closes) `fd`. Returns a process exit code (0 on clean
+/// EOF).
 int run_worker_loop(int fd, const std::string& cache_dir);
 
 struct WorkerOptions {
-  int count = 2;
+  int count = 2;              // at least 1
   std::string serve_binary;   // this binary's path, re-exec'd per worker
   std::string cache_dir;      // store root forwarded to workers ('' = none)
 };
 
 /// The controller's view of its workers: spawn, assign, collect, reap,
-/// respawn. Not thread-safe — the controller event loop is the only
-/// caller.
+/// respawn. A worker runs at most one job at a time. Not thread-safe —
+/// the controller event loop is the only caller.
 class WorkerPool {
  public:
+  /// Aborts (OSIM_CHECK) on a count below 1; the tools range-check
+  /// --workers.
   explicit WorkerPool(WorkerOptions options);
   ~WorkerPool();
 
@@ -61,24 +62,22 @@ class WorkerPool {
   bool alive(int i) const {
     return workers_[static_cast<std::size_t>(i)]->fd >= 0;
   }
-  std::size_t inflight(int i) const {
-    return workers_[static_cast<std::size_t>(i)]->inflight.size();
-  }
-  /// An alive worker with no in-flight jobs, or -1.
+  /// An alive worker with no in-flight job, or -1.
   int idle_worker() const;
   int busy_workers() const;
 
-  /// Sends `batch` to worker `i` (one frame per job, processed in order).
-  void assign(int i, const std::vector<JobRequest>& batch);
+  /// Sends `request` to worker `i`, which must be idle.
+  void assign(int i, const JobRequest& request);
 
   /// Drains readable bytes from worker `i`, returning every completed
   /// result. Sets `dead` when the stream ended (EOF, error, or a protocol
   /// violation) — the caller requeues take_inflight() and respawn()s.
   std::vector<JobResult> on_readable(int i, bool& dead);
 
-  /// The jobs assigned to worker `i` that have not produced a result —
-  /// what a death loses and the controller must requeue.
-  std::vector<JobRequest> take_inflight(int i);
+  /// The ticket of the job assigned to worker `i` that has not produced
+  /// a result, if any — what a death loses and the controller must
+  /// requeue.
+  std::optional<pipeline::Fingerprint> take_inflight(int i);
 
   /// Worker slot owning child `pid`, or -1 (SIGCHLD path).
   int worker_by_pid(int pid) const;
@@ -101,7 +100,7 @@ class WorkerPool {
     int fd = -1;
     int pid = -1;
     FrameReader reader;
-    std::deque<JobRequest> inflight;
+    std::optional<pipeline::Fingerprint> inflight;  // the assigned ticket
   };
 
   void spawn(Worker& worker);

@@ -817,14 +817,15 @@ TEST(Service, WorkerSigkillIsRetriedOnAFreshWorker) {
   const std::string dir = fresh_dir("deaths");
   const std::string trace_path = write_ring_trace(dir, 4, 2);
 
-  // Workers inherit the environment, and the crash point fires
-  // on the *second* job a worker process runs: with one worker and a
-  // batch of two, the worker finishes job 1 and is SIGKILLed entering
-  // job 2. The controller must reap it, requeue job 2 and answer both.
+  // Workers inherit the environment, and the crash point fires on the
+  // *second* job a worker process runs. One worker takes the study's two
+  // jobs one at a time: it finishes job 1, is handed job 2 as soon as it
+  // is idle, and is SIGKILLed entering it. The controller must reap it,
+  // requeue job 2 onto the respawned worker (its first job, so no crash)
+  // and answer both.
   CrashPointGuard crash("serve.worker.job:2");
   ControllerOptions options = service_options(dir);
   options.workers = 1;
-  options.max_batch = 2;
   TestService service(options);
   ClientConnection connection = service.connect();
 

@@ -27,6 +27,7 @@
 // error, 2 bad command line, 5 the server is draining, 6 the server
 // refused the submit under admission control (resubmit later).
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -121,7 +122,6 @@ int main(int argc, char** argv) try {
   }
 
   std::string socket_path;
-  std::int64_t tcp_port = 0;
   std::int64_t connect_retry_ms = 5000;
   serve::ScenarioSpec spec;
   std::string bandwidths;
@@ -133,8 +133,6 @@ int main(int argc, char** argv) try {
       "osim_client <submit|study|poll|fetch|cancel|stats|shutdown>: talk to "
       "a running osim_serve");
   flags.add("socket", &socket_path, "the server's Unix-domain socket");
-  flags.add("tcp-port", &tcp_port,
-            "connect to 127.0.0.1:<port> instead of a Unix socket");
   flags.add("connect-retry-ms", &connect_retry_ms,
             "keep retrying the connect for this long (a just-started "
             "server may not listen yet)");
@@ -163,16 +161,12 @@ int main(int argc, char** argv) try {
         "--bandwidth cannot be combined with --bandwidths: the sweep sets "
         "each scenario's bandwidth");
   }
-  if (socket_path.empty() && tcp_port == 0) {
-    throw UsageError("pass --socket (or --tcp-port)");
-  }
+  if (socket_path.empty()) throw UsageError("pass --socket");
+  require_flag_range("connect-retry-ms", connect_retry_ms, 0,
+                     std::numeric_limits<std::int32_t>::max());
 
-  serve::ClientConnection connection =
-      tcp_port != 0
-          ? serve::ClientConnection::connect_tcp(
-                static_cast<int>(tcp_port), static_cast<int>(connect_retry_ms))
-          : serve::ClientConnection::connect_unix(
-                socket_path, static_cast<int>(connect_retry_ms));
+  serve::ClientConnection connection = serve::ClientConnection::connect_unix(
+      socket_path, static_cast<int>(connect_retry_ms));
 
   // The ticket-flag commands share parsing.
   pipeline::Fingerprint ticket;

@@ -2,16 +2,14 @@
 //
 // Runs the controller/worker daemon described in DESIGN.md §3.10: clients
 // (osim_client, or anything speaking OSIMRPC1) submit scenarios over a
-// Unix-domain socket, the controller dedupes them by scenario fingerprint,
-// batches compatible work, and schedules it onto forked worker processes
-// that run the ordinary replay pipeline with the scenario store as the
-// warm tier.
+// Unix-domain socket, the controller dedupes them by scenario fingerprint
+// and hands them one at a time to forked worker processes that run the
+// ordinary replay pipeline with the scenario store as the warm tier.
 //
 //   osim_serve --socket /tmp/osim.sock --workers 4 --cache-dir ~/.cache/osim
 //
 // With a store, finished reports persist as store objects: a restarted
 // service on the same --cache-dir answers them without recomputing.
-//   osim_serve --socket /tmp/osim.sock --tcp-port 7077             # + TCP
 //
 // Exit codes follow common/exit_codes.hpp: 0 after a shutdown RPC, 2 bad
 // command line, 5 after a SIGTERM/SIGINT drain (running jobs finished,
@@ -22,6 +20,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "common/exit_codes.hpp"
@@ -51,13 +50,11 @@ int main(int argc, char** argv) try {
   using namespace osim;
 
   std::string socket_path;
-  std::int64_t tcp_port = 0;
   std::int64_t workers = 2;
   std::string cache_dir;
   std::int64_t max_queue = 64;
   std::int64_t max_inflight_bytes = std::int64_t{256} << 20;
   std::int64_t max_retries = 2;
-  std::int64_t max_batch = 8;
   std::int64_t report_cache = 64;
   bool worker = false;
   std::int64_t worker_fd = -1;
@@ -67,8 +64,6 @@ int main(int argc, char** argv) try {
       "osim_client)");
   flags.add("socket", &socket_path,
             "Unix-domain socket to listen on (required)");
-  flags.add("tcp-port", &tcp_port,
-            "additionally listen on 127.0.0.1:<port> (0 = off)");
   flags.add("workers", &workers, "worker processes");
   flags.add("cache-dir", &cache_dir,
             "scenario store directory (default: none; the service's "
@@ -81,8 +76,6 @@ int main(int argc, char** argv) try {
             "exceed this many bytes");
   flags.add("max-retries", &max_retries,
             "worker deaths tolerated per job before it is failed");
-  flags.add("max-batch", &max_batch,
-            "max same-trace jobs handed to one worker at a time");
   flags.add("report-cache", &report_cache,
             "completed reports kept in memory (older ones served from the "
             "store)");
@@ -97,17 +90,22 @@ int main(int argc, char** argv) try {
   }
 
   if (socket_path.empty()) throw UsageError("--socket is required");
+  constexpr std::int64_t kMaxInt32 = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  require_flag_range("workers", workers, 1, kMaxInt32);
+  require_flag_range("max-retries", max_retries, 0, kMaxInt32);
+  require_flag_range("max-queue", max_queue, 0, kMax);
+  require_flag_range("max-inflight-bytes", max_inflight_bytes, 0, kMax);
+  require_flag_range("report-cache", report_cache, 0, kMax);
 
   serve::ControllerOptions options;
   options.socket_path = socket_path;
-  options.tcp_port = static_cast<int>(tcp_port);
   options.workers = static_cast<int>(workers);
   options.serve_binary = self_binary(argc > 0 ? argv[0] : nullptr);
   options.cache_dir = cache_dir;
   options.max_queue = max_queue;
   options.max_inflight_bytes = max_inflight_bytes;
   options.max_retries = static_cast<int>(max_retries);
-  options.max_batch = static_cast<int>(max_batch);
   options.report_cache_entries = report_cache;
 
   std::fprintf(stderr,
