@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end test of the file-based CLI pipeline:
-#   osim_trace -> trace files -> osim_lint / osim_inspect (validate)
-#   -> osim_replay
+#   osim_trace -> trace files -> osim_lint (the one trace verifier)
+#   -> osim_inspect / osim_replay
 # Usage: pipeline_test.sh <build_dir>
 set -e
 BUILD="$1"
@@ -9,18 +9,19 @@ OUT="$(mktemp -d)"
 trap 'rm -rf "$OUT"' EXIT
 
 "$BUILD/tools/osim_trace" --app nas_cg --ranks 4 --iterations 2 \
-    --out "$OUT/cg" --quiet --annotated --lint
+    --out "$OUT/cg" --quiet --annotated
 "$BUILD/tools/osim_trace" --app pop --ranks 4 --iterations 2 \
     --out "$OUT/pop" --quiet --binary
 
 for f in "$OUT"/cg.*.trace "$OUT"/pop.*.btrace; do
-  "$BUILD/tools/osim_inspect" --trace "$f" --validate-only
   "$BUILD/tools/osim_lint" --trace "$f" --fail-on warning
 done
 
 # Semantic verification of the transformed traces against the original.
-"$BUILD/tools/osim_lint" --original "$OUT/cg.original.trace" \
-    --transformed "$OUT/cg.overlap_real.trace" --fail-on warning
+for variant in overlap_real overlap_ideal; do
+  "$BUILD/tools/osim_lint" --original "$OUT/cg.original.trace" \
+      --transformed "$OUT/cg.$variant.trace" --fail-on warning
+done
 "$BUILD/tools/osim_lint" --original "$OUT/pop.original.btrace" \
     --transformed "$OUT/pop.overlap_ideal.btrace" --fail-on warning
 
@@ -82,7 +83,7 @@ TRC
 grep -q "makespan:" "$OUT/bigrecv.txt"
 
 # ...a collective rooted at a rank the trace does not have is rejected
-# (exit 1) by the replayer and by osim_inspect, naming the record...
+# (exit 1) by the replayer and by osim_lint, naming the record...
 cat > "$OUT/badroot.trace" <<TRC
 #OSIM-TRACE v1
 meta app badroot
@@ -97,30 +98,32 @@ set +e
 "$BUILD/tools/osim_replay" --trace "$OUT/badroot.trace" \
     > /dev/null 2> "$OUT/badroot_replay.txt"
 replay_rc=$?
-"$BUILD/tools/osim_inspect" --trace "$OUT/badroot.trace" --validate-only \
-    > "$OUT/badroot_inspect.txt" 2>&1
-inspect_rc=$?
+"$BUILD/tools/osim_lint" --trace "$OUT/badroot.trace" \
+    > "$OUT/badroot_lint.txt" 2>&1
+lint_rc=$?
 set -e
-if [ "$replay_rc" -ne 1 ] || [ "$inspect_rc" -ne 1 ]; then
-  echo "bad collective root: expected exit 1 (replay, inspect), got" \
-       "$replay_rc, $inspect_rc" >&2
+if [ "$replay_rc" -ne 1 ] || [ "$lint_rc" -ne 1 ]; then
+  echo "bad collective root: expected exit 1 (replay, lint), got" \
+       "$replay_rc, $lint_rc" >&2
   exit 1
 fi
 grep -q "error \[collectives\] rank 0 record 0: collective root rank 9" \
     "$OUT/badroot_replay.txt"
 grep -q "error \[collectives\] rank 0 record 0: collective root rank 9" \
-    "$OUT/badroot_inspect.txt"
+    "$OUT/badroot_lint.txt"
 
-# ...and osim_inspect reports an unmatched send by its record, not with a
-# one-line summary.
-set +e
-"$BUILD/tools/osim_inspect" --trace "$OUT/broken.trace" --validate-only \
-    > "$OUT/broken_inspect.txt" 2>&1
-rc=$?
-set -e
-[ "$rc" -eq 1 ] || { echo "inspect unmatched send: expected exit 1, got $rc" >&2; exit 1; }
-grep -q "error \[match\] rank 0 record 0: unmatched send" \
-    "$OUT/broken_inspect.txt"
+# ...and osim_lint and the osim_inspect summary report an unmatched send
+# by its record, not with a one-line summary.
+for tool in osim_lint osim_inspect; do
+  set +e
+  "$BUILD/tools/$tool" --trace "$OUT/broken.trace" \
+      > "$OUT/broken_$tool.txt" 2>&1
+  rc=$?
+  set -e
+  [ "$rc" -eq 1 ] || { echo "$tool unmatched send: expected exit 1, got $rc" >&2; exit 1; }
+  grep -q "error \[match\] rank 0 record 0: unmatched send" \
+      "$OUT/broken_$tool.txt"
+done
 
 # 80k waits on requests no record issues: the requests pass tells "posted
 # later" from "never posted" by a binary search, not a scan of the rest of
@@ -325,8 +328,9 @@ done
 
 # The study journal is gone (a rerun on the same --cache-dir is the
 # resume), and so are thread-mode service workers, the memory-tier
-# budget, the service's same-trace batching and its loopback TCP
-# listener: their flags are unknown flags, never silently ignored.
+# budget, the service's same-trace batching, its loopback TCP listener
+# and every trace verifier but osim_lint: their flags are unknown flags,
+# never silently ignored.
 for case in "bench/fig6a_speedup --resume" "bench/fig6a_speedup --journal" \
             "bench/fig6a_speedup --memory-budget 64M" \
             "tools/osim_serve --socket $OUT/none.sock --journal" \
@@ -334,7 +338,10 @@ for case in "bench/fig6a_speedup --resume" "bench/fig6a_speedup --journal" \
             "tools/osim_serve --socket $OUT/none.sock --max-batch 2" \
             "tools/osim_serve --socket $OUT/none.sock --tcp-port 7077" \
             "tools/osim_client stats --tcp-port 7077" \
-            "tools/osim_cache stats --cache-dir $OUT/none --journals"; do
+            "tools/osim_cache stats --cache-dir $OUT/none --journals" \
+            "tools/osim_inspect --trace $OUT/cg.original.trace --validate" \
+            "tools/osim_inspect --trace $OUT/cg.original.trace --validate-only" \
+            "tools/osim_trace --ranks 4 --out $OUT/nolint --quiet --lint"; do
   set +e
   # shellcheck disable=SC2086  # $case is a binary plus its flags
   timeout 20 "$BUILD/"$case > /dev/null 2> "$OUT/removed_flag.txt"
@@ -382,14 +389,18 @@ set -e
 [ "$rc" -eq 3 ] || { echo "truncated strict: expected exit 3, got $rc" >&2; exit 1; }
 grep -q "recover" "$OUT/cut.txt"
 
-# ...and osim_inspect --validate triages it as damaged-but-salvageable.
-set +e
-"$BUILD/tools/osim_inspect" --trace "$OUT/pop.cut.btrace" --validate \
-    > "$OUT/triage.txt" 2>&1
-rc=$?
-set -e
-[ "$rc" -eq 4 ] || { echo "inspect --validate: expected exit 4, got $rc" >&2; exit 1; }
-grep -q "trace damage report" "$OUT/triage.txt"
+# ...and osim_lint triages it as damaged-but-salvageable: the damage
+# report goes to stderr, so a json report on stdout still parses.
+for format in text json; do
+  set +e
+  "$BUILD/tools/osim_lint" --trace "$OUT/pop.cut.btrace" --format "$format" \
+      > "$OUT/triage.$format" 2> "$OUT/triage.err"
+  rc=$?
+  set -e
+  [ "$rc" -eq 4 ] || { echo "lint salvage ($format): expected exit 4, got $rc" >&2; exit 1; }
+  grep -q "trace damage report" "$OUT/triage.err"
+done
+python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "$OUT/triage.json"
 
 # A damaged footer (flipped CRC byte) still salvages every record, so
 # --recover replays it and reports the damage through exit 4.
@@ -409,18 +420,27 @@ set -e
 [ "$rc" -eq 4 ] || { echo "salvaged replay: expected exit 4, got $rc" >&2; exit 1; }
 grep -q "makespan:" "$OUT/salvaged.txt"
 
-# Bytes after a valid integrity footer are damage: osim_inspect --validate
-# reports them (exit 4, every record salvaged) and the strict reader
-# refuses the file (exit 3).
+# Bytes after a valid integrity footer are damage: osim_lint reports them
+# (exit 4, every record salvaged, on stderr) and the strict reader refuses
+# the file (exit 3).
 cp "$OUT/pop.original.btrace" "$OUT/pop.tail.btrace"
 printf 'fourteen bytes' >> "$OUT/pop.tail.btrace"
 set +e
-"$BUILD/tools/osim_inspect" --trace "$OUT/pop.tail.btrace" --validate \
-    > "$OUT/tail.txt" 2>&1
+"$BUILD/tools/osim_lint" --trace "$OUT/pop.tail.btrace" --format json \
+    > "$OUT/tail.json" 2> "$OUT/tail.txt"
 rc=$?
 set -e
-[ "$rc" -eq 4 ] || { echo "trailing bytes --validate: expected exit 4, got $rc" >&2; exit 1; }
+[ "$rc" -eq 4 ] || { echo "trailing bytes lint: expected exit 4, got $rc" >&2; exit 1; }
 grep -q "14 trailing byte(s) after the integrity footer" "$OUT/tail.txt"
+python3 -c 'import json, sys; json.load(open(sys.argv[1]))' "$OUT/tail.json"
+# Pair mode salvages each trace the same way.
+set +e
+"$BUILD/tools/osim_lint" --original "$OUT/pop.original.btrace" \
+    --transformed "$OUT/pop.tail.btrace" > /dev/null 2> "$OUT/tail_pair.txt"
+rc=$?
+set -e
+[ "$rc" -eq 4 ] || { echo "trailing bytes lint pair: expected exit 4, got $rc" >&2; exit 1; }
+grep -q "14 trailing byte(s) after the integrity footer" "$OUT/tail_pair.txt"
 set +e
 "$BUILD/tools/osim_replay" --trace "$OUT/pop.tail.btrace" > /dev/null 2>&1
 rc=$?
@@ -448,8 +468,8 @@ grep -q "cannot open" "$OUT/missing.txt"
 # --- input-file contract (common/line_cursor.hpp) ---------------------------
 
 # A value a trace, an annotated trace or a platform file cannot hold is a
-# malformed input: exit 3 for a trace (osim_replay, osim_lint and every
-# osim_inspect mode), 1 for an annotated trace (osim_overlap) or a platform
+# malformed input: exit 3 for a trace (osim_replay, osim_lint and both
+# osim_inspect modes), 1 for an annotated trace (osim_overlap) or a platform
 # file, with a message naming the key (and the line). These used to abort
 # (134) on NaN, or to run (0) on infinities and wrapped integers.
 expect_input_error() {  # <exit code> <text the message names> <command...>
@@ -478,8 +498,7 @@ for bad in "1 nan c 100:line 4: mips" "1 inf c 100:line 4: mips" \
   shift 2
   printf '#OSIM-TRACE v1\nmeta app x\nmeta ranks %s\nmeta mips %s\nrank 0\n%s\n' \
       "$ranks" "$mips" "$*" > "$OUT/contract.trace"
-  for tool in osim_replay osim_lint osim_inspect "osim_inspect --validate-only" \
-              "osim_inspect --validate" "osim_inspect --fingerprint"; do
+  for tool in osim_replay osim_lint osim_inspect "osim_inspect --fingerprint"; do
     # shellcheck disable=SC2086  # $tool is a tool and its mode flag
     expect_input_error 3 "${bad#*:}" "$BUILD/tools/"$tool \
         --trace "$OUT/contract.trace"
@@ -503,14 +522,18 @@ for bad in "latency_us inf" "latency_us nan" "bandwidth_mbps nan" \
   done
 done
 
-# osim_inspect exits 3 on a trace it cannot read, in every mode, as
-# osim_replay and osim_lint do.
-for mode in "" --validate-only --validate --fingerprint; do
+# osim_lint and osim_inspect exit 3 on a trace they cannot read, in every
+# mode, as osim_replay does.
+for tool in osim_lint osim_inspect "osim_inspect --fingerprint"; do
   for case in "missing.trace:cannot open" "garbage.trace:header"; do
-    # shellcheck disable=SC2086  # $mode is empty or one flag
-    expect_input_error 3 "${case#*:}" "$BUILD/tools/osim_inspect" $mode \
+    # shellcheck disable=SC2086  # $tool is a tool and its mode flag
+    expect_input_error 3 "${case#*:}" "$BUILD/tools/"$tool \
         --trace "$OUT/${case%%:*}"
   done
+done
+for case in "missing.trace:cannot open" "garbage.trace:header"; do
+  expect_input_error 3 "${case#*:}" "$BUILD/tools/osim_lint" \
+      --original "$OUT/cg.original.trace" --transformed "$OUT/${case%%:*}"
 done
 
 # Wall-clock budgets saturate: a budget too large for the clock runs to
@@ -625,23 +648,12 @@ for bad in "--buses -1" "--eager -5" "--bandwidth 0"; do
       || { cat "$OUT/fp_bad.txt" >&2; exit 1; }
 done
 
-# --fingerprint does not validate: combining it with a validation mode is
-# a usage error (exit 2), not a silently dropped flag.
-for mode in --validate --validate-only; do
-  set +e
-  "$BUILD/tools/osim_inspect" --trace "$OUT/cg.original.trace" \
-      --fingerprint "$mode" > /dev/null 2>&1
-  rc=$?
-  set -e
-  [ "$rc" -eq 2 ] || { echo "--fingerprint $mode: expected exit 2, got $rc" >&2; exit 1; }
-done
-
 # Without --fingerprint no scenario is read: every scenario flag,
 # --platform and --cache-dir is a usage error naming the flag, valid value
 # or not, instead of being accepted and ignored.
 for bad in "--bandwidth 0 --faults bogus" \
-           "--validate-only --buses -4 --cache-dir /nonexistent" \
-           "--validate --progress app" "--platform $OUT/platform.cfg" \
+           "--buses -4 --cache-dir /nonexistent" \
+           "--progress app" "--platform $OUT/platform.cfg" \
            "--cache-dir $OUT/speccache"; do
   set +e
   # shellcheck disable=SC2086  # $bad is a list of flags and values
@@ -650,9 +662,7 @@ for bad in "--bandwidth 0 --faults bogus" \
   rc=$?
   set -e
   [ "$rc" -eq 2 ] || { echo "osim_inspect $bad: expected exit 2, got $rc" >&2; exit 1; }
-  flag="${bad#--validate-only }"
-  flag="${flag#--validate }"
-  grep -q -- "${flag%% *} only applies with --fingerprint" \
+  grep -q -- "${bad%% *} only applies with --fingerprint" \
       "$OUT/inspect_bad.txt" || { cat "$OUT/inspect_bad.txt" >&2; exit 1; }
 done
 
@@ -751,7 +761,7 @@ set -e
 cmp "$OUT/cg.re.trace" "$OUT/cg.original.trace"
 "$BUILD/tools/osim_overlap" --annotated "$OUT/cg.ann" --mode overlap \
     --chunks 8 --pattern ideal --out "$OUT/cg.i8.trace"
-"$BUILD/tools/osim_inspect" --trace "$OUT/cg.i8.trace" --validate-only
+"$BUILD/tools/osim_lint" --trace "$OUT/cg.i8.trace"
 "$BUILD/tools/osim_replay" --trace "$OUT/cg.i8.trace" --buses 6 \
     --critical-path | grep -q "critical path"
 

@@ -13,7 +13,8 @@
 #      retried — the client still gets its report;
 #   6. a server restarted on the same store answers the scenarios it
 #      stored from disk without recomputing;
-#   7. SIGTERM drains the server with exit 5; the shutdown RPC exits 0.
+#   7. SIGTERM drains the server with exit 5; the shutdown RPC exits 0,
+#      and only after every worker has exited.
 # Usage: serve_test.sh <build_dir>
 set -e
 BUILD="$1"
@@ -172,15 +173,30 @@ cmp "$OUT/via_restart.json" "$OUT/via_batch.json"
 grep -q '"replays_completed":0' "$OUT/stats2.json"
 grep -q '"dedupe_served_store":1' "$OUT/stats2.json"
 
+# --- 7c. no worker outlives the controller ------------------------------------
+
+# The shutdown RPC returns from osim_serve only after every worker it
+# spawned has exited and been reaped: none is left running or as a zombie.
+WORKER_PIDS="$(sed -n 's/.*"pids":\[\([0-9,-]*\)\].*/\1/p' "$OUT/stats2.json" \
+    | tr ',' ' ')"
+[ -n "$WORKER_PIDS" ] || { echo "no worker pids in stats" >&2; exit 1; }
+"$CLIENT" shutdown --socket "$SOCK" > /dev/null
+wait "$SERVE_PID" || true
+SERVE_PID=""
+for pid in $WORKER_PIDS; do
+  [ "$pid" -gt 0 ] || continue
+  if kill -0 "$pid" 2> /dev/null; then
+    echo "worker $pid outlived the controller" >&2
+    exit 1
+  fi
+done
+
 # --- 5. a SIGKILLed worker is retried; the client still gets its report -----
 
 # The crash point fires on the second job a worker process runs. One
 # worker takes the study's two jobs one at a time, so job 2 kills the
 # worker that finished job 1 and must come back on the respawned one,
 # where it is the first job.
-"$CLIENT" shutdown --socket "$SOCK" > /dev/null
-wait "$SERVE_PID" || true
-SERVE_PID=""
 OSIM_CRASH_POINT=serve.worker.job:2 "$SERVE" --socket "$SOCK" \
     --workers 1 2> "$OUT/serve3.log" &
 SERVE_PID=$!

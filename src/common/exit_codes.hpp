@@ -6,8 +6,8 @@
 //   2  usage error: the command line itself was wrong (unknown flag,
 //      malformed value, missing required flag) — see osim::UsageError
 //   3  input trace unreadable: nothing could be salvaged from it
-//   4  input trace was damaged but salvaged (--recover); results reflect
-//      only the recovered prefix
+//   4  input trace was damaged but salvaged (osim_replay --recover,
+//      osim_lint); results reflect only the recovered prefix
 //   5  interrupted: a supervised run stopped early (SIGINT/SIGTERM or
 //      --study-deadline). Any flushed report is a valid partial document
 //      with "status": "interrupted" — trustworthy, but not the full sweep

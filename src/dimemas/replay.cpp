@@ -807,7 +807,7 @@ class Replayer {
     // here so that only a deadlocked replay pays for it.
     trace::Trace expanded;
     const trace::Trace* replayed = &trace_;
-    if (options_.auto_expand_collectives && has_collectives(trace_)) {
+    if (has_collectives(trace_)) {
       expanded = expand_collectives(trace_, options_.collective_algo);
       replayed = &expanded;
     }
@@ -846,22 +846,18 @@ class Replayer {
 }  // namespace
 
 bool same_lowering(const ReplayOptions& a, const ReplayOptions& b) {
-  return a.auto_expand_collectives == b.auto_expand_collectives &&
-         a.collective_algo == b.collective_algo;
+  return a.collective_algo == b.collective_algo;
 }
 
 bool ReplayProgram::lowered_for(const ReplayOptions& options) const {
-  return expanded_collectives_ == options.auto_expand_collectives &&
-         collective_algo_ == options.collective_algo;
+  return collective_algo_ == options.collective_algo;
 }
 
 ReplayProgram lower(const trace::Trace& trace, const ReplayOptions& options) {
   ReplayProgram program;
-  program.expanded_collectives_ = options.auto_expand_collectives;
   program.collective_algo_ = options.collective_algo;
-  // compile() rejects surviving GlobalOps.
   program.lanes_ =
-      options.auto_expand_collectives && has_collectives(trace)
+      has_collectives(trace)
           ? trace::compile(expand_collectives(trace, options.collective_algo))
           : trace::compile(trace);
   return program;

@@ -51,7 +51,8 @@ struct ReplayOptions {
   /// only the Paraver counters read) are kept only when record_timeline
   /// or record_comms is set too; every other field is the same either way.
   bool collect_metrics = false;
-  bool auto_expand_collectives = true;
+  /// How replay expands collectives into point-to-point traffic (every
+  /// collective is expanded; the replayer has no GlobalOp path).
   CollectiveAlgo collective_algo = CollectiveAlgo::kBinomialTree;
   /// Abort with osim::Error if simulated time exceeds this (runaway guard).
   double max_sim_time_s = std::numeric_limits<double>::infinity();
@@ -74,11 +75,11 @@ struct ReplayOptions {
 };
 
 /// A trace lowered for replay: its record streams with collectives expanded
-/// per the options' auto_expand_collectives and collective_algo, compiled
-/// to the struct-of-arrays lanes the interpreter walks (trace/soa.hpp).
+/// per the options' collective_algo, compiled to the struct-of-arrays lanes
+/// the interpreter walks (trace/soa.hpp).
 /// Lowering depends on nothing else — not the platform, faults, progress
 /// regime or recording flags — so one program serves every replay of the
-/// same trace under those two options. pipeline::ReplayContext lowers once
+/// same trace under that option. pipeline::ReplayContext lowers once
 /// per context family and shares the program across its derived contexts.
 class ReplayProgram {
  public:
@@ -92,19 +93,17 @@ class ReplayProgram {
   friend ReplayProgram lower(const trace::Trace& trace,
                              const ReplayOptions& options);
 
-  bool expanded_collectives_ = false;
   CollectiveAlgo collective_algo_ = CollectiveAlgo::kBinomialTree;
   trace::CompiledTrace lanes_;
 };
 
 /// True if `a` and `b` lower a trace to the same ReplayProgram (they agree
-/// on auto_expand_collectives and collective_algo).
+/// on collective_algo).
 bool same_lowering(const ReplayOptions& a, const ReplayOptions& b);
 
 /// Lowers `trace` for replay under `options`: expands its collectives (the
 /// expanded trace is a temporary) and compiles the lanes. Same
-/// precondition as replay(). Throws osim::Error if a GlobalOp survives
-/// (auto_expand_collectives off on a trace with collectives).
+/// precondition as replay().
 ReplayProgram lower(const trace::Trace& trace, const ReplayOptions& options);
 
 /// Replays `trace` on `platform` from its lowered `program`, which must

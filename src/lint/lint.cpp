@@ -135,8 +135,7 @@ Report lint_trace(const trace::Trace& trace, const LintOptions& options) {
 }
 
 Report lint_transform(const trace::Trace& original,
-                      const trace::Trace& transformed,
-                      const LintOptions& /*options*/) {
+                      const trace::Trace& transformed) {
   Report report;
   check_transform(original, transformed, report);
   return report;

@@ -70,7 +70,6 @@ Report lint_trace(const trace::Trace& trace, const LintOptions& options = {});
 /// Runs the transform-safety pass on an original / transformed pair. The
 /// transformed trace should additionally be checked with lint_trace().
 Report lint_transform(const trace::Trace& original,
-                      const trace::Trace& transformed,
-                      const LintOptions& options = {});
+                      const trace::Trace& transformed);
 
 }  // namespace osim::lint

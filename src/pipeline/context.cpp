@@ -75,7 +75,10 @@ void hash_options(FingerprintHasher& h, const dimemas::ReplayOptions& o) {
   h.boolean(o.record_timeline);
   h.boolean(o.record_comms);
   h.boolean(o.collect_metrics);
-  h.boolean(o.auto_expand_collectives);
+  // Collectives are always expanded; this constant holds the slot of the
+  // old expansion switch so every fingerprint and store address keeps its
+  // bits.
+  h.boolean(true);
   h.u64(static_cast<std::uint64_t>(o.collective_algo));
   h.f64(o.max_sim_time_s);
   // Hashed only when enabled so faults-off fingerprints stay bit-identical

@@ -10,9 +10,9 @@
 //
 // A context family — a context and every context derived from it that
 // lowers the trace alike (with_platform, with_bandwidth, with_faults,
-// with_progress, and with_options when auto_expand_collectives and
-// collective_algo are unchanged) — also shares one dimemas::ReplayProgram,
-// the trace's collective expansion compiled to replay lanes. It is built
+// with_progress, and with_options when collective_algo is unchanged) —
+// also shares one dimemas::ReplayProgram, the trace's collective expansion
+// compiled to replay lanes. It is built
 // once, by the family's first replay (whichever thread gets there first;
 // the others wait for it), so a bandwidth sweep lowers each trace once
 // instead of once per bandwidth, and a context that never replays (a

@@ -3,10 +3,14 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstring>
+#include <thread>
 #include <utility>
 
 #include "common/expect.hpp"
@@ -15,6 +19,9 @@
 namespace osim::serve {
 
 namespace {
+
+/// How long shutdown() waits for workers to exit before killing them.
+constexpr std::chrono::seconds kShutdownGrace{5};
 
 // write() the whole buffer, riding out EINTR, partial writes and (on the
 // controller's non-blocking ends) momentarily full socket buffers.
@@ -259,6 +266,26 @@ void WorkerPool::shutdown() {
       worker->fd = -1;
     }
     worker->inflight.reset();
+  }
+  // An idle worker exits at EOF within milliseconds; one still inside a
+  // job gets the rest of the deadline, then SIGKILL. Either way no worker
+  // outlives the pool.
+  const auto deadline = std::chrono::steady_clock::now() + kShutdownGrace;
+  for (auto& worker : workers_) {
+    if (worker->pid < 0) continue;
+    const pid_t pid = static_cast<pid_t>(worker->pid);
+    worker->pid = -1;
+    for (;;) {
+      const pid_t got = ::waitpid(pid, nullptr, WNOHANG);
+      if (got == pid || (got < 0 && errno != EINTR)) break;
+      if (std::chrono::steady_clock::now() >= deadline) {
+        ::kill(pid, SIGKILL);
+        while (::waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
+        }
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
   }
 }
 

@@ -88,8 +88,9 @@ class WorkerPool {
   /// Re-spawns a dead slot. Throws osim::Error on spawn failure.
   void respawn(int i);
 
-  /// Closes every worker fd (workers see EOF and exit) and leaves the
-  /// children to be reaped by the caller's SIGCHLD path.
+  /// Closes every worker fd (workers see EOF and exit) and waits for each
+  /// live worker; one still running 5 s later is SIGKILLed and reaped.
+  /// Returns with no worker process left.
   void shutdown();
 
   std::uint64_t spawned() const { return spawned_; }

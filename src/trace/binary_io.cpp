@@ -1,12 +1,12 @@
 #include "trace/binary_io.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 
 #include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/expect.hpp"
-#include "common/log.hpp"
 #include "common/strings.hpp"
 #include "trace/io.hpp"
 #include "trace/mmap_file.hpp"
@@ -212,9 +212,9 @@ Trace decode(std::string_view bytes, Damage* damage) {
   if (r.remaining() == 0) {
     // Legacy trace written before the CRC footer existed: accept, warn.
     if (recover) damage->missing_footer = true;
-    log::warn(
-        "binary trace: no integrity footer (written by an older "
-        "version); CRC verification skipped");
+    std::fprintf(stderr,
+                 "warning: binary trace: no integrity footer (written by an "
+                 "older version); CRC verification skipped\n");
     return trace;
   }
   const std::uint64_t footer_offset = r.position();

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -24,7 +25,6 @@
 #include "apps/app.hpp"
 #include "common/crc32.hpp"
 #include "common/expect.hpp"
-#include "common/log.hpp"
 #include "common/strings.hpp"
 #include "overlap/transform.hpp"
 #include "random_trace.hpp"
@@ -353,9 +353,9 @@ Trace read_binary_impl(Stream& in, Damage* damage) {
     if (r.at_eof()) {
       // Legacy trace written before the CRC footer existed: accept, warn.
       if (recover) damage->missing_footer = true;
-      log::warn(
-          "binary trace: no integrity footer (written by an older "
-          "version); CRC verification skipped");
+      std::fprintf(stderr,
+                   "warning: binary trace: no integrity footer (written by "
+                   "an older version); CRC verification skipped\n");
     } else {
       const std::uint64_t footer_offset = r.consumed();
       try {
@@ -524,19 +524,6 @@ std::string disagreement(const std::string& bytes) {
   return "";
 }
 
-/// Silences the legacy-footer warning that truncations at the footer
-/// boundary trigger in both readers.
-class QuietLog {
- public:
-  QuietLog() : saved_(log::level()) { log::set_level(log::Level::kOff); }
-  ~QuietLog() { log::set_level(saved_); }
-  QuietLog(const QuietLog&) = delete;
-  QuietLog& operator=(const QuietLog&) = delete;
-
- private:
-  log::Level saved_;
-};
-
 class CodecDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CodecDifferential, WritersEmitTheSameBytes) {
@@ -545,7 +532,6 @@ TEST_P(CodecDifferential, WritersEmitTheSameBytes) {
 }
 
 TEST_P(CodecDifferential, EverySingleByteFlipReadsTheSame) {
-  const QuietLog quiet;
   const std::string original = write_binary(fuzz::random_trace(GetParam()));
   for (std::size_t pos = 0; pos < original.size(); ++pos) {
     for (const unsigned mask : {0x01u, 0x80u, 0xFFu}) {
@@ -559,7 +545,6 @@ TEST_P(CodecDifferential, EverySingleByteFlipReadsTheSame) {
 }
 
 TEST_P(CodecDifferential, EveryTruncationReadsTheSame) {
-  const QuietLog quiet;
   const std::string original = write_binary(fuzz::random_trace(GetParam()));
   for (std::size_t cut = 0; cut <= original.size(); ++cut) {
     const std::string d = disagreement(original.substr(0, cut));

@@ -17,7 +17,6 @@
 #include "common/expect.hpp"
 #include "common/flags.hpp"
 #include "common/line_cursor.hpp"
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/signals.hpp"
 #include "common/stats.hpp"
@@ -517,21 +516,6 @@ TEST(Flags, PositionalArgumentRejected) {
   Flags flags("test");
   const char* argv[] = {"prog", "stray"};
   EXPECT_THROW(flags.parse(2, argv), Error);
-}
-
-// --- log --------------------------------------------------------------------------
-
-TEST(Log, CaptureAndLevels) {
-  std::string captured;
-  log::set_capture(&captured);
-  const log::Level old = log::level();
-  log::set_level(log::Level::kInfo);
-  log::info("value is {} and {}", 42, "text");
-  log::debug("should not appear");
-  log::set_level(old);
-  log::set_capture(nullptr);
-  EXPECT_NE(captured.find("value is 42 and text"), std::string::npos);
-  EXPECT_EQ(captured.find("should not appear"), std::string::npos);
 }
 
 // --- signals: the daemon-side child reaper ----------------------------------

@@ -177,9 +177,9 @@ TEST(ReplayContext, OptionsThatLowerAlikeShareTheProgram) {
   recording.collect_metrics = true;
   EXPECT_EQ(base.with_options(recording).program().get(),
             base.program().get());
-  dimemas::ReplayOptions unexpanded = base.options();
-  unexpanded.auto_expand_collectives = false;
-  EXPECT_NE(base.with_options(unexpanded).program().get(),
+  dimemas::ReplayOptions linear = base.options();
+  linear.collective_algo = dimemas::CollectiveAlgo::kLinear;
+  EXPECT_NE(base.with_options(linear).program().get(),
             base.program().get());
 }
 

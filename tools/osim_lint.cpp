@@ -1,4 +1,5 @@
-// osim_lint — trace semantic verifier.
+// osim_lint — trace semantic verifier, the one command that answers "is
+// this trace a valid MPI program the replayer can run?".
 //
 // Statically checks that a trace is a semantically valid MPI program
 // (matched point-to-point traffic, well-formed request lifecycles, no
@@ -12,9 +13,16 @@
 // count line per rank (zero-window-count, postponed-wait-count) and one
 // overlap-summary. Warnings and errors are always listed in full.
 //
+// Every trace is read by the salvaging reader (trace::read_any_file_recover).
+// A damaged binary trace that still holds records gets its damage report on
+// stderr — stdout stays one text, csv or json document — and the salvage is
+// linted.
+//
 // Exit codes follow common/exit_codes.hpp: 0 = clean under --fail-on,
 // 1 = findings at or above --fail-on (diagnostics on stdout), 2 = bad
-// command line, 3 = the trace could not be read.
+// command line, 3 = a trace could not be read or nothing of it was
+// salvageable, 4 = a trace was damaged and only its salvage was linted
+// (whatever the findings).
 //
 //   osim_lint --trace /tmp/cg.original.trace
 //   osim_lint --original /tmp/cg.original.trace --transformed /tmp/cg.overlap_real.trace
@@ -23,6 +31,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <utility>
 
 #include "common/exit_codes.hpp"
 #include "common/expect.hpp"
@@ -52,7 +61,8 @@ int main(int argc, char** argv) try {
       "(matching, request lifecycles, deadlock, collectives, races, overlap "
       "hazards, and — with --original/--transformed — overlap-transform "
       "safety). Overlap advisories are collapsed to per-rank counts plus at "
-      "most 8 exemplars per code; warnings and errors are listed in full");
+      "most 8 exemplars per code; warnings and errors are listed in full. "
+      "A damaged binary trace is linted from its salvage (exit 4)");
   flags.add("trace", &trace_path, "trace file to lint");
   flags.add("original", &original_path,
             "original trace of an original/transformed pair");
@@ -111,13 +121,26 @@ int main(int argc, char** argv) try {
   lint::LintStats stats;
   options.stats = &stats;
 
-  const auto read_trace = [](const std::string& path) {
+  bool salvaged = false;
+  const auto read_trace = [&salvaged](const std::string& path) {
+    trace::RecoveredTrace recovered;
     try {
-      return trace::read_any_file(path);
+      recovered = trace::read_any_file_recover(path);
     } catch (const Error& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       std::exit(kExitUnreadable);
     }
+    if (!recovered.damage.clean()) {
+      std::fprintf(stderr, "%s", recovered.damage.render_text().c_str());
+      if (recovered.damage.unusable) {
+        std::fprintf(stderr, "error: %s: nothing salvageable\n",
+                     path.c_str());
+        std::exit(kExitUnreadable);
+      }
+      std::fprintf(stderr, "%s: damaged but salvageable\n", path.c_str());
+      salvaged = true;
+    }
+    return std::move(recovered.trace);
   };
 
   std::unique_ptr<store::ScenarioStore> cache;
@@ -134,7 +157,7 @@ int main(int argc, char** argv) try {
     // the original's message structure. Pair results are not cached: the
     // transform check keys on two traces, not one.
     report = lint::lint_trace(transformed, options);
-    report.merge(lint::lint_transform(original, transformed, options));
+    report.merge(lint::lint_transform(original, transformed));
     subject = transformed_path;
   } else {
     const trace::Trace t = read_trace(trace_path);
@@ -161,6 +184,7 @@ int main(int argc, char** argv) try {
   perf.add("hb_peak_live_snapshots",
            static_cast<double>(stats.hb_peak_live_snapshots));
   perf.write_if(run.perf_json);
+  if (salvaged) return kExitSalvaged;
   return report.has_at_least(fail_severity) ? kExitError : kExitOk;
 } catch (const osim::UsageError& e) {
   std::fprintf(stderr, "error: %s\n", e.what());

@@ -3,7 +3,8 @@
 // Runs one of the bundled applications on the instrumented runtime and
 // writes exactly what the paper's Valgrind tool emits per run: "one
 // non-overlapped (original) and two overlapped (potential) Dimemas traces"
-// (§III-C), as text files consumable by osim_replay / osim_inspect.
+// (§III-C), as text files consumable by osim_replay / osim_inspect. Verify
+// them with osim_lint (--trace, or --original/--transformed for a pair).
 //
 //   osim_trace --app nas_cg --ranks 8 --iterations 5 --out /tmp/cg
 //   → /tmp/cg.original.trace
@@ -17,7 +18,6 @@
 #include "common/expect.hpp"
 #include "common/flags.hpp"
 #include "common/strings.hpp"
-#include "lint/lint.hpp"
 #include "overlap/transform.hpp"
 #include "trace/annotated_io.hpp"
 #include "trace/binary_io.hpp"
@@ -35,7 +35,6 @@ int main(int argc, char** argv) try {
   bool quiet = false;
   bool binary = false;
   bool annotated = false;
-  bool do_lint = false;
 
   Flags flags(
       "osim_trace: run an application under the tracer and write the "
@@ -51,9 +50,6 @@ int main(int argc, char** argv) try {
   flags.add("binary", &binary, "write the compact binary format");
   flags.add("annotated", &annotated,
             "also write the annotated trace (<out>.ann) for osim_overlap");
-  flags.add("lint", &do_lint,
-            "run the semantic verifier on every emitted trace and check "
-            "the overlapped traces against the original");
   if (!flags.parse(argc, argv)) return 0;
   constexpr std::int64_t kMaxInt32 = std::numeric_limits<std::int32_t>::max();
   require_flag_range("ranks", ranks, 1, kMaxInt32);
@@ -110,25 +106,6 @@ int main(int argc, char** argv) try {
     if (!quiet) {
       std::printf("%s", trace::render(trace::summarize(output.trace)).c_str());
     }
-  }
-  if (do_lint) {
-    std::size_t lint_errors = 0;
-    for (const Output& output : outputs) {
-      lint::Report report = lint::lint_trace(output.trace);
-      if (&output != &outputs[0]) {
-        report.merge(lint::lint_transform(outputs[0].trace, output.trace));
-      }
-      if (!report.clean()) {
-        std::printf("lint %s.%s:\n%s", out_prefix.c_str(), output.suffix,
-                    report.render_text().c_str());
-      }
-      lint_errors += report.num_errors();
-    }
-    if (lint_errors > 0) {
-      std::fprintf(stderr, "error: lint found %zu error(s)\n", lint_errors);
-      return 1;
-    }
-    std::fprintf(stderr, "[osim_trace] lint: all traces clean\n");
   }
   return 0;
 } catch (const osim::UsageError& e) {
